@@ -12,7 +12,6 @@ import numpy as np
 from . import energy as energy_mod
 from . import studies as studies_mod
 from .discretization import NetworkState
-from .mms import manufactured_solution_test
 from .network import TopologyError
 from .scenario import (
     ConfigError,
@@ -55,8 +54,6 @@ def build_parser():
                        help="override time step")
         p.add_argument("--scheme", choices=("midpoint", "backward-euler"),
                        default=None, help="override time scheme")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")
     common(p_sim)
@@ -72,6 +69,8 @@ def build_parser():
                          default=[0.2, 0.1, 0.05])
     p_study.add_argument("--no-certify", action="store_true",
                          help="skip the stability certificates")
+    p_study.add_argument("--threads", type=int, default=1,
+                         help="worker threads for sweeps")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     common(p_ver)
@@ -242,6 +241,9 @@ def cmd_verify(args):
 
 
 def cmd_mms(args):
+    # sympy is slow to import; only this command needs it
+    from .mms import manufactured_solution_test
+
     table = manufactured_solution_test(cells_list=tuple(args.cells_list),
                                        dt_list=tuple(args.dt_list))
     print(table.format())

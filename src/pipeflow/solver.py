@@ -1,14 +1,16 @@
 """Implicit time integration for the semi-discrete network equations.
 
-Two paths:
+One Newton driver serves two models.  The unknowns are the cell
+densities, the face velocities and the junction enthalpies; the Jacobian
+is analytic on a fixed sparsity pattern, the update is damped by a
+halving line search, and the friction term gamma*|w|*w is handled
+semismoothly (subgradient 0 at w = 0).  Junction mass balances are
+imposed on the accepted end-of-step state so that every snapshot
+satisfies them to solver tolerance.  The models differ only in their
+energy and inertia weights:
 
 * hyperbolic (epsilon > 0): implicit midpoint (default) or backward
-  Euler on the full port-structured system.  The nonlinear stage
-  equations are solved by Newton's method with an analytic Jacobian on a
-  fixed sparsity pattern; the friction term gamma*|w|*w is handled
-  semismoothly (subgradient 0 at w = 0).  Junction mass balances are
-  imposed on the accepted end-of-step state so that every snapshot
-  satisfies them to solver tolerance.
+  Euler on the full port-structured system.
 
 * parabolic (high-friction limit): backward Euler on the density
   equation with the face velocities tied to the discrete enthalpy
@@ -119,26 +121,28 @@ def _eval_boundary(schedule, vertices, tau):
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic stepper
+# Newton driver
 
-class HyperbolicStepper:
-    """Newton solver for one implicit stage of the hyperbolic system."""
+class _NewtonStepper:
+    """Newton driver for one implicit step, shared by both models.
 
-    def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
-                 forcing=None):
-        if system.epsilon == 0.0:
-            raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
-                             "use the parabolic solver")
+    A model supplies the stage loads and initial guess, the residual with
+    its cache of stage quantities, the Jacobian values on the template,
+    the norm weight of the velocity rows, the line-search cut limit and
+    the stage power terms.
+    """
+
+    kinetic = False  # whether the momentum rows couple to the velocities
+
+    def __init__(self, system, newton_tol, max_iter):
         self.system = system
-        self.theta = 0.5 if scheme == "midpoint" else 1.0
-        self.scheme = scheme
         self.newton_tol = newton_tol
         self.max_iter = max_iter
-        self.forcing = forcing
-        self._hv = np.zeros(system.n_junctions)
         self._build_template()
 
     def _build_template(self):
+        # tocsc() sums duplicate entries in this order, and the models'
+        # Jacobian values follow it
         sys = self.system
         n_c, n_f, n_j = sys.n_cells, sys.n_faces, sys.n_junctions
         rows, cols = [], []
@@ -171,18 +175,19 @@ class HyperbolicStepper:
         block(n_c + faces[self._rw_left], flc[self._rw_left])
 
         # momentum rows: kinetic coupling d(Gh)/dw
-        ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
-        for f in range(n_f):
-            for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
-                if c >= 0:
-                    for fp in (sys.cell_left_face[c], sys.cell_right_face[c]):
-                        ww_rows.append(n_c + f)
-                        ww_cols.append(n_c + fp)
-                        ww_sign.append(sign)
-                        ww_fp.append(fp)
-        self._ww_sign = np.asarray(ww_sign)
-        self._ww_fp = np.asarray(ww_fp, dtype=int)
-        block(ww_rows, ww_cols)
+        if self.kinetic:
+            ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
+            for f in range(n_f):
+                for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
+                    if c >= 0:
+                        for fp in (sys.cell_left_face[c], sys.cell_right_face[c]):
+                            ww_rows.append(n_c + f)
+                            ww_cols.append(n_c + fp)
+                            ww_sign.append(sign)
+                            ww_fp.append(fp)
+            self._ww_sign = np.asarray(ww_sign)
+            self._ww_fp = np.asarray(ww_fp, dtype=int)
+            block(ww_rows, ww_cols)
 
         # momentum rows: time derivative + friction diagonal
         block(n_c + faces, n_c + faces)
@@ -195,7 +200,6 @@ class HyperbolicStepper:
         jf = sys.junction_term_faces
         adj = np.where(sys.face_left_cell[jf] >= 0,
                        sys.face_left_cell[jf], sys.face_right_cell[jf])
-        self._j_adj_cells = adj
         self._j_kappa = (sys.a_cells[adj] * sys.dx_cells[adj]
                          / (2.0 * sys.omega_faces[jf]))
         block(n_c + n_f + sys.junction_term_slots, adj)
@@ -205,29 +209,120 @@ class HyperbolicStepper:
         self._cols = np.concatenate(cols)
         self._shape = (n_c + n_f + n_j, n_c + n_f + n_j)
 
-    def _jacobian_data(self, dt, rho_s, w_s, arho_s):
+    def step(self, state, dt, boundary, tau_new=None):
+        """Advance one step; returns (new_state, stage_info dict)."""
         sys = self.system
-        th = self.theta
-        d2p = sys.law.d2potential(rho_s)
-        parts = [
-            sys.c_rho,
-            dt * th * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
-            -dt * th * w_s[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
-            dt * th * arho_s[self._rw_left],
-            -dt * th * arho_s[self._rw_right],
-            dt * th * d2p[sys.face_right_cell[self._rw_right]],
-            -dt * th * d2p[sys.face_left_cell[self._rw_left]],
-            dt * th * self._ww_sign * 0.5 * sys.epsilon**2 * w_s[self._ww_fp],
-            sys.c_w + dt * th * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s),
-            dt * sys.junction_term_signs,
-            sys.junction_term_signs * self._w_end[sys.junction_term_faces] * self._j_kappa,
-            sys.junction_term_signs * self._arho_end[sys.junction_term_faces],
-        ]
-        return np.concatenate(parts)
+        tau_n = state.tau
+        if tau_new is None:
+            tau_new = tau_n + dt
+        tau_s, values, loads, rho, w, hv = self._stage(state, dt, boundary,
+                                                       tau_new)
+        # scale rows to update units with the flux part in field units;
+        # the combined weight keeps the attainable floor near machine
+        # precision for any dt
+        scale = (sys.c_rho + dt * sys.dx_cells, self._w_weight(dt))
+        out = self._residual(dt, state, loads, rho, w, hv)
+        if out is None:
+            raise StepFailure("negative density in stage state", tau=tau_n)
+        norm = _scaled_norm(scale, *out[:3])
+        n_c, n_f = sys.n_cells, sys.n_faces
+        it = 0
+        while norm > self.newton_tol:
+            if it >= self.max_iter:
+                raise StepFailure(
+                    f"Newton did not converge in {self.max_iter} iterations "
+                    f"(residual {norm:.3e})", tau=tau_n, residual=norm,
+                    iterations=it)
+            f_rho, f_w, f_j, cache = out
+            data = self._jacobian_data(dt, cache)
+            jac = sp.coo_matrix((data, (self._rows, self._cols)),
+                                shape=self._shape).tocsc()
+            try:
+                delta = splu(jac).solve(np.concatenate([f_rho, f_w, f_j]))
+            except RuntimeError as exc:
+                raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
+                                  residual=norm, iterations=it) from exc
+            step_scale = 1.0
+            for _ in range(self.max_cuts):
+                rho_try = rho - step_scale * delta[:n_c]
+                w_try = w - step_scale * delta[n_c:n_c + n_f]
+                hv_try = hv - step_scale * delta[n_c + n_f:]
+                out_try = self._residual(dt, state, loads, rho_try, w_try,
+                                         hv_try)
+                if out_try is not None:
+                    norm_try = _scaled_norm(scale, *out_try[:3])
+                    if norm_try < norm or norm_try <= self.newton_tol:
+                        break
+                step_scale *= 0.5
+            else:
+                raise StepFailure("Newton line search stalled", tau=tau_n,
+                                  residual=norm, iterations=it)
+            rho, w, hv = rho_try, w_try, hv_try
+            out, norm = out_try, norm_try
+            it += 1
 
-    def _residual(self, dt, rho_n, w_n, rho, w, hv, load_rho, load_w):
+        self._hv = hv.copy()
+        stage_dissipation, stage_flux = self._stage_power(loads, out[3])
+        info = {
+            "junction_h": hv.copy(),
+            "stage_dissipation": stage_dissipation,
+            "stage_flux": stage_flux,
+            "stage_tau": tau_s,
+            "iterations": it,
+            "boundary_values": values,
+        }
+        return NetworkState(tau_new, rho, w), info
+
+
+def _scaled_norm(scale, f_rho, f_w, f_j):
+    parts = [np.abs(f_rho) / scale[0], np.abs(f_w) / scale[1]]
+    if f_j.size:
+        parts.append(np.abs(f_j))
+    return max(np.max(p) for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# hyperbolic model
+
+class HyperbolicStepper(_NewtonStepper):
+    """Newton solver for one implicit stage of the hyperbolic system."""
+
+    kinetic = True
+    max_cuts = 12  # line-search halvings before a step is given up
+
+    def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
+                 forcing=None):
+        if system.epsilon == 0.0:
+            raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
+                             "use the parabolic solver")
+        super().__init__(system, newton_tol, max_iter)
+        self.theta = 0.5 if scheme == "midpoint" else 1.0
+        self.scheme = scheme
+        self.forcing = forcing
+        self._hv = np.zeros(system.n_junctions)
+
+    def _stage(self, state, dt, boundary, tau_new):
+        sys = self.system
+        tau_s = state.tau + self.theta * dt
+        values = _eval_boundary(boundary, sys.boundary_vertices, tau_s)
+        load = sys.boundary_load(values)
+        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces].copy()
+        load_rho = np.zeros(sys.n_cells)
+        if self.forcing is not None:
+            f1, f2 = self.forcing
+            load_rho += sys.dx_cells * f1(sys.x_cells, tau_s)
+            load_w += sys.omega_faces * f2(sys.x_faces, tau_s)
+        return (tau_s, values, (load_rho, load_w), state.rho.copy(),
+                state.w.copy(), self._hv.copy())
+
+    def _w_weight(self, dt):
+        return self.system.c_w + dt * self.system.omega_faces
+
+    def _residual(self, dt, state, loads, rho, w, hv):
         sys = self.system
         th = self.theta
+        rho_n, w_n = state.rho, state.w
+        load_rho, load_w = loads
         rho_s = rho_n + th * (rho - rho_n)
         w_s = w_n + th * (w - w_n)
         if np.any(rho_s <= 0.0):
@@ -241,110 +336,58 @@ class HyperbolicStepper:
         f_w = (sys.c_w * (w - w_n)
                + dt * (sys.g_matrix @ h_s + sys.s_matrix @ hv + fr_s)
                - dt * load_w)
-        self._arho_end = sys.arho_faces(rho)
-        self._w_end = w
-        m_end = self._arho_end * w
+        arho_end = sys.arho_faces(rho)
+        m_end = arho_end * w
         f_j = sys.s_matrix.T @ m_end
-        cache = (rho_s, w_s, arho_s, m_s, h_s)
+        cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
         return f_rho, f_w, f_j, cache
 
-    def _scaled_norm(self, dt, f_rho, f_w, f_j):
-        # scale rows to update units with the flux part in field units;
-        # the combined weight keeps the attainable floor near machine
-        # precision for any dt
+    def _jacobian_data(self, dt, cache):
         sys = self.system
-        parts = [np.abs(f_rho) / (sys.c_rho + dt * sys.dx_cells),
-                 np.abs(f_w) / (sys.c_w + dt * sys.omega_faces)]
-        if f_j.size:
-            parts.append(np.abs(f_j))
-        return max(np.max(p) for p in parts)
+        th = self.theta
+        rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
+        d2p = sys.law.d2potential(rho_s)
+        parts = [
+            sys.c_rho,
+            dt * th * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
+            -dt * th * w_s[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
+            dt * th * arho_s[self._rw_left],
+            -dt * th * arho_s[self._rw_right],
+            dt * th * d2p[sys.face_right_cell[self._rw_right]],
+            -dt * th * d2p[sys.face_left_cell[self._rw_left]],
+            dt * th * self._ww_sign * 0.5 * sys.epsilon**2 * w_s[self._ww_fp],
+            sys.c_w + dt * th * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s),
+            dt * sys.junction_term_signs,
+            sys.junction_term_signs * w_end[sys.junction_term_faces] * self._j_kappa,
+            sys.junction_term_signs * arho_end[sys.junction_term_faces],
+        ]
+        return np.concatenate(parts)
 
-    def step(self, state, dt, boundary, tau_new=None):
-        """Advance one step; returns (new_state, stage_info dict)."""
+    def _stage_power(self, loads, cache):
         sys = self.system
-        tau_n = state.tau
-        if tau_new is None:
-            tau_new = tau_n + dt
-        tau_s = tau_n + self.theta * dt
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_s)
-        load = sys.boundary_load(values)
-        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces].copy()
-        load_rho = np.zeros(sys.n_cells)
-        if self.forcing is not None:
-            f1, f2 = self.forcing
-            load_rho += sys.dx_cells * f1(sys.x_cells, tau_s)
-            load_w += sys.omega_faces * f2(sys.x_faces, tau_s)
-
-        rho_n, w_n = state.rho, state.w
-        rho, w = rho_n.copy(), w_n.copy()
-        hv = self._hv.copy()
-        out = self._residual(dt, rho_n, w_n, rho, w, hv, load_rho, load_w)
-        if out is None:
-            raise StepFailure("negative density in stage state", tau=tau_n)
-        f_rho, f_w, f_j, cache = out
-        norm = self._scaled_norm(dt, f_rho, f_w, f_j)
-        n_c, n_f = sys.n_cells, sys.n_faces
-        it = 0
-        while norm > self.newton_tol:
-            if it >= self.max_iter:
-                raise StepFailure(
-                    f"Newton did not converge in {self.max_iter} iterations "
-                    f"(residual {norm:.3e})", tau=tau_n, residual=norm,
-                    iterations=it)
-            rho_s, w_s, arho_s, _, _ = cache
-            data = self._jacobian_data(dt, rho_s, w_s, arho_s)
-            jac = sp.coo_matrix((data, (self._rows, self._cols)),
-                                shape=self._shape).tocsc()
-            try:
-                delta = splu(jac).solve(np.concatenate([f_rho, f_w, f_j]))
-            except RuntimeError as exc:
-                raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
-                                  residual=norm, iterations=it) from exc
-            step_scale = 1.0
-            for _ in range(12):
-                rho_try = rho - step_scale * delta[:n_c]
-                w_try = w - step_scale * delta[n_c:n_c + n_f]
-                hv_try = hv - step_scale * delta[n_c + n_f:]
-                out = self._residual(dt, rho_n, w_n, rho_try, w_try, hv_try,
-                                     load_rho, load_w)
-                if out is not None:
-                    norm_try = self._scaled_norm(dt, out[0], out[1], out[2])
-                    if norm_try < norm or norm_try <= self.newton_tol:
-                        break
-                step_scale *= 0.5
-            else:
-                raise StepFailure("Newton line search stalled", tau=tau_n,
-                                  residual=norm, iterations=it)
-            rho, w, hv = rho_try, w_try, hv_try
-            f_rho, f_w, f_j, cache = out
-            norm = norm_try
-            it += 1
-
-        self._hv = hv.copy()
-        rho_s, w_s, arho_s, m_s, h_s = cache
+        load_rho, load_w = loads
+        _, w_s, arho_s, m_s, h_s, _, _ = cache
         stage_dissipation = float(np.dot(
             sys.omega_faces * sys.gamma_faces * arho_s, np.abs(w_s) ** 3))
         stage_flux = float(np.dot(load_w, m_s) + np.dot(load_rho, h_s))
-        new_state = NetworkState(tau_new, rho, w)
-        info = {
-            "junction_h": hv.copy(),
-            "stage_dissipation": stage_dissipation,
-            "stage_flux": stage_flux,
-            "stage_tau": tau_s,
-            "iterations": it,
-            "boundary_values": values,
-        }
-        return new_state, info
+        return stage_dissipation, stage_flux
 
 
 # ---------------------------------------------------------------------------
-# parabolic limit stepper
+# parabolic limit model
 
 def _recovery(s, gamma):
     return -np.sign(s) * np.sqrt(np.abs(s) / gamma)
 
 
-class ParabolicStepper:
+def _limit_enthalpy(system, rho, include_gravity):
+    h = system.law.dpotential(rho)
+    if include_gravity:
+        h = h + system.gz_cells
+    return h
+
+
+class ParabolicStepper(_NewtonStepper):
     """Backward Euler for the high-friction limit density equation.
 
     The face velocities are kept as explicit unknowns coupled by the
@@ -357,86 +400,49 @@ class ParabolicStepper:
     face by face to solver tolerance.
     """
 
+    max_cuts = 14
+
     def __init__(self, system, newton_tol=1e-11, max_iter=40, include_gravity=True):
-        self.system = system
-        self.newton_tol = newton_tol
-        self.max_iter = max_iter
+        super().__init__(system, newton_tol, max_iter)
         self.include_gravity = include_gravity
         self._hv = None
-        self._build_template()
-
-    def _build_template(self):
-        sys = self.system
-        n_c, n_f, n_j = sys.n_cells, sys.n_faces, sys.n_junctions
-        rows, cols = [], []
-
-        def block(r, c):
-            rows.append(np.asarray(r, dtype=int))
-            cols.append(np.asarray(c, dtype=int))
-
-        # mass rows: time-derivative diagonal and flux sensitivities
-        block(np.arange(n_c), np.arange(n_c))
-        pf, pc = sys.pair_face, sys.pair_cell
-        lc, rc = sys.face_left_cell[pf], sys.face_right_cell[pf]
-        self._rr_left = lc >= 0
-        self._rr_right = rc >= 0
-        block(lc[self._rr_left], pc[self._rr_left])
-        block(rc[self._rr_right], pc[self._rr_right])
-        faces = np.arange(n_f)
-        flc, frc = sys.face_left_cell, sys.face_right_cell
-        self._rw_left = flc >= 0
-        self._rw_right = frc >= 0
-        block(flc[self._rw_left], n_c + faces[self._rw_left])
-        block(frc[self._rw_right], n_c + faces[self._rw_right])
-
-        # friction-relation rows: enthalpy differences and |w| slope
-        block(n_c + faces[self._rw_right], frc[self._rw_right])
-        block(n_c + faces[self._rw_left], flc[self._rw_left])
-        block(n_c + faces, n_c + faces)
-        block(n_c + sys.junction_term_faces, n_c + n_f + sys.junction_term_slots)
-
-        # junction constraint rows
-        jf = sys.junction_term_faces
-        adj = np.where(sys.face_left_cell[jf] >= 0,
-                       sys.face_left_cell[jf], sys.face_right_cell[jf])
-        self._j_kappa = (sys.a_cells[adj] * sys.dx_cells[adj]
-                         / (2.0 * sys.omega_faces[jf]))
-        block(n_c + n_f + sys.junction_term_slots, adj)
-        block(n_c + n_f + sys.junction_term_slots, n_c + jf)
-
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        self._shape = (n_c + n_f + n_j, n_c + n_f + n_j)
 
     def enthalpy_cells(self, rho):
-        h = self.system.law.dpotential(rho)
-        if self.include_gravity:
-            h = h + self.system.gz_cells
-        return h
+        return _limit_enthalpy(self.system, rho, self.include_gravity)
 
-    def _residual(self, dt, rho_n, rho, w, hv, load_w):
+    def _stage(self, state, dt, boundary, tau_new):
+        sys = self.system
+        values = _eval_boundary(boundary, sys.boundary_vertices, tau_new)
+        load = sys.boundary_load(values)
+        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces]
+        rho_n = state.rho
+        if self._hv is None or self._hv.size != sys.n_junctions:
+            self._hv = parabolic_junction_enthalpies(
+                sys, rho_n, values, include_gravity=self.include_gravity)
+        hv = self._hv.copy()
+        w = velocity_recovery(sys, rho_n, values,
+                              junction_h=hv, include_gravity=self.include_gravity)
+        return tau_new, values, load_w, rho_n.copy(), w, hv
+
+    def _w_weight(self, dt):
+        return self.system.omega_faces
+
+    def _residual(self, dt, state, load_w, rho, w, hv):
         sys = self.system
         if np.any(rho <= 0.0):
             return None
         h = self.enthalpy_cells(rho)
         arho = sys.arho_faces(rho)
         m = arho * w
-        f_rho = sys.c_rho * (rho - rho_n) + dt * (sys.d_matrix @ m)
+        f_rho = sys.c_rho * (rho - state.rho) + dt * (sys.d_matrix @ m)
         fr = sys.omega_faces * sys.gamma_faces * np.abs(w) * w
         f_w = sys.g_matrix @ h + sys.s_matrix @ hv + fr - load_w
         f_j = sys.s_matrix.T @ m
-        return f_rho, f_w, f_j, (arho, m)
+        return f_rho, f_w, f_j, (rho, w, arho, m)
 
-    def _scaled_norm(self, dt, f_rho, f_w, f_j):
+    def _jacobian_data(self, dt, cache):
         sys = self.system
-        parts = [np.abs(f_rho) / (sys.c_rho + dt * sys.dx_cells),
-                 np.abs(f_w) / sys.omega_faces]
-        if f_j.size:
-            parts.append(np.abs(f_j))
-        return max(np.max(p) for p in parts)
-
-    def _jacobian_data(self, dt, rho, w, arho):
-        sys = self.system
+        rho, w, arho, _ = cache
         d2p = sys.law.d2potential(rho)
         parts = [
             sys.c_rho,
@@ -453,76 +459,12 @@ class ParabolicStepper:
         ]
         return np.concatenate(parts)
 
-    def step(self, state, dt, boundary, tau_new=None):
+    def _stage_power(self, load_w, cache):
         sys = self.system
-        tau_n = state.tau
-        if tau_new is None:
-            tau_new = tau_n + dt
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_new)
-        load = sys.boundary_load(values)
-        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces]
-        rho_n = state.rho
-        rho = rho_n.copy()
-        if self._hv is None or self._hv.size != sys.n_junctions:
-            self._hv = parabolic_junction_enthalpies(
-                sys, rho_n, values, include_gravity=self.include_gravity)
-        hv = self._hv.copy()
-        w = velocity_recovery(sys, rho_n, values,
-                              junction_h=hv, include_gravity=self.include_gravity)
-        out = self._residual(dt, rho_n, rho, w, hv, load_w)
-        if out is None:
-            raise StepFailure("negative density", tau=tau_n)
-        f_rho, f_w, f_j, cache = out
-        norm = self._scaled_norm(dt, f_rho, f_w, f_j)
-        n_c, n_f = sys.n_cells, sys.n_faces
-        it = 0
-        while norm > self.newton_tol:
-            if it >= self.max_iter:
-                raise StepFailure(
-                    f"Newton did not converge in {self.max_iter} iterations "
-                    f"(residual {norm:.3e})", tau=tau_n, residual=norm,
-                    iterations=it)
-            arho, m = cache
-            data = self._jacobian_data(dt, rho, w, arho)
-            jac = sp.coo_matrix((data, (self._rows, self._cols)),
-                                shape=self._shape).tocsc()
-            try:
-                delta = splu(jac).solve(np.concatenate([f_rho, f_w, f_j]))
-            except RuntimeError as exc:
-                raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
-                                  residual=norm, iterations=it) from exc
-            step_scale = 1.0
-            for _ in range(14):
-                rho_try = rho - step_scale * delta[:n_c]
-                w_try = w - step_scale * delta[n_c:n_c + n_f]
-                hv_try = hv - step_scale * delta[n_c + n_f:]
-                out = self._residual(dt, rho_n, rho_try, w_try, hv_try, load_w)
-                if out is not None:
-                    norm_try = self._scaled_norm(dt, out[0], out[1], out[2])
-                    if norm_try < norm or norm_try <= self.newton_tol:
-                        break
-                step_scale *= 0.5
-            else:
-                raise StepFailure("Newton line search stalled", tau=tau_n,
-                                  residual=norm, iterations=it)
-            rho, w, hv = rho_try, w_try, hv_try
-            f_rho, f_w, f_j, cache = out
-            norm = norm_try
-            it += 1
-
-        self._hv = hv.copy()
-        arho, m = cache
-        new_state = NetworkState(tau_new, rho, w.copy())
-        info = {
-            "junction_h": hv.copy(),
-            "stage_dissipation": float(np.dot(
-                sys.omega_faces * sys.gamma_faces * arho, np.abs(w) ** 3)),
-            "stage_flux": float(np.dot(load_w, m)),
-            "stage_tau": tau_new,
-            "iterations": it,
-            "boundary_values": values,
-        }
-        return new_state, info
+        _, w, arho, m = cache
+        stage_dissipation = float(np.dot(
+            sys.omega_faces * sys.gamma_faces * arho, np.abs(w) ** 3))
+        return stage_dissipation, float(np.dot(load_w, m))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +482,7 @@ def velocity_recovery(system, rho, boundary_values=None, junction_h=None,
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("density must be positive")
-    h = system.law.dpotential(rho)
-    if include_gravity:
-        h = h + system.gz_cells
+    h = _limit_enthalpy(system, rho, include_gravity)
     s = np.zeros(system.n_faces)
     lc, rc = system.face_left_cell, system.face_right_cell
     interior = (lc >= 0) & (rc >= 0)
@@ -573,9 +513,7 @@ def parabolic_junction_enthalpies(system, rho, boundary_values,
                                   include_gravity=True):
     """Junction enthalpies balancing the recovered mass fluxes."""
     rho = np.asarray(rho, dtype=float)
-    h = system.law.dpotential(rho)
-    if include_gravity:
-        h = h + system.gz_cells
+    h = _limit_enthalpy(system, rho, include_gravity)
     arho = system.arho_faces(rho)
     hv = np.zeros(system.n_junctions)
     for j in range(system.n_junctions):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -58,7 +59,6 @@ def fit_loglog_slope(x, y, guard=0.10):
 def monotone_violations(values, rel_tol=1e-9):
     """Number of increases in a supposedly decreasing error sequence."""
     values = np.asarray(values, dtype=float)
-    scale = np.maximum(np.abs(values[:-1]), 1e-300)
     return int(np.sum(values[1:] > values[:-1] * (1.0 + rel_tol)))
 
 
@@ -157,6 +157,50 @@ def _run_sweep(tasks, threads):
         return [f.result() for f in futures]
 
 
+def _sweep(name, parameter_name, parameters, member, scenario, system,
+           ref_config, certify, threads):
+    """Measure one member per parameter against one reference run.
+
+    The reference runs on `system` with `ref_config` and is subsampled to
+    the members' snapshot times.  `member(p, ref)` returns (x, system, u,
+    u_hat, monitor_kwargs): the abscissa of parameter p and the trajectory
+    pair it contributes, compared on that system with the Lipschitz
+    constants taken along u_hat.
+    """
+    ref_traj = run(system, scenario.initial_state(system), ref_config,
+                   scenario.boundary)
+    ref = _subsample(ref_traj, 4)
+
+    def measure(p):
+        x, pair_system, u, u_hat, monitor_kwargs = member(p, ref)
+        # the limit reference has no eps^2 kinetic norm contribution
+        sup_sq, l3 = _pair_errors(pair_system, u, u_hat,
+                                  include_kinetic=not ref_config.parabolic)
+        cert = None
+        if certify:
+            lip = lipschitz_estimates(pair_system, u_hat)
+            constants = stability_constants(
+                scenario.bounds, scenario.law, lip_drho=lip[0],
+                lip_eps_dw=lip[1],
+                n_boundary=max(len(pair_system.boundary_vertices), 1))
+            cert = gronwall_monitor(pair_system, u, u_hat, constants,
+                                    scenario.boundary, **monitor_kwargs)
+        return x, sup_sq + l3, sup_sq, l3, cert
+
+    results = _run_sweep([partial(measure, p) for p in parameters], threads)
+    x = [r[0] for r in results]
+    errors = [r[1] for r in results]
+    slope, mask = fit_loglog_slope(x, errors)
+    return StudyResult(
+        name=name, parameter_name=parameter_name, parameters=parameters,
+        x_values=x, errors=errors,
+        density_sup_sq=[r[2] for r in results],
+        velocity_l3=[r[3] for r in results],
+        slope=slope, used=list(mask),
+        certificates=[r[4] for r in results if r[4] is not None],
+    )
+
+
 def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     """High-friction limit: hyperbolic runs against the limit model.
 
@@ -173,46 +217,20 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
                          "is the reference, not a sweep point")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    bounds = _require_bounds(scenario) if certify else scenario.bounds
+    if certify:
+        _require_bounds(scenario)
 
-    ref_system = scenario.build_system()
-    ref_state = scenario.initial_state(ref_system)
-    ref_traj = run(ref_system, ref_state,
-                   _reference_config(scenario.solver, parabolic=True),
-                   scenario.boundary)
-    ref = _subsample(ref_traj, 4)
+    def member(eps, ref):
+        scen = scenario.with_epsilon(eps)
+        system = scen.build_system()
+        traj = run(system, scen.initial_state(system), scen.solver,
+                   scen.boundary)
+        return eps**2, system, traj, ref, {"eps_hat": 0.0}
 
-    def make_task(eps):
-        def task():
-            scen = scenario.with_epsilon(eps)
-            system = scen.build_system()
-            state0 = scen.initial_state(system)
-            traj = run(system, state0, scen.solver, scen.boundary)
-            # the limit reference has no eps^2 kinetic norm contribution
-            sup_sq, l3 = _pair_errors(system, traj, ref, include_kinetic=False)
-            cert = None
-            if certify:
-                lip = lipschitz_estimates(system, ref)
-                constants = stability_constants(
-                    bounds, scenario.law, lip_drho=lip[0], lip_eps_dw=lip[1],
-                    n_boundary=max(len(system.boundary_vertices), 1))
-                cert = gronwall_monitor(system, traj, ref, constants,
-                                        scenario.boundary, eps_hat=0.0)
-            return sup_sq + l3, sup_sq, l3, cert
-        return task
-
-    results = _run_sweep([make_task(e) for e in eps_list], threads)
-    errors = [r[0] for r in results]
-    x = [e**2 for e in eps_list]
-    slope, mask = fit_loglog_slope(x, errors)
-    return StudyResult(
-        name="high-friction limit study", parameter_name="epsilon",
-        parameters=eps_list, x_values=x, errors=errors,
-        density_sup_sq=[r[1] for r in results],
-        velocity_l3=[r[2] for r in results],
-        slope=slope, used=list(mask),
-        certificates=[r[3] for r in results if r[3] is not None],
-    )
+    return _sweep("high-friction limit study", "epsilon", eps_list, member,
+                  scenario, scenario.build_system(),
+                  _reference_config(scenario.solver, parabolic=True),
+                  certify, threads)
 
 
 def gamma_perturbation_study(scenario, offsets, certify=True, threads=1):
@@ -226,53 +244,32 @@ def gamma_perturbation_study(scenario, offsets, certify=True, threads=1):
         raise ValueError("offsets must share one sign")
     bounds = scenario.bounds if not certify else _require_bounds(scenario)
     if bounds is not None:
-        base = scenario.topology.edges[0].params.friction
-        if isinstance(base, tuple):
-            base = max(y for _, y in base)
+        # the offset shifts every breakpoint of every edge
+        frictions = []
+        for edge in scenario.topology.edges:
+            fr = edge.params.friction
+            frictions += [y for _, y in fr] if isinstance(fr, tuple) else [fr]
         for o in offsets:
-            if not (bounds.friction_min <= base + o <= bounds.friction_max):
-                raise ValueError(f"perturbed friction {base + o} leaves the "
+            lo, hi = min(frictions) + o, max(frictions) + o
+            if lo < bounds.friction_min or hi > bounds.friction_max:
+                raise ValueError(f"perturbed friction [{lo}, {hi}] leaves the "
                                  f"bounds [{bounds.friction_min}, "
                                  f"{bounds.friction_max}]")
 
     system = scenario.build_system()
-    state0 = scenario.initial_state(system)
-    ref_traj = run(system, state0, _reference_config(scenario.solver),
-                   scenario.boundary)
-    u_ref = _subsample(ref_traj, 4)
 
-    def make_task(offset):
-        def task():
-            scen = scenario.with_friction_offset(offset)
-            pert_system = scen.build_system()
-            traj_hat = run(pert_system, scenario.initial_state(pert_system),
-                           scen.solver, scen.boundary)
-            sup_sq, l3 = _pair_errors(system, u_ref, traj_hat)
-            cert = None
-            if certify:
-                lip = lipschitz_estimates(system, traj_hat)
-                constants = stability_constants(
-                    bounds, scenario.law, lip_drho=lip[0], lip_eps_dw=lip[1],
-                    n_boundary=max(len(system.boundary_vertices), 1))
-                cert = gronwall_monitor(
-                    system, u_ref, traj_hat, constants, scenario.boundary,
-                    eps_hat=system.epsilon,
-                    gamma_hat=system.gamma_faces + offset)
-            return sup_sq + l3, sup_sq, l3, cert
-        return task
+    def member(offset, ref):
+        scen = scenario.with_friction_offset(offset)
+        pert_system = scen.build_system()
+        traj_hat = run(pert_system, scenario.initial_state(pert_system),
+                       scen.solver, scen.boundary)
+        return abs(offset), system, ref, traj_hat, {
+            "eps_hat": system.epsilon,
+            "gamma_hat": system.gamma_faces + offset}
 
-    results = _run_sweep([make_task(o) for o in offsets], threads)
-    errors = [r[0] for r in results]
-    x = [abs(o) for o in offsets]
-    slope, mask = fit_loglog_slope(x, errors)
-    return StudyResult(
-        name="friction perturbation study", parameter_name="gamma_offset",
-        parameters=offsets, x_values=x, errors=errors,
-        density_sup_sq=[r[1] for r in results],
-        velocity_l3=[r[2] for r in results],
-        slope=slope, used=list(mask),
-        certificates=[r[3] for r in results if r[3] is not None],
-    )
+    return _sweep("friction perturbation study", "gamma_offset", offsets,
+                  member, scenario, system, _reference_config(scenario.solver),
+                  certify, threads)
 
 
 def boundary_perturbation_study(scenario, amplitudes, vertex=None,
@@ -284,7 +281,8 @@ def boundary_perturbation_study(scenario, amplitudes, vertex=None,
         raise ValueError("need at least three amplitudes")
     if any(a <= 0.0 for a in amplitudes):
         raise ValueError("amplitudes must be positive")
-    bounds = scenario.bounds if not certify else _require_bounds(scenario)
+    if certify:
+        _require_bounds(scenario)
 
     system = scenario.build_system()
     if not system.boundary_vertices:
@@ -296,45 +294,18 @@ def boundary_perturbation_study(scenario, amplitudes, vertex=None,
     def bump(tau):
         return math.sin(math.pi * min(max(tau / t_final, 0.0), 1.0)) ** 2
 
-    state0 = scenario.initial_state(system)
-    ref_traj = run(system, state0, _reference_config(scenario.solver),
-                   scenario.boundary)
-    u_ref = _subsample(ref_traj, 4)
-    times = np.asarray(u_ref.times)
-    bump_integral = np.trapezoid([bump(t) for t in times], times)
-
-    def make_task(amplitude):
+    def member(amplitude, ref):
         base = scenario.boundary[vertex]
         pert = {**scenario.boundary,
                 vertex: (lambda tau, b=base, a=amplitude:
                          (b(tau) if callable(b) else b) + a * bump(tau))}
+        traj_hat = run(system, scenario.initial_state(system),
+                       scenario.solver, pert)
+        times = np.asarray(ref.times)
+        bump_integral = np.trapezoid([bump(t) for t in times], times)
+        return amplitude * bump_integral, system, ref, traj_hat, {
+            "schedule_hat": pert, "eps_hat": system.epsilon}
 
-        def task():
-            scen = scenario.with_boundary(pert)
-            traj_hat = run(system, scenario.initial_state(system),
-                           scen.solver, pert)
-            sup_sq, l3 = _pair_errors(system, u_ref, traj_hat)
-            cert = None
-            if certify:
-                lip = lipschitz_estimates(system, traj_hat)
-                constants = stability_constants(
-                    bounds, scenario.law, lip_drho=lip[0], lip_eps_dw=lip[1],
-                    n_boundary=max(len(system.boundary_vertices), 1))
-                cert = gronwall_monitor(system, u_ref, traj_hat, constants,
-                                        scenario.boundary, schedule_hat=pert,
-                                        eps_hat=system.epsilon)
-            return sup_sq + l3, sup_sq, l3, cert
-        return task
-
-    results = _run_sweep([make_task(a) for a in amplitudes], threads)
-    errors = [r[0] for r in results]
-    x = [a * bump_integral for a in amplitudes]
-    slope, mask = fit_loglog_slope(x, errors)
-    return StudyResult(
-        name="boundary perturbation study", parameter_name="amplitude",
-        parameters=amplitudes, x_values=x, errors=errors,
-        density_sup_sq=[r[1] for r in results],
-        velocity_l3=[r[2] for r in results],
-        slope=slope, used=list(mask),
-        certificates=[r[3] for r in results if r[3] is not None],
-    )
+    return _sweep("boundary perturbation study", "amplitude", amplitudes,
+                  member, scenario, system, _reference_config(scenario.solver),
+                  certify, threads)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +149,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "junction-conservation" in out
         assert "FAIL" not in out
+
+    def test_threads_only_for_study(self, tmp_path):
+        scn = tmp_path / "s.scn"
+        scn.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--scenario", str(scn), "--threads", "2"])
+        assert info.value.code == 2
+
+    def test_import_does_not_load_sympy(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c",
+                        "import sys, pipeflow.cli; "
+                        "assert 'sympy' not in sys.modules"],
+                       env=env, check=True)
 
     def test_mms_smoke(self, capsys):
         code = main(["mms", "--cells-list", "8,16", "--dt-list",

@@ -74,14 +74,19 @@ class TestHyperbolicStep:
             step_hyperbolic(system, system.constant_state(1.0), 0.01,
                             {"inlet": 1.0, "outlet": 1.0})
 
-    def test_newton_failure_diagnostics(self):
-        system = build_system(single_pipe(epsilon=0.05), cells_per_edge=8, law=LAW)
+    @pytest.mark.parametrize("epsilon, step", [(0.05, step_hyperbolic),
+                                               (0.0, step_parabolic)],
+                             ids=["hyperbolic", "parabolic"])
+    def test_newton_failure_diagnostics(self, epsilon, step):
+        system = build_system(single_pipe(epsilon=epsilon), cells_per_edge=8,
+                              law=LAW)
         rho0 = 1.0 + 0.3 * np.sin(2 * np.pi * system.x_cells)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         with pytest.raises(StepFailure) as info:
-            step_hyperbolic(system, state0, 0.5, {"inlet": 1.0, "outlet": 1.0},
-                            max_iter=1)
+            step(system, state0, 0.5, {"inlet": 1.0, "outlet": 1.0},
+                 max_iter=1)
         assert info.value.residual is not None
+        assert info.value.iterations == 1
 
 
 class TestVelocityRecovery:

@@ -1,8 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pipeflow.network import Edge, NetworkTopology
 from pipeflow.scenario import load_scenario
 from pipeflow.studies import (
     boundary_perturbation_study,
@@ -70,6 +72,21 @@ class TestStudyValidation:
             gamma_perturbation_study(scenario, [0.4, -0.2, 0.1])
         with pytest.raises(ValueError, match="bounds"):
             gamma_perturbation_study(scenario, [2.0, 1.0, 0.5])
+
+        # bounds are [0.8, 1.6]; the offset shifts every breakpoint of
+        # every edge, so each must stay inside
+        def with_edges(*frictions):
+            edges = [Edge(f"e{i}", f"v{i}", f"v{i + 1}",
+                          replace(scenario.topology.edges[0].params,
+                                  friction=fr))
+                     for i, fr in enumerate(frictions)]
+            return replace(scenario, topology=NetworkTopology(edges))
+
+        with pytest.raises(ValueError, match="bounds"):
+            gamma_perturbation_study(with_edges(1.0, 1.5), [0.2, 0.1, 0.05])
+        with pytest.raises(ValueError, match="bounds"):
+            gamma_perturbation_study(with_edges(((0.0, 1.0), (1.0, 0.85))),
+                                     [-0.1, -0.05, -0.02])
 
     def test_amplitude_checks(self, scenario):
         with pytest.raises(ValueError, match="positive"):
