@@ -247,6 +247,8 @@ class NetworkSystem:
                 shape=(n_f, self.n_junctions))
         else:
             self.s_matrix = sp.csr_matrix((n_f, 0))
+        # the residuals apply S^T on every evaluation; .T would rebuild it
+        self.s_matrix_t = sp.csr_matrix(self.s_matrix.T)
 
         z_cc = sp.csr_matrix((n_c, n_c))
         z_cj = sp.csr_matrix((n_c, self.n_junctions))
@@ -324,7 +326,7 @@ class NetworkSystem:
     def junction_mass_defect(self, state):
         """Signed mass-flow sums at interior junctions; zero when coupled."""
         _, m = self.costate(state)
-        return self.s_matrix.T @ m
+        return self.s_matrix_t @ m
 
     def junction_enthalpies(self, state, boundary_values):
         """Consistent junction enthalpies for the instantaneous dynamics.
@@ -407,15 +409,19 @@ class NetworkSystem:
                             np.full(self.n_faces, float(w)))
 
     def rest_state(self, boundary_enthalpy, tau=0.0):
-        """Well-balanced rest state: w = 0, P'(rho) + g z = const per cell."""
+        """Well-balanced rest state: w = 0, P'(rho) + g z = const per cell.
+
+        One root is found per distinct target enthalpy, so a flat network
+        costs a single solve whatever its size.
+        """
         from scipy.optimize import brentq
 
-        target = boundary_enthalpy - self.gz_cells
-        rho = np.empty(self.n_cells)
-        for i, t in enumerate(target):
-            rho[i] = brentq(lambda r: self.law.dpotential(r) - t, 1e-8, 1e8,
-                            xtol=1e-14, rtol=1e-15)
-        return NetworkState(tau, rho, np.zeros(self.n_faces))
+        targets, cell_target = np.unique(boundary_enthalpy - self.gz_cells,
+                                         return_inverse=True)
+        roots = np.array([brentq(lambda r: self.law.dpotential(r) - t,
+                                 1e-8, 1e8, xtol=1e-14, rtol=1e-15)
+                          for t in targets])
+        return NetworkState(tau, roots[cell_target], np.zeros(self.n_faces))
 
     def check_state(self, state, bounds):
         """Box and margin checks with (edge, node) locations."""

@@ -463,8 +463,15 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
 
 
 def write_energy_trace(path, trajectory):
+    """One row per snapshot, with the Newton iterations and LU
+    factorizations of the step that produced it (0 on the initial row)."""
+    iterations = [0] + trajectory.iterations
+    factorizations = [0] + trajectory.factorizations
     with open(path, "w") as fh:
-        fh.write("tau,energy,dissipation,boundary_flux,balance_residual\n")
-        for r in trajectory.reports:
+        fh.write("tau,energy,dissipation,boundary_flux,balance_residual,"
+                 "iterations,factorizations\n")
+        for r, it, lu in zip(trajectory.reports, iterations, factorizations,
+                             strict=True):
             fh.write(f"{r.tau:.12g},{r.energy:.15g},{r.dissipation:.15g},"
-                     f"{r.boundary_flux:.15g},{r.balance_residual:.6g}\n")
+                     f"{r.boundary_flux:.15g},{r.balance_residual:.6g},"
+                     f"{it:d},{lu:d}\n")

@@ -2,12 +2,18 @@
 
 One Newton driver serves two models.  The unknowns are the cell
 densities, the face velocities and the junction enthalpies; the Jacobian
-is analytic on a fixed sparsity pattern, the update is damped by a
-halving line search, and the friction term gamma*|w|*w is handled
-semismoothly (subgradient 0 at w = 0).  Junction mass balances are
-imposed on the accepted end-of-step state so that every snapshot
-satisfies them to solver tolerance.  The models differ only in their
-energy and inertia weights:
+is analytic on a fixed sparsity pattern, and the friction term
+gamma*|w|*w is handled semismoothly (subgradient 0 at w = 0).  The
+iteration is a simplified Newton method: it keeps the LU factorization of
+the last Jacobian it built, across iterations and steps of the same dt,
+and takes a full step with it as long as that step contracts the
+residual quickly.  When it does not, the Jacobian is rebuilt and
+factored at the current iterate and the update is damped by a halving
+line search.  The stopping test is the same in both cases, so every
+accepted state satisfies the equations to the Newton tolerance.
+Junction mass balances are imposed on the accepted end-of-step state so
+that every snapshot satisfies them to solver tolerance.  The models
+differ only in their energy and inertia weights:
 
 * hyperbolic (epsilon > 0): implicit midpoint (default) or backward
   Euler on the full port-structured system.
@@ -89,6 +95,8 @@ class Trajectory:
     reports: list = field(default_factory=list)
     stage_dissipation: list = field(default_factory=list)
     stage_flux: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)
+    factorizations: list = field(default_factory=list)
     junction_h: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -130,14 +138,25 @@ class _NewtonStepper:
     its cache of stage quantities, the Jacobian values on the template,
     the norm weight of the velocity rows, the line-search cut limit and
     the stage power terms.
+
+    The stepper holds the LU factorization of the last Jacobian it built
+    and the dt it was built for.  Each iteration first tries a full step
+    with it and keeps that step if the scaled residual norm falls to at
+    most ``contraction`` times its value, or below the tolerance.
+    Otherwise the trial is dropped, the Jacobian is factored afresh at
+    the current iterate and a damped Newton step is taken.  A new
+    stepper or a new dt always factors on its first iteration.
     """
 
     kinetic = False  # whether the momentum rows couple to the velocities
+    contraction = 0.05  # residual reduction a step with the held LU must reach
 
     def __init__(self, system, newton_tol, max_iter):
         self.system = system
         self.newton_tol = newton_tol
         self.max_iter = max_iter
+        self._lu = None
+        self._lu_dt = None
         self._build_template()
 
     def _build_template(self):
@@ -226,39 +245,57 @@ class _NewtonStepper:
             raise StepFailure("negative density in stage state", tau=tau_n)
         norm = _scaled_norm(scale, *out[:3])
         n_c, n_f = sys.n_cells, sys.n_faces
-        it = 0
+        if dt != self._lu_dt:
+            self._lu = None
+        it = factorizations = 0
+
+        def trial(delta, step_scale):
+            """The iterate after a step of -step_scale*delta, with its
+            residual and scaled norm (inf if a stage density is not
+            positive)."""
+            new = (rho - step_scale * delta[:n_c],
+                   w - step_scale * delta[n_c:n_c + n_f],
+                   hv - step_scale * delta[n_c + n_f:])
+            out_new = self._residual(dt, state, loads, *new)
+            if out_new is None:
+                return (*new, None, np.inf)
+            return (*new, out_new, _scaled_norm(scale, *out_new[:3]))
+
         while norm > self.newton_tol:
             if it >= self.max_iter:
                 raise StepFailure(
                     f"Newton did not converge in {self.max_iter} iterations "
                     f"(residual {norm:.3e})", tau=tau_n, residual=norm,
                     iterations=it)
-            f_rho, f_w, f_j, cache = out
-            data = self._jacobian_data(dt, cache)
-            jac = sp.coo_matrix((data, (self._rows, self._cols)),
-                                shape=self._shape).tocsc()
-            try:
-                delta = splu(jac).solve(np.concatenate([f_rho, f_w, f_j]))
-            except RuntimeError as exc:
-                raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
-                                  residual=norm, iterations=it) from exc
-            step_scale = 1.0
-            for _ in range(self.max_cuts):
-                rho_try = rho - step_scale * delta[:n_c]
-                w_try = w - step_scale * delta[n_c:n_c + n_f]
-                hv_try = hv - step_scale * delta[n_c + n_f:]
-                out_try = self._residual(dt, state, loads, rho_try, w_try,
-                                         hv_try)
-                if out_try is not None:
-                    norm_try = _scaled_norm(scale, *out_try[:3])
-                    if norm_try < norm or norm_try <= self.newton_tol:
+            rhs = np.concatenate(out[:3])
+            new = None
+            if self._lu is not None:
+                new = trial(self._lu.solve(rhs), 1.0)
+                if not (new[4] <= self.contraction * norm
+                        or new[4] <= self.newton_tol):
+                    new = None
+            if new is None:
+                data = self._jacobian_data(dt, out[3])
+                jac = sp.coo_matrix((data, (self._rows, self._cols)),
+                                    shape=self._shape).tocsc()
+                self._lu = None  # free the held factors before building new ones
+                try:
+                    self._lu, self._lu_dt = splu(jac), dt
+                    delta = self._lu.solve(rhs)
+                except RuntimeError as exc:
+                    raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
+                                      residual=norm, iterations=it) from exc
+                factorizations += 1
+                step_scale = 1.0
+                for _ in range(self.max_cuts):
+                    new = trial(delta, step_scale)
+                    if new[4] < norm or new[4] <= self.newton_tol:
                         break
-                step_scale *= 0.5
-            else:
-                raise StepFailure("Newton line search stalled", tau=tau_n,
-                                  residual=norm, iterations=it)
-            rho, w, hv = rho_try, w_try, hv_try
-            out, norm = out_try, norm_try
+                    step_scale *= 0.5
+                else:
+                    raise StepFailure("Newton line search stalled", tau=tau_n,
+                                      residual=norm, iterations=it)
+            rho, w, hv, out, norm = new
             it += 1
 
         self._hv = hv.copy()
@@ -269,6 +306,7 @@ class _NewtonStepper:
             "stage_flux": stage_flux,
             "stage_tau": tau_s,
             "iterations": it,
+            "factorizations": factorizations,
             "boundary_values": values,
         }
         return NetworkState(tau_new, rho, w), info
@@ -338,7 +376,7 @@ class HyperbolicStepper(_NewtonStepper):
                - dt * load_w)
         arho_end = sys.arho_faces(rho)
         m_end = arho_end * w
-        f_j = sys.s_matrix.T @ m_end
+        f_j = sys.s_matrix_t @ m_end
         cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
         return f_rho, f_w, f_j, cache
 
@@ -437,7 +475,7 @@ class ParabolicStepper(_NewtonStepper):
         f_rho = sys.c_rho * (rho - state.rho) + dt * (sys.d_matrix @ m)
         fr = sys.omega_faces * sys.gamma_faces * np.abs(w) * w
         f_w = sys.g_matrix @ h + sys.s_matrix @ hv + fr - load_w
-        f_j = sys.s_matrix.T @ m
+        f_j = sys.s_matrix_t @ m
         return f_rho, f_w, f_j, (rho, w, arho, m)
 
     def _jacobian_data(self, dt, cache):
@@ -599,6 +637,8 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
         traj.append(state.copy(), report)
         traj.stage_dissipation.append(info["stage_dissipation"])
         traj.stage_flux.append(info["stage_flux"])
+        traj.iterations.append(info["iterations"])
+        traj.factorizations.append(info["factorizations"])
         traj.junction_h.append(info["junction_h"])
         if bounds is not None:
             _flag(system, state, bounds, traj, k + 1)

@@ -182,6 +182,33 @@ class TestSpatialResidual:
         assert np.max(np.abs(drho)) < 1e-13
         assert np.max(np.abs(dw)) < 1e-12
 
+    def test_rest_state_solves_once_per_flat_network(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        brentq = scipy.optimize.brentq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counting)
+        system = build_system(y_network(epsilon=0.4), cells_per_edge=64, law=LAW)
+        state = system.rest_state(1.1)
+        assert len(calls) == 1
+        assert np.all(state.rho == state.rho[0])
+        assert np.all(state.w == 0.0)
+
+    def test_rest_state_matches_per_cell_roots(self):
+        from scipy.optimize import brentq
+
+        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.2)))
+        system = build_system(topo, cells_per_edge=12, law=LAW)
+        expected = [brentq(lambda r: LAW.dpotential(r) - t, 1e-8, 1e8,
+                           xtol=1e-14, rtol=1e-15)
+                    for t in 1.1 - system.gz_cells]
+        assert np.array_equal(system.rest_state(1.1).rho, expected)
+
     def test_friction_decay_on_loop(self):
         eps, gamma, w0 = 0.5, 0.8, 1.0
         system = build_system(loop_network(epsilon=eps, friction=gamma),

@@ -115,6 +115,20 @@ class TestCli:
         values = [float(line.split(",")[1]) for line in energy[1:]]
         assert np.allclose(values, values[0], atol=1e-12)
 
+    def test_energy_trace_counts_solver_work(self, tmp_path):
+        code = main(["simulate", "--scenario",
+                     os.path.join(SCEN, "y_transient.scn"),
+                     "--out", str(tmp_path / "out"), "--cells", "8",
+                     "--dt", "0.01"])
+        assert code == 0
+        lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+        assert lines[0].endswith(",iterations,factorizations")
+        rows = [[int(v) for v in line.split(",")[-2:]] for line in lines[1:]]
+        assert len(rows) == 31
+        assert rows[0] == [0, 0]
+        assert all(it >= 1 for it, _ in rows[1:])
+        assert 1 <= sum(lu for _, lu in rows) < 30
+
     def test_simulate_writes_manifest(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(MINIMAL)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from pipeflow import solver as solver_mod
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.solver import (
+    HyperbolicStepper,
     ParabolicStepper,
     SolverConfig,
     StepFailure,
@@ -87,6 +89,66 @@ class TestHyperbolicStep:
                  max_iter=1)
         assert info.value.residual is not None
         assert info.value.iterations == 1
+
+
+class _SolveOnly:
+    """A factorization that offers nothing but solve."""
+
+    __slots__ = ("solve",)
+
+    def __init__(self, solve):
+        self.solve = solve
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Count the factorizations made through pipeflow.solver.splu."""
+    calls = []
+    splu = solver_mod.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _SolveOnly(splu(*args, **kwargs).solve)
+
+    monkeypatch.setattr(solver_mod, "splu", counting)
+    return calls
+
+
+def _y_flow(model):
+    """A y-network filling from its inlet, and a stepper factory for it."""
+    epsilon = 0.4 if model == "hyperbolic" else 0.0
+    system = build_system(y_network(epsilon=epsilon), cells_per_edge=16, law=LAW)
+    boundary = {"inlet": 1.1, "outlet_a": 1.0, "outlet_b": 0.99}
+    if model == "hyperbolic":
+        make = lambda: HyperbolicStepper(system)
+    else:
+        make = lambda: ParabolicStepper(system)
+    return system, system.constant_state(1.0), boundary, make
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
+class TestFactorizationReuse:
+    def test_run_factors_less_than_once_per_step(self, model, lu_calls):
+        system, state0, boundary, _ = _y_flow(model)
+        config = SolverConfig(dt=0.02, t_final=1.0,
+                              parabolic=model == "parabolic")
+        traj = run(system, state0, config, boundary)
+        assert len(traj.iterations) == len(traj.factorizations) == 50
+        assert 0 < len(lu_calls) < 50
+        assert sum(traj.factorizations) == len(lu_calls)
+        assert sum(traj.iterations) >= len(lu_calls)
+
+    def test_new_dt_factors_again(self, model, lu_calls):
+        system, state0, boundary, make = _y_flow(model)
+        stepper = make()
+        stepper.step(state0, 0.02, boundary)
+        before = len(lu_calls)
+        half, info = stepper.step(state0, 0.01, boundary)
+        assert info["factorizations"] >= 1
+        assert len(lu_calls) - before == info["factorizations"]
+        fresh, _ = make().step(state0, 0.01, boundary)
+        assert np.max(np.abs(half.rho - fresh.rho)) < 1e-10
+        assert np.max(np.abs(half.w - fresh.w)) < 1e-10
 
 
 class TestVelocityRecovery:
