@@ -44,8 +44,6 @@ from .solver import (
     StepFailure,
     Trajectory,
     run,
-    step_hyperbolic,
-    step_parabolic,
     velocity_recovery,
 )
 from .energy import (

@@ -303,12 +303,6 @@ class NetworkSystem:
         return DiscreteOperators(self.c_state, self.j_matrix,
                                  self.r_diag(state), self)
 
-    def extended_costate(self, state, junction_h=None):
-        h, m = self.costate(state)
-        if junction_h is None:
-            junction_h = np.zeros(self.n_junctions)
-        return np.concatenate([h, m, np.asarray(junction_h, dtype=float)])
-
     def boundary_load(self, values):
         """Load vector for prescribed boundary enthalpies.
 

@@ -49,19 +49,6 @@ class GasLaw:
         rho = _as_positive(rho)
         return self.dpressure(rho) / rho
 
-    def potential_quadrature(self, rho):
-        """Reference evaluation of the potential by adaptive quadrature.
-
-        Slow path, scalar argument only.  Used as an independent check of
-        the closed forms and of tabulated laws.
-        """
-        rho = float(rho)
-        if rho <= 0.0:
-            raise ValueError("density must be positive")
-        integrand = lambda r: self.pressure(r) / r**2
-        val, _ = quad(integrand, 1.0, rho, epsabs=1e-12, epsrel=1e-12)
-        return rho * val
-
     def d2potential_bounds(self, lo, hi, samples=1024):
         """Min and max of P'' over [lo, hi], sampled densely plus endpoints."""
         if not (0.0 < lo <= hi):

@@ -114,12 +114,6 @@ class NetworkTopology:
     def degree(self, vertex):
         return len(self.edges_at(vertex))
 
-    def edge(self, name):
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise TopologyError(f"unknown edge {name!r}")
-
 
 def incidence(vertex, edge):
     """+1 if the edge ends at the vertex, -1 if it starts there, else 0."""
@@ -288,4 +282,7 @@ def parse_topology(text, epsilon=1.0, name="network"):
 def load_topology(path, epsilon=1.0):
     with open(path) as fh:
         text = fh.read()
-    return parse_topology(text, epsilon=epsilon, name=str(path))
+    try:
+        return parse_topology(text, epsilon=epsilon, name=str(path))
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc

@@ -17,11 +17,7 @@ import numpy as np
 from . import network as net
 from .discretization import NetworkState, build_system
 from .gas import AdmissibleBounds, make_law
-from .solver import (
-    SolverConfig,
-    parabolic_junction_enthalpies,
-    velocity_recovery,
-)
+from .solver import SolverConfig, limit_flow
 
 
 class ConfigError(ValueError):
@@ -71,17 +67,25 @@ def parse_schedule(text, where=""):
 
 
 class _Section(dict):
-    """Key-value section remembering the source line of every key."""
+    """Key-value section remembering the source line of every key and
+    which keys the parser has read."""
 
     def __init__(self, name, lineno):
         super().__init__()
         self.name = name
         self.lineno = lineno
         self.lines = {}
+        self.read = set()
 
     def set(self, key, value, lineno):
         self[key] = value
         self.lines[key] = lineno
+
+    def check_read(self, path):
+        for key in self:
+            if key not in self.read:
+                raise ConfigError(f"{path}:{self.lines[key]}: unknown or unused "
+                                  f"key {key!r} in [{self.name}]")
 
 
 def _parse_sections(text, path="<string>"):
@@ -107,6 +111,7 @@ def _parse_sections(text, path="<string>"):
 
 
 def _get(section, key, cast, default=None, path="", required=False):
+    section.read.add(key)
     if key not in section:
         if required:
             raise ConfigError(f"{path}:{section.lineno}: section "
@@ -157,9 +162,6 @@ class Scenario:
     def with_friction_offset(self, offset):
         return replace(self, topology=self.topology.with_friction_offset(offset))
 
-    def with_boundary(self, schedules):
-        return replace(self, boundary=dict(schedules))
-
     def build_system(self, cells_per_edge=None):
         return build_system(self.topology,
                             cells_per_edge=cells_per_edge or self.cells_per_edge,
@@ -188,8 +190,7 @@ class Scenario:
         if recover:
             values = {v: (s(0.0) if callable(s) else float(s))
                       for v, s in self.boundary.items()}
-            hv = parabolic_junction_enthalpies(system, rho, values)
-            w = velocity_recovery(system, rho, values, junction_h=hv)
+            w, _ = limit_flow(system, rho, values)
         state = NetworkState(0.0, rho, w)
         state.validate()
         if self.bounds is not None:
@@ -296,19 +297,29 @@ def _build_topology(section, epsilon, base_dir, path):
 
 def parse_scenario(text, path="<string>", name=None):
     base_dir = os.path.dirname(path) if os.path.dirname(path) else "."
-    sections = {"boundary": []}
+    sections, boundary_sections = {}, []
     for sec in _parse_sections(text, path):
         if sec.name.startswith("boundary"):
-            sections["boundary"].append(sec)
+            boundary_sections.append(sec)
         else:
             if sec.name in sections:
                 raise ConfigError(f"{path}:{sec.lineno}: duplicate section "
                                   f"[{sec.name}]")
             sections[sec.name] = sec
+    taken = list(boundary_sections)
+
+    def take(name):
+        """The named section (empty if absent); sections never taken are
+        reported as unknown."""
+        sec = sections.pop(name, None)
+        if sec is None:
+            return _Section(name, 0)
+        taken.append(sec)
+        return sec
 
     if "model" not in sections:
         raise ConfigError(f"{path}:1: missing [model] section")
-    model = sections["model"]
+    model = take("model")
     epsilon = _get(model, "epsilon", float, default=1.0, path=path)
     law_kind = _get(model, "law", str, default="isothermal", path=path)
     law_kwargs = {}
@@ -326,16 +337,16 @@ def parse_scenario(text, path="<string>", name=None):
 
     if "topology" not in sections:
         raise ConfigError(f"{path}:1: missing [topology] section")
-    topology, boundary_defaults = _build_topology(sections["topology"], epsilon,
+    topology, boundary_defaults = _build_topology(take("topology"), epsilon,
                                                   base_dir, path)
 
-    grid = sections.get("grid", _Section("grid", 0))
+    grid = take("grid")
     cells = _get(grid, "cells_per_edge", int, default=32, path=path)
     if cells < 2:
         raise ConfigError(f"{path}:{grid.lines.get('cells_per_edge', 0)}: "
                           "need at least two cells per edge")
 
-    init_sec = sections.get("initial", _Section("initial", 0))
+    init_sec = take("initial")
     initial = InitialSpec(
         rho=_get(init_sec, "rho", str, default="1.0", path=path),
         w=_get(init_sec, "w", str, default="0.0", path=path),
@@ -345,7 +356,7 @@ def parse_scenario(text, path="<string>", name=None):
 
     boundary = {v: (lambda tau, _v=val: _v)
                 for v, val in boundary_defaults.items()}
-    for sec in sections["boundary"]:
+    for sec in boundary_sections:
         parts = sec.name.split()
         if len(parts) != 2:
             raise ConfigError(f"{path}:{sec.lineno}: boundary section needs a "
@@ -354,13 +365,13 @@ def parse_scenario(text, path="<string>", name=None):
         if vertex not in topology.vertices:
             raise ConfigError(f"{path}:{sec.lineno}: unknown boundary vertex "
                               f"{vertex!r}")
-        spec = sec.get("h") or sec.get("table")
+        spec = _get(sec, "h", str, path=path) or _get(sec, "table", str, path=path)
         if spec is None:
             raise ConfigError(f"{path}:{sec.lineno}: boundary section for "
                               f"{vertex!r} needs 'h = ...' or 'table = ...'")
         boundary[vertex] = parse_schedule(spec, where=f"{path}:{sec.lineno}")
 
-    sol = sections.get("solver", _Section("solver", 0))
+    sol = take("solver")
     try:
         solver = SolverConfig(
             dt=_get(sol, "dt", float, default=1e-3, path=path),
@@ -369,15 +380,13 @@ def parse_scenario(text, path="<string>", name=None):
             newton_tol=_get(sol, "newton_tol", float, default=1e-11, path=path),
             max_iter=_get(sol, "max_iter", int, default=30, path=path),
             parabolic=_get(sol, "parabolic", bool, default=False, path=path),
-            parabolic_gravity=_get(sol, "parabolic_gravity", bool, default=True,
-                                   path=path),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}:{sol.lineno}: {exc}") from exc
 
     bounds = None
     if "bounds" in sections:
-        bsec = sections["bounds"]
+        bsec = take("bounds")
         try:
             bounds = AdmissibleBounds(
                 rho_min=_get(bsec, "rho_min", float, path=path, required=True),
@@ -395,12 +404,16 @@ def parse_scenario(text, path="<string>", name=None):
         except ValueError as exc:
             raise ConfigError(f"{path}:{bsec.lineno}: {exc}") from exc
 
-    out = sections.get("output", _Section("output", 0))
+    out = take("output")
     output_dir = _get(out, "dir", str, path=path)
     output_format = _get(out, "format", str, default="csv", path=path)
     if output_format not in ("csv", "npz"):
         raise ConfigError(f"{path}:{out.lines.get('format', 0)}: output format "
                           "must be csv or npz")
+    for sec in sections.values():
+        raise ConfigError(f"{path}:{sec.lineno}: unknown section [{sec.name}]")
+    for sec in taken:
+        sec.check_read(path)
 
     scenario = Scenario(
         topology=topology, law=law, cells_per_edge=cells, initial=initial,

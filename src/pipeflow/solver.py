@@ -1,8 +1,9 @@
 """Implicit time integration for the semi-discrete network equations.
 
-One Newton driver serves two models.  The unknowns are the cell
-densities, the face velocities and the junction enthalpies; the Jacobian
-is analytic on a fixed sparsity pattern, and the friction term
+There is one model, the port-structured system C du/dtau + (J + R(u)) z
+= B, and one Newton solver for its theta-scheme stages.  The unknowns are
+the cell densities, the face velocities and the junction enthalpies; the
+Jacobian is analytic on a fixed sparsity pattern, and the friction term
 gamma*|w|*w is handled semismoothly (subgradient 0 at w = 0).  The
 iteration is a simplified Newton method: it keeps the LU factorization of
 the last Jacobian it built, across iterations and steps of the same dt,
@@ -12,17 +13,16 @@ factored at the current iterate and the update is damped by a halving
 line search.  The stopping test is the same in both cases, so every
 accepted state satisfies the equations to the Newton tolerance.
 Junction mass balances are imposed on the accepted end-of-step state so
-that every snapshot satisfies them to solver tolerance.  The models
-differ only in their energy and inertia weights:
+that every snapshot satisfies them to solver tolerance.  Two steppers
+fix the model's parameters:
 
-* hyperbolic (epsilon > 0): implicit midpoint (default) or backward
-  Euler on the full port-structured system.
+* HyperbolicStepper (epsilon > 0): implicit midpoint (default) or
+  backward Euler at the system's epsilon.
 
-* parabolic (high-friction limit): backward Euler on the density
-  equation with the face velocities tied to the discrete enthalpy
-  gradient s by gamma*|w|*w = -s.  The relation is solved together with
-  the mass update (see ParabolicStepper for why the velocities are kept
-  as unknowns rather than eliminated through the square root).
+* ParabolicStepper (high-friction limit): the same system at epsilon =
+  0, where the eps^2 block of C vanishes, with backward Euler.  The
+  momentum rows then tie the face velocities to the discrete enthalpy
+  gradient s by gamma*|w|*w = -s, solved together with the mass update.
 
 Only enthalpy-type boundary data are supported; prescribed mass-flux
 boundary values would enter through an extra load term at the terminal
@@ -62,7 +62,6 @@ class SolverConfig:
     newton_tol: float = 1e-11
     max_iter: int = 30
     parabolic: bool = False
-    parabolic_gravity: bool = True
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -129,15 +128,25 @@ def _eval_boundary(schedule, vertices, tau):
 
 
 # ---------------------------------------------------------------------------
-# Newton driver
+# Newton solver and port model
 
 class _NewtonStepper:
-    """Newton driver for one implicit step, shared by both models.
+    """Newton solver for one implicit stage of the port model.
 
-    A model supplies the stage loads and initial guess, the residual with
-    its cache of stage quantities, the Jacobian values on the template,
-    the norm weight of the velocity rows, the line-search cut limit and
-    the stage power terms.
+    The stage equations are, with stage values x_s = x_n + theta (x - x_n),
+
+        c_rho (rho - rho_n)               + dt (D m_s - l_rho) = 0
+        c_w (w - w_n) + dt (G h_s + S h_v + omega gamma |w_s| w_s - l_w) = 0
+        S^T m(rho, w) = 0
+
+    with c_w = eps^2 omega, h_s = eps^2 kin(w_s)/2 + P'(rho_s) + g z and
+    the junction balances imposed on the end-of-step state.  A stepper
+    fixes eps and theta and supplies its stage loads and initial guess
+    (``_stage``) and its line-search cut limit (``max_cuts``).  At eps = 0
+    the c_w term and the kinetic coupling d(G h)/dw vanish, and with them
+    the template's ``ww`` block; at theta = 1 the stage state is the end
+    state.  These cases are branches rather than products with zero or
+    one, which keeps the other cases' floating-point results unchanged.
 
     The stepper holds the LU factorization of the last Jacobian it built
     and the dt it was built for.  Each iteration first tries a full step
@@ -148,20 +157,22 @@ class _NewtonStepper:
     stepper or a new dt always factors on its first iteration.
     """
 
-    kinetic = False  # whether the momentum rows couple to the velocities
     contraction = 0.05  # residual reduction a step with the held LU must reach
 
-    def __init__(self, system, newton_tol, max_iter):
+    def __init__(self, system, eps, theta, newton_tol, max_iter):
         self.system = system
+        self.eps = eps
+        self.theta = theta
         self.newton_tol = newton_tol
         self.max_iter = max_iter
+        self._c_w = eps**2 * system.omega_faces
         self._lu = None
         self._lu_dt = None
         self._build_template()
 
     def _build_template(self):
-        # tocsc() sums duplicate entries in this order, and the models'
-        # Jacobian values follow it
+        # tocsc() sums duplicate entries in this order, and the Jacobian
+        # values follow it
         sys = self.system
         n_c, n_f, n_j = sys.n_cells, sys.n_faces, sys.n_junctions
         rows, cols = [], []
@@ -194,7 +205,7 @@ class _NewtonStepper:
         block(n_c + faces[self._rw_left], flc[self._rw_left])
 
         # momentum rows: kinetic coupling d(Gh)/dw
-        if self.kinetic:
+        if self.eps:
             ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
             for f in range(n_f):
                 for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
@@ -227,6 +238,13 @@ class _NewtonStepper:
         self._rows = np.concatenate(rows)
         self._cols = np.concatenate(cols)
         self._shape = (n_c + n_f + n_j, n_c + n_f + n_j)
+
+    def _boundary_loads(self, boundary, tau):
+        """Boundary values at tau and their load on the momentum rows."""
+        sys = self.system
+        values = _eval_boundary(boundary, sys.boundary_vertices, tau)
+        load = sys.boundary_load(values)
+        return values, load[sys.n_cells:sys.n_cells + sys.n_faces]
 
     def step(self, state, dt, boundary, tau_new=None):
         """Advance one step; returns (new_state, stage_info dict)."""
@@ -311,90 +329,64 @@ class _NewtonStepper:
         }
         return NetworkState(tau_new, rho, w), info
 
-
-def _scaled_norm(scale, f_rho, f_w, f_j):
-    parts = [np.abs(f_rho) / scale[0], np.abs(f_w) / scale[1]]
-    if f_j.size:
-        parts.append(np.abs(f_j))
-    return max(np.max(p) for p in parts)
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic model
-
-class HyperbolicStepper(_NewtonStepper):
-    """Newton solver for one implicit stage of the hyperbolic system."""
-
-    kinetic = True
-    max_cuts = 12  # line-search halvings before a step is given up
-
-    def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
-                 forcing=None):
-        if system.epsilon == 0.0:
-            raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
-                             "use the parabolic solver")
-        super().__init__(system, newton_tol, max_iter)
-        self.theta = 0.5 if scheme == "midpoint" else 1.0
-        self.scheme = scheme
-        self.forcing = forcing
-        self._hv = np.zeros(system.n_junctions)
-
-    def _stage(self, state, dt, boundary, tau_new):
-        sys = self.system
-        tau_s = state.tau + self.theta * dt
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_s)
-        load = sys.boundary_load(values)
-        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces].copy()
-        load_rho = np.zeros(sys.n_cells)
-        if self.forcing is not None:
-            f1, f2 = self.forcing
-            load_rho += sys.dx_cells * f1(sys.x_cells, tau_s)
-            load_w += sys.omega_faces * f2(sys.x_faces, tau_s)
-        return (tau_s, values, (load_rho, load_w), state.rho.copy(),
-                state.w.copy(), self._hv.copy())
-
     def _w_weight(self, dt):
-        return self.system.c_w + dt * self.system.omega_faces
+        weight = dt * self.system.omega_faces
+        return self._c_w + weight if self.eps else weight
 
     def _residual(self, dt, state, loads, rho, w, hv):
         sys = self.system
         th = self.theta
         rho_n, w_n = state.rho, state.w
         load_rho, load_w = loads
-        rho_s = rho_n + th * (rho - rho_n)
-        w_s = w_n + th * (w - w_n)
+        if th == 1.0:
+            rho_s, w_s = rho, w
+        else:
+            rho_s = rho_n + th * (rho - rho_n)
+            w_s = w_n + th * (w - w_n)
         if np.any(rho_s <= 0.0):
             return None
-        h_s = (0.5 * sys.epsilon**2 * sys.kinetic_cells(w_s)
-               + sys.law.dpotential(rho_s) + sys.gz_cells)
+        h_s = sys.law.dpotential(rho_s)
+        if self.eps:
+            h_s = 0.5 * self.eps**2 * sys.kinetic_cells(w_s) + h_s
+        h_s = h_s + sys.gz_cells
         arho_s = sys.arho_faces(rho_s)
         m_s = arho_s * w_s
         fr_s = sys.omega_faces * sys.gamma_faces * np.abs(w_s) * w_s
-        f_rho = sys.c_rho * (rho - rho_n) + dt * (sys.d_matrix @ m_s) - dt * load_rho
-        f_w = (sys.c_w * (w - w_n)
-               + dt * (sys.g_matrix @ h_s + sys.s_matrix @ hv + fr_s)
-               - dt * load_w)
-        arho_end = sys.arho_faces(rho)
-        m_end = arho_end * w
+        f_rho = sys.c_rho * (rho - rho_n) + dt * (sys.d_matrix @ m_s)
+        if load_rho is not None:
+            f_rho = f_rho - dt * load_rho
+        f_w = dt * (sys.g_matrix @ h_s + sys.s_matrix @ hv + fr_s)
+        if self.eps:
+            f_w = self._c_w * (w - w_n) + f_w
+        f_w = f_w - dt * load_w
+        if th == 1.0:
+            arho_end, m_end = arho_s, m_s
+        else:
+            arho_end = sys.arho_faces(rho)
+            m_end = arho_end * w
         f_j = sys.s_matrix_t @ m_end
         cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
         return f_rho, f_w, f_j, cache
 
     def _jacobian_data(self, dt, cache):
         sys = self.system
-        th = self.theta
+        dth = dt * self.theta
         rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
         d2p = sys.law.d2potential(rho_s)
         parts = [
             sys.c_rho,
-            dt * th * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
-            -dt * th * w_s[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
-            dt * th * arho_s[self._rw_left],
-            -dt * th * arho_s[self._rw_right],
-            dt * th * d2p[sys.face_right_cell[self._rw_right]],
-            -dt * th * d2p[sys.face_left_cell[self._rw_left]],
-            dt * th * self._ww_sign * 0.5 * sys.epsilon**2 * w_s[self._ww_fp],
-            sys.c_w + dt * th * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s),
+            dth * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
+            -dth * w_s[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
+            dth * arho_s[self._rw_left],
+            -dth * arho_s[self._rw_right],
+            dth * d2p[sys.face_right_cell[self._rw_right]],
+            -dth * d2p[sys.face_left_cell[self._rw_left]],
+        ]
+        if self.eps:
+            parts.append(dth * self._ww_sign * 0.5 * self.eps**2 * w_s[self._ww_fp])
+        friction = dth * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s)
+        parts += [
+            self._c_w + friction if self.eps else friction,
             dt * sys.junction_term_signs,
             sys.junction_term_signs * w_end[sys.junction_term_faces] * self._j_kappa,
             sys.junction_term_signs * arho_end[sys.junction_term_faces],
@@ -407,120 +399,103 @@ class HyperbolicStepper(_NewtonStepper):
         _, w_s, arho_s, m_s, h_s, _, _ = cache
         stage_dissipation = float(np.dot(
             sys.omega_faces * sys.gamma_faces * arho_s, np.abs(w_s) ** 3))
-        stage_flux = float(np.dot(load_w, m_s) + np.dot(load_rho, h_s))
-        return stage_dissipation, stage_flux
+        stage_flux = np.dot(load_w, m_s)
+        if load_rho is not None:
+            stage_flux = stage_flux + np.dot(load_rho, h_s)
+        return stage_dissipation, float(stage_flux)
+
+
+def _scaled_norm(scale, f_rho, f_w, f_j):
+    parts = [np.abs(f_rho) / scale[0], np.abs(f_w) / scale[1]]
+    if f_j.size:
+        parts.append(np.abs(f_j))
+    return max(np.max(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
-# parabolic limit model
+# the two steppers
+
+class HyperbolicStepper(_NewtonStepper):
+    """The port model at the system's epsilon, with implicit midpoint
+    (theta = 1/2) or backward Euler (theta = 1)."""
+
+    max_cuts = 12  # line-search halvings before a step is given up
+
+    def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
+                 forcing=None):
+        if system.epsilon == 0.0:
+            raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
+                             "use the parabolic solver")
+        theta = 0.5 if scheme == "midpoint" else 1.0
+        super().__init__(system, system.epsilon, theta, newton_tol, max_iter)
+        self.forcing = forcing
+        self._hv = np.zeros(system.n_junctions)
+
+    def _stage(self, state, dt, boundary, tau_new):
+        sys = self.system
+        tau_s = state.tau + self.theta * dt
+        values, load_w = self._boundary_loads(boundary, tau_s)
+        load_rho = None
+        if self.forcing is not None:
+            f1, f2 = self.forcing
+            load_rho = sys.dx_cells * f1(sys.x_cells, tau_s)
+            load_w = load_w + sys.omega_faces * f2(sys.x_faces, tau_s)
+        return (tau_s, values, (load_rho, load_w), state.rho.copy(),
+                state.w.copy(), self._hv.copy())
+
+
+class ParabolicStepper(_NewtonStepper):
+    """The high-friction limit: the port model at eps = 0 with backward
+    Euler, whatever the system's epsilon.
+
+    Its momentum rows are dt*omega*(gamma*|w|*w + s) = 0, with s the
+    discrete enthalpy gradient, so the face velocities stay explicit
+    unknowns instead of being eliminated through the square root: Newton
+    on the eliminated form oscillates around zero-slope faces (the root
+    has unbounded slope there), while the polynomial form is semismooth
+    with superlinear convergence.  At convergence both forms satisfy
+    exactly the same equations, so every accepted state still fulfils
+    gamma*|w|*w = -s face by face to solver tolerance.  Each step starts
+    from rho_n and the velocities recovered from it.
+    """
+
+    max_cuts = 14
+
+    def __init__(self, system, newton_tol=1e-11, max_iter=40):
+        super().__init__(system, 0.0, 1.0, newton_tol, max_iter)
+        self._hv = None
+
+    def _stage(self, state, dt, boundary, tau_new):
+        sys = self.system
+        values, load_w = self._boundary_loads(boundary, tau_new)
+        if self._hv is None:
+            w, self._hv = limit_flow(sys, state.rho, values)
+        else:
+            w = velocity_recovery(sys, state.rho, values, junction_h=self._hv)
+        return (tau_new, values, (None, load_w), state.rho.copy(), w,
+                self._hv.copy())
+
+
+# ---------------------------------------------------------------------------
+# velocity recovery and limit junction values
 
 def _recovery(s, gamma):
     return -np.sign(s) * np.sqrt(np.abs(s) / gamma)
 
 
-def _limit_enthalpy(system, rho, include_gravity):
-    h = system.law.dpotential(rho)
-    if include_gravity:
-        h = h + system.gz_cells
-    return h
-
-
-class ParabolicStepper(_NewtonStepper):
-    """Backward Euler for the high-friction limit density equation.
-
-    The face velocities are kept as explicit unknowns coupled by the
-    friction relation omega*(gamma*|w|*w + s) = 0 instead of being
-    eliminated through the square root: Newton on the eliminated form
-    oscillates around zero-slope faces (the root has unbounded slope
-    there), while the polynomial form is semismooth with superlinear
-    convergence.  At convergence both forms satisfy exactly the same
-    equations, so every accepted state still fulfils gamma*|w|*w = -s
-    face by face to solver tolerance.
-    """
-
-    max_cuts = 14
-
-    def __init__(self, system, newton_tol=1e-11, max_iter=40, include_gravity=True):
-        super().__init__(system, newton_tol, max_iter)
-        self.include_gravity = include_gravity
-        self._hv = None
-
-    def enthalpy_cells(self, rho):
-        return _limit_enthalpy(self.system, rho, self.include_gravity)
-
-    def _stage(self, state, dt, boundary, tau_new):
-        sys = self.system
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_new)
-        load = sys.boundary_load(values)
-        load_w = load[sys.n_cells:sys.n_cells + sys.n_faces]
-        rho_n = state.rho
-        if self._hv is None or self._hv.size != sys.n_junctions:
-            self._hv = parabolic_junction_enthalpies(
-                sys, rho_n, values, include_gravity=self.include_gravity)
-        hv = self._hv.copy()
-        w = velocity_recovery(sys, rho_n, values,
-                              junction_h=hv, include_gravity=self.include_gravity)
-        return tau_new, values, load_w, rho_n.copy(), w, hv
-
-    def _w_weight(self, dt):
-        return self.system.omega_faces
-
-    def _residual(self, dt, state, load_w, rho, w, hv):
-        sys = self.system
-        if np.any(rho <= 0.0):
-            return None
-        h = self.enthalpy_cells(rho)
-        arho = sys.arho_faces(rho)
-        m = arho * w
-        f_rho = sys.c_rho * (rho - state.rho) + dt * (sys.d_matrix @ m)
-        fr = sys.omega_faces * sys.gamma_faces * np.abs(w) * w
-        f_w = sys.g_matrix @ h + sys.s_matrix @ hv + fr - load_w
-        f_j = sys.s_matrix_t @ m
-        return f_rho, f_w, f_j, (rho, w, arho, m)
-
-    def _jacobian_data(self, dt, cache):
-        sys = self.system
-        rho, w, arho, _ = cache
-        d2p = sys.law.d2potential(rho)
-        parts = [
-            sys.c_rho,
-            dt * w[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
-            -dt * w[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
-            dt * arho[self._rw_left],
-            -dt * arho[self._rw_right],
-            d2p[sys.face_right_cell[self._rw_right]],
-            -d2p[sys.face_left_cell[self._rw_left]],
-            2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w),
-            sys.junction_term_signs,
-            sys.junction_term_signs * w[sys.junction_term_faces] * self._j_kappa,
-            sys.junction_term_signs * arho[sys.junction_term_faces],
-        ]
-        return np.concatenate(parts)
-
-    def _stage_power(self, load_w, cache):
-        sys = self.system
-        _, w, arho, m = cache
-        stage_dissipation = float(np.dot(
-            sys.omega_faces * sys.gamma_faces * arho, np.abs(w) ** 3))
-        return stage_dissipation, float(np.dot(load_w, m))
-
-
-# ---------------------------------------------------------------------------
-# velocity recovery and parabolic junction values
-
-def velocity_recovery(system, rho, boundary_values=None, junction_h=None,
-                      include_gravity=True):
+def velocity_recovery(system, rho, boundary_values=None, junction_h=None):
     """Face velocities solving gamma*|w|*w = -s for the limit model.
 
-    s is the centered enthalpy slope at interior faces.  At terminal
-    faces the slope uses the vertex enthalpy when boundary or junction
-    values are supplied, and otherwise falls back to the one-sided slope
-    of the two adjacent cells (exact for linear enthalpy profiles).
+    s is the centered slope of the enthalpy P'(rho) + g z at interior
+    faces.  At terminal faces the slope uses the vertex enthalpy when
+    boundary or junction values are supplied, and otherwise falls back
+    to the one-sided slope of the two adjacent cells (exact for linear
+    enthalpy profiles).
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("density must be positive")
-    h = _limit_enthalpy(system, rho, include_gravity)
+    h = system.law.dpotential(rho) + system.gz_cells
     s = np.zeros(system.n_faces)
     lc, rc = system.face_left_cell, system.face_right_cell
     interior = (lc >= 0) & (rc >= 0)
@@ -547,11 +522,12 @@ def velocity_recovery(system, rho, boundary_values=None, junction_h=None,
     return _recovery(s, system.gamma_faces)
 
 
-def parabolic_junction_enthalpies(system, rho, boundary_values,
-                                  include_gravity=True):
-    """Junction enthalpies balancing the recovered mass fluxes."""
+def limit_flow(system, rho, boundary_values):
+    """The limit model's face velocities and junction enthalpies for a
+    density and boundary values: (w, junction_h), with junction_h
+    balancing the recovered mass fluxes at every junction."""
     rho = np.asarray(rho, dtype=float)
-    h = _limit_enthalpy(system, rho, include_gravity)
+    h = system.law.dpotential(rho) + system.gz_cells
     arho = system.arho_faces(rho)
     hv = np.zeros(system.n_junctions)
     for j in range(system.n_junctions):
@@ -579,7 +555,7 @@ def parabolic_junction_enthalpies(system, rho, boundary_values,
             lo -= max(1.0, width)
             hi += max(1.0, width)
         hv[j] = brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return hv
+    return velocity_recovery(system, rho, boundary_values, junction_h=hv), hv
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +572,10 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
         raise ValueError("t_final must be an integer multiple of dt")
     if config.parabolic:
         stepper = ParabolicStepper(system, newton_tol=config.newton_tol,
-                                   max_iter=config.max_iter,
-                                   include_gravity=config.parabolic_gravity)
+                                   max_iter=config.max_iter)
         if np.count_nonzero(state0.w) == 0 and system.n_faces:
             values = _eval_boundary(boundary, system.boundary_vertices, state0.tau)
-            hv0 = parabolic_junction_enthalpies(
-                system, state0.rho, values,
-                include_gravity=config.parabolic_gravity)
-            w0 = velocity_recovery(system, state0.rho, values, hv0,
-                                   include_gravity=config.parabolic_gravity)
+            w0, _ = limit_flow(system, state0.rho, values)
             state0 = NetworkState(state0.tau, state0.rho.copy(), w0)
     else:
         stepper = HyperbolicStepper(system, scheme=config.scheme,
@@ -662,19 +633,3 @@ def _flag(system, state, bounds, traj, step):
         traj.warnings.append(
             f"step {step} (tau={state.tau:.6g}): admissibility lost ({', '.join(kinds)})")
 
-
-def step_hyperbolic(system, state, dt, boundary, scheme="midpoint",
-                    newton_tol=1e-11, max_iter=30, forcing=None):
-    """Single hyperbolic step; convenience wrapper around the stepper."""
-    stepper = HyperbolicStepper(system, scheme=scheme, newton_tol=newton_tol,
-                                max_iter=max_iter, forcing=forcing)
-    new_state, _ = stepper.step(state, dt, boundary)
-    return new_state
-
-
-def step_parabolic(system, state, dt, boundary, newton_tol=1e-11, max_iter=40,
-                   include_gravity=True):
-    stepper = ParabolicStepper(system, newton_tol=newton_tol, max_iter=max_iter,
-                               include_gravity=include_gravity)
-    new_state, _ = stepper.step(state, dt, boundary)
-    return new_state

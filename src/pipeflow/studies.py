@@ -138,8 +138,7 @@ def _reference_config(config, parabolic=False):
                         scheme=config.scheme,
                         newton_tol=config.newton_tol / 10.0,
                         max_iter=config.max_iter + 20,
-                        parabolic=parabolic,
-                        parabolic_gravity=config.parabolic_gravity)
+                        parabolic=parabolic)
 
 
 def _require_bounds(scenario):

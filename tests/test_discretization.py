@@ -269,7 +269,7 @@ class TestSpatialResidual:
 def test_instantaneous_dynamics_match_small_implicit_steps():
     # the explicit junction-enthalpy reduction must reproduce the
     # implicit stepper's dynamics as dt -> 0
-    from pipeflow.solver import step_hyperbolic
+    from pipeflow.solver import HyperbolicStepper
 
     system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
     # constant density and a split velocity field keep the junction
@@ -283,7 +283,8 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
     drho, dw = system.spatial_residual(state, boundary)
     gaps = []
     for dt in (1e-4, 5e-5):
-        new = step_hyperbolic(system, state, dt, boundary, newton_tol=1e-13)
+        new, _ = HyperbolicStepper(system, newton_tol=1e-13).step(
+            state, dt, boundary)
         gaps.append(np.max(np.abs((new.w - state.w) / dt - dw)))
     assert gaps[1] < 0.75 * gaps[0]  # first-order agreement in dt
     assert gaps[0] < 0.05 * np.max(np.abs(dw))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pipeflow.cli import main
+from pipeflow.network import TopologyError
 from pipeflow.scenario import ConfigError, load_scenario, parse_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,6 +59,23 @@ class TestScenarioParsing:
         text = MINIMAL.replace("dt = 0.01", "dt = fast")
         with pytest.raises(ConfigError, match="dt"):
             parse_scenario(text)
+
+    def test_unknown_key_names_file_and_line(self):
+        text = MINIMAL.replace("dt = 0.01", "dtt = 0.01")
+        with pytest.raises(ConfigError, match=r"s\.scn:16: .*'dtt'.*\[solver\]"):
+            parse_scenario(text, path="s.scn")
+
+    def test_unknown_section_names_file_and_line(self):
+        text = MINIMAL.replace("[solver]", "[solvr]")
+        with pytest.raises(ConfigError, match=r"s\.scn:15: unknown section \[solvr\]"):
+            parse_scenario(text, path="s.scn")
+
+    def test_topology_error_names_file_and_line(self, tmp_path):
+        topo = tmp_path / "net.topo"
+        topo.write_text("[vertices]\na\nb\n\n[edge pipe]\nfrom = a\nto b\n")
+        text = MINIMAL.replace("builtin = single-pipe", "include = net.topo")
+        with pytest.raises(TopologyError, match=r"net\.topo: line 7: "):
+            parse_scenario(text, path=str(tmp_path / "s.scn"))
 
     def test_initial_expression(self):
         text = MINIMAL + "\n[initial]\nrho = 1 + 0.1*sin(pi*x/L)\nw = 0.0\n"
