@@ -27,6 +27,8 @@ import scipy.sparse as sp
 from . import network as net
 from .gas import check_admissible
 
+_ZERO = np.zeros(1)
+
 
 class EdgeGrid:
     """Uniform staggered grid on a single pipe.
@@ -247,8 +249,38 @@ class NetworkSystem:
                 shape=(n_f, self.n_junctions))
         else:
             self.s_matrix = sp.csr_matrix((n_f, 0))
-        # the residuals apply S^T on every evaluation; .T would rebuild it
-        self.s_matrix_t = sp.csr_matrix(self.s_matrix.T)
+
+        # Gather forms of K, D, [G S] and S^T for the Newton residual.  A
+        # row adds its terms in the CSR matrix's column order and every
+        # coefficient is +-1 or one kappa per side, so each product equals
+        # the CSR one bit for bit on finite input (an exact zero may
+        # differ in sign).  K: a missing side gets weight 0 on the other
+        # cell.
+        has_left, has_right = face_left_cell >= 0, face_right_cell >= 0
+        self._k_left = np.where(has_left, face_left_cell, face_right_cell)
+        self._k_right = np.where(has_right, face_right_cell, face_left_cell)
+        left_pair = self.pair_cell == face_left_cell[self.pair_face]
+        self._kappa_left = np.zeros(n_f)
+        self._kappa_right = np.zeros(n_f)
+        self._kappa_left[self.pair_face[left_pair]] = self.pair_kappa[left_pair]
+        self._kappa_right[self.pair_face[~left_pair]] = self.pair_kappa[~left_pair]
+        # G h + S h_v reads (h, h_v, 0): a terminal face's missing cell is
+        # its junction's slot, or the trailing zero at a boundary vertex
+        outside = np.full(n_f, n_c + self.n_junctions)
+        outside[self.junction_term_faces] = n_c + self.junction_term_slots
+        self._gs_left = np.where(has_left, face_left_cell, outside)
+        self._gs_right = np.where(has_right, face_right_cell, outside)
+        # S^T: row p holds every junction's p-th term in face order; a
+        # junction with fewer terms is padded with sign 0 at the end
+        order = np.lexsort((self.junction_term_faces, self.junction_term_slots))
+        slots = self.junction_term_slots[order]
+        degree = np.bincount(slots, minlength=self.n_junctions)
+        rank = np.arange(slots.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        shape = (max(degree.max(initial=0), 1), self.n_junctions)
+        self._st_faces = np.zeros(shape, dtype=int)
+        self._st_signs = np.zeros(shape)
+        self._st_faces[rank, slots] = self.junction_term_faces[order]
+        self._st_signs[rank, slots] = self.junction_term_signs[order]
 
         z_cc = sp.csr_matrix((n_c, n_c))
         z_cj = sp.csr_matrix((n_c, self.n_junctions))
@@ -258,9 +290,11 @@ class NetworkSystem:
              [z_cj.T, -self.s_matrix.T, sp.csr_matrix((self.n_junctions, self.n_junctions))]],
             format="csr")
 
+        self.omega_gamma = self.omega_faces * self.gamma_faces
         self.c_rho = self.a_cells * self.dx_cells
         self.c_w = self.epsilon**2 * self.omega_faces
         self.c_state = np.concatenate([self.c_rho, self.c_w])
+        self._margins = {}
 
     # -- per-edge views ---------------------------------------------------
 
@@ -278,24 +312,46 @@ class NetworkSystem:
 
     def kinetic_cells(self, w):
         """Cell average of w^2 from the two adjacent faces."""
-        return 0.5 * (w[self.cell_left_face] ** 2 + w[self.cell_right_face] ** 2)
+        # a cell's right face is the face after its left face
+        sq = w ** 2
+        return 0.5 * (sq[:-1] + sq[1:]).take(self.cell_left_face)
 
     def costate(self, state):
         """Cell enthalpies and face mass flow rates (h, m)."""
         h = (0.5 * self.epsilon**2 * self.kinetic_cells(state.w)
              + self.law.dpotential(state.rho) + self.gz_cells)
-        m = (self.k_matrix @ state.rho) * state.w
+        m = self.arho_faces(state.rho) * state.w
         return h, m
 
     def arho_faces(self, rho):
-        return self.k_matrix @ rho
+        """K rho: the face reconstruction of a*rho."""
+        return (self._kappa_left * rho.take(self._k_left)
+                + self._kappa_right * rho.take(self._k_right))
+
+    def apply_d(self, m):
+        """D m: (D m)_c = m_right(c) - m_left(c)."""
+        return (m[1:] - m[:-1]).take(self.cell_left_face)
+
+    def apply_gs(self, h, hv):
+        """G h + S h_v: the enthalpy differences across every face, with
+        the junction enthalpies h_v at junction terminal faces."""
+        ext = np.concatenate((h, hv, _ZERO))
+        return ext.take(self._gs_right) - ext.take(self._gs_left)
+
+    def apply_st(self, m):
+        """S^T m: the signed mass-flow sum at every junction."""
+        terms = self._st_signs * m.take(self._st_faces)
+        total = terms[0]
+        for row in terms[1:]:
+            total = total + row
+        return total
 
     def r_diag(self, state):
         """Diagonal of R(u) on the extended vector; friction on face slots."""
         diag = np.zeros(self.n_z)
         arho = self.arho_faces(state.rho)
         diag[self.n_cells:self.n_cells + self.n_faces] = (
-            self.omega_faces * self.gamma_faces * np.abs(state.w) / arho)
+            self.omega_gamma * np.abs(state.w) / arho)
         return diag
 
     def assemble(self, state):
@@ -320,7 +376,7 @@ class NetworkSystem:
     def junction_mass_defect(self, state):
         """Signed mass-flow sums at interior junctions; zero when coupled."""
         _, m = self.costate(state)
-        return self.s_matrix_t @ m
+        return self.apply_st(m)
 
     def junction_enthalpies(self, state, boundary_values):
         """Consistent junction enthalpies for the instantaneous dynamics.
@@ -419,7 +475,12 @@ class NetworkSystem:
 
     def check_state(self, state, bounds):
         """Box and margin checks with (edge, node) locations."""
-        report = check_admissible(state.rho, state.w, bounds, self.law)
+        # the margin depends on the bounds and the law only
+        margin = self._margins.get(bounds)
+        if margin is None:
+            margin = self._margins[bounds] = bounds.subsonic_margin(self.law)
+        report = check_admissible(state.rho, state.w, bounds, self.law,
+                                  margin=margin)
         for v in report.violations:
             if isinstance(v.where, int):
                 v.where = self.locate(v.where, kind=v.kind)

@@ -31,7 +31,7 @@ def hamiltonian(system, state):
 def dissipation(system, state):
     """Friction dissipation: integral of gamma * a * rho * |w|^3."""
     arho = system.arho_faces(state.rho)
-    return float(np.dot(system.omega_faces * system.gamma_faces * arho,
+    return float(np.dot(system.omega_gamma * arho,
                         np.abs(state.w) ** 3))
 
 

@@ -22,7 +22,8 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 def _as_positive(rho):
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+    # comparisons with NaN are false, so NaN fails the test too
+    if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):
         raise ValueError("density must be positive and finite")
     return rho
 
@@ -339,11 +340,13 @@ class AdmissibilityReport:
         return self.ok
 
 
-def check_admissible(rho, w, bounds, law, samples=1024):
+def check_admissible(rho, w, bounds, law, samples=1024, margin=None):
     """Check pointwise box bounds and the subsonic margin.
 
     Returns a report listing every violation with its flat index; the
     margin check depends only on (bounds, law) and is reported once.
+    A caller that checks many states may pass the margin it computed
+    with ``bounds.subsonic_margin(law, samples)``.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -354,7 +357,8 @@ def check_admissible(rho, w, bounds, law, samples=1024):
         violations.append(Violation("density_high", int(idx), float(rho[idx])))
     for idx in np.flatnonzero(np.abs(w) > bounds.w_max):
         violations.append(Violation("velocity", int(idx), float(w[idx])))
-    margin = bounds.subsonic_margin(law, samples=samples)
+    if margin is None:
+        margin = bounds.subsonic_margin(law, samples=samples)
     if margin < 0.0:
         violations.append(Violation("subsonic_margin",
                                     (bounds.rho_min, bounds.rho_max), margin))

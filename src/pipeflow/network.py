@@ -209,6 +209,9 @@ def format_topology(topology, boundary_defaults=None):
     return "\n".join(lines) + "\n"
 
 
+_EDGE_KEYS = ("from", "to", "length", "area", "friction", "elevation", "gravity")
+
+
 def parse_topology(text, epsilon=1.0, name="network"):
     """Parse the plain-text topology format.
 
@@ -253,6 +256,9 @@ def parse_topology(text, epsilon=1.0, name="network"):
                 raise TopologyError(f"{where}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
             if section == "edge":
+                if key not in _EDGE_KEYS:
+                    raise TopologyError(f"{where}: unknown key {key!r} in "
+                                        f"[edge {current['name']}]")
                 current[key] = value
             else:
                 if key != "h":

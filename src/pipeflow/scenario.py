@@ -110,6 +110,10 @@ def _parse_sections(text, path="<string>"):
     return sections
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _get(section, key, cast, default=None, path="", required=False):
     section.read.add(key)
     if key not in section:
@@ -120,9 +124,9 @@ def _get(section, key, cast, default=None, path="", required=False):
     raw = section[key]
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return _BOOLEANS[raw.strip().lower()]
         return cast(raw)
-    except (TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{path}:{section.lines[key]}: cannot parse "
                           f"{key} = {raw!r}") from None
 

@@ -254,15 +254,19 @@ class _NewtonStepper:
             tau_new = tau_n + dt
         tau_s, values, loads, rho, w, hv = self._stage(state, dt, boundary,
                                                        tau_new)
-        # scale rows to update units with the flux part in field units;
-        # the combined weight keeps the attainable floor near machine
-        # precision for any dt
-        scale = (sys.c_rho + dt * sys.dx_cells, self._w_weight(dt))
-        out = self._residual(dt, state, loads, rho, w, hv)
+        x = np.concatenate((rho, w, hv))
+        # scale rows to update units with the flux part in field units
+        # (junction rows unscaled); the combined weight keeps the
+        # attainable floor near machine precision for any dt
+        scale = np.concatenate((sys.c_rho + dt * sys.dx_cells,
+                                self._w_weight(dt), np.ones(sys.n_junctions)))
+        out = self._residual(dt, state, loads, x)
         if out is None:
-            raise StepFailure("negative density in stage state", tau=tau_n)
-        norm = _scaled_norm(scale, *out[:3])
-        n_c, n_f = sys.n_cells, sys.n_faces
+            raise StepFailure("stage density is not positive", tau=tau_n)
+        norm = _scaled_norm(out[0], scale)
+        if not np.isfinite(norm):
+            raise StepFailure(f"residual is not finite ({norm})", tau=tau_n,
+                              residual=norm, iterations=0)
         if dt != self._lu_dt:
             self._lu = None
         it = factorizations = 0
@@ -271,13 +275,13 @@ class _NewtonStepper:
             """The iterate after a step of -step_scale*delta, with its
             residual and scaled norm (inf if a stage density is not
             positive)."""
-            new = (rho - step_scale * delta[:n_c],
-                   w - step_scale * delta[n_c:n_c + n_f],
-                   hv - step_scale * delta[n_c + n_f:])
-            out_new = self._residual(dt, state, loads, *new)
+            if step_scale != 1.0:
+                delta = step_scale * delta
+            x_new = x - delta
+            out_new = self._residual(dt, state, loads, x_new)
             if out_new is None:
-                return (*new, None, np.inf)
-            return (*new, out_new, _scaled_norm(scale, *out_new[:3]))
+                return x_new, None, np.inf
+            return x_new, out_new, _scaled_norm(out_new[0], scale)
 
         while norm > self.newton_tol:
             if it >= self.max_iter:
@@ -285,15 +289,15 @@ class _NewtonStepper:
                     f"Newton did not converge in {self.max_iter} iterations "
                     f"(residual {norm:.3e})", tau=tau_n, residual=norm,
                     iterations=it)
-            rhs = np.concatenate(out[:3])
+            rhs = out[0]
             new = None
             if self._lu is not None:
                 new = trial(self._lu.solve(rhs), 1.0)
-                if not (new[4] <= self.contraction * norm
-                        or new[4] <= self.newton_tol):
+                if not (new[2] <= self.contraction * norm
+                        or new[2] <= self.newton_tol):
                     new = None
             if new is None:
-                data = self._jacobian_data(dt, out[3])
+                data = self._jacobian_data(dt, out[1])
                 jac = sp.coo_matrix((data, (self._rows, self._cols)),
                                     shape=self._shape).tocsc()
                 self._lu = None  # free the held factors before building new ones
@@ -307,17 +311,18 @@ class _NewtonStepper:
                 step_scale = 1.0
                 for _ in range(self.max_cuts):
                     new = trial(delta, step_scale)
-                    if new[4] < norm or new[4] <= self.newton_tol:
+                    if new[2] < norm or new[2] <= self.newton_tol:
                         break
                     step_scale *= 0.5
                 else:
                     raise StepFailure("Newton line search stalled", tau=tau_n,
                                       residual=norm, iterations=it)
-            rho, w, hv, out, norm = new
+            x, out, norm = new
             it += 1
 
+        rho, w, hv = self._unstack(x)
         self._hv = hv.copy()
-        stage_dissipation, stage_flux = self._stage_power(loads, out[3])
+        stage_dissipation, stage_flux = self._stage_power(loads, out[1])
         info = {
             "junction_h": hv.copy(),
             "stage_dissipation": stage_dissipation,
@@ -329,12 +334,21 @@ class _NewtonStepper:
         }
         return NetworkState(tau_new, rho, w), info
 
+    def _unstack(self, x):
+        """Views of (rho, w, h_v) in a stacked vector."""
+        n_c, n_cf = self.system.n_cells, self.system.n_state
+        return x[:n_c], x[n_c:n_cf], x[n_cf:]
+
     def _w_weight(self, dt):
         weight = dt * self.system.omega_faces
         return self._c_w + weight if self.eps else weight
 
-    def _residual(self, dt, state, loads, rho, w, hv):
+    def _residual(self, dt, state, loads, x):
+        """The stacked residual (f_rho, f_w, f_j) at the unknowns x =
+        (rho, w, h_v), and the values the Jacobian and the stage power
+        need; None if a stage density is not positive."""
         sys = self.system
+        rho, w, hv = self._unstack(x)
         th = self.theta
         rho_n, w_n = state.rho, state.w
         load_rho, load_w = loads
@@ -343,7 +357,7 @@ class _NewtonStepper:
         else:
             rho_s = rho_n + th * (rho - rho_n)
             w_s = w_n + th * (w - w_n)
-        if np.any(rho_s <= 0.0):
+        if not rho_s.min() > 0.0:  # also false for NaN
             return None
         h_s = sys.law.dpotential(rho_s)
         if self.eps:
@@ -351,11 +365,11 @@ class _NewtonStepper:
         h_s = h_s + sys.gz_cells
         arho_s = sys.arho_faces(rho_s)
         m_s = arho_s * w_s
-        fr_s = sys.omega_faces * sys.gamma_faces * np.abs(w_s) * w_s
-        f_rho = sys.c_rho * (rho - rho_n) + dt * (sys.d_matrix @ m_s)
+        fr_s = sys.omega_gamma * np.abs(w_s) * w_s
+        f_rho = sys.c_rho * (rho - rho_n) + dt * sys.apply_d(m_s)
         if load_rho is not None:
             f_rho = f_rho - dt * load_rho
-        f_w = dt * (sys.g_matrix @ h_s + sys.s_matrix @ hv + fr_s)
+        f_w = dt * (sys.apply_gs(h_s, hv) + fr_s)
         if self.eps:
             f_w = self._c_w * (w - w_n) + f_w
         f_w = f_w - dt * load_w
@@ -364,9 +378,9 @@ class _NewtonStepper:
         else:
             arho_end = sys.arho_faces(rho)
             m_end = arho_end * w
-        f_j = sys.s_matrix_t @ m_end
+        f_j = sys.apply_st(m_end)
         cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
-        return f_rho, f_w, f_j, cache
+        return np.concatenate((f_rho, f_w, f_j)), cache
 
     def _jacobian_data(self, dt, cache):
         sys = self.system
@@ -397,19 +411,17 @@ class _NewtonStepper:
         sys = self.system
         load_rho, load_w = loads
         _, w_s, arho_s, m_s, h_s, _, _ = cache
-        stage_dissipation = float(np.dot(
-            sys.omega_faces * sys.gamma_faces * arho_s, np.abs(w_s) ** 3))
+        stage_dissipation = float(np.dot(sys.omega_gamma * arho_s,
+                                         np.abs(w_s) ** 3))
         stage_flux = np.dot(load_w, m_s)
         if load_rho is not None:
             stage_flux = stage_flux + np.dot(load_rho, h_s)
         return stage_dissipation, float(stage_flux)
 
 
-def _scaled_norm(scale, f_rho, f_w, f_j):
-    parts = [np.abs(f_rho) / scale[0], np.abs(f_w) / scale[1]]
-    if f_j.size:
-        parts.append(np.abs(f_j))
-    return max(np.max(p) for p in parts)
+def _scaled_norm(res, scale):
+    """Largest scaled residual entry; NaN if any entry is NaN."""
+    return (np.abs(res) / scale).max()
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +609,15 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
             failure.step = k
             failure.partial = traj
             raise
-        residual = np.nan
+        residual, h_new = np.nan, None
         if not config.parabolic:
             h_prev = traj.reports[-1].energy
             h_new = energy_mod.hamiltonian(system, state)
             residual = (h_new - h_prev
                         + config.dt * info["stage_dissipation"]
                         - config.dt * info["stage_flux"])
-        report = _snapshot_report(system, state, info["boundary_values"], residual)
+        report = _snapshot_report(system, state, info["boundary_values"],
+                                  residual, h_new)
         traj.append(state.copy(), report)
         traj.stage_dissipation.append(info["stage_dissipation"])
         traj.stage_flux.append(info["stage_flux"])
@@ -616,10 +629,14 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
     return traj
 
 
-def _snapshot_report(system, state, boundary_values, residual):
+def _snapshot_report(system, state, boundary_values, residual, energy=None):
+    """The energy report of a state; ``energy`` is its Hamiltonian if
+    already computed."""
+    if energy is None:
+        energy = energy_mod.hamiltonian(system, state)
     return EnergyReport(
         tau=state.tau,
-        energy=energy_mod.hamiltonian(system, state),
+        energy=energy,
         dissipation=energy_mod.dissipation(system, state),
         boundary_flux=energy_mod.boundary_flux(system, state, boundary_values),
         balance_residual=residual,

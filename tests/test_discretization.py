@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,18 @@ from pipeflow.discretization import (
     build_system,
 )
 from pipeflow.energy import random_admissible_state
-from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
-from pipeflow.network import loop_network, single_pipe, y_network
+from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PipeParameters, PowerLaw
+from pipeflow.network import (
+    Edge,
+    NetworkTopology,
+    loop_network,
+    single_pipe,
+    y_network,
+)
+from pipeflow.scenario import load_scenario
+
+SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "scenarios")
 
 LAW = IsothermalLaw(1.0)
 BOUNDS = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=1.5, eps_max=0.5)
@@ -288,3 +300,63 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
         gaps.append(np.max(np.abs((new.w - state.w) / dt - dw)))
     assert gaps[1] < 0.75 * gaps[0]  # first-order agreement in dt
     assert gaps[0] < 0.05 * np.max(np.abs(dw))
+
+
+def _assert_gather_forms_match_csr(system, seed):
+    rng = np.random.default_rng(seed)
+    n_c, n_f, n_j = system.n_cells, system.n_faces, system.n_junctions
+    for _ in range(5):
+        h, m, hv = (rng.standard_normal(n) for n in (n_c, n_f, n_j))
+        assert np.array_equal(system.arho_faces(h), system.k_matrix @ h)
+        assert np.array_equal(system.apply_d(m), system.d_matrix @ m)
+        assert np.array_equal(system.apply_gs(h, np.zeros(n_j)),
+                              system.g_matrix @ h)
+        assert np.array_equal(system.apply_gs(np.zeros(n_c), hv),
+                              system.s_matrix @ hv)
+        assert np.array_equal(system.apply_gs(h, hv),
+                              system.g_matrix @ h + system.s_matrix @ hv)
+        st = system.apply_st(m)
+        assert st.shape == (n_j,)
+        assert np.array_equal(st, system.s_matrix.T @ m)
+
+
+@pytest.mark.parametrize("cells", [2, 3, 24, 1024])
+@pytest.mark.parametrize("name", ["y_transient", "y_limit", "single_pipe",
+                                  "pipe_limit"])
+def test_gather_forms_match_csr(name, cells):
+    scenario = load_scenario(os.path.join(SCEN, f"{name}.scn"))
+    _assert_gather_forms_match_csr(scenario.build_system(cells_per_edge=cells),
+                                   seed=cells)
+
+
+def test_gather_forms_match_csr_on_mixed_junctions():
+    # junctions of degree 3 and 4, edges entering and leaving them, and
+    # unequal cell counts; a closed loop has degree-2 junctions only
+    p = PipeParameters(length=1.0, area=((0.0, 1.0), (1.0, 1.5)))
+    edges = [Edge("feed", "inlet", "j1", p), Edge("mid", "j1", "j2", p),
+             Edge("side", "j1", "out1", p), Edge("b1", "j2", "out2", p),
+             Edge("b2", "out3", "j2", p), Edge("b3", "j2", "out4", p)]
+    cells = {"feed": 2, "mid": 5, "side": 3, "b1": 4, "b2": 2, "b3": 7}
+    system = build_system(NetworkTopology(edges), cells_per_edge=cells, law=LAW)
+    assert system.n_junctions == 2
+    _assert_gather_forms_match_csr(system, seed=1)
+    loop = build_system(loop_network(n_edges=3), cells_per_edge=4, law=LAW)
+    _assert_gather_forms_match_csr(loop, seed=2)
+
+
+def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
+    system = build_system(y_network(epsilon=0.5), cells_per_edge=6, law=LAW)
+    calls = []
+    margin = AdmissibleBounds.subsonic_margin
+
+    def counting(self, law, samples=1024):
+        calls.append(self)
+        return margin(self, law, samples)
+
+    monkeypatch.setattr(AdmissibleBounds, "subsonic_margin", counting)
+    tight = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=1.0, eps_max=1.0)
+    state = system.constant_state(1.0, w=0.2)
+    for bounds in (BOUNDS, BOUNDS, tight, BOUNDS, tight):
+        report = system.check_state(state, bounds)
+    assert calls == [BOUNDS, tight]
+    assert [v.kind for v in report.violations] == ["subsonic_margin"]

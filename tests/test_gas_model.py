@@ -67,6 +67,19 @@ class TestPotential:
         with pytest.raises(ValueError):
             law.dpotential(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf, -np.inf,
+                                     [1.0, np.nan], [np.inf, 1.0],
+                                     [[1.0, 2.0], [0.5, -0.0]]])
+    def test_rejects_nonpositive_or_nonfinite_density(self, rho):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IsothermalLaw(1.0).pressure(rho)
+
+    def test_accepts_positive_density_of_any_shape(self):
+        law = IsothermalLaw(2.0)
+        assert law.pressure(0.5) == 2.0
+        assert law.pressure(np.array([])).shape == (0,)
+        assert law.pressure([[1.0, 1e300]]).shape == (1, 2)
+
 
 @pytest.fixture(scope="module")
 def tabulated_law():

@@ -124,6 +124,13 @@ def test_parse_errors_carry_line_numbers():
         parse_topology(text)
 
 
+def test_unknown_edge_key_names_line():
+    text = "[vertices]\na\nb\n\n[edge pipe]\nfrom = a\nto = b\nlength = 1\nfrictoin = 5\n"
+    with pytest.raises(TopologyError,
+                       match=r"line 9: unknown key 'frictoin' in \[edge pipe\]"):
+        parse_topology(text)
+
+
 def test_with_helpers():
     topo = single_pipe(epsilon=0.5)
     assert topo.with_epsilon(0.1).epsilon == 0.1

@@ -70,6 +70,20 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=r"s\.scn:15: unknown section \[solvr\]"):
             parse_scenario(text, path="s.scn")
 
+    @pytest.mark.parametrize("raw, value", [("1", True), ("TRUE", True),
+                                            ("yes", True), ("On", True),
+                                            ("0", False), ("false", False),
+                                            ("No", False), ("off", False)])
+    def test_boolean_values(self, raw, value):
+        text = MINIMAL + f"parabolic = {raw}\n"
+        assert parse_scenario(text).solver.parabolic is value
+
+    def test_unknown_boolean_names_file_and_line(self):
+        text = MINIMAL + "parabolic = ture\n"
+        with pytest.raises(ConfigError,
+                           match=r"s\.scn:18: cannot parse parabolic = 'ture'"):
+            parse_scenario(text, path="s.scn")
+
     def test_topology_error_names_file_and_line(self, tmp_path):
         topo = tmp_path / "net.topo"
         topo.write_text("[vertices]\na\nb\n\n[edge pipe]\nfrom = a\nto b\n")

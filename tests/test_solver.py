@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from pipeflow import energy as energy_mod
 from pipeflow import solver as solver_mod
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw
@@ -87,6 +88,31 @@ class TestHyperbolicStep:
                                              {"inlet": 1.0, "outlet": 1.0})
         assert info.value.residual is not None
         assert info.value.iterations == 1
+
+    @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
+    def test_nan_boundary_value_fails_the_step(self, model):
+        _, state0, boundary, make = _y_flow(model)
+        boundary["outlet_a"] = float("nan")
+        with pytest.raises(StepFailure, match="not finite") as info:
+            make().step(state0, 0.01, boundary)
+        assert info.value.iterations == 0
+
+    def test_nan_velocity_fails_the_step(self):
+        system, state0, boundary, make = _y_flow("hyperbolic")
+        state0.w[5] = np.nan
+        with pytest.raises(StepFailure, match="not finite"):
+            make().step(state0, 0.01, boundary)
+        with pytest.raises(StepFailure) as info:
+            run(system, state0, SolverConfig(dt=0.01, t_final=0.05), boundary)
+        assert info.value.step == 0
+
+    def test_scaled_norm_propagates_nan(self):
+        for k in range(4):
+            res = np.array([1e-3, 2.0, -5.0, 0.5])
+            res[k] = np.nan
+            assert np.isnan(solver_mod._scaled_norm(res, np.full(4, 2.0)))
+        assert solver_mod._scaled_norm(np.array([1.0, -6.0, 3.0]),
+                                       np.array([1.0, 2.0, 4.0])) == 3.0
 
 
 class _SolveOnly:
@@ -283,7 +309,7 @@ class TestParabolic:
             mass = (system.c_rho * (new.rho - state.rho)
                     + dt * (system.d_matrix @ m))
             assert np.max(np.abs(mass / system.c_rho)) < 1e-10
-            assert np.max(np.abs(system.s_matrix_t @ m)) < 1e-10
+            assert np.max(np.abs(system.s_matrix.T @ m)) < 1e-10
             assert np.max(np.abs(new.w)) > 1e-2  # the step moves mass
             state = new
 
@@ -325,6 +351,24 @@ class TestRun:
         traj = run(system, state0, config, {"inlet": 1.0, "outlet": 1.0},
                    bounds=bounds)
         assert traj.warnings
+
+    @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
+    def test_one_hamiltonian_per_snapshot(self, model, monkeypatch):
+        system, state0, boundary, _ = _y_flow(model)
+        hamiltonian = energy_mod.hamiltonian
+        calls = []
+
+        def counting(system, state):
+            calls.append(state.tau)
+            return hamiltonian(system, state)
+
+        monkeypatch.setattr(energy_mod, "hamiltonian", counting)
+        config = SolverConfig(dt=0.01, t_final=0.1,
+                              parabolic=model == "parabolic")
+        traj = run(system, state0, config, boundary)
+        assert len(calls) == len(traj.states) == 11
+        for state, report in zip(traj.states, traj.reports):
+            assert report.energy == hamiltonian(system, state)
 
     def test_junction_constraint_on_snapshots(self):
         system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
