@@ -95,40 +95,6 @@ class NetworkState:
             raise ValueError("state velocity must be finite")
 
 
-@dataclass
-class DiscreteOperators:
-    """Assembled operator bundle for one state.
-
-    c_state    positive diagonal weights over (rho, w) unknowns
-    j          sparse antisymmetric operator on (h, m, h_junction)
-    r_diag     nonnegative diagonal over the same extended vector
-    system     back-reference used for boundary loads and index maps
-    """
-
-    c_state: np.ndarray
-    j: sp.spmatrix
-    r_diag: np.ndarray
-    system: "NetworkSystem"
-
-    def boundary_load(self, values):
-        return self.system.boundary_load(values)
-
-    def skewness(self, z):
-        """<J z, z> normalized by ||z||^2; zero up to rounding."""
-        z = np.asarray(z, dtype=float)
-        return float(z @ (self.j @ z)) / float(z @ z)
-
-    def dump(self, directory):
-        """Write sparsity patterns in matrix-market format for debugging."""
-        import os
-        from scipy.io import mmwrite
-
-        os.makedirs(directory, exist_ok=True)
-        mmwrite(os.path.join(directory, "j_operator"), sp.coo_matrix(self.j))
-        mmwrite(os.path.join(directory, "c_operator"), sp.diags(self.c_state))
-        mmwrite(os.path.join(directory, "r_operator"), sp.diags(self.r_diag))
-
-
 class NetworkSystem:
     """Topology + grids + gas law, with all index maps precomputed.
 
@@ -206,19 +172,22 @@ class NetworkSystem:
         self.cell_right_face = cell_right_face
         self.face_left_cell = face_left_cell
         self.face_right_cell = face_right_cell
-        self.terminal_faces = np.asarray(term_faces, dtype=int)
-        self.terminal_signs = np.asarray(term_signs)
-        self.terminal_vertices = tuple(term_vertices)
 
+        # terminal faces: at a junction each carries the junction's slot
+        # and the one cell it adjoins; a boundary vertex has degree one,
+        # and its single face is listed in the order of boundary_vertices
+        term_faces = np.asarray(term_faces, dtype=int)
+        term_signs = np.asarray(term_signs)
         mask_j = np.array([v in jslot for v in term_vertices])
-        self.junction_term_faces = self.terminal_faces[mask_j]
-        self.junction_term_signs = self.terminal_signs[mask_j]
+        self.junction_term_faces = jf = term_faces[mask_j]
+        self.junction_term_signs = term_signs[mask_j]
         self.junction_term_slots = np.array(
             [jslot[v] for v, m in zip(term_vertices, mask_j) if m], dtype=int)
-        self.boundary_term_faces = self.terminal_faces[~mask_j]
-        self.boundary_term_signs = self.terminal_signs[~mask_j]
-        self.boundary_term_vertices = tuple(
-            v for v, m in zip(term_vertices, mask_j) if not m)
+        self.junction_term_cells = np.where(face_left_cell[jf] >= 0,
+                                            face_left_cell[jf], face_right_cell[jf])
+        order = [term_vertices.index(v) for v in self.boundary_vertices]
+        self.boundary_term_faces = term_faces[order]
+        self.boundary_term_signs = term_signs[order]
 
         # face reconstruction weights: m_f = (sum_c kappa_{f,c} rho_c) * w_f
         pair_face = []
@@ -354,61 +323,53 @@ class NetworkSystem:
             self.omega_gamma * np.abs(state.w) / arho)
         return diag
 
-    def assemble(self, state):
-        state.validate()
-        return DiscreteOperators(self.c_state, self.j_matrix,
-                                 self.r_diag(state), self)
-
     def boundary_load(self, values):
-        """Load vector for prescribed boundary enthalpies.
+        """The load B of boundary enthalpies on the momentum rows: an
+        n_faces vector holding -n h at the terminal face of each boundary
+        vertex (n = +1 where the pipe ends there, -1 where it starts).
 
-        values maps boundary vertex names to numbers.  A missing vertex
-        is a configuration error.
+        With apply_gs this is the whole terminal-face rule: G h + S h_v - B
+        is the enthalpy difference across every face.  values maps
+        boundary vertex names to numbers; a missing one is an error.
         """
-        b = np.zeros(self.n_z)
-        for f, sign, v in zip(self.boundary_term_faces, self.boundary_term_signs,
-                              self.boundary_term_vertices):
-            if v not in values:
-                raise ValueError(f"missing boundary enthalpy for vertex {v!r}")
-            b[self.n_cells + f] = -sign * values[v]
-        return b
+        try:
+            h = [values[v] for v in self.boundary_vertices]
+        except KeyError as exc:
+            raise ValueError(f"missing boundary enthalpy for vertex "
+                             f"{exc.args[0]!r}") from None
+        load = np.zeros(self.n_faces)
+        load[self.boundary_term_faces] = -self.boundary_term_signs * h
+        return load
 
     def junction_mass_defect(self, state):
         """Signed mass-flow sums at interior junctions; zero when coupled."""
         _, m = self.costate(state)
         return self.apply_st(m)
 
-    def junction_enthalpies(self, state, boundary_values):
+    def junction_enthalpies(self, state):
         """Consistent junction enthalpies for the instantaneous dynamics.
 
-        Solves, junction by junction, for the shared enthalpy that keeps
-        the signed mass-flow balance stationary; requires epsilon > 0.
+        Solves for the shared enthalpy of every junction that keeps its
+        signed mass-flow balance stationary; requires epsilon > 0.
         """
         if self.epsilon == 0.0:
             raise ValueError("junction enthalpies of the limit model are "
                              "algebraic unknowns of the parabolic solver")
         h, m = self.costate(state)
-        gh = self.g_matrix @ h
-        fr = self.omega_faces * self.gamma_faces * np.abs(state.w) * state.w
-        load = self.boundary_load(boundary_values)[self.n_cells:self.n_cells + self.n_faces]
-        arho = self.arho_faces(state.rho)
-        dm_rows = self.d_matrix @ m
-        drho_gain = dm_rows / self.dx_cells  # d(a rho)/dtau = -(Dm)_c / dx
-        hv = np.zeros(self.n_junctions)
-        cw = self.c_w
-        for j in range(self.n_junctions):
-            sel = self.junction_term_slots == j
-            faces = self.junction_term_faces[sel]
-            signs = self.junction_term_signs[sel]
-            # d/dtau sum(sign * arho_f w_f) = 0 determines the multiplier
-            coef = np.sum(arho[faces] / cw[faces])
-            rhs = 0.0
-            for f, s in zip(faces, signs):
-                wdot_free = (load[f] - gh[f] - fr[f]) / cw[f]
-                c = self.face_left_cell[f] if self.face_left_cell[f] >= 0 else self.face_right_cell[f]
-                rhs += s * (arho[f] * wdot_free - state.w[f] * drho_gain[c])
-            hv[j] = rhs / coef
-        return hv
+        jf, slots = self.junction_term_faces, self.junction_term_slots
+        arho, cw, w = self.arho_faces(state.rho)[jf], self.c_w[jf], state.w[jf]
+        # the rate of w without the junction enthalpy (no boundary load
+        # acts at a junction), and d(a rho)/dtau = -(Dm)_c / dx in the
+        # cell each face adjoins
+        wdot_free = -((self.g_matrix @ h)[jf]
+                      + self.omega_gamma[jf] * np.abs(w) * w) / cw
+        drho_gain = (self.apply_d(m) / self.dx_cells)[self.junction_term_cells]
+        # d/dtau sum(sign * arho_f w_f) = 0 determines the multiplier
+        coef = np.bincount(slots, arho / cw, minlength=self.n_junctions)
+        rhs = np.bincount(slots, self.junction_term_signs
+                          * (arho * wdot_free - w * drho_gain),
+                          minlength=self.n_junctions)
+        return rhs / coef
 
     def spatial_residual(self, state, boundary_values, forcing=None, tau=None):
         """Instantaneous (drho/dtau, dw/dtau) for the hyperbolic model."""
@@ -419,9 +380,8 @@ class NetworkSystem:
         if tau is None:
             tau = state.tau
         h, m = self.costate(state)
-        hv = self.junction_enthalpies(state, boundary_values)
-        load = self.boundary_load(boundary_values)
-        load_w = load[self.n_cells:self.n_cells + self.n_faces].copy()
+        hv = self.junction_enthalpies(state)
+        load_w = self.boundary_load(boundary_values)
         load_rho = np.zeros(self.n_cells)
         if forcing is not None:
             f1, f2 = forcing

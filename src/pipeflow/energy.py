@@ -37,13 +37,8 @@ def dissipation(system, state):
 
 def boundary_flux(system, state, boundary_values):
     """Signed energy flux over the boundary vertices, -sum(n h m)."""
-    _, m = system.costate(state)
-    load = system.boundary_load(boundary_values)
-    return float(np.dot(load[system.n_cells:system.n_cells + system.n_faces], m))
-
-
-def c_norm_sq(system, d_rho, d_w):
-    return system.c_norm_sq(d_rho, d_w)
+    m = system.arho_faces(state.rho) * state.w
+    return float(np.dot(system.boundary_load(boundary_values), m))
 
 
 def _check_pair(system, u, uhat):

@@ -131,6 +131,17 @@ def classify(topology):
     return VertexClass(interior=interior, boundary=boundary)
 
 
+def boundary_data_error(topology, vertex):
+    """Why boundary data cannot be given at vertex, or None if they can:
+    only degree-one vertices take them."""
+    if vertex not in topology.vertices:
+        return f"unknown boundary vertex {vertex!r}"
+    if topology.degree(vertex) != 1:
+        return (f"vertex {vertex!r} has degree {topology.degree(vertex)}; "
+                "boundary data go on degree-one vertices only")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # convenience builders
 
@@ -222,6 +233,7 @@ def parse_topology(text, epsilon=1.0, name="network"):
     vertices = []
     edge_specs = []
     boundary = {}
+    boundary_lines = {}
     section = None
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -245,6 +257,7 @@ def parse_topology(text, epsilon=1.0, name="network"):
                 if len(header) != 2:
                     raise TopologyError(f"{where}: boundary section needs a vertex")
                 current = {"vertex": header[1]}
+                boundary_lines[header[1]] = lineno
                 section = "boundary"
             else:
                 raise TopologyError(f"{where}: unknown section {header[0]!r}")
@@ -282,6 +295,10 @@ def parse_topology(text, epsilon=1.0, name="network"):
         )
         edges.append(Edge(spec["name"], spec["from"], spec["to"], params))
     topo = NetworkTopology(edges, vertices=vertices or None, name=name)
+    for vertex, lineno in boundary_lines.items():
+        error = boundary_data_error(topo, vertex)
+        if error:
+            raise TopologyError(f"line {lineno}: {error}")
     return topo, boundary
 
 

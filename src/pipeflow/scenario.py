@@ -366,9 +366,9 @@ def parse_scenario(text, path="<string>", name=None):
             raise ConfigError(f"{path}:{sec.lineno}: boundary section needs a "
                               "vertex name: [boundary <vertex>]")
         vertex = parts[1]
-        if vertex not in topology.vertices:
-            raise ConfigError(f"{path}:{sec.lineno}: unknown boundary vertex "
-                              f"{vertex!r}")
+        error = net.boundary_data_error(topology, vertex)
+        if error:
+            raise ConfigError(f"{path}:{sec.lineno}: {error}")
         spec = _get(sec, "h", str, path=path) or _get(sec, "table", str, path=path)
         if spec is None:
             raise ConfigError(f"{path}:{sec.lineno}: boundary section for "

@@ -227,9 +227,7 @@ class _NewtonStepper:
               n_c + n_f + sys.junction_term_slots)
 
         # junction constraint rows (end-of-step state)
-        jf = sys.junction_term_faces
-        adj = np.where(sys.face_left_cell[jf] >= 0,
-                       sys.face_left_cell[jf], sys.face_right_cell[jf])
+        jf, adj = sys.junction_term_faces, sys.junction_term_cells
         self._j_kappa = (sys.a_cells[adj] * sys.dx_cells[adj]
                          / (2.0 * sys.omega_faces[jf]))
         block(n_c + n_f + sys.junction_term_slots, adj)
@@ -238,13 +236,6 @@ class _NewtonStepper:
         self._rows = np.concatenate(rows)
         self._cols = np.concatenate(cols)
         self._shape = (n_c + n_f + n_j, n_c + n_f + n_j)
-
-    def _boundary_loads(self, boundary, tau):
-        """Boundary values at tau and their load on the momentum rows."""
-        sys = self.system
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau)
-        load = sys.boundary_load(values)
-        return values, load[sys.n_cells:sys.n_cells + sys.n_faces]
 
     def step(self, state, dt, boundary, tau_new=None):
         """Advance one step; returns (new_state, stage_info dict)."""
@@ -446,7 +437,8 @@ class HyperbolicStepper(_NewtonStepper):
     def _stage(self, state, dt, boundary, tau_new):
         sys = self.system
         tau_s = state.tau + self.theta * dt
-        values, load_w = self._boundary_loads(boundary, tau_s)
+        values = _eval_boundary(boundary, sys.boundary_vertices, tau_s)
+        load_w = sys.boundary_load(values)
         load_rho = None
         if self.forcing is not None:
             f1, f2 = self.forcing
@@ -479,7 +471,8 @@ class ParabolicStepper(_NewtonStepper):
 
     def _stage(self, state, dt, boundary, tau_new):
         sys = self.system
-        values, load_w = self._boundary_loads(boundary, tau_new)
+        values = _eval_boundary(boundary, sys.boundary_vertices, tau_new)
+        load_w = sys.boundary_load(values)
         if self._hv is None:
             w, self._hv = limit_flow(sys, state.rho, values)
         else:
@@ -495,42 +488,17 @@ def _recovery(s, gamma):
     return -np.sign(s) * np.sqrt(np.abs(s) / gamma)
 
 
-def velocity_recovery(system, rho, boundary_values=None, junction_h=None):
+def velocity_recovery(system, rho, boundary_values, junction_h):
     """Face velocities solving gamma*|w|*w = -s for the limit model.
 
-    s is the centered slope of the enthalpy P'(rho) + g z at interior
-    faces.  At terminal faces the slope uses the vertex enthalpy when
-    boundary or junction values are supplied, and otherwise falls back
-    to the one-sided slope of the two adjacent cells (exact for linear
-    enthalpy profiles).
+    s is the slope of the enthalpy P'(rho) + g z across every face,
+    (G h + S h_v - B) / omega: centered between the two cells at interior
+    faces, and between the cell and the vertex value (boundary_values at
+    a boundary vertex, junction_h at a junction) at terminal faces.
     """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("density must be positive")
     h = system.law.dpotential(rho) + system.gz_cells
-    s = np.zeros(system.n_faces)
-    lc, rc = system.face_left_cell, system.face_right_cell
-    interior = (lc >= 0) & (rc >= 0)
-    s[interior] = (h[rc[interior]] - h[lc[interior]]) / system.omega_faces[interior]
-    values = dict(boundary_values or {})
-    jh = {} if junction_h is None else {
-        v: junction_h[i] for i, v in enumerate(system.junction_vertices)}
-    for f, sign, v in zip(system.terminal_faces, system.terminal_signs,
-                          system.terminal_vertices):
-        omega = system.omega_faces[f]
-        if v in values or v in jh:
-            hv = values.get(v, jh.get(v))
-            if sign > 0:  # edge ends at v: vertex sits right of the face
-                s[f] = (hv - h[lc[f]]) / omega
-            else:
-                s[f] = (h[rc[f]] - hv) / omega
-        else:
-            if sign > 0:
-                c = lc[f]
-                s[f] = (h[c] - h[c - 1]) / system.dx_cells[c]
-            else:
-                c = rc[f]
-                s[f] = (h[c + 1] - h[c]) / system.dx_cells[c]
+    s = (system.apply_gs(h, junction_h)
+         - system.boundary_load(boundary_values)) / system.omega_faces
     return _recovery(s, system.gamma_faces)
 
 
@@ -546,9 +514,7 @@ def limit_flow(system, rho, boundary_values):
         sel = system.junction_term_slots == j
         faces = system.junction_term_faces[sel]
         signs = system.junction_term_signs[sel]
-        adj = np.where(system.face_left_cell[faces] >= 0,
-                       system.face_left_cell[faces],
-                       system.face_right_cell[faces])
+        adj = system.junction_term_cells[sel]
 
         def defect(x):
             total = 0.0

@@ -99,18 +99,16 @@ class TestStructure:
             state = random_admissible_state(system, BOUNDS, rng)
             assert np.all(system.r_diag(state) >= 0.0)
 
-    def test_assemble_rejects_bad_state(self):
+    def test_validate_rejects_bad_state(self):
         system = build_system(single_pipe(epsilon=0.5), cells_per_edge=4, law=LAW)
         state = system.constant_state(1.0)
         state.rho[2] = -1.0
-        with pytest.raises(ValueError):
-            system.assemble(state)
-
-    def test_operator_dump(self, tmp_path):
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=4, law=LAW)
-        ops = system.assemble(system.constant_state(1.0))
-        ops.dump(tmp_path)
-        assert (tmp_path / "j_operator.mtx").exists()
+        with pytest.raises(ValueError, match="density"):
+            state.validate()
+        state = system.constant_state(1.0)
+        state.w[1] = np.nan
+        with pytest.raises(ValueError, match="velocity"):
+            state.validate()
 
 
 class TestCostate:
@@ -329,19 +327,66 @@ def test_gather_forms_match_csr(name, cells):
                                    seed=cells)
 
 
-def test_gather_forms_match_csr_on_mixed_junctions():
+def _mixed_junction_systems():
     # junctions of degree 3 and 4, edges entering and leaving them, and
     # unequal cell counts; a closed loop has degree-2 junctions only
-    p = PipeParameters(length=1.0, area=((0.0, 1.0), (1.0, 1.5)))
+    p = PipeParameters(length=1.0, area=((0.0, 1.0), (1.0, 1.5)),
+                       elevation=((0.0, 0.0), (1.0, 0.3)))
     edges = [Edge("feed", "inlet", "j1", p), Edge("mid", "j1", "j2", p),
              Edge("side", "j1", "out1", p), Edge("b1", "j2", "out2", p),
              Edge("b2", "out3", "j2", p), Edge("b3", "j2", "out4", p)]
     cells = {"feed": 2, "mid": 5, "side": 3, "b1": 4, "b2": 2, "b3": 7}
     system = build_system(NetworkTopology(edges), cells_per_edge=cells, law=LAW)
     assert system.n_junctions == 2
-    _assert_gather_forms_match_csr(system, seed=1)
     loop = build_system(loop_network(n_edges=3), cells_per_edge=4, law=LAW)
-    _assert_gather_forms_match_csr(loop, seed=2)
+    return system, loop
+
+
+def test_gather_forms_match_csr_on_mixed_junctions():
+    for seed, system in enumerate(_mixed_junction_systems(), start=1):
+        _assert_gather_forms_match_csr(system, seed=seed)
+
+
+def test_boundary_load_on_y_network():
+    # faces 0-4 feed (inlet -> junction), 5-9 branch_a, 10-14 branch_b;
+    # the load is -n h: +h where a pipe starts, -h where it ends
+    system = build_system(y_network(), cells_per_edge=4, law=LAW)
+    values = {"inlet": 1.1, "outlet_a": 1.0, "outlet_b": 0.95}
+    expected = np.zeros(15)
+    expected[[0, 9, 14]] = [1.1, -1.0, -0.95]
+    assert np.array_equal(system.boundary_load(values), expected)
+    del values["outlet_b"]
+    with pytest.raises(ValueError,
+                       match="missing boundary enthalpy for vertex 'outlet_b'"):
+        system.boundary_load(values)
+
+
+def test_velocity_recovery_matches_per_face_reference():
+    # every face's slope built on its own: the centered cell difference
+    # inside a pipe, and (vertex value - h_adj)/omega, signed by the
+    # edge's direction, at each terminal face
+    from pipeflow.solver import velocity_recovery
+
+    rng = np.random.default_rng(3)
+    for system in _mixed_junction_systems():
+        rho = 1.0 + 0.2 * rng.random(system.n_cells)
+        values = {v: 1.0 + 0.1 * rng.random() for v in system.boundary_vertices}
+        hv = 1.0 + 0.1 * rng.random(system.n_junctions)
+        vertex_h = {**values, **dict(zip(system.junction_vertices, hv))}
+        h = LAW.dpotential(rho) + system.gz_cells
+        omega = system.omega_faces
+        s = np.empty(system.n_faces)
+        for e in system.topology.edges:
+            cells, faces = system.edge_cells(e.name), system.edge_faces(e.name)
+            hc = h[cells]
+            s[faces.start + 1:faces.stop - 1] = (
+                (hc[1:] - hc[:-1]) / omega[faces.start + 1:faces.stop - 1])
+            s[faces.start] = (hc[0] - vertex_h[e.start]) / omega[faces.start]
+            s[faces.stop - 1] = ((vertex_h[e.end] - hc[-1])
+                                 / omega[faces.stop - 1])
+        expected = -np.sign(s) * np.sqrt(np.abs(s) / system.gamma_faces)
+        assert np.array_equal(velocity_recovery(system, rho, values, hv),
+                              expected)
 
 
 def test_subsonic_margin_computed_once_per_bounds(monkeypatch):

@@ -466,10 +466,8 @@ class TestPerturbedSubstitution:
                 wdot = (traj.states[k + 1].w - traj.states[k - 1].w) / (
                     times[k + 1] - times[k - 1])
                 fr = base.gamma_faces * np.abs(s.w) * s.w
-                load = base.boundary_load(sched)
-                load_w = load[base.n_cells:base.n_cells + base.n_faces]
                 row = (base.c_w * wdot + base.g_matrix @ h
-                       + base.omega_faces * fr - load_w)
+                       + base.omega_faces * fr - base.boundary_load(sched))
                 substitution = row / base.omega_faces
                 worst = max(worst, np.max(np.abs(substitution - e2[k])))
             gaps.append(worst)

@@ -8,6 +8,7 @@ from pipeflow.network import (
     classify,
     format_topology,
     incidence,
+    load_topology,
     loop_network,
     parse_topology,
     single_pipe,
@@ -129,6 +130,20 @@ def test_unknown_edge_key_names_line():
     with pytest.raises(TopologyError,
                        match=r"line 9: unknown key 'frictoin' in \[edge pipe\]"):
         parse_topology(text)
+
+
+@pytest.mark.parametrize("vertex, error", [
+    ("junction", "vertex 'junction' has degree 3; boundary data go on "
+                 "degree-one vertices only"),
+    ("nosuch", "unknown boundary vertex 'nosuch'")])
+def test_boundary_section_needs_a_boundary_vertex(tmp_path, vertex, error):
+    text = format_topology(y_network(), boundary_defaults={"inlet": 1.0})
+    line = len(text.splitlines()) + 2
+    path = tmp_path / "net.topo"
+    path.write_text(text + f"\n[boundary {vertex}]\nh = 1.0\n")
+    with pytest.raises(TopologyError) as info:
+        load_topology(path)
+    assert str(info.value) == f"{path}: line {line}: {error}"
 
 
 def test_with_helpers():

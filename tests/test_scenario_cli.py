@@ -55,6 +55,17 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="nowhere"):
             parse_scenario(text)
 
+    def test_boundary_on_junction_names_file_and_line(self):
+        # a junction's enthalpy is an unknown of the model, not a datum
+        text = (MINIMAL.replace("single-pipe", "y-network")
+                .replace("[boundary outlet]", "[boundary outlet_a]")
+                + "\n[boundary outlet_b]\nh = 1.0\n"
+                + "\n[boundary junction]\nh = 1.0\n")
+        with pytest.raises(ConfigError,
+                           match=r"^s\.scn:22: vertex 'junction' has degree 3"):
+            parse_scenario(text, path="s.scn")
+        parse_scenario(text.rsplit("\n[boundary junction]", 1)[0], path="s.scn")
+
     def test_bad_numeric_value(self):
         text = MINIMAL.replace("dt = 0.01", "dt = fast")
         with pytest.raises(ConfigError, match="dt"):

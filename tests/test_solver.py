@@ -18,6 +18,7 @@ from pipeflow.solver import (
 )
 
 LAW = IsothermalLaw(1.0)
+NO_JUNCTIONS = np.zeros(0)  # junction enthalpies of a single pipe
 
 
 def friction_decay(w0, gamma, eps, tau):
@@ -178,21 +179,24 @@ class TestFactorizationReuse:
 class TestVelocityRecovery:
     def test_constant_density_flat_pipe(self):
         system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
-        w = velocity_recovery(system, np.ones(system.n_cells))
+        w = velocity_recovery(system, np.ones(system.n_cells),
+                              {"inlet": 1.0, "outlet": 1.0}, NO_JUNCTIONS)
         assert np.allclose(w, 0.0)
 
     def test_exponential_profile(self):
         # rho = exp(-x): P' = 1 - x, slope -1 everywhere, w = 1 for gamma=1
         system = build_system(single_pipe(epsilon=0.0), cells_per_edge=16, law=LAW)
         rho = np.exp(-system.x_cells)
-        w = velocity_recovery(system, rho)
+        w = velocity_recovery(system, rho, {"inlet": 1.0, "outlet": 0.0},
+                              NO_JUNCTIONS)
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_gamma_scaling(self):
         system = build_system(single_pipe(epsilon=0.0, friction=4.0),
                               cells_per_edge=16, law=LAW)
         rho = np.exp(-system.x_cells)
-        w = velocity_recovery(system, rho)
+        w = velocity_recovery(system, rho, {"inlet": 1.0, "outlet": 0.0},
+                              NO_JUNCTIONS)
         assert np.allclose(w, 0.5, atol=1e-12)
 
     def test_friction_law_satisfied_exactly(self):
@@ -201,7 +205,7 @@ class TestVelocityRecovery:
                               cells_per_edge=12, law=LAW)
         rho = 1.0 + 0.2 * rng.random(system.n_cells)
         boundary = {"inlet": 1.1, "outlet": 0.95}
-        w = velocity_recovery(system, rho, boundary)
+        w = velocity_recovery(system, rho, boundary, NO_JUNCTIONS)
         h = system.law.dpotential(rho)
         lc, rc = system.face_left_cell, system.face_right_cell
         s = np.zeros(system.n_faces)
