@@ -26,9 +26,7 @@ from .network import (
     TopologyError,
     classify,
     incidence,
-    load_topology,
     loop_network,
-    parse_topology,
     single_pipe,
     y_network,
 )
@@ -62,5 +60,6 @@ from .energy import (
     residual_fields,
     stability_constants,
 )
+from .scenario import load_topology, parse_topology
 
 __version__ = "0.1.0"

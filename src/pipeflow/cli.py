@@ -12,7 +12,6 @@ import numpy as np
 from . import energy as energy_mod
 from . import studies as studies_mod
 from .discretization import NetworkState
-from .network import TopologyError
 from .scenario import (
     ConfigError,
     load_scenario,
@@ -269,7 +268,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_mms(args)
-    except (ConfigError, TopologyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

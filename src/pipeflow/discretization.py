@@ -51,26 +51,11 @@ class EdgeGrid:
         self.face_volumes = np.full(n_cells + 1, self.dx)
         self.face_volumes[0] = self.face_volumes[-1] = 0.5 * self.dx
 
-    def refined(self, factor=2):
-        return EdgeGrid(self.length, self.n_cells * factor)
 
-
-def build_grids(topology, cells_per_edge=None, target_dx=None):
-    """One EdgeGrid per edge, from a cell count or a target spacing.
-
-    cells_per_edge may be an int (same count everywhere) or a dict by
-    edge name; alternatively target_dx picks the count per edge.
-    """
-    if (cells_per_edge is None) == (target_dx is None):
-        raise ValueError("give exactly one of cells_per_edge or target_dx")
-    grids = {}
-    for e in topology.edges:
-        if cells_per_edge is not None:
-            n = cells_per_edge[e.name] if isinstance(cells_per_edge, dict) else int(cells_per_edge)
-        else:
-            n = max(2, int(round(e.params.length / target_dx)))
-        grids[e.name] = EdgeGrid(e.params.length, n)
-    return grids
+def build_grids(topology, cells_per_edge):
+    """One EdgeGrid per edge, each with cells_per_edge cells."""
+    return {e.name: EdgeGrid(e.params.length, cells_per_edge)
+            for e in topology.edges}
 
 
 @dataclass
@@ -455,9 +440,5 @@ class NetworkSystem:
         raise IndexError(flat_index)
 
 
-def build_system(topology, cells_per_edge=None, law=None, target_dx=None, grids=None):
-    if grids is None:
-        grids = build_grids(topology, cells_per_edge=cells_per_edge, target_dx=target_dx)
-    if law is None:
-        raise ValueError("a gas law is required")
-    return NetworkSystem(topology, grids, law)
+def build_system(topology, cells_per_edge, law):
+    return NetworkSystem(topology, build_grids(topology, cells_per_edge), law)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 
 def _as_positive(rho):
@@ -155,6 +153,8 @@ class TabulatedLaw(GasLaw):
             raise ValueError("table densities must be positive")
         if not (rho_table[0] <= 1.0 <= rho_table[-1]):
             raise ValueError("table must bracket the reference density 1")
+        from scipy.interpolate import CubicSpline, PchipInterpolator
+
         self.rho_table = rho_table
         self.p_table = p_table
         self._p = PchipInterpolator(rho_table, p_table)
@@ -170,6 +170,8 @@ class TabulatedLaw(GasLaw):
         return cls(data[:, 0], data[:, 1])
 
     def _cumulative_q(self, grid):
+        from scipy.integrate import quad
+
         # Q(rho) = integral_1^rho p(r)/r^2 dr accumulated with 5-point
         # Gauss-Legendre per grid interval, anchored so that Q(1) = 0.
         nodes, weights = np.polynomial.legendre.leggauss(5)

@@ -1,4 +1,4 @@
-"""Directed pipe-network topology, vertex classification and file format.
+"""Directed pipe-network topology and vertex classification.
 
 A network is a connected directed graph whose edges carry pipe
 parameters.  Vertices of degree one are boundary vertices (they receive
@@ -55,6 +55,8 @@ class NetworkTopology:
                 if v not in seen:
                     seen.append(v)
         declared = list(vertices) if vertices is not None else seen
+        if len(set(declared)) != len(declared):
+            raise TopologyError("vertex names must be unique")
         for v in seen:
             if v not in declared:
                 raise TopologyError(f"edge endpoint {v!r} not declared as a vertex")
@@ -131,17 +133,6 @@ def classify(topology):
     return VertexClass(interior=interior, boundary=boundary)
 
 
-def boundary_data_error(topology, vertex):
-    """Why boundary data cannot be given at vertex, or None if they can:
-    only degree-one vertices take them."""
-    if vertex not in topology.vertices:
-        return f"unknown boundary vertex {vertex!r}"
-    if topology.degree(vertex) != 1:
-        return (f"vertex {vertex!r} has degree {topology.degree(vertex)}; "
-                "boundary data go on degree-one vertices only")
-    return None
-
-
 # ---------------------------------------------------------------------------
 # convenience builders
 
@@ -171,141 +162,3 @@ def y_network(length=1.0, **params):
     ]
     return NetworkTopology(edges, name="y-network")
 
-
-# ---------------------------------------------------------------------------
-# plain-text topology files
-
-def _format_profile(spec):
-    if isinstance(spec, tuple):
-        return ", ".join(f"{x:.17g}:{y:.17g}" for x, y in spec)
-    return f"{spec:.17g}"
-
-
-def _parse_profile(text, where):
-    text = text.strip()
-    if ":" not in text:
-        try:
-            return float(text)
-        except ValueError:
-            raise TopologyError(f"{where}: cannot parse profile {text!r}") from None
-    pts = []
-    for item in text.split(","):
-        try:
-            x, y = item.split(":")
-            pts.append((float(x), float(y)))
-        except ValueError:
-            raise TopologyError(f"{where}: cannot parse breakpoint {item!r}") from None
-    return tuple(pts)
-
-
-def format_topology(topology, boundary_defaults=None):
-    """Serialize a topology to the plain-text format parsed below."""
-    lines = ["[vertices]"]
-    lines += list(topology.vertices)
-    for e in topology.edges:
-        p = e.params
-        lines += [
-            "",
-            f"[edge {e.name}]",
-            f"from = {e.start}",
-            f"to = {e.end}",
-            f"length = {p.length:.17g}",
-            f"area = {_format_profile(p.area)}",
-            f"friction = {_format_profile(p.friction)}",
-            f"elevation = {_format_profile(p.elevation)}",
-            f"gravity = {p.gravity:.17g}",
-        ]
-    for v, value in (boundary_defaults or {}).items():
-        lines += ["", f"[boundary {v}]", f"h = {value:.17g}"]
-    return "\n".join(lines) + "\n"
-
-
-_EDGE_KEYS = ("from", "to", "length", "area", "friction", "elevation", "gravity")
-
-
-def parse_topology(text, epsilon=1.0, name="network"):
-    """Parse the plain-text topology format.
-
-    Returns (topology, boundary_defaults) where boundary_defaults maps
-    boundary vertex names to constant enthalpy values when the file
-    declares them.
-    """
-    vertices = []
-    edge_specs = []
-    boundary = {}
-    boundary_lines = {}
-    section = None
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise TopologyError(f"{where}: malformed section header {line!r}")
-            header = line[1:-1].split()
-            if header[0] == "vertices":
-                section = "vertices"
-            elif header[0] == "edge":
-                if len(header) != 2:
-                    raise TopologyError(f"{where}: edge section needs a name")
-                current = {"name": header[1], "line": lineno}
-                edge_specs.append(current)
-                section = "edge"
-            elif header[0] == "boundary":
-                if len(header) != 2:
-                    raise TopologyError(f"{where}: boundary section needs a vertex")
-                current = {"vertex": header[1]}
-                boundary_lines[header[1]] = lineno
-                section = "boundary"
-            else:
-                raise TopologyError(f"{where}: unknown section {header[0]!r}")
-            continue
-        if section == "vertices":
-            vertices.append(line)
-        elif section in ("edge", "boundary"):
-            if "=" not in line:
-                raise TopologyError(f"{where}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if section == "edge":
-                if key not in _EDGE_KEYS:
-                    raise TopologyError(f"{where}: unknown key {key!r} in "
-                                        f"[edge {current['name']}]")
-                current[key] = value
-            else:
-                if key != "h":
-                    raise TopologyError(f"{where}: boundary sections only take 'h'")
-                boundary[current["vertex"]] = float(value)
-        else:
-            raise TopologyError(f"{where}: content outside any section")
-    edges = []
-    for spec in edge_specs:
-        where = f"edge {spec['name']} (line {spec['line']})"
-        for key in ("from", "to", "length"):
-            if key not in spec:
-                raise TopologyError(f"{where}: missing {key!r}")
-        params = PipeParameters(
-            length=float(spec["length"]),
-            area=_parse_profile(spec.get("area", "1"), where),
-            friction=_parse_profile(spec.get("friction", "1"), where),
-            elevation=_parse_profile(spec.get("elevation", "0"), where),
-            gravity=float(spec.get("gravity", 1.0)),
-            epsilon=epsilon,
-        )
-        edges.append(Edge(spec["name"], spec["from"], spec["to"], params))
-    topo = NetworkTopology(edges, vertices=vertices or None, name=name)
-    for vertex, lineno in boundary_lines.items():
-        error = boundary_data_error(topo, vertex)
-        if error:
-            raise TopologyError(f"line {lineno}: {error}")
-    return topo, boundary
-
-
-def load_topology(path, epsilon=1.0):
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse_topology(text, epsilon=epsilon, name=str(path))
-    except TopologyError as exc:
-        raise TopologyError(f"{path}: {exc}") from exc

@@ -1,22 +1,25 @@
-"""Scenario files: model, topology, initial/boundary data, solver setup.
+"""Scenario and topology files, manifests and output writers.
 
-A scenario is a plain-text file with key-value sections.  Topologies can
-be included from separate files or taken from the built-in families.
-Boundary sections give one constant or piecewise-linear schedule per
-boundary vertex.  Parsing is line-anchored: every error message carries
-the file and line it came from.
+Both input formats are plain-text files of key-value sections, read by
+one section reader.  A scenario gives the model, topology, initial and
+boundary data and solver setup; its topology is included from a
+topology file or taken from the built-in families.  Boundary sections
+give one constant or piecewise-linear schedule per boundary vertex.
+Parsing is line-anchored: every error message carries the file and line
+it came from, and a repeated section or key is an error.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import network as net
 from .discretization import NetworkState, build_system
-from .gas import AdmissibleBounds, make_law
+from .gas import AdmissibleBounds, PipeParameters, make_law
 from .solver import SolverConfig, limit_flow
 
 
@@ -42,30 +45,6 @@ def eval_profile_expression(expr, x, length):
     return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
 
 
-def parse_schedule(text, where=""):
-    """Constant number or 't:v, t:v, ...' piecewise-linear table."""
-    text = text.strip()
-    if ":" not in text:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{where}: cannot parse schedule {text!r}") from None
-        return lambda tau, v=value: v
-    ts, vs = [], []
-    for item in text.split(","):
-        try:
-            t, v = item.split(":")
-            ts.append(float(t))
-            vs.append(float(v))
-        except ValueError:
-            raise ConfigError(f"{where}: cannot parse table entry {item!r}") from None
-    ts = np.asarray(ts)
-    vs = np.asarray(vs)
-    if np.any(np.diff(ts) <= 0):
-        raise ConfigError(f"{where}: schedule times must increase")
-    return lambda tau: float(np.interp(tau, ts, vs))
-
-
 class _Section(dict):
     """Key-value section remembering the source line of every key and
     which keys the parser has read."""
@@ -88,26 +67,47 @@ class _Section(dict):
                                   f"key {key!r} in [{self.name}]")
 
 
-def _parse_sections(text, path="<string>"):
-    sections = []
+def _parse_sections(text, path, bare=()):
+    """The sections of a file by name, in file order.  Sections named in
+    ``bare`` hold one entry per line (stored as keys with empty values);
+    all others hold 'key = value' lines.  A repeated section or key is
+    an error."""
+    sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ConfigError(f"{path}:{lineno}: malformed section header")
-            current = _Section(line[1:-1].strip(), lineno)
-            sections.append(current)
+                raise ConfigError(f"{where}: malformed section header")
+            name = " ".join(line[1:-1].split())
+            if name in sections:
+                raise ConfigError(f"{where}: duplicate section [{name}]")
+            current = sections[name] = _Section(name, lineno)
             continue
         if current is None:
-            raise ConfigError(f"{path}:{lineno}: content before any section")
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
+            raise ConfigError(f"{where}: content before any section")
+        if current.name in bare:
+            key, value = line, ""
+        elif "=" not in line:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        else:
+            key, value = (s.strip() for s in line.split("=", 1))
+        if key in current:
+            raise ConfigError(f"{where}: duplicate {key!r} in [{current.name}]")
         current.set(key, value, lineno)
     return sections
+
+
+def _section_arg(section, what, path):
+    """The <what> named in a '[kind <what>]' section header."""
+    kind, _, arg = section.name.partition(" ")
+    if not arg or " " in arg:
+        raise ConfigError(f"{path}:{section.lineno}: {kind} section needs a "
+                          f"{what}: [{kind} <{what}>]")
+    return arg
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -129,6 +129,141 @@ def _get(section, key, cast, default=None, path="", required=False):
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{path}:{section.lines[key]}: cannot parse "
                           f"{key} = {raw!r}") from None
+
+
+def _given(section, casts, path):
+    """The optional keys of (key, cast) pairs that the section gives."""
+    values = {key: _get(section, key, cast, path=path) for key, cast in casts}
+    return {key: value for key, value in values.items() if value is not None}
+
+
+@contextmanager
+def _at(path, lineno):
+    """Report a ValueError or OSError of the model's constructors as a
+    ConfigError at path:lineno."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _breakpoints(text):
+    """A number, or piecewise-linear breakpoints 'a:b, a:b, ...' as a
+    tuple of (a, b) pairs."""
+    if ":" not in text:
+        return float(text)
+    points = []
+    for item in text.split(","):
+        a, b = item.split(":")
+        points.append((float(a), float(b)))
+    return tuple(points)
+
+
+def _schedule(spec, where):
+    """Boundary value as a function of tau: a constant, or linear between
+    (time, value) breakpoints with increasing times."""
+    if not isinstance(spec, tuple):
+        return lambda tau, v=spec: v
+    ts, vs = (np.array(column) for column in zip(*spec))
+    if np.any(np.diff(ts) <= 0):
+        raise ConfigError(f"{where}: schedule times must increase")
+    return lambda tau: float(np.interp(tau, ts, vs))
+
+
+def _boundary_vertex(section, topology, path):
+    """The vertex of a [boundary <vertex>] section, in scenario and
+    topology files alike: only degree-one vertices take boundary data."""
+    vertex = _section_arg(section, "vertex", path)
+    where = f"{path}:{section.lineno}"
+    if vertex not in topology.vertices:
+        raise ConfigError(f"{where}: unknown boundary vertex {vertex!r}")
+    degree = topology.degree(vertex)
+    if degree != 1:
+        raise ConfigError(f"{where}: vertex {vertex!r} has degree {degree}; "
+                          "boundary data go on degree-one vertices only")
+    return vertex
+
+
+# ---------------------------------------------------------------------------
+# topology files
+
+def _format_profile(spec):
+    if isinstance(spec, tuple):
+        return ", ".join(f"{x:.17g}:{y:.17g}" for x, y in spec)
+    return f"{spec:.17g}"
+
+
+def format_topology(topology, boundary_defaults=None):
+    """Serialize a topology to the plain-text format parse_topology reads."""
+    lines = ["[vertices]"]
+    lines += list(topology.vertices)
+    for e in topology.edges:
+        p = e.params
+        lines += [
+            "",
+            f"[edge {e.name}]",
+            f"from = {e.start}",
+            f"to = {e.end}",
+            f"length = {p.length:.17g}",
+            f"area = {_format_profile(p.area)}",
+            f"friction = {_format_profile(p.friction)}",
+            f"elevation = {_format_profile(p.elevation)}",
+            f"gravity = {p.gravity:.17g}",
+        ]
+    for v, value in (boundary_defaults or {}).items():
+        lines += ["", f"[boundary {v}]", f"h = {value:.17g}"]
+    return "\n".join(lines) + "\n"
+
+
+def _edge(section, epsilon, path):
+    name = _section_arg(section, "name", path)
+    start = _get(section, "from", str, path=path, required=True)
+    end = _get(section, "to", str, path=path, required=True)
+    length = _get(section, "length", float, path=path, required=True)
+    params = _given(section, (("area", _breakpoints), ("friction", _breakpoints),
+                              ("elevation", _breakpoints), ("gravity", float)),
+                    path)
+    section.check_read(path)
+    with _at(path, section.lineno):
+        return net.Edge(name, start, end, PipeParameters(
+            length=length, epsilon=epsilon, **params))
+
+
+def parse_topology(text, epsilon=1.0, path="<string>"):
+    """Parse the plain-text topology format.
+
+    Returns (topology, boundary_defaults) where boundary_defaults maps
+    boundary vertex names to constant enthalpy values when the file
+    declares them.
+    """
+    sections = _parse_sections(text, path, bare=("vertices",))
+    vertices = sections.pop("vertices", _Section("vertices", 1))
+    edges, boundary_sections = [], []
+    for sec in sections.values():
+        kind = sec.name.partition(" ")[0]
+        if kind == "edge":
+            edges.append(_edge(sec, epsilon, path))
+        elif kind == "boundary":
+            boundary_sections.append(sec)
+        else:
+            raise ConfigError(f"{path}:{sec.lineno}: unknown section [{sec.name}]")
+    with _at(path, vertices.lineno):
+        topology = net.NetworkTopology(edges, vertices=list(vertices) or None,
+                                       name=path)
+    boundary = {}
+    for sec in boundary_sections:
+        vertex = _boundary_vertex(sec, topology, path)
+        boundary[vertex] = _get(sec, "h", float, path=path, required=True)
+        sec.check_read(path)
+    return topology, boundary
+
+
+def load_topology(path, epsilon=1.0):
+    with open(path) as fh:
+        text = fh.read()
+    return parse_topology(text, epsilon=epsilon, path=str(path))
 
 
 @dataclass
@@ -280,36 +415,24 @@ def _build_topology(section, epsilon, base_dir, path):
         if not os.path.exists(topo_path):
             raise ConfigError(f"{path}:{section.lines['include']}: topology "
                               f"file {topo_path!r} not found")
-        topology, defaults = net.load_topology(topo_path, epsilon=epsilon)
-        return topology, defaults
+        return load_topology(topo_path, epsilon=epsilon)
     builtin = _get(section, "builtin", str, path=path, required=True)
     if builtin not in _BUILTIN_TOPOLOGIES:
         raise ConfigError(f"{path}:{section.lines['builtin']}: unknown builtin "
                           f"topology {builtin!r} (choose from "
                           f"{sorted(_BUILTIN_TOPOLOGIES)})")
-    kwargs = {"epsilon": epsilon}
-    for key, cast in (("length", float), ("area", float), ("friction", float),
-                      ("gravity", float), ("n_edges", int)):
-        val = _get(section, key, cast, path=path)
-        if val is not None:
-            kwargs[key] = val
-    elev = _get(section, "elevation", str, path=path)
-    if elev is not None:
-        kwargs["elevation"] = net._parse_profile(elev, f"{path} [topology]")
-    return _BUILTIN_TOPOLOGIES[builtin](**kwargs), {}
+    kwargs = _given(section, (("length", float), ("area", float),
+                              ("friction", float), ("gravity", float),
+                              ("n_edges", int), ("elevation", _breakpoints)), path)
+    with _at(path, section.lineno):
+        return _BUILTIN_TOPOLOGIES[builtin](epsilon=epsilon, **kwargs), {}
 
 
 def parse_scenario(text, path="<string>", name=None):
     base_dir = os.path.dirname(path) if os.path.dirname(path) else "."
-    sections, boundary_sections = {}, []
-    for sec in _parse_sections(text, path):
-        if sec.name.startswith("boundary"):
-            boundary_sections.append(sec)
-        else:
-            if sec.name in sections:
-                raise ConfigError(f"{path}:{sec.lineno}: duplicate section "
-                                  f"[{sec.name}]")
-            sections[sec.name] = sec
+    sections = _parse_sections(text, path)
+    boundary_sections = [sections.pop(header) for header in list(sections)
+                         if header.partition(" ")[0] == "boundary"]
     taken = list(boundary_sections)
 
     def take(name):
@@ -326,18 +449,13 @@ def parse_scenario(text, path="<string>", name=None):
     model = take("model")
     epsilon = _get(model, "epsilon", float, default=1.0, path=path)
     law_kind = _get(model, "law", str, default="isothermal", path=path)
-    law_kwargs = {}
-    for key in ("sound_speed", "kappa", "exponent"):
-        val = _get(model, key, float, path=path)
-        if val is not None:
-            law_kwargs[key] = val
+    law_kwargs = _given(model, (("sound_speed", float), ("kappa", float),
+                                ("exponent", float)), path)
     table = _get(model, "table", str, path=path)
     if table is not None:
         law_kwargs["table"] = os.path.join(base_dir, table)
-    try:
+    with _at(path, model.lineno):
         law = make_law(law_kind, **law_kwargs)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"{path}:{model.lineno}: {exc}") from exc
 
     if "topology" not in sections:
         raise ConfigError(f"{path}:1: missing [topology] section")
@@ -361,22 +479,16 @@ def parse_scenario(text, path="<string>", name=None):
     boundary = {v: (lambda tau, _v=val: _v)
                 for v, val in boundary_defaults.items()}
     for sec in boundary_sections:
-        parts = sec.name.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{sec.lineno}: boundary section needs a "
-                              "vertex name: [boundary <vertex>]")
-        vertex = parts[1]
-        error = net.boundary_data_error(topology, vertex)
-        if error:
-            raise ConfigError(f"{path}:{sec.lineno}: {error}")
-        spec = _get(sec, "h", str, path=path) or _get(sec, "table", str, path=path)
-        if spec is None:
+        vertex = _boundary_vertex(sec, topology, path)
+        key = "h" if "h" in sec else "table"
+        if key not in sec:
             raise ConfigError(f"{path}:{sec.lineno}: boundary section for "
                               f"{vertex!r} needs 'h = ...' or 'table = ...'")
-        boundary[vertex] = parse_schedule(spec, where=f"{path}:{sec.lineno}")
+        spec = _get(sec, key, _breakpoints, path=path)
+        boundary[vertex] = _schedule(spec, f"{path}:{sec.lines[key]}")
 
     sol = take("solver")
-    try:
+    with _at(path, sol.lineno):
         solver = SolverConfig(
             dt=_get(sol, "dt", float, default=1e-3, path=path),
             t_final=_get(sol, "t_final", float, default=1.0, path=path),
@@ -385,13 +497,11 @@ def parse_scenario(text, path="<string>", name=None):
             max_iter=_get(sol, "max_iter", int, default=30, path=path),
             parabolic=_get(sol, "parabolic", bool, default=False, path=path),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{sol.lineno}: {exc}") from exc
 
     bounds = None
     if "bounds" in sections:
         bsec = take("bounds")
-        try:
+        with _at(path, bsec.lineno):
             bounds = AdmissibleBounds(
                 rho_min=_get(bsec, "rho_min", float, path=path, required=True),
                 rho_max=_get(bsec, "rho_max", float, path=path, required=True),
@@ -405,8 +515,6 @@ def parse_scenario(text, path="<string>", name=None):
                                   path=path),
                 gz_max=_get(bsec, "gz_max", float, default=0.0, path=path),
             )
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{bsec.lineno}: {exc}") from exc
 
     out = take("output")
     output_dir = _get(out, "dir", str, path=path)

@@ -582,8 +582,8 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
             residual = (h_new - h_prev
                         + config.dt * info["stage_dissipation"]
                         - config.dt * info["stage_flux"])
-        report = _snapshot_report(system, state, info["boundary_values"],
-                                  residual, h_new)
+        values = _eval_boundary(boundary, system.boundary_vertices, state.tau)
+        report = _snapshot_report(system, state, values, residual, h_new)
         traj.append(state.copy(), report)
         traj.stage_dissipation.append(info["stage_dissipation"])
         traj.stage_flux.append(info["stage_flux"])

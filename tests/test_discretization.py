@@ -6,7 +6,7 @@ import pytest
 from pipeflow.discretization import (
     EdgeGrid,
     NetworkState,
-    build_grids,
+    NetworkSystem,
     build_system,
 )
 from pipeflow.energy import random_admissible_state
@@ -44,17 +44,9 @@ class TestGrids:
         assert system.n_faces == 3 * 9
         assert system.n_junctions == 1
 
-    def test_refinement_halves_dx(self):
-        g = EdgeGrid(2.0, 8)
-        assert g.refined().dx == pytest.approx(g.dx / 2)
-
     def test_too_few_cells(self):
         with pytest.raises(ValueError):
             EdgeGrid(1.0, 1)
-
-    def test_target_dx(self):
-        grids = build_grids(single_pipe(length=2.0), target_dx=0.1)
-        assert grids["pipe"].n_cells == 20
 
 
 class TestStructure:
@@ -336,7 +328,9 @@ def _mixed_junction_systems():
              Edge("side", "j1", "out1", p), Edge("b1", "j2", "out2", p),
              Edge("b2", "out3", "j2", p), Edge("b3", "j2", "out4", p)]
     cells = {"feed": 2, "mid": 5, "side": 3, "b1": 4, "b2": 2, "b3": 7}
-    system = build_system(NetworkTopology(edges), cells_per_edge=cells, law=LAW)
+    system = NetworkSystem(NetworkTopology(edges),
+                           {e.name: EdgeGrid(1.0, cells[e.name]) for e in edges},
+                           LAW)
     assert system.n_junctions == 2
     loop = build_system(loop_network(n_edges=3), cells_per_edge=4, law=LAW)
     return system, loop

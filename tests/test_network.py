@@ -6,13 +6,16 @@ from pipeflow.network import (
     NetworkTopology,
     TopologyError,
     classify,
-    format_topology,
     incidence,
-    load_topology,
     loop_network,
-    parse_topology,
     single_pipe,
     y_network,
+)
+from pipeflow.scenario import (
+    ConfigError,
+    format_topology,
+    load_topology,
+    parse_topology,
 )
 
 
@@ -80,6 +83,10 @@ class TestValidation:
         with pytest.raises(TopologyError, match="unique"):
             NetworkTopology(edges)
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(TopologyError, match="vertex names must be unique"):
+            NetworkTopology([make_edge("e", "a", "b")], vertices=["a", "b", "b"])
+
     def test_mixed_epsilon_rejected(self):
         edges = [
             Edge("e1", "a", "b", PipeParameters(length=1.0, epsilon=0.1)),
@@ -118,17 +125,17 @@ def test_round_trip():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(TopologyError, match="line 1"):
+    with pytest.raises(ConfigError, match="^<string>:1: "):
         parse_topology("stray content before any section\n[vertices]\nv\n")
     text = "[edge pipe]\nfrom = a\nto = b\n"  # missing length
-    with pytest.raises(TopologyError, match="length"):
+    with pytest.raises(ConfigError, match="^<string>:1: .*length"):
         parse_topology(text)
 
 
 def test_unknown_edge_key_names_line():
     text = "[vertices]\na\nb\n\n[edge pipe]\nfrom = a\nto = b\nlength = 1\nfrictoin = 5\n"
-    with pytest.raises(TopologyError,
-                       match=r"line 9: unknown key 'frictoin' in \[edge pipe\]"):
+    with pytest.raises(ConfigError, match=r"^<string>:9: unknown or unused "
+                                          r"key 'frictoin' in \[edge pipe\]"):
         parse_topology(text)
 
 
@@ -141,9 +148,9 @@ def test_boundary_section_needs_a_boundary_vertex(tmp_path, vertex, error):
     line = len(text.splitlines()) + 2
     path = tmp_path / "net.topo"
     path.write_text(text + f"\n[boundary {vertex}]\nh = 1.0\n")
-    with pytest.raises(TopologyError) as info:
+    with pytest.raises(ConfigError) as info:
         load_topology(path)
-    assert str(info.value) == f"{path}: line {line}: {error}"
+    assert str(info.value) == f"{path}:{line}: {error}"
 
 
 def test_with_helpers():

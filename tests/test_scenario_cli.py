@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from pipeflow.cli import main
-from pipeflow.network import TopologyError
-from pipeflow.scenario import ConfigError, load_scenario, parse_scenario
+from pipeflow.scenario import (
+    ConfigError,
+    load_scenario,
+    load_topology,
+    parse_scenario,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -99,7 +103,7 @@ class TestScenarioParsing:
         topo = tmp_path / "net.topo"
         topo.write_text("[vertices]\na\nb\n\n[edge pipe]\nfrom = a\nto b\n")
         text = MINIMAL.replace("builtin = single-pipe", "include = net.topo")
-        with pytest.raises(TopologyError, match=r"net\.topo: line 7: "):
+        with pytest.raises(ConfigError, match=r"net\.topo:7: "):
             parse_scenario(text, path=str(tmp_path / "s.scn"))
 
     def test_initial_expression(self):
@@ -143,6 +147,60 @@ class TestScenarioParsing:
         assert "model.epsilon = 0.5" in text
         assert "seed = 7" in text
         assert "solver.dt = 0.01" in text
+
+
+TOPO = """[vertices]
+a
+b
+
+[edge p]
+from = a
+to = b
+length = 1
+
+[boundary a]
+h = 1.0
+"""
+
+
+def _topo(old, new):
+    assert old in TOPO
+    return TOPO.replace(old, new, 1)
+
+
+# bad input in either file kind fails with one path:line prefix: the line
+# of the bad value or repeat, or of the section a bad parameter came from
+@pytest.mark.parametrize("kind, text, line", [
+    ("topology", _topo("length = 1", "length = abc"), 8),
+    ("topology", _topo("length = 1", "length = 1\ngravity = x"), 9),
+    ("topology", _topo("h = 1.0", "h = abc"), 11),
+    ("topology", _topo("length = 1", "length = -1"), 5),
+    ("topology", _topo("length = 1", "length = 1\narea = -1"), 5),
+    ("topology", TOPO + "\n[edge p]\nfrom = a\nto = b\nlength = 1\n", 13),
+    ("topology", _topo("length = 1", "length = 1\nlength = 2"), 9),
+    ("topology", TOPO + "\n[boundary a]\nh = 3.0\n", 13),
+    ("topology", _topo("b\n", "b\nb\n"), 4),
+    ("scenario", MINIMAL + "\n[grid]\ncells_per_edge = 8\ncells_per_edge = 16\n",
+     21),
+    ("scenario", MINIMAL + "\n[boundary inlet]\nh = 2.0\n", 19),
+    ("scenario", MINIMAL.replace("single-pipe", "single-pipe\nlength = -1"), 6),
+    ("scenario", MINIMAL.replace("dt = 0.01", "dt = fast"), 16),
+], ids=["length-abc", "gravity-x", "h-abc", "length-negative", "area-negative",
+        "repeated-edge", "repeated-key", "repeated-boundary", "repeated-vertex",
+        "repeated-cells", "repeated-scenario-boundary", "builtin-length",
+        "solver-dt"])
+def test_bad_input_names_file_and_line(tmp_path, kind, text, line):
+    path = tmp_path / ("net.topo" if kind == "topology" else "s.scn")
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        if kind == "topology":
+            load_topology(path)
+        else:
+            load_scenario(str(path))
+    prefix = f"{path}:{line}: "
+    message = str(info.value)
+    assert message.startswith(prefix)
+    assert str(path) not in message[len(prefix):]
 
 
 class TestCli:
@@ -219,7 +277,8 @@ class TestCli:
             [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c",
                         "import sys, pipeflow.cli; "
-                        "assert 'sympy' not in sys.modules"],
+                        "assert not {'sympy', 'scipy.integrate', "
+                        "'scipy.interpolate'} & set(sys.modules)"],
                        env=env, check=True)
 
     def test_mms_smoke(self, capsys):

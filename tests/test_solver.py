@@ -406,3 +406,18 @@ def test_parabolic_well_balanced_on_slope():
         # imbalance to sqrt(eps_mach/dx)-sized velocities
         assert np.max(np.abs(s.w)) < 5e-6
     assert np.max(np.abs(traj.states[-1].w)) < 1e-11
+
+
+def test_reports_use_boundary_data_at_their_own_time():
+    # the midpoint stage sees the inlet ramp at tau_n + dt/2; each report
+    # describes the state at its own tau
+    system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
+    ramp = lambda tau: 1.0 + 0.15 * min(tau / 0.05, 1.0)
+    fixed = {"outlet_a": 1.0, "outlet_b": 0.99}
+    config = SolverConfig(dt=0.01, t_final=0.08, scheme="midpoint")
+    traj = run(system, system.constant_state(1.0), config,
+               {"inlet": ramp, **fixed})
+    for state, report in zip(traj.states, traj.reports, strict=True):
+        values = {"inlet": ramp(state.tau), **fixed}
+        assert report.boundary_flux == energy_mod.boundary_flux(system, state,
+                                                                values)
