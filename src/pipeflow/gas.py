@@ -41,11 +41,19 @@ class GasLaw:
         raise NotImplementedError
 
     def dpotential(self, rho):
-        raise NotImplementedError
+        return self._dpotential(_as_positive(rho))
 
     def d2potential(self, rho):
         """Second derivative of the potential, p'(rho)/rho."""
-        rho = _as_positive(rho)
+        return self._d2potential(_as_positive(rho))
+
+    # The kernels below take a float array the caller has already checked
+    # to be positive (the Newton residual tests its stage densities once).
+
+    def _dpotential(self, rho):
+        raise NotImplementedError
+
+    def _d2potential(self, rho):
         return self.dpressure(rho) / rho
 
     def d2potential_bounds(self, lo, hi, samples=1024):
@@ -78,12 +86,10 @@ class IsothermalLaw(GasLaw):
         rho = _as_positive(rho)
         return self.sound_speed**2 * rho * np.log(rho)
 
-    def dpotential(self, rho):
-        rho = _as_positive(rho)
+    def _dpotential(self, rho):
         return self.sound_speed**2 * (np.log(rho) + 1.0)
 
-    def d2potential(self, rho):
-        rho = _as_positive(rho)
+    def _d2potential(self, rho):
         return self.sound_speed**2 / rho
 
     def __repr__(self):
@@ -115,13 +121,11 @@ class PowerLaw(GasLaw):
         s = self.exponent
         return self.kappa * (rho**s - rho) / (s - 1.0)
 
-    def dpotential(self, rho):
-        rho = _as_positive(rho)
+    def _dpotential(self, rho):
         s = self.exponent
         return self.kappa * (s * rho ** (s - 1.0) - 1.0) / (s - 1.0)
 
-    def d2potential(self, rho):
-        rho = _as_positive(rho)
+    def _d2potential(self, rho):
         s = self.exponent
         return self.kappa * s * rho ** (s - 2.0)
 
@@ -202,7 +206,8 @@ class TabulatedLaw(GasLaw):
         rho = self._check_domain(rho)
         return rho * self._q(rho)
 
-    def dpotential(self, rho):
+    def _dpotential(self, rho):
+        # positivity does not imply the table range, so the kernel checks it
         rho = self._check_domain(rho)
         return self._q(rho) + self._p(rho) / rho
 

@@ -350,7 +350,7 @@ class _NewtonStepper:
             w_s = w_n + th * (w - w_n)
         if not rho_s.min() > 0.0:  # also false for NaN
             return None
-        h_s = sys.law.dpotential(rho_s)
+        h_s = sys.law._dpotential(rho_s)
         if self.eps:
             h_s = 0.5 * self.eps**2 * sys.kinetic_cells(w_s) + h_s
         h_s = h_s + sys.gz_cells
@@ -377,7 +377,7 @@ class _NewtonStepper:
         sys = self.system
         dth = dt * self.theta
         rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
-        d2p = sys.law.d2potential(rho_s)
+        d2p = sys.law._d2potential(rho_s)
         parts = [
             sys.c_rho,
             dth * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],

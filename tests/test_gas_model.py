@@ -88,6 +88,18 @@ def tabulated_law():
     return TabulatedLaw(rho, base.pressure(rho))
 
 
+def test_checked_derivatives_are_check_plus_kernel(tabulated_law):
+    rho = np.linspace(0.5, 2.3, 11)
+    for law in (IsothermalLaw(1.3), PowerLaw(1.1, 2.4), tabulated_law):
+        assert np.array_equal(law.dpotential(rho), law._dpotential(rho))
+        assert np.array_equal(law.d2potential(rho), law._d2potential(rho))
+        for method in (law.dpotential, law.d2potential):
+            with pytest.raises(ValueError):
+                method(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="tabulated range"):
+        tabulated_law._dpotential(np.array([1.0, 3.0]))
+
+
 class TestTabulated:
     @pytest.fixture
     def law(self, tabulated_law):
