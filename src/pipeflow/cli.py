@@ -229,6 +229,18 @@ def cmd_verify(args):
         ok = res2 <= max(0.35 * res, floor)
         report("power-balance", ok,
                f"max step residual {res:.2e} -> {res2:.2e} under dt/2")
+        # backward Euler on the convex limit energy: residuals <= 0
+        limit = replace(short, parabolic=True)
+        try:
+            traj0 = run(system, state0, limit, scenario.boundary)
+        except (StepFailure, ValueError) as exc:
+            report("limit-energy-balance", False, f"transient failed: {exc}")
+        else:
+            worst = np.max(energy_mod.power_balance_residual(traj0))
+            tol = limit.newton_tol * max(
+                1.0, abs(energy_mod.limit_energy(system, state0.rho)))
+            report("limit-energy-balance", worst <= tol,
+                   f"max parabolic step residual {worst:.2e} <= {tol:.0e}")
         if system.n_junctions:
             worst = max(np.max(np.abs(system.junction_mass_defect(s)))
                         for s in traj.states)

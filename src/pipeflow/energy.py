@@ -28,6 +28,13 @@ def hamiltonian(system, state):
     return float(np.dot(system.c_rho, density))
 
 
+def limit_energy(system, rho):
+    """The limit model's energy: integral of a*(P(rho) + g z rho), the
+    Hamiltonian without its eps^2 kinetic term."""
+    density = system.law.potential(rho) + system.gz_cells * rho
+    return float(np.dot(system.c_rho, density))
+
+
 def dissipation(system, state):
     """Friction dissipation: integral of gamma * a * rho * |w|^3."""
     arho = system.arho_faces(state.rho)
@@ -111,7 +118,9 @@ def costate_defect_closed(system, u, uhat):
 
 
 def power_balance_residual(trajectory):
-    """Per-step residuals H^{n+1} - H^n + dt*(D - flux) at the stage."""
+    """Per-step residuals H^{n+1} - H^n + dt*(D - flux) at the stage; on
+    a parabolic run H is the limit energy and the residual is <= 0 up to
+    solver tolerance."""
     return np.array([r.balance_residual for r in trajectory.reports[1:]])
 
 

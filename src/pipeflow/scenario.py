@@ -12,6 +12,7 @@ it came from, and a repeated section or key is an error.
 from __future__ import annotations
 
 import os
+import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,28 @@ def eval_profile_expression(expr, x, length):
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
+
+
+def _check_expression(section, key, path):
+    """Compile the profile expression under ``key``; it may name only x,
+    L and the entries of _EXPR_ENV, in nested code too.  Attribute names
+    are names of the code, so attribute access is rejected as well."""
+    where = f"{path}:{section.lines[key]}"
+    expr = section[key]
+    try:
+        code = compile(expr, path, "eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"{where}: cannot parse {key} = {expr!r}: "
+                          f"{exc.msg}") from None
+    allowed = {"x", "L", *_EXPR_ENV}
+    stack = [code]
+    while stack:
+        code = stack.pop()
+        for name in code.co_names:
+            if name not in allowed:
+                raise ConfigError(f"{where}: unknown name {name!r} in "
+                                  f"{key} = {expr!r}")
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
 
 
 class _Section(dict):
@@ -475,6 +498,10 @@ def parse_scenario(text, path="<string>", name=None):
         rest_enthalpy=_get(init_sec, "rest", float, path=path),
         file=_get(init_sec, "file", str, path=path),
     )
+    for key in ("rho", "w"):
+        if key in init_sec and not (key == "w" and initial.w.strip().lower()
+                                    == "recover"):
+            _check_expression(init_sec, key, path)
 
     boundary = {v: (lambda tau, _v=val: _v)
                 for v, val in boundary_defaults.items()}

@@ -45,10 +45,12 @@ from .discretization import NetworkState
 class StepFailure(RuntimeError):
     """Newton iteration did not reach the requested tolerance."""
 
-    def __init__(self, message, step=None, tau=None, residual=None, iterations=None):
+    def __init__(self, message, step=None, tau=None, dt=None, residual=None,
+                 iterations=None):
         super().__init__(message)
         self.step = step
         self.tau = tau
+        self.dt = dt
         self.residual = residual
         self.iterations = iterations
         self.partial = None
@@ -141,12 +143,23 @@ class _NewtonStepper:
 
     with c_w = eps^2 omega, h_s = eps^2 kin(w_s)/2 + P'(rho_s) + g z and
     the junction balances imposed on the end-of-step state.  A stepper
-    fixes eps and theta and supplies its stage loads and initial guess
-    (``_stage``) and its line-search cut limit (``max_cuts``).  At eps = 0
+    fixes eps and theta and supplies its stage loads (``_stage``), its
+    starting values from a prediction or afresh (``_start``) and its
+    line-search cut limit (``max_cuts``).  At eps = 0
     the c_w term and the kinetic coupling d(G h)/dw vanish, and with them
     the template's ``ww`` block; at theta = 1 the stage state is the end
     state.  These cases are branches rather than products with zero or
     one, which keeps the other cases' floating-point results unchanged.
+
+    Newton starts from values extrapolated through the stacked unknowns
+    (rho, w, h_v) of the last accepted steps (the starting values of
+    Hairer & Wanner, Solving ODEs II, IV.8): quadratic through three,
+    linear through two.  The stepper keeps at most three, with their dt
+    and the state it last returned, and extrapolates only when it is
+    stepped on from that state with that dt and the predicted densities
+    are positive.  Otherwise the history restarts and the stepper's
+    fresh start (``_start``) is used; with one accepted step the start is
+    that step's unknowns.
 
     The stepper holds the LU factorization of the last Jacobian it built
     and the dt it was built for.  Each iteration first tries a full step
@@ -168,6 +181,9 @@ class _NewtonStepper:
         self._c_w = eps**2 * system.omega_faces
         self._lu = None
         self._lu_dt = None
+        self._history = []  # stacked unknowns of the last accepted steps
+        self._history_dt = None
+        self._returned = None  # the state the last step returned
         self._build_template()
 
     def _build_template(self):
@@ -243,21 +259,27 @@ class _NewtonStepper:
         tau_n = state.tau
         if tau_new is None:
             tau_new = tau_n + dt
-        tau_s, values, loads, rho, w, hv = self._stage(state, dt, boundary,
-                                                       tau_new)
-        x = np.concatenate((rho, w, hv))
+        tau_s, values, loads = self._stage(state, dt, boundary, tau_new)
+        if state is not self._returned or dt != self._history_dt:
+            self._history = []
+        x = self._start(state, values, self._predict())
         # scale rows to update units with the flux part in field units
         # (junction rows unscaled); the combined weight keeps the
         # attainable floor near machine precision for any dt
         scale = np.concatenate((sys.c_rho + dt * sys.dx_cells,
                                 self._w_weight(dt), np.ones(sys.n_junctions)))
+
+        def failure(message, residual=None, iterations=None):
+            return StepFailure(message, tau=tau_n, dt=dt, residual=residual,
+                               iterations=iterations)
+
         out = self._residual(dt, state, loads, x)
         if out is None:
-            raise StepFailure("stage density is not positive", tau=tau_n)
+            raise failure("stage density is not positive")
         norm = _scaled_norm(out[0], scale)
         if not np.isfinite(norm):
-            raise StepFailure(f"residual is not finite ({norm})", tau=tau_n,
-                              residual=norm, iterations=0)
+            raise failure(f"residual is not finite ({norm})", residual=norm,
+                          iterations=0)
         if dt != self._lu_dt:
             self._lu = None
         it = factorizations = 0
@@ -276,10 +298,9 @@ class _NewtonStepper:
 
         while norm > self.newton_tol:
             if it >= self.max_iter:
-                raise StepFailure(
+                raise failure(
                     f"Newton did not converge in {self.max_iter} iterations "
-                    f"(residual {norm:.3e})", tau=tau_n, residual=norm,
-                    iterations=it)
+                    f"(residual {norm:.3e})", residual=norm, iterations=it)
             rhs = out[0]
             new = None
             if self._lu is not None:
@@ -296,8 +317,8 @@ class _NewtonStepper:
                     self._lu, self._lu_dt = splu(jac), dt
                     delta = self._lu.solve(rhs)
                 except RuntimeError as exc:
-                    raise StepFailure(f"linear solve failed: {exc}", tau=tau_n,
-                                      residual=norm, iterations=it) from exc
+                    raise failure(f"linear solve failed: {exc}",
+                                  residual=norm, iterations=it) from exc
                 factorizations += 1
                 step_scale = 1.0
                 for _ in range(self.max_cuts):
@@ -306,13 +327,14 @@ class _NewtonStepper:
                         break
                     step_scale *= 0.5
                 else:
-                    raise StepFailure("Newton line search stalled", tau=tau_n,
-                                      residual=norm, iterations=it)
+                    raise failure("Newton line search stalled",
+                                  residual=norm, iterations=it)
             x, out, norm = new
             it += 1
 
         rho, w, hv = self._unstack(x)
-        self._hv = hv.copy()
+        self._history = self._history[-2:] + [x]
+        self._history_dt = dt
         stage_dissipation, stage_flux = self._stage_power(loads, out[1])
         info = {
             "junction_h": hv.copy(),
@@ -323,7 +345,24 @@ class _NewtonStepper:
             "factorizations": factorizations,
             "boundary_values": values,
         }
-        return NetworkState(tau_new, rho, w), info
+        self._returned = NetworkState(tau_new, rho, w)
+        return self._returned, info
+
+    def _predict(self):
+        """The unknowns extrapolated through the history: the last
+        accepted ones after one step, None if there are none or the
+        predicted densities are not positive (which restarts it)."""
+        h = self._history
+        if len(h) < 2:
+            return h[-1].copy() if h else None
+        if len(h) == 3:
+            x = 3.0 * h[2] - 3.0 * h[1] + h[0]
+        else:
+            x = 2.0 * h[1] - h[0]
+        if not x[:self.system.n_cells].min() > 0.0:  # also false for NaN
+            self._history = []
+            return None
+        return x
 
     def _unstack(self, x):
         """Views of (rho, w, h_v) in a stacked vector."""
@@ -432,7 +471,6 @@ class HyperbolicStepper(_NewtonStepper):
         theta = 0.5 if scheme == "midpoint" else 1.0
         super().__init__(system, system.epsilon, theta, newton_tol, max_iter)
         self.forcing = forcing
-        self._hv = np.zeros(system.n_junctions)
 
     def _stage(self, state, dt, boundary, tau_new):
         sys = self.system
@@ -444,8 +482,15 @@ class HyperbolicStepper(_NewtonStepper):
             f1, f2 = self.forcing
             load_rho = sys.dx_cells * f1(sys.x_cells, tau_s)
             load_w = load_w + sys.omega_faces * f2(sys.x_faces, tau_s)
-        return (tau_s, values, (load_rho, load_w), state.rho.copy(),
-                state.w.copy(), self._hv.copy())
+        return tau_s, values, (load_rho, load_w)
+
+    def _start(self, state, values, predicted):
+        """The predicted unknowns, or the state with zero junction
+        enthalpies."""
+        if predicted is not None:
+            return predicted
+        return np.concatenate((state.rho, state.w,
+                               np.zeros(self.system.n_junctions)))
 
 
 class ParabolicStepper(_NewtonStepper):
@@ -460,25 +505,29 @@ class ParabolicStepper(_NewtonStepper):
     with superlinear convergence.  At convergence both forms satisfy
     exactly the same equations, so every accepted state still fulfils
     gamma*|w|*w = -s face by face to solver tolerance.  Each step starts
-    from rho_n and the velocities recovered from it.
+    from the predicted densities and junction enthalpies (rho_n and
+    limit_flow's junction values on a fresh start) and the velocities
+    recovered from them, so a rest state stays at rest bit for bit.
     """
 
     max_cuts = 14
 
     def __init__(self, system, newton_tol=1e-11, max_iter=40):
         super().__init__(system, 0.0, 1.0, newton_tol, max_iter)
-        self._hv = None
 
     def _stage(self, state, dt, boundary, tau_new):
+        values = _eval_boundary(boundary, self.system.boundary_vertices,
+                                tau_new)
+        return tau_new, values, (None, self.system.boundary_load(values))
+
+    def _start(self, state, values, predicted):
         sys = self.system
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_new)
-        load_w = sys.boundary_load(values)
-        if self._hv is None:
-            w, self._hv = limit_flow(sys, state.rho, values)
-        else:
-            w = velocity_recovery(sys, state.rho, values, junction_h=self._hv)
-        return (tau_new, values, (None, load_w), state.rho.copy(), w,
-                self._hv.copy())
+        if predicted is None:
+            w, hv = limit_flow(sys, state.rho, values)
+            return np.concatenate((state.rho, w, hv))
+        rho, _, hv = self._unstack(predicted)
+        w = velocity_recovery(sys, rho, values, junction_h=hv)
+        return np.concatenate((rho, w, hv))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +616,10 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
         _flag(system, state0, bounds, traj, 0)
 
     state = state0.copy()
+    # the balance residual's energy: the Hamiltonian, or the limit energy
+    # on a parabolic run
+    h_prev = (energy_mod.limit_energy(system, state.rho) if config.parabolic
+              else traj.reports[0].energy)
     for k in range(n_steps):
         tau_new = state0.tau + (k + 1) * config.dt
         try:
@@ -575,15 +628,19 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
             failure.step = k
             failure.partial = traj
             raise
-        residual, h_new = np.nan, None
-        if not config.parabolic:
-            h_prev = traj.reports[-1].energy
-            h_new = energy_mod.hamiltonian(system, state)
-            residual = (h_new - h_prev
-                        + config.dt * info["stage_dissipation"]
-                        - config.dt * info["stage_flux"])
+        energy = None
+        if config.parabolic:
+            # backward Euler on the convex limit energy dissipates at
+            # least dt*D, so this residual is <= 0 to solver tolerance
+            h_new = energy_mod.limit_energy(system, state.rho)
+        else:
+            h_new = energy = energy_mod.hamiltonian(system, state)
+        residual = (h_new - h_prev
+                    + config.dt * info["stage_dissipation"]
+                    - config.dt * info["stage_flux"])
+        h_prev = h_new
         values = _eval_boundary(boundary, system.boundary_vertices, state.tau)
-        report = _snapshot_report(system, state, values, residual, h_new)
+        report = _snapshot_report(system, state, values, residual, energy)
         traj.append(state.copy(), report)
         traj.stage_dissipation.append(info["stage_dissipation"])
         traj.stage_flux.append(info["stage_flux"])

@@ -10,6 +10,7 @@ from pipeflow.energy import (
     dissipation,
     gronwall_monitor,
     hamiltonian,
+    limit_energy,
     lipschitz_estimates,
     perturbation_functional,
     power_balance_residual,
@@ -20,7 +21,7 @@ from pipeflow.energy import (
     stability_constants,
 )
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
-from pipeflow.network import loop_network, single_pipe
+from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.solver import SolverConfig, Trajectory, run
 
 LAW = IsothermalLaw(1.0)
@@ -373,6 +374,25 @@ class TestPowerBalance:
                    SolverConfig(dt=5e-3, t_final=0.1, scheme="backward-euler"),
                    {"inlet": 1.0, "outlet": 1.0})
         assert np.max(power_balance_residual(traj)) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_parabolic_residual_nonpositive(self, eps):
+        # on a parabolic run the residual is that of the limit energy
+        # (no eps^2 kinetic term), which backward Euler dissipates
+        system = build_system(y_network(epsilon=eps), cells_per_edge=10,
+                              law=LAW)
+        ramp = lambda tau: 1.0 + 0.12 * min(tau / 0.05, 1.0)
+        sched = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 0.99}
+        dt = 5e-3
+        traj = run(system, system.rest_state(1.0),
+                   SolverConfig(dt=dt, t_final=0.2, parabolic=True), sched)
+        res = power_balance_residual(traj)
+        energy = np.array([limit_energy(system, s.rho) for s in traj.states])
+        expected = (np.diff(energy) + dt * np.array(traj.stage_dissipation)
+                    - dt * np.array(traj.stage_flux))
+        assert np.array_equal(res, expected)
+        assert np.max(res) <= 1e-11
+        assert np.min(res) < -1e-8  # the ramp drives a dissipative flow
 
 
 class TestGronwallMonitor:

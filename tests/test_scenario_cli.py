@@ -114,6 +114,26 @@ class TestScenarioParsing:
         assert np.all(state.rho >= 1.0 - 1e-12)
         assert np.max(state.rho) > 1.05
 
+    @pytest.mark.parametrize("key", ["rho", "w"])
+    @pytest.mark.parametrize("expr, error", [
+        ("1 + foo", "unknown name 'foo'"),
+        ("1 +", "cannot parse"),
+        ("().__class__.__base__.__subclasses__().__len__() + 0*x",
+         "unknown name '__class__'"),
+        ("__import__('os').getpid() + x", "unknown name '__import__'"),
+        ("(lambda: open)() + x", "unknown name 'open'"),
+        ("x.real", "unknown name 'real'"),
+    ])
+    def test_bad_initial_expression_fails_at_parse_time(self, key, expr, error):
+        head = MINIMAL + "\n[initial]\n"
+        line = head.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"^s\.scn:{line}: {error}"):
+            parse_scenario(head + f"{key} = {expr}\n", path="s.scn")
+
+    def test_recover_only_for_velocity(self):
+        with pytest.raises(ConfigError, match="unknown name 'recover'"):
+            parse_scenario(MINIMAL + "\n[initial]\nrho = recover\n")
+
     def test_recover_initial_velocity(self):
         text = MINIMAL + "\n[initial]\nrho = 1 + 0.05*sin(pi*x/L)\nw = recover\n"
         scen = parse_scenario(text)
@@ -263,6 +283,7 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "junction-conservation" in out
+        assert "ok   limit-energy-balance" in out
         assert "FAIL" not in out
 
     def test_threads_only_for_study(self, tmp_path):

@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,6 +10,7 @@ from pipeflow import solver as solver_mod
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw
 from pipeflow.network import loop_network, single_pipe, y_network
+from pipeflow.scenario import load_scenario
 from pipeflow.solver import (
     HyperbolicStepper,
     ParabolicStepper,
@@ -18,6 +22,8 @@ from pipeflow.solver import (
 )
 
 LAW = IsothermalLaw(1.0)
+SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "scenarios")
 NO_JUNCTIONS = np.zeros(0)  # junction enthalpies of a single pipe
 
 
@@ -89,6 +95,7 @@ class TestHyperbolicStep:
                                              {"inlet": 1.0, "outlet": 1.0})
         assert info.value.residual is not None
         assert info.value.iterations == 1
+        assert info.value.dt == 0.5
 
     @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
     def test_nan_boundary_value_fails_the_step(self, model):
@@ -174,6 +181,77 @@ class TestFactorizationReuse:
         fresh, _ = make().step(state0, 0.01, boundary)
         assert np.max(np.abs(half.rho - fresh.rho)) < 1e-10
         assert np.max(np.abs(half.w - fresh.w)) < 1e-10
+
+
+def _start_and_step(stepper, state, dt, boundary):
+    """The unknowns a step starts Newton from, and the step's new state."""
+    starts = []
+    residual = stepper._residual
+
+    def recording(dt, state, loads, x):
+        starts.append(x.copy())
+        return residual(dt, state, loads, x)
+
+    stepper._residual = recording
+    try:
+        new, _ = stepper.step(state, dt, boundary)
+    finally:
+        del stepper._residual
+    return starts[0], new
+
+
+@pytest.mark.parametrize("model, bound", [("parabolic", 3.0),
+                                          ("hyperbolic", 4.0)])
+def test_predicted_start_cuts_iterations_on_y_limit(model, bound):
+    # starting from the previous state took 4.37 (parabolic) and 4.55
+    # (hyperbolic) iterations per step
+    scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    system = scenario.build_system()
+    config = replace(scenario.solver, parabolic=model == "parabolic")
+    traj = run(system, scenario.initial_state(system), config,
+               scenario.boundary)
+    assert np.mean(traj.iterations) < bound
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
+class TestPredictor:
+    def _stepped(self, model, n=3):
+        """A stepper and the states it returned over n steps of the y flow."""
+        system, state, boundary, make = _y_flow(model)
+        stepper = make()
+        states = [state]
+        for _ in range(n):
+            states.append(stepper.step(states[-1], 0.02, boundary)[0])
+        return system, boundary, make, stepper, states
+
+    def test_quadratic_prediction(self, model):
+        system, boundary, _, stepper, states = self._stepped(model)
+        start, _ = _start_and_step(stepper, states[-1], 0.02, boundary)
+        r0, r1, r2 = (s.rho for s in states[1:])
+        assert np.array_equal(start[:system.n_cells], 3.0 * r2 - 3.0 * r1 + r0)
+        if model == "hyperbolic":
+            w0, w1, w2 = (s.w for s in states[1:])
+            assert np.array_equal(start[system.n_cells:system.n_state],
+                                  3.0 * w2 - 3.0 * w1 + w0)
+
+    @pytest.mark.parametrize("case", ["new dt", "foreign state",
+                                      "nonpositive prediction"])
+    def test_restart_starts_as_a_fresh_stepper(self, model, case):
+        system, boundary, make, stepper, states = self._stepped(model)
+        state, dt = states[-1], 0.02
+        if case == "new dt":
+            dt = 0.01
+        elif case == "foreign state":
+            state = state.copy()
+        else:
+            # 3 x_n - 3 x_{n-1} + x_{n-2} falls below zero
+            stepper._history[1][:system.n_cells] += 10.0
+        start, new = _start_and_step(stepper, state, dt, boundary)
+        fresh_start, _ = _start_and_step(make(), state, dt, boundary)
+        assert np.array_equal(start, fresh_start)
+        # the history restarts from the accepted step
+        again, _ = _start_and_step(stepper, new, dt, boundary)
+        assert np.array_equal(again[:system.n_cells], new.rho)
 
 
 class TestVelocityRecovery:
@@ -344,6 +422,7 @@ class TestRun:
             run(system, state0, config, {"inlet": 1.0, "outlet": 1.0})
         assert info.value.partial is not None
         assert len(info.value.partial.states) >= 1
+        assert info.value.dt == 0.5
 
     def test_admissibility_flагging(self):
         bounds = AdmissibleBounds(rho_min=0.999, rho_max=1.001, w_max=0.5,
