@@ -54,9 +54,9 @@ def _check_expression(section, key, path):
     expr = section[key]
     try:
         code = compile(expr, path, "eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
         raise ConfigError(f"{where}: cannot parse {key} = {expr!r}: "
-                          f"{exc.msg}") from None
+                          f"{getattr(exc, 'msg', exc)}") from None
     allowed = {"x", "L", *_EXPR_ENV}
     stack = [code]
     while stack:

@@ -11,7 +11,11 @@ and takes a full step with it as long as that step contracts the
 residual quickly.  When it does not, the Jacobian is rebuilt and
 factored at the current iterate and the update is damped by a halving
 line search.  The stopping test is the same in both cases, so every
-accepted state satisfies the equations to the Newton tolerance.
+accepted state satisfies the equations to the Newton tolerance.  A step
+that continues the stepper's own sequence at the same dt starts Newton
+from the solution extrapolated through the last accepted steps
+(quadratic through three, linear through two); any other step starts
+afresh from its initial state.
 Junction mass balances are imposed on the accepted end-of-step state so
 that every snapshot satisfies them to solver tolerance.  Two steppers
 fix the model's parameters:
@@ -23,6 +27,8 @@ fix the model's parameters:
   0, where the eps^2 block of C vanishes, with backward Euler.  The
   momentum rows then tie the face velocities to the discrete enthalpy
   gradient s by gamma*|w|*w = -s, solved together with the mass update.
+  Its runs record the balance residual of the limit energy (no eps^2
+  kinetic term), which backward Euler keeps <= 0.
 
 Only enthalpy-type boundary data are supported; prescribed mass-flux
 boundary values would enter through an extra load term at the terminal
@@ -145,11 +151,11 @@ class _NewtonStepper:
     the junction balances imposed on the end-of-step state.  A stepper
     fixes eps and theta and supplies its stage loads (``_stage``), its
     starting values from a prediction or afresh (``_start``) and its
-    line-search cut limit (``max_cuts``).  At eps = 0
-    the c_w term and the kinetic coupling d(G h)/dw vanish, and with them
-    the template's ``ww`` block; at theta = 1 the stage state is the end
-    state.  These cases are branches rather than products with zero or
-    one, which keeps the other cases' floating-point results unchanged.
+    line-search cut limit (``max_cuts``).  At eps = 0 the c_w term and
+    the kinetic coupling d(G h)/dw vanish, and with them the template's
+    ``ww`` block; at theta = 1 the stage state is the end state.  These
+    cases are branches rather than products with zero or one, which
+    keeps the other cases' floating-point results unchanged.
 
     Newton starts from values extrapolated through the stacked unknowns
     (rho, w, h_v) of the last accepted steps (the starting values of

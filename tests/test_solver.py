@@ -229,10 +229,15 @@ class TestPredictor:
         start, _ = _start_and_step(stepper, states[-1], 0.02, boundary)
         r0, r1, r2 = (s.rho for s in states[1:])
         assert np.array_equal(start[:system.n_cells], 3.0 * r2 - 3.0 * r1 + r0)
+        w = start[system.n_cells:system.n_state]
         if model == "hyperbolic":
             w0, w1, w2 = (s.w for s in states[1:])
-            assert np.array_equal(start[system.n_cells:system.n_state],
-                                  3.0 * w2 - 3.0 * w1 + w0)
+            assert np.array_equal(w, 3.0 * w2 - 3.0 * w1 + w0)
+        else:
+            # the velocities are recovered from the predicted rho and h_v
+            assert np.array_equal(w, velocity_recovery(
+                system, start[:system.n_cells], boundary,
+                junction_h=start[system.n_state:]))
 
     @pytest.mark.parametrize("case", ["new dt", "foreign state",
                                       "nonpositive prediction"])
