@@ -11,8 +11,8 @@ it came from, and a repeated section or key is an error.
 
 from __future__ import annotations
 
+import ast
 import os
-import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -35,37 +35,103 @@ _EXPR_ENV = {
 }
 
 
+# the grammar of [initial] expressions: numbers, x, L and the names of
+# _EXPR_ENV, + - * / **, unary + and -, and calls of the functions of
+# _EXPR_ENV with their number of positional arguments (a further one
+# would be the ufunc's output array)
+_EXPR_NAMES = {"x", "L", *_EXPR_ENV}
+_EXPR_FUNCTIONS = {name: value.nin for name, value in _EXPR_ENV.items()
+                   if isinstance(value, np.ufunc)}
+_EXPR_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_EXPR_UNARY = (ast.UAdd, ast.USub)
+
+
+def _check_names(tree):
+    """Every identifier of the expression, attribute names included, in
+    source order, must be a name of the grammar."""
+    names = sorted((node.end_lineno, node.end_col_offset,
+                    node.id if isinstance(node, ast.Name) else node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+    for *_, name in names:
+        if name not in _EXPR_NAMES:
+            raise ValueError(f"unknown name {name!r}")
+
+
+def _checked_tree(node):
+    """The expression node, its names already checked, with every number
+    a float constant, so that ``**`` cannot build huge integers;
+    ValueError names the first node outside the grammar."""
+    if isinstance(node, ast.Constant):
+        if type(node.value) not in (int, float):
+            raise ValueError(f"{type(node.value).__name__} constant "
+                             f"{node.value!r} not allowed")
+        try:
+            value = float(node.value)
+        except OverflowError:
+            raise ValueError("integer constant too large") from None
+        return ast.copy_location(ast.Constant(value), node)
+    if isinstance(node, ast.Name):
+        return node
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_BINARY):
+        node.left = _checked_tree(node.left)
+        node.right = _checked_tree(node.right)
+        return node
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_UNARY):
+        node.operand = _checked_tree(node.operand)
+        return node
+    if isinstance(node, ast.Call):
+        func = _checked_tree(node.func)
+        if not (isinstance(func, ast.Name) and func.id in _EXPR_FUNCTIONS):
+            raise ValueError(f"only {', '.join(sorted(_EXPR_FUNCTIONS))} "
+                             "can be called")
+        if node.keywords:
+            raise ValueError("keyword argument not allowed")
+        node.args = [_checked_tree(arg) for arg in node.args]
+        if len(node.args) != _EXPR_FUNCTIONS[func.id]:
+            raise ValueError(f"{func.id} takes {_EXPR_FUNCTIONS[func.id]} "
+                             f"argument(s), not {len(node.args)}")
+        return node
+    kind = type(getattr(node, "op", node)).__name__
+    raise ValueError(f"{kind} not allowed")
+
+
+def _compile_expression(expr):
+    """Compile a profile expression after checking it against the
+    grammar above; ValueError says what is wrong."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
+        raise ValueError(f"cannot parse: {getattr(exc, 'msg', exc)}") from None
+    except RecursionError:
+        raise ValueError("cannot parse: nested too deeply") from None
+    try:
+        _check_names(tree)
+        tree.body = _checked_tree(tree.body)
+        return compile(ast.fix_missing_locations(tree), "<expression>", "eval")
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def eval_profile_expression(expr, x, length):
     """Evaluate an initial-profile expression of x (and pipe length L)."""
     env = dict(_EXPR_ENV)
     env.update({"x": x, "L": length})
     try:
-        value = eval(expr, {"__builtins__": {}}, env)
+        value = eval(_compile_expression(expr), {"__builtins__": {}}, env)
     except Exception as exc:
         raise ConfigError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
 
 
 def _check_expression(section, key, path):
-    """Compile the profile expression under ``key``; it may name only x,
-    L and the entries of _EXPR_ENV, in nested code too.  Attribute names
-    are names of the code, so attribute access is rejected as well."""
-    where = f"{path}:{section.lines[key]}"
+    """Check the profile expression under ``key`` against the grammar."""
     expr = section[key]
     try:
-        code = compile(expr, path, "eval")
-    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte
-        raise ConfigError(f"{where}: cannot parse {key} = {expr!r}: "
-                          f"{getattr(exc, 'msg', exc)}") from None
-    allowed = {"x", "L", *_EXPR_ENV}
-    stack = [code]
-    while stack:
-        code = stack.pop()
-        for name in code.co_names:
-            if name not in allowed:
-                raise ConfigError(f"{where}: unknown name {name!r} in "
-                                  f"{key} = {expr!r}")
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+        _compile_expression(expr)
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{section.lines[key]}: {exc} in "
+                          f"{key} = {expr!r}") from None
 
 
 class _Section(dict):
@@ -242,6 +308,10 @@ def format_topology(topology, boundary_defaults=None):
 
 def _edge(section, epsilon, path):
     name = _section_arg(section, "name", path)
+    if "," in name:
+        # the snapshot tables are comma-separated, with a column of names
+        raise ConfigError(f"{path}:{section.lineno}: edge name {name!r} "
+                          "contains a comma")
     start = _get(section, "from", str, path=path, required=True)
     end = _get(section, "to", str, path=path, required=True)
     length = _get(section, "length", float, path=path, required=True)
@@ -579,9 +649,27 @@ def write_manifest(path, scenario, extra=None):
         fh.write(scenario.manifest(extra=extra))
 
 
+def _row_pieces(system, x, block):
+    """The constant parts of a snapshot table's rows: a leading empty
+    piece, then ',edge,node,x,%.12g,%.12g\n' per row, edges in topology
+    order.  Joined on a snapshot's tau text and %-formatted with its two
+    value columns interleaved, they are the snapshot's rows.  A '%' in an
+    edge name is doubled, so the name comes out as written."""
+    pieces = [""]
+    for e in system.topology.edges:
+        name = e.name.replace("%", "%%")
+        pieces += [f",{name},{i},{xi:.12g},%.12g,%.12g\n"
+                   for i, xi in enumerate(x[block(e.name)].tolist())]
+    return pieces
+
+
 def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
     """Snapshot tables: cell rows (tau, edge, node, x, rho, h) and face
-    rows (tau, edge, node, x, w, m)."""
+    rows (tau, edge, node, x, w, m), numbers as %.12g; per snapshot the
+    rows run through the edges in topology order, then the node index.
+    ``fmt="npz"`` writes the arrays instead."""
+    if fmt not in ("csv", "npz"):
+        raise ValueError(f"unknown trajectory format {fmt!r}: use csv or npz")
     os.makedirs(directory, exist_ok=True)
     if fmt == "npz":
         np.savez_compressed(
@@ -594,6 +682,11 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
             edges=np.array([e.name for e in system.topology.edges]),
         )
         return
+    # edges own consecutive cell and face blocks in topology order, so the
+    # rows of a snapshot follow the flat arrays; one snapshot's text at a
+    # time is formatted in C and written
+    cell_rows = _row_pieces(system, system.x_cells, system.edge_cells)
+    face_rows = _row_pieces(system, system.x_faces, system.edge_faces)
     cells_path = os.path.join(directory, f"{prefix}_cells.csv")
     faces_path = os.path.join(directory, f"{prefix}_faces.csv")
     with open(cells_path, "w") as fc, open(faces_path, "w") as ff:
@@ -601,17 +694,11 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
         ff.write("tau,edge,node,x,w,m\n")
         for state in trajectory.states:
             h, m = system.costate(state)
-            for e in system.topology.edges:
-                cells = system.edge_cells(e.name)
-                faces = system.edge_faces(e.name)
-                for i, c in enumerate(range(cells.start, cells.stop)):
-                    fc.write(f"{state.tau:.12g},{e.name},{i},"
-                             f"{system.x_cells[c]:.12g},{state.rho[c]:.12g},"
-                             f"{h[c]:.12g}\n")
-                for i, f in enumerate(range(faces.start, faces.stop)):
-                    ff.write(f"{state.tau:.12g},{e.name},{i},"
-                             f"{system.x_faces[f]:.12g},{state.w[f]:.12g},"
-                             f"{m[f]:.12g}\n")
+            tau = f"{state.tau:.12g}"
+            fc.write(tau.join(cell_rows)
+                     % tuple(np.column_stack((state.rho, h)).ravel().tolist()))
+            ff.write(tau.join(face_rows)
+                     % tuple(np.column_stack((state.w, m)).ravel().tolist()))
 
 
 def write_energy_trace(path, trajectory):

@@ -1,17 +1,27 @@
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pipeflow import network as net
 from pipeflow.cli import main
+from pipeflow.discretization import EdgeGrid, NetworkState, NetworkSystem
+from pipeflow.gas import PipeParameters, make_law
 from pipeflow.scenario import (
+    _EXPR_ENV,
     ConfigError,
+    _checked_tree,
+    eval_profile_expression,
     load_scenario,
     load_topology,
     parse_scenario,
+    write_trajectory,
 )
+from pipeflow.solver import ParabolicStepper, Trajectory, run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -118,17 +128,57 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("expr, error", [
         ("1 + foo", "unknown name 'foo'"),
         ("1 +", "cannot parse"),
+        ("1 + x\0", "cannot parse"),
         ("().__class__.__base__.__subclasses__().__len__() + 0*x",
          "unknown name '__class__'"),
         ("__import__('os').getpid() + x", "unknown name '__import__'"),
         ("(lambda: open)() + x", "unknown name 'open'"),
         ("x.real", "unknown name 'real'"),
+        ("__import__('os')", "unknown name '__import__'"),
+        ("lambda: x", "Lambda not allowed"),
+        ("(x)[0]", "Subscript not allowed"),
+        ("[t for t in ()]", "unknown name 't'"),
+        ("[x for x in (x,)]", "ListComp not allowed"),
+        ("minimum(x, out=x)", "keyword argument not allowed"),
+        ("sin(x, x)", "sin takes 1 argument"),
+        ("pi(x)", "only abs, cos"),
+        ("sin(*x)", "Starred not allowed"),
+        ("'1' + x", "str constant '1' not allowed"),
+        ("x < 1", "Compare not allowed"),
+        ("x % 2", "Mod not allowed"),
+        ("x.sin", "Attribute not allowed"),
     ])
     def test_bad_initial_expression_fails_at_parse_time(self, key, expr, error):
         head = MINIMAL + "\n[initial]\n"
         line = head.count("\n") + 1
         with pytest.raises(ConfigError, match=rf"^s\.scn:{line}: {error}"):
             parse_scenario(head + f"{key} = {expr}\n", path="s.scn")
+
+    def test_expression_numbers_become_floats(self):
+        # a huge power is a float overflow, not a huge integer: inspect
+        # the checked tree only, never evaluate it
+        tree = ast.parse("9**9**9 * x + (-2)**1000", mode="eval")
+        checked = _checked_tree(tree.body)
+        numbers = sorted(node.value for node in ast.walk(checked)
+                         if isinstance(node, ast.Constant))
+        assert numbers == [2.0, 9.0, 9.0, 9.0, 1000.0]
+        assert all(type(v) is float for v in numbers)
+
+    def test_committed_profiles_evaluate_as_plain_eval(self):
+        # reference: eval of the raw text, as profiles were evaluated
+        # before the grammar check
+        exprs = set()
+        for name in os.listdir(SCEN):
+            if name.endswith(".scn"):
+                scen = load_scenario(os.path.join(SCEN, name))
+                exprs |= {scen.initial.rho, scen.initial.w} - {"recover"}
+        assert "1 + 0.08*sin(pi*x/L)" in exprs
+        x = np.linspace(0.0, 2.0, 257)
+        for expr in exprs:
+            env = {**_EXPR_ENV, "x": x, "L": 2.0}
+            plain = eval(expr, {"__builtins__": {}}, env)
+            value = eval_profile_expression(expr, x, 2.0)
+            assert np.array_equal(value, np.broadcast_to(plain, x.shape))
 
     def test_recover_only_for_velocity(self):
         with pytest.raises(ConfigError, match="unknown name 'recover'"):
@@ -205,10 +255,11 @@ def _topo(old, new):
     ("scenario", MINIMAL + "\n[boundary inlet]\nh = 2.0\n", 19),
     ("scenario", MINIMAL.replace("single-pipe", "single-pipe\nlength = -1"), 6),
     ("scenario", MINIMAL.replace("dt = 0.01", "dt = fast"), 16),
+    ("topology", _topo("[edge p]", "[edge p,q]"), 5),
 ], ids=["length-abc", "gravity-x", "h-abc", "length-negative", "area-negative",
         "repeated-edge", "repeated-key", "repeated-boundary", "repeated-vertex",
         "repeated-cells", "repeated-scenario-boundary", "builtin-length",
-        "solver-dt"])
+        "solver-dt", "edge-comma"])
 def test_bad_input_names_file_and_line(tmp_path, kind, text, line):
     path = tmp_path / ("net.topo" if kind == "topology" else "s.scn")
     path.write_text(text)
@@ -285,6 +336,24 @@ class TestCli:
         assert "junction-conservation" in out
         assert "ok   limit-energy-balance" in out
         assert "FAIL" not in out
+
+    def test_verify_catches_corrupted_parabolic_step(self, monkeypatch,
+                                                     capsys):
+        step = ParabolicStepper.step
+
+        def corrupted(self, *args, **kwargs):
+            state, info = step(self, *args, **kwargs)
+            return NetworkState(state.tau, state.rho * (1 + 1e-3),
+                                state.w), info
+
+        monkeypatch.setattr(ParabolicStepper, "step", corrupted)
+        code = main(["verify", "--scenario",
+                     os.path.join(SCEN, "y_transient.scn"),
+                     "--samples", "5", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL limit-energy-balance" in out
+        assert "ok   power-balance" in out
 
     def test_threads_only_for_study(self, tmp_path):
         scn = tmp_path / "s.scn"
@@ -391,3 +460,85 @@ def test_tabulated_law_scenario(tmp_path):
     assert scen.law.kind == "tabulated"
     assert scen.law.potential(1.5) == pytest.approx(base.potential(1.5),
                                                     rel=1e-8)
+
+
+def _reference_write_csv(directory, system, trajectory, prefix="states"):
+    """The snapshot tables row by row, one f-string per row: the
+    reference the C-level writer must match byte for byte."""
+    cells_path = os.path.join(directory, f"{prefix}_cells.csv")
+    faces_path = os.path.join(directory, f"{prefix}_faces.csv")
+    with open(cells_path, "w") as fc, open(faces_path, "w") as ff:
+        fc.write("tau,edge,node,x,rho,h\n")
+        ff.write("tau,edge,node,x,w,m\n")
+        for state in trajectory.states:
+            h, m = system.costate(state)
+            for e in system.topology.edges:
+                cells = system.edge_cells(e.name)
+                faces = system.edge_faces(e.name)
+                for i, c in enumerate(range(cells.start, cells.stop)):
+                    fc.write(f"{state.tau:.12g},{e.name},{i},"
+                             f"{system.x_cells[c]:.12g},{state.rho[c]:.12g},"
+                             f"{h[c]:.12g}\n")
+                for i, f in enumerate(range(faces.start, faces.stop)):
+                    ff.write(f"{state.tau:.12g},{e.name},{i},"
+                             f"{system.x_faces[f]:.12g},{state.w[f]:.12g},"
+                             f"{m[f]:.12g}\n")
+
+
+def _assert_tables_match_reference(tmp_path, system, trajectory):
+    write_trajectory(tmp_path / "new", system, trajectory, prefix="snap")
+    os.makedirs(tmp_path / "ref")
+    _reference_write_csv(tmp_path / "ref", system, trajectory, prefix="snap")
+    for name in ("snap_cells.csv", "snap_faces.csv"):
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "ref" / name).read_bytes()
+    return new
+
+
+def test_csv_tables_match_reference_on_y_transient(tmp_path):
+    scen = load_scenario(os.path.join(SCEN, "y_transient.scn"))
+    system = scen.build_system(8)
+    traj = run(system, scen.initial_state(system),
+               replace(scen.solver, t_final=0.05), scen.boundary)
+    faces = _assert_tables_match_reference(tmp_path, system, traj)
+    assert faces.count(b"\n") == 1 + len(traj.states) * system.n_faces
+
+
+def test_csv_tables_match_reference_with_format_characters_in_names(tmp_path):
+    names = ["p%", "q%s", "{tau}", "}"]
+    params = PipeParameters(length=1.5)
+    edges = [net.Edge(name, start, end, params) for name, start, end in
+             zip(names, ["a", "j", "j", "j"], ["j", "b", "c", "d"])]
+    topology = net.NetworkTopology(edges)
+    grids = {name: EdgeGrid(params.length, n)
+             for name, n in zip(names, [2, 5, 3, 7])}
+    system = NetworkSystem(topology, grids, make_law("isothermal"))
+    rng = np.random.default_rng(3)
+    traj = Trajectory()
+    for tau in (0.0, 0.125, 1 / 3):
+        traj.append(NetworkState(tau, 1 + 0.1 * rng.random(system.n_cells),
+                                 rng.standard_normal(system.n_faces)), None)
+    faces = _assert_tables_match_reference(tmp_path, system, traj)
+    assert b",q%s,1," in faces and b",{tau},0," in faces
+
+
+def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
+    scen = parse_scenario(MINIMAL)
+    system = scen.build_system(4)
+    w = np.array([-0.0, 1e-300, 123456789012345.6, -2.5e-7, 0.1 + 0.2])
+    rho = np.array([1e-300, 1.0, 123456789012345.6, 1e16])
+    traj = Trajectory()
+    traj.append(NetworkState(-0.0, rho, w), None)
+    traj.append(NetworkState(1e-5, rho[::-1].copy(), -w), None)
+    faces = _assert_tables_match_reference(tmp_path, system, traj)
+    assert b",-0,-0\n" in faces and b"e-300," in faces
+
+
+def test_unknown_trajectory_format_is_rejected(tmp_path):
+    scen = parse_scenario(MINIMAL)
+    system = scen.build_system(4)
+    traj = Trajectory()
+    traj.append(scen.initial_state(system), None)
+    with pytest.raises(ValueError, match="'parquet'"):
+        write_trajectory(tmp_path / "out", system, traj, fmt="parquet")
+    assert not (tmp_path / "out").exists()
