@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import network as net
-from .gas import check_admissible
+from .gas import bisect, check_admissible
 
 _ZERO = np.zeros(1)
 
@@ -406,16 +406,28 @@ class NetworkSystem:
     def rest_state(self, boundary_enthalpy, tau=0.0):
         """Well-balanced rest state: w = 0, P'(rho) + g z = const per cell.
 
-        One root is found per distinct target enthalpy, so a flat network
-        costs a single solve whatever its size.
+        Every distinct target P'(rho) = const - g z is solved at once by
+        bisect, bracketed by the law's density_range, so a flat network
+        evaluates the law on one-element arrays only.  Each root is the
+        one of the two adjacent floats around the target's crossing with
+        the smaller |P'(rho) - target|.  A target that the range does not
+        reach is a ValueError.
         """
-        from scipy.optimize import brentq
-
         targets, cell_target = np.unique(boundary_enthalpy - self.gz_cells,
                                          return_inverse=True)
-        roots = np.array([brentq(lambda r: self.law.dpotential(r) - t,
-                                 1e-8, 1e8, xtol=1e-14, rtol=1e-15)
-                          for t in targets])
+        r_lo, r_hi = self.law.density_range
+        # P' is increasing, so the ends of the range bound its values
+        p_lo = self.law.dpotential(np.full(1, r_lo))[0]
+        p_hi = self.law.dpotential(np.full(1, r_hi))[0]
+        outside = ~((targets >= p_lo) & (targets <= p_hi))  # NaN too
+        if outside.any():
+            raise ValueError(
+                f"rest state: P'(rho) = {targets[outside][0]:.17g} (the rest "
+                f"enthalpy minus g z) is outside [{p_lo:.17g}, "
+                f"{p_hi:.17g}], the values of P' on the gas law's densities "
+                f"[{r_lo:.6g}, {r_hi:.6g}]")
+        roots = bisect(lambda r: self.law.dpotential(r) - targets,
+                       np.full(targets.shape, r_lo), np.full(targets.shape, r_hi))
         return NetworkState(tau, roots[cell_target], np.zeros(self.n_faces))
 
     def check_state(self, state, bounds):

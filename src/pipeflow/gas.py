@@ -18,6 +18,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def bisect(f, lo, hi):
+    """Roots of a monotone vectorized f, one per bracket [lo[i], hi[i]].
+
+    f maps an array of points to an array of values, element by element,
+    and changes sign (or vanishes) between lo[i] and hi[i].  Every bracket
+    that still has a float strictly inside it is halved, keeping the half
+    that holds the sign change; when none is left, each element gets
+    whichever of its two end floats has the smaller |f|.  A degenerate
+    bracket lo[i] == hi[i] returns lo[i] without a halving.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    f_lo, f_hi = f(lo), f(hi)
+    inside = np.nextafter(lo, hi) < hi
+    while inside.any():
+        # a settled bracket evaluates at lo again and keeps its ends
+        mid = np.where(inside, 0.5 * (lo + hi), lo)
+        f_mid = f(mid)
+        left = np.sign(f_mid) != np.sign(f_lo)
+        hi, f_hi = np.where(left, mid, hi), np.where(left, f_mid, f_hi)
+        # an exact zero closes the bracket on mid
+        right = ~left | (f_mid == 0.0)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+        inside = np.nextafter(lo, hi) < hi
+    return np.where(np.abs(f_hi) < np.abs(f_lo), hi, lo)
+
+
 def _as_positive(rho):
     rho = np.asarray(rho, dtype=float)
     # comparisons with NaN are false, so NaN fails the test too
@@ -30,6 +57,8 @@ class GasLaw:
     """Base class for barotropic pressure laws."""
 
     kind = "abstract"
+    # the densities the law is defined on; rest states are sought here
+    density_range = (1e-8, 1e8)
 
     def pressure(self, rho):
         raise NotImplementedError
@@ -161,6 +190,7 @@ class TabulatedLaw(GasLaw):
 
         self.rho_table = rho_table
         self.p_table = p_table
+        self.density_range = (float(rho_table[0]), float(rho_table[-1]))
         self._p = PchipInterpolator(rho_table, p_table)
         self._dp = self._p.derivative()
         self._grid = np.linspace(rho_table[0], rho_table[-1], grid_points)

@@ -27,6 +27,11 @@ class Edge:
     params: PipeParameters
 
     def __post_init__(self):
+        # the snapshot tables are comma-separated rows with a column of
+        # edge names
+        if any(c in self.name for c in ",\n\r"):
+            raise TopologyError(f"edge name {self.name!r} contains a comma "
+                                "or a line break")
         if self.start == self.end:
             raise TopologyError(f"edge {self.name!r} must have distinct endpoints")
 

@@ -308,10 +308,6 @@ def format_topology(topology, boundary_defaults=None):
 
 def _edge(section, epsilon, path):
     name = _section_arg(section, "name", path)
-    if "," in name:
-        # the snapshot tables are comma-separated, with a column of names
-        raise ConfigError(f"{path}:{section.lineno}: edge name {name!r} "
-                          "contains a comma")
     start = _get(section, "from", str, path=path, required=True)
     end = _get(section, "to", str, path=path, required=True)
     length = _get(section, "length", float, path=path, required=True)

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from . import energy as energy_mod
 from .discretization import NetworkState
+from .gas import bisect
 
 
 class StepFailure(RuntimeError):
@@ -560,34 +560,36 @@ def velocity_recovery(system, rho, boundary_values, junction_h):
 def limit_flow(system, rho, boundary_values):
     """The limit model's face velocities and junction enthalpies for a
     density and boundary values: (w, junction_h), with junction_h
-    balancing the recovered mass fluxes at every junction."""
+    balancing the recovered mass fluxes at every junction.
+
+    The signed mass-flow sum at a junction decreases in its enthalpy x,
+    since each term sign*(a rho)_f*w_f(x) does; it is >= 0 at the least
+    and <= 0 at the greatest enthalpy of the junction's adjacent cells.
+    All junctions are solved at once by bisect on those brackets, and
+    each gets the one of the two adjacent floats around its balance with
+    the smaller mass defect.  Equal adjacent enthalpies give exactly that
+    enthalpy and zero velocities at the junction's faces.
+    """
     rho = np.asarray(rho, dtype=float)
     h = system.law.dpotential(rho) + system.gz_cells
     arho = system.arho_faces(rho)
-    hv = np.zeros(system.n_junctions)
-    for j in range(system.n_junctions):
-        sel = system.junction_term_slots == j
-        faces = system.junction_term_faces[sel]
-        signs = system.junction_term_signs[sel]
-        adj = system.junction_term_cells[sel]
+    slots, faces = system.junction_term_slots, system.junction_term_faces
+    signs = system.junction_term_signs
+    h_adj = h[system.junction_term_cells]
+    # the face slope (x - h_adj)/omega, signed by the edge's direction
+    sign_omega = signs * system.omega_faces[faces]
+    gamma, sign_arho = system.gamma_faces[faces], signs * arho[faces]
 
-        def defect(x):
-            total = 0.0
-            for f, sign, c in zip(faces, signs, adj):
-                omega = system.omega_faces[f]
-                s = (x - h[c]) / omega if sign > 0 else (h[c] - x) / omega
-                total += sign * arho[f] * _recovery(s, system.gamma_faces[f])
-            return total
+    def defect(x):
+        s = (x[slots] - h_adj) / sign_omega
+        return np.bincount(slots, sign_arho * _recovery(s, gamma),
+                           minlength=system.n_junctions)
 
-        lo = float(np.min(h[adj])) - 1.0
-        hi = float(np.max(h[adj])) + 1.0
-        for _ in range(60):
-            if defect(lo) >= 0.0 >= defect(hi):
-                break
-            width = hi - lo
-            lo -= max(1.0, width)
-            hi += max(1.0, width)
-        hv[j] = brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    lo = np.full(system.n_junctions, np.inf)
+    hi = np.full(system.n_junctions, -np.inf)
+    np.minimum.at(lo, slots, h_adj)
+    np.maximum.at(hi, slots, h_adj)
+    hv = bisect(defect, lo, hi)
     return velocity_recovery(system, rho, boundary_values, junction_h=hv), hv
 
 

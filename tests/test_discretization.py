@@ -10,7 +10,13 @@ from pipeflow.discretization import (
     build_system,
 )
 from pipeflow.energy import random_admissible_state
-from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PipeParameters, PowerLaw
+from pipeflow.gas import (
+    AdmissibleBounds,
+    IsothermalLaw,
+    PipeParameters,
+    PowerLaw,
+    TabulatedLaw,
+)
 from pipeflow.network import (
     Edge,
     NetworkTopology,
@@ -184,20 +190,20 @@ class TestSpatialResidual:
         assert np.max(np.abs(drho)) < 1e-13
         assert np.max(np.abs(dw)) < 1e-12
 
-    def test_rest_state_solves_once_per_flat_network(self, monkeypatch):
-        import scipy.optimize
+    def test_rest_state_solves_once_per_flat_network(self):
+        sizes = []
 
-        calls = []
-        brentq = scipy.optimize.brentq
+        class CountingLaw(IsothermalLaw):
+            def dpotential(self, rho):
+                sizes.append(np.size(rho))
+                return super().dpotential(rho)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return brentq(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "brentq", counting)
-        system = build_system(y_network(epsilon=0.4), cells_per_edge=64, law=LAW)
+        system = build_system(y_network(epsilon=0.4), cells_per_edge=64,
+                              law=CountingLaw(1.0))
         state = system.rest_state(1.1)
-        assert len(calls) == 1
+        # one target whatever the number of cells: the law only ever sees
+        # one-element arrays
+        assert sizes and set(sizes) == {1}
         assert np.all(state.rho == state.rho[0])
         assert np.all(state.w == 0.0)
 
@@ -205,11 +211,44 @@ class TestSpatialResidual:
         from scipy.optimize import brentq
 
         topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.2)))
-        system = build_system(topo, cells_per_edge=12, law=LAW)
-        expected = [brentq(lambda r: LAW.dpotential(r) - t, 1e-8, 1e8,
-                           xtol=1e-14, rtol=1e-15)
-                    for t in 1.1 - system.gz_cells]
-        assert np.array_equal(system.rest_state(1.1).rho, expected)
+        for law in (LAW, PowerLaw(1.0, 1.4)):
+            system = build_system(topo, cells_per_edge=12, law=law)
+            targets = 1.1 - system.gz_cells
+            reference = np.array([brentq(lambda r: law.dpotential(r) - t,
+                                         1e-8, 1e8, xtol=1e-14, rtol=1e-15)
+                                  for t in targets])
+            rho = system.rest_state(1.1).rho
+
+            def residual(r):
+                return np.abs(law.dpotential(r) - targets)
+
+            np.testing.assert_allclose(rho, reference, rtol=1e-14, atol=0.0)
+            assert np.all(residual(rho) <= residual(reference))
+            for toward in (0.0, np.inf):
+                assert np.all(residual(rho)
+                              <= residual(np.nextafter(rho, toward)))
+
+    def test_tabulated_rest_state_on_slope(self):
+        table = np.linspace(0.2, 3.0, 57)
+        law = TabulatedLaw(table, table**1.3)
+        flat = build_system(single_pipe(epsilon=0.4), cells_per_edge=8, law=law)
+        assert flat.rest_state(law.dpotential([1.1])[0]).rho == pytest.approx(
+            1.1, rel=1e-14)
+        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.5)))
+        system = build_system(topo, cells_per_edge=64, law=law)
+        h = law.dpotential([1.1])[0]
+        rho = system.rest_state(h).rho
+        targets = h - system.gz_cells
+        residual = np.abs(law.dpotential(rho) - targets)
+        assert np.all(residual <= 4 * np.spacing(np.abs(targets)))
+        for toward in (0.0, np.inf):
+            neighbour = np.abs(law.dpotential(np.nextafter(rho, toward)) - targets)
+            assert np.all(residual <= neighbour)
+        assert np.all(np.diff(rho) < 0.0)  # less gas higher up
+        # a target beyond the table's densities is named, not clipped
+        high = law.dpotential([3.0])[0] + 0.25
+        with pytest.raises(ValueError, match=f"{high:.17g}"):
+            flat.rest_state(high)
 
     def test_friction_decay_on_loop(self):
         eps, gamma, w0 = 0.5, 0.8, 1.0
@@ -381,6 +420,73 @@ def test_velocity_recovery_matches_per_face_reference():
         expected = -np.sign(s) * np.sqrt(np.abs(s) / system.gamma_faces)
         assert np.array_equal(velocity_recovery(system, rho, values, hv),
                               expected)
+
+
+def _junction_enthalpy_reference(system, rho, xtol, rtol):
+    """Each junction's enthalpy by brentq on its own recovered mass
+    balance, built from the edges at the junction."""
+    from scipy.optimize import brentq
+
+    h = LAW.dpotential(rho) + system.gz_cells
+    arho = system.arho_faces(rho)
+    hv = []
+    for v in system.junction_vertices:
+        terms = []  # (sign, face, adjacent cell): + where the edge ends
+        for e in system.topology.edges_at(v):
+            cells, faces = system.edge_cells(e.name), system.edge_faces(e.name)
+            if e.end == v:
+                terms.append((1.0, faces.stop - 1, cells.stop - 1))
+            else:
+                terms.append((-1.0, faces.start, cells.start))
+
+        def defect(x):
+            total = 0.0
+            for sign, f, c in terms:
+                s = sign * (x - h[c]) / system.omega_faces[f]
+                w = -np.sign(s) * np.sqrt(abs(s) / system.gamma_faces[f])
+                total += sign * arho[f] * w
+            return total
+
+        adjacent = [h[c] for _, _, c in terms]
+        hv.append(brentq(defect, min(adjacent), max(adjacent),
+                         xtol=xtol, rtol=rtol))
+    return np.array(hv)
+
+
+def test_limit_flow_matches_brentq_reference():
+    from pipeflow.solver import limit_flow
+
+    xtol, rtol = 1e-14, 8.9e-16
+    rng = np.random.default_rng(5)
+    loop = build_system(loop_network(), cells_per_edge=6, law=LAW)
+    mixed, _ = _mixed_junction_systems()
+    for system in (loop, mixed):
+        assert system.n_junctions == 2
+        rho = 1.0 + 0.2 * rng.random(system.n_cells)
+        values = {v: 1.0 + 0.1 * rng.random() for v in system.boundary_vertices}
+        w, hv = limit_flow(system, rho, values)
+        assert np.max(np.abs(system.apply_st(system.arho_faces(rho) * w))) <= 1e-13
+        reference = _junction_enthalpy_reference(system, rho, xtol, rtol)
+        assert np.all(np.abs(hv - reference) <= xtol + rtol * np.abs(reference))
+
+
+def test_limit_flow_degenerate_bracket():
+    # a junction whose adjacent cells share one enthalpy gets exactly it,
+    # and no flow through its faces; the other junction is still solved
+    from pipeflow.solver import limit_flow
+
+    system = build_system(loop_network(), cells_per_edge=6, law=LAW)
+    rho = 1.0 + 0.2 * np.random.default_rng(6).random(system.n_cells)
+    level = system.junction_term_slots == 0
+    rho[system.junction_term_cells[level]] = 1.3
+    w, hv = limit_flow(system, rho, {})
+    assert hv[0] == LAW.dpotential(np.array([1.3]))[0]
+    assert np.all(w[system.junction_term_faces[level]] == 0.0)
+    assert np.all(w[system.junction_term_faces[~level]] != 0.0)
+    assert abs(system.apply_st(system.arho_faces(rho) * w)[1]) <= 1e-13
+    flat_w, flat_hv = limit_flow(system, np.full(system.n_cells, 1.3), {})
+    assert np.all(flat_hv == LAW.dpotential(np.array([1.3]))[0])
+    assert np.all(flat_w == 0.0)
 
 
 def test_subsonic_margin_computed_once_per_bounds(monkeypatch):

@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(TopologyError):
             make_edge("e", "v", "v")
 
+    @pytest.mark.parametrize("name", ["p,q", "p\nq", "p\rq"])
+    def test_edge_name_fit_for_snapshot_rows_in_code(self, name):
+        # the snapshot tables hold one comma-separated row per line
+        with pytest.raises(TopologyError, match="edge name"):
+            make_edge(name, "a", "b")
+
     def test_isolated_vertex_rejected(self):
         with pytest.raises(TopologyError, match="isolated"):
             NetworkTopology([make_edge("e", "a", "b")], vertices=["a", "b", "c"])

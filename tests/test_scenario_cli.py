@@ -368,8 +368,30 @@ class TestCli:
         subprocess.run([sys.executable, "-c",
                         "import sys, pipeflow.cli; "
                         "assert not {'sympy', 'scipy.integrate', "
-                        "'scipy.interpolate'} & set(sys.modules)"],
+                        "'scipy.interpolate', 'scipy.optimize'} "
+                        "& set(sys.modules)"],
                        env=env, check=True)
+
+    def test_runs_do_not_load_scipy_optimize(self):
+        # rest and recovered initial states, and both steppers
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import os, sys\n"
+            "from dataclasses import replace\n"
+            "from pipeflow.scenario import load_scenario\n"
+            "from pipeflow.solver import run\n"
+            "for name in ('y_transient', 'y_limit'):\n"
+            f"    scen = load_scenario(os.path.join({SCEN!r}, name + '.scn'))\n"
+            "    system = scen.build_system()\n"
+            "    state = scen.initial_state(system)\n"
+            "    for parabolic in (False, True):\n"
+            "        config = replace(scen.solver, t_final=3 * scen.solver.dt,\n"
+            "                         parabolic=parabolic)\n"
+            "        traj = run(system, state, config, scen.boundary)\n"
+            "        assert len(traj.states) == 4\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_mms_smoke(self, capsys):
         code = main(["mms", "--cells-list", "8,16", "--dt-list",
