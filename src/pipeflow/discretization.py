@@ -30,6 +30,13 @@ from .gas import bisect, check_admissible
 _ZERO = np.zeros(1)
 
 
+def weighted_sum(weight, values):
+    """sum(weight * values) over the last axis: a float for one state, a
+    (K,) array for a (K, n) stack, each row summed as np.dot sums it."""
+    out = np.vecdot(weight, values)
+    return float(out) if out.ndim == 0 else out
+
+
 class EdgeGrid:
     """Uniform staggered grid on a single pipe.
 
@@ -174,16 +181,12 @@ class NetworkSystem:
         self.boundary_term_faces = term_faces[order]
         self.boundary_term_signs = term_signs[order]
 
-        # face reconstruction weights: m_f = (sum_c kappa_{f,c} rho_c) * w_f
-        pair_face = []
-        pair_cell = []
-        for f in range(n_f):
-            for c in (face_left_cell[f], face_right_cell[f]):
-                if c >= 0:
-                    pair_face.append(f)
-                    pair_cell.append(c)
-        self.pair_face = np.asarray(pair_face, dtype=int)
-        self.pair_cell = np.asarray(pair_cell, dtype=int)
+        # face reconstruction weights: m_f = (sum_c kappa_{f,c} rho_c) * w_f,
+        # one pair per face and adjacent cell, left first
+        pairs = np.stack((face_left_cell, face_right_cell), axis=1).ravel()
+        has_cell = pairs >= 0
+        self.pair_face = np.repeat(np.arange(n_f), 2)[has_cell]
+        self.pair_cell = pairs[has_cell]
         self.pair_kappa = (self.a_cells[self.pair_cell] * self.dx_cells[self.pair_cell]
                            / (2.0 * self.omega_faces[self.pair_face]))
         self.k_matrix = sp.csr_matrix(
@@ -264,11 +267,14 @@ class NetworkSystem:
 
     # -- state-dependent maps ----------------------------------------------
 
+    # the gather forms and norms take one state or a (K, n) stack of them
+
     def kinetic_cells(self, w):
         """Cell average of w^2 from the two adjacent faces."""
         # a cell's right face is the face after its left face
         sq = w ** 2
-        return 0.5 * (sq[:-1] + sq[1:]).take(self.cell_left_face)
+        return 0.5 * (sq[..., :-1] + sq[..., 1:]).take(self.cell_left_face,
+                                                        axis=-1)
 
     def costate(self, state):
         """Cell enthalpies and face mass flow rates (h, m)."""
@@ -279,8 +285,8 @@ class NetworkSystem:
 
     def arho_faces(self, rho):
         """K rho: the face reconstruction of a*rho."""
-        return (self._kappa_left * rho.take(self._k_left)
-                + self._kappa_right * rho.take(self._k_right))
+        return (self._kappa_left * rho.take(self._k_left, axis=-1)
+                + self._kappa_right * rho.take(self._k_right, axis=-1))
 
     def apply_d(self, m):
         """D m: (D m)_c = m_right(c) - m_left(c)."""
@@ -380,19 +386,18 @@ class NetworkSystem:
     # -- norms and quadrature ----------------------------------------------
 
     def l2sq_cells(self, g):
-        return float(np.dot(self.dx_cells, np.asarray(g) ** 2))
+        return weighted_sum(self.dx_cells, np.square(g))
 
     def l2sq_faces(self, g):
-        return float(np.dot(self.omega_faces, np.asarray(g) ** 2))
+        return weighted_sum(self.omega_faces, np.square(g))
 
     def l3_faces(self, g):
-        return float(np.dot(self.omega_faces, np.abs(np.asarray(g)) ** 3))
+        return weighted_sum(self.omega_faces, np.abs(g) ** 3)
 
     def c_norm_sq(self, d_rho, d_w):
         """||(d_rho, d_w)||_C^2 = ||sqrt(a) d_rho||^2 + ||eps d_w||^2."""
-        d_rho = np.asarray(d_rho, dtype=float)
-        d_w = np.asarray(d_w, dtype=float)
-        return float(np.dot(self.c_rho, d_rho**2) + np.dot(self.c_w, d_w**2))
+        return (weighted_sum(self.c_rho, np.square(d_rho))
+                + weighted_sum(self.c_w, np.square(d_w)))
 
     def total_mass(self, state):
         return float(np.dot(self.c_rho, state.rho))

@@ -4,7 +4,11 @@ All functionals use the discretization's own quadrature weights (cell
 widths and face dual volumes), so the discrete power balance is an
 algebraic identity of the scheme rather than a quadrature approximation.
 The dissipation is the operator form integral of gamma * a * rho * |w|^3
-(cross-section weighted) on pipes and networks alike.
+(cross-section weighted) on pipes and networks alike.  The relative
+energy and dissipation and the perturbation functional take one state or
+a (K, n) stack of K snapshots, such as NetworkState(times,
+trajectory.rho_array(), trajectory.w_array()), and return a float or a
+(K,) array.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import NetworkState
+from .discretization import NetworkState, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +53,9 @@ def boundary_flux(system, state, boundary_values):
 
 
 def _check_pair(system, u, uhat):
-    if u.rho.shape != (system.n_cells,) or uhat.rho.shape != (system.n_cells,):
-        raise ValueError("states do not match the system's grids")
-    if u.w.shape != (system.n_faces,) or uhat.w.shape != (system.n_faces,):
+    batch = u.rho.shape[:-1]  # () for states, (K,) for stacks
+    if not (u.rho.shape == uhat.rho.shape == batch + (system.n_cells,)
+            and u.w.shape == uhat.w.shape == batch + (system.n_faces,)):
         raise ValueError("states do not match the system's grids")
 
 
@@ -69,19 +73,17 @@ def relative_energy(system, u, uhat):
              - law.dpotential(uhat.rho) * (u.rho - uhat.rho))
     kin = 0.5 * system.epsilon**2 * u.rho * (
         system.kinetic_cells(u.w) - system.kinetic_cells(uhat.w))
-    cells = float(np.dot(system.c_rho, p_rel + kin))
+    cells = weighted_sum(system.c_rho, p_rel + kin)
     mhat = system.arho_faces(uhat.rho) * uhat.w
-    faces = float(np.dot(system.c_w * mhat, u.w - uhat.w))
-    return cells - faces
+    return cells - weighted_sum(system.c_w * mhat, u.w - uhat.w)
 
 
 def relative_dissipation(system, u, uhat):
     """(1/16) integral of gamma a rhohat (|w| + |what|) (w - what)^2."""
     _check_pair(system, u, uhat)
-    arho_hat = system.arho_faces(uhat.rho)
-    weight = system.omega_faces * system.gamma_faces * arho_hat
-    return float(np.dot(weight, (np.abs(u.w) + np.abs(uhat.w))
-                        * (u.w - uhat.w) ** 2)) / 16.0
+    weight = system.omega_gamma * system.arho_faces(uhat.rho)
+    return weighted_sum(weight, (np.abs(u.w) + np.abs(uhat.w))
+                        * (u.w - uhat.w) ** 2) / 16.0
 
 
 def costate_defect_direct(system, u, uhat):
@@ -231,50 +233,33 @@ def residual_fields(system, trajectory, eps, eps_hat, gamma_hat=None):
     if times.size < 2:
         raise ValueError("need at least two snapshots to difference in time")
     w = trajectory.w_array()
-    k_snap = times.size
-
-    dtw = np.empty_like(w)
-    dtw[1:-1] = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
-    dtw[0] = (w[1] - w[0]) / (times[1] - times[0])
-    dtw[-1] = (w[-1] - w[-2]) / (times[-1] - times[-2])
-
     gamma = system.gamma_faces
-    if gamma_hat is None:
-        gamma_hat = gamma
-    gamma_hat = np.broadcast_to(np.asarray(gamma_hat, dtype=float),
-                                gamma.shape)
-
+    gamma_hat = gamma if gamma_hat is None else gamma_hat
+    # e2 accumulates in place, so few (K, n_faces) arrays live at once; the
+    # kinetic slope: between the adjacent cells' averages of w^2/2, with a
+    # terminal face's own w^2/2 standing in for its missing cell
     lc, rc = system.face_left_cell, system.face_right_cell
-    interior = (lc >= 0) & (rc >= 0)
-    start = (lc < 0)
-    end = (rc < 0)
-    lf, rf = system.cell_left_face, system.cell_right_face
-
-    e1 = np.zeros((k_snap, system.n_cells))
-    e2 = np.empty((k_snap, system.n_faces))
-    d_eps2 = eps**2 - eps_hat**2
-    for k in range(k_snap):
-        wk = w[k]
-        kin_c = 0.25 * (wk[lf] ** 2 + wk[rf] ** 2)  # (w^2)_c / 2
-        dkin = np.empty(system.n_faces)
-        dkin[interior] = ((kin_c[rc[interior]] - kin_c[lc[interior]])
-                          / system.omega_faces[interior])
-        dkin[start] = ((kin_c[rc[start]] - 0.5 * wk[start] ** 2)
-                       / system.omega_faces[start])
-        dkin[end] = ((0.5 * wk[end] ** 2 - kin_c[lc[end]])
-                     / system.omega_faces[end])
-        e2[k] = d_eps2 * (dtw[k] + dkin) + (gamma - gamma_hat) * np.abs(wk) * wk
-    return e1, e2
+    kin_c = 0.5 * system.kinetic_cells(w)
+    e2, left = (kin_c.take(np.maximum(c, 0), axis=-1) for c in (rc, lc))
+    e2[:, rc < 0] = 0.5 * w[:, rc < 0] ** 2
+    left[:, lc < 0] = 0.5 * w[:, lc < 0] ** 2
+    e2 -= left
+    e2 /= system.omega_faces
+    del kin_c, left
+    # plus dw/dtau from the snapshots before and after, one-sided at the ends
+    k = np.arange(times.size)
+    prev, succ = np.maximum(k - 1, 0), np.minimum(k + 1, k[-1])
+    e2 += (w[succ] - w[prev]) / (times[succ] - times[prev])[:, None]
+    e2 *= eps**2 - eps_hat**2
+    e2 += (gamma - gamma_hat) * np.abs(w) * w
+    return np.zeros((times.size, system.n_cells)), e2
 
 
 def perturbation_functional(system, e1, e2, constants):
     """p1 ||e1||_L2^2 + p2 ||e2||_L2^2 + p3 ||e2||_{L^{3/2}}^{3/2}."""
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    l2_1 = float(np.dot(system.dx_cells, e1**2))
-    l2_2 = float(np.dot(system.omega_faces, e2**2))
-    l32 = float(np.dot(system.omega_faces, np.abs(e2) ** 1.5))
-    return constants.p1 * l2_1 + constants.p2 * l2_2 + constants.p3 * l32
+    l32 = weighted_sum(system.omega_faces, np.abs(e2) ** 1.5)
+    return (constants.p1 * system.l2sq_cells(e1)
+            + constants.p2 * system.l2sq_faces(e2) + constants.p3 * l32)
 
 
 def boundary_perturbation(system, schedule, schedule_hat, taus, eps, eps_hat,
@@ -285,15 +270,14 @@ def boundary_perturbation(system, schedule, schedule_hat, taus, eps, eps_hat,
     eps_hat^2|); the root-sum-square couples multiple boundary vertices.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    out = np.empty(taus.size)
-    d_eps2 = abs(eps**2 - eps_hat**2)
-    for i, t in enumerate(taus):
-        sq = 0.0
-        for v in system.boundary_vertices:
-            a = schedule[v](t) if callable(schedule[v]) else schedule[v]
-            b = schedule_hat[v](t) if callable(schedule_hat[v]) else schedule_hat[v]
-            sq += (float(a) - float(b)) ** 2
-        out[i] = constants.c_boundary * (math.sqrt(sq) + d_eps2)
+
+    def values(entry):  # a schedule takes one time, as the steppers call it
+        return (np.array([float(entry(t)) for t in taus]) if callable(entry)
+                else float(entry))
+
+    sq = sum(((values(schedule[v]) - values(schedule_hat[v])) ** 2
+              for v in system.boundary_vertices), np.zeros(taus.size))
+    out = constants.c_boundary * (np.sqrt(sq) + abs(eps**2 - eps_hat**2))
     return out if out.size > 1 else float(out[0])
 
 
@@ -372,32 +356,26 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
     if eps_hat is None:
         eps_hat = system.epsilon
 
-    k_snap = times.size
-    cnorm = np.empty(k_snap)
-    rel_diss = np.empty(k_snap)
-    rel_en = np.empty(k_snap)
-    admissible = np.ones(k_snap, dtype=bool)
+    # the residual first: its temporaries are freed before the stacks exist
+    p_res = perturbation_functional(
+        system, *residual_fields(system, traj_hat, system.epsilon, eps_hat,
+                                 gamma_hat=gamma_hat), constants)
+    p_bnd = boundary_perturbation(system, schedule, schedule_hat, times,
+                                  system.epsilon, eps_hat, constants)
+    u = NetworkState(times, traj_u.rho_array(), traj_u.w_array())
+    uh = NetworkState(times, traj_hat.rho_array(), traj_hat.w_array())
+    cnorm = system.c_norm_sq(u.rho - uh.rho, u.w - uh.w)
+    rel_diss = relative_dissipation(system, u, uh)
+    rel_en = relative_energy(system, u, uh)
+    admissible = np.ones(times.size, dtype=bool)
     warnings = []
-    for k in range(k_snap):
-        u, uh = traj_u.states[k], traj_hat.states[k]
-        cnorm[k] = system.c_norm_sq(u.rho - uh.rho, u.w - uh.w)
-        rel_diss[k] = relative_dissipation(system, u, uh)
-        rel_en[k] = relative_energy(system, u, uh)
-        if bounds is not None:
-            ok_u = system.check_state(u, bounds).ok
-            ok_h = system.check_state(uh, bounds).ok
-            if not (ok_u and ok_h):
+    if bounds is not None:
+        for k, (s, sh) in enumerate(zip(traj_u.states, traj_hat.states)):
+            if not (system.check_state(s, bounds).ok
+                    and system.check_state(sh, bounds).ok):
                 admissible[k] = False
                 warnings.append(f"snapshot {k} (tau={times[k]:.6g}) excluded: "
                                 "outside the admissible set")
-
-    e1, e2 = residual_fields(system, traj_hat, system.epsilon, eps_hat,
-                             gamma_hat=gamma_hat)
-    p_res = np.array([perturbation_functional(system, e1[k], e2[k], constants)
-                      for k in range(k_snap)])
-    p_bnd = np.atleast_1d(boundary_perturbation(
-        system, schedule, schedule_hat, times, system.epsilon, eps_hat,
-        constants))
 
     rate = constants.growth
     i_diss = _exp_trapz_accumulate(times, rel_diss, rate)
@@ -406,15 +384,14 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
     lhs = constants.c0_lower * cnorm + i_diss
     rhs = constants.c0_upper * init * np.exp(rate * times) + i_pert
 
-    sel = admissible
-    slack = rhs[sel] - lhs[sel]
-    tol = 1e-10 * np.maximum(1.0, np.abs(rhs[sel]))
+    slack = rhs[admissible] - lhs[admissible]
+    tol = 1e-10 * np.maximum(1.0, np.abs(rhs[admissible]))
     ok = bool(np.all(slack >= -tol))
     return GronwallCertificate(ok=ok, min_slack=float(np.min(slack)),
                                times=times, lhs=lhs, rhs=rhs,
                                rel_energy=rel_en, rel_dissipation=rel_diss,
                                cnorm_sq=cnorm, p_residual=p_res,
-                               p_boundary=np.broadcast_to(p_bnd, (k_snap,)).copy(),
+                               p_boundary=p_bnd,
                                constants=constants, warnings=warnings)
 
 

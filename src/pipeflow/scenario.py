@@ -357,10 +357,13 @@ def load_topology(path, epsilon=1.0):
 
 @dataclass
 class InitialSpec:
+    """One initial-state source and the line of its first key."""
+
     rho: str = "1.0"
     w: str = "0.0"
     rest_enthalpy: float | None = None
     file: str | None = None
+    line: int = 0
 
 
 @dataclass
@@ -397,11 +400,26 @@ class Scenario:
 
     def initial_state(self, system):
         """Build the initial state; w = 'recover' uses the limit-model
-        velocity consistent with the initial density and boundary data."""
-        if self.initial.file is not None:
-            return self._initial_from_file(system)
-        if self.initial.rest_enthalpy is not None:
-            return system.rest_state(self.initial.rest_enthalpy)
+        velocity consistent with the initial density and boundary data.
+        Any source failing to load, to be positive and finite or to lie in
+        [bounds] is a ConfigError at the source's line."""
+        with _at(self.source, self.initial.line):
+            if self.initial.file is not None:
+                state = self._initial_from_file(system)
+            elif self.initial.rest_enthalpy is not None:
+                state = system.rest_state(self.initial.rest_enthalpy)
+            else:
+                state = self._initial_from_expressions(system)
+            state.validate()
+            if self.bounds is not None:
+                report = system.check_state(state, self.bounds)
+                if not report.ok:
+                    kinds = sorted({v.kind for v in report.violations})
+                    raise ValueError("initial state violates the admissible "
+                                     f"bounds ({', '.join(kinds)})")
+        return state
+
+    def _initial_from_expressions(self, system):
         rho = np.empty(system.n_cells)
         w = np.empty(system.n_faces)
         recover = self.initial.w.strip().lower() == "recover"
@@ -419,15 +437,7 @@ class Scenario:
             values = {v: (s(0.0) if callable(s) else float(s))
                       for v, s in self.boundary.items()}
             w, _ = limit_flow(system, rho, values)
-        state = NetworkState(0.0, rho, w)
-        state.validate()
-        if self.bounds is not None:
-            report = system.check_state(state, self.bounds)
-            if not report.ok:
-                kinds = sorted({v.kind for v in report.violations})
-                raise ConfigError(f"{self.source}: initial state violates the "
-                                  f"admissible bounds ({', '.join(kinds)})")
-        return state
+        return NetworkState(0.0, rho, w)
 
     def _initial_from_file(self, system):
         path = self.initial.file
@@ -435,19 +445,23 @@ class Scenario:
             path = os.path.join(os.path.dirname(self.source) or ".", path)
         try:
             data = np.load(path)
-        except OSError as exc:
-            raise ConfigError(f"{self.source}: cannot read initial state "
-                              f"file {path!r}: {exc}") from exc
-        rho = np.asarray(data["rho"], dtype=float)
-        w = np.asarray(data["w"], dtype=float)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read initial state file {path!r}: "
+                             f"{exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"initial state file {path!r} is not an .npz "
+                             "archive")
+        with data:
+            if not {"rho", "w"} <= set(data.files):
+                raise ValueError(f"initial state file {path!r} holds "
+                                 f"{data.files}, not rho and w")
+            rho, w = (np.asarray(data[k], dtype=float) for k in ("rho", "w"))
         if rho.shape != (system.n_cells,) or w.shape != (system.n_faces,):
-            raise ConfigError(
-                f"{self.source}: initial state file {path!r} has shapes "
+            raise ValueError(
+                f"initial state file {path!r} has shapes "
                 f"{rho.shape}/{w.shape}; the grid needs "
                 f"({system.n_cells},)/({system.n_faces},)")
-        state = NetworkState(0.0, rho, w)
-        state.validate()
-        return state
+        return NetworkState(0.0, rho, w)
 
     def check_boundary_complete(self):
         missing = [v for v in net.classify(self.topology).boundary
@@ -558,11 +572,21 @@ def parse_scenario(text, path="<string>", name=None):
                           "need at least two cells per edge")
 
     init_sec = take("initial")
+    # rho/w, rest and file are exclusive: a second source fails at its key
+    sources = {"rho": "rho/w", "w": "rho/w", "rest": "rest", "file": "file"}
+    given = sorted((line, key) for key, line in init_sec.lines.items()
+                   if key in sources)
+    for line, key in given:
+        if sources[key] != sources[given[0][1]]:
+            raise ConfigError(f"{path}:{line}: [initial] takes one source, "
+                              f"rho/w, rest or file: {key!r} follows "
+                              f"{given[0][1]!r}")
     initial = InitialSpec(
         rho=_get(init_sec, "rho", str, default="1.0", path=path),
         w=_get(init_sec, "w", str, default="0.0", path=path),
         rest_enthalpy=_get(init_sec, "rest", float, path=path),
         file=_get(init_sec, "file", str, path=path),
+        line=given[0][0] if given else init_sec.lineno,
     )
     for key in ("rho", "w"):
         if key in init_sec and not (key == "w" and initial.w.strip().lower()

@@ -119,10 +119,10 @@ class Trajectory:
         return self.times[1] - self.times[0]
 
     def rho_array(self):
-        return np.stack([s.rho for s in self.states])
+        return np.array([s.rho for s in self.states])
 
     def w_array(self):
-        return np.stack([s.w for s in self.states])
+        return np.array([s.w for s in self.states])
 
 
 def _eval_boundary(schedule, vertices, tau):
@@ -228,18 +228,15 @@ class _NewtonStepper:
 
         # momentum rows: kinetic coupling d(Gh)/dw
         if self.eps:
-            ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
-            for f in range(n_f):
-                for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
-                    if c >= 0:
-                        for fp in (sys.cell_left_face[c], sys.cell_right_face[c]):
-                            ww_rows.append(n_c + f)
-                            ww_cols.append(n_c + fp)
-                            ww_sign.append(sign)
-                            ww_fp.append(fp)
-            self._ww_sign = np.asarray(ww_sign)
-            self._ww_fp = np.asarray(ww_fp, dtype=int)
-            block(ww_rows, ww_cols)
+            # per face: its right cell (sign +1), then its left cell (-1),
+            # each with that cell's left and right face
+            cells = np.stack((frc, flc), axis=1).ravel()
+            has = cells >= 0
+            c = cells[has]
+            self._ww_sign = np.repeat(np.tile([1.0, -1.0], n_f)[has], 2)
+            self._ww_fp = np.stack((sys.cell_left_face[c],
+                                    sys.cell_right_face[c]), axis=1).ravel()
+            block(np.repeat(n_c + faces, 2)[has].repeat(2), n_c + self._ww_fp)
 
         # momentum rows: time derivative + friction diagonal
         block(n_c + faces, n_c + faces)
@@ -339,6 +336,11 @@ class _NewtonStepper:
             it += 1
 
         rho, w, hv = self._unstack(x)
+        # the residual checks the stage density only; at theta < 1 the
+        # end density 2 rho_s - rho_n (midpoint) can still be negative
+        if self.theta != 1.0 and not rho.min() > 0.0:
+            raise failure("end density is not positive", residual=norm,
+                          iterations=it)
         self._history = self._history[-2:] + [x]
         self._history_dt = dt
         stage_dissipation, stage_flux = self._stage_power(loads, out[1])

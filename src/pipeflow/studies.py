@@ -107,30 +107,22 @@ class StudyResult:
 
 
 def _subsample(trajectory, stride):
-    out = Trajectory()
-    out.times = trajectory.times[::stride]
-    out.states = trajectory.states[::stride]
-    out.reports = trajectory.reports[::stride]
-    out.warnings = list(trajectory.warnings)
-    return out
+    return Trajectory(times=trajectory.times[::stride],
+                      states=trajectory.states[::stride],
+                      reports=trajectory.reports[::stride],
+                      warnings=list(trajectory.warnings))
 
 
 def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):
     """(sup_tau of C-type squared error, integral of the cubed L3 norm)."""
-    times = np.asarray(traj_u.times)
     if len(traj_u.states) != len(traj_hat.states):
         raise ValueError("trajectories have different snapshot counts")
-    sup_sq = 0.0
-    l3 = np.empty(times.size)
-    for k, (u, uh) in enumerate(zip(traj_u.states, traj_hat.states)):
-        d_rho = u.rho - uh.rho
-        d_w = u.w - uh.w
-        sq = system.l2sq_cells(d_rho)
-        if include_kinetic:
-            sq += system.epsilon**2 * system.l2sq_faces(d_w)
-        sup_sq = max(sup_sq, sq)
-        l3[k] = system.l3_faces(d_w)
-    return sup_sq, float(np.trapezoid(l3, times))
+    d_w = traj_u.w_array() - traj_hat.w_array()
+    sq = system.l2sq_cells(traj_u.rho_array() - traj_hat.rho_array())
+    if include_kinetic:
+        sq += system.epsilon**2 * system.l2sq_faces(d_w)
+    return (float(sq.max()),
+            float(np.trapezoid(system.l3_faces(d_w), traj_u.times)))
 
 
 def _reference_config(config, parabolic=False):
@@ -166,9 +158,9 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     pair it contributes, compared on that system with the Lipschitz
     constants taken along u_hat.
     """
-    ref_traj = run(system, scenario.initial_state(system), ref_config,
-                   scenario.boundary)
-    ref = _subsample(ref_traj, 4)
+    # only the subsample is kept, not the full-resolution run
+    ref = _subsample(run(system, scenario.initial_state(system), ref_config,
+                         scenario.boundary), 4)
 
     def measure(p):
         x, pair_system, u, u_hat, monitor_kwargs = member(p, ref)

@@ -505,3 +505,80 @@ def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
         report = system.check_state(state, bounds)
     assert calls == [BOUNDS, tight]
     assert [v.kind for v in report.violations] == ["subsonic_margin"]
+
+
+def _template_loops(system):
+    """The per-face loops that built the reconstruction pairs and the
+    stepper's kinetic block, kept as the reference for their order."""
+    n_c = system.n_cells
+    flc, frc = system.face_left_cell, system.face_right_cell
+    pair_face, pair_cell = [], []
+    for f in range(system.n_faces):
+        for c in (flc[f], frc[f]):
+            if c >= 0:
+                pair_face.append(f)
+                pair_cell.append(c)
+    ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
+    for f in range(system.n_faces):
+        for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
+            if c >= 0:
+                for fp in (system.cell_left_face[c], system.cell_right_face[c]):
+                    ww_rows.append(n_c + f)
+                    ww_cols.append(n_c + fp)
+                    ww_sign.append(sign)
+                    ww_fp.append(fp)
+    return {"pair_face": np.asarray(pair_face, dtype=int),
+            "pair_cell": np.asarray(pair_cell, dtype=int),
+            "ww_rows": np.asarray(ww_rows, dtype=int),
+            "ww_cols": np.asarray(ww_cols, dtype=int),
+            "ww_sign": np.asarray(ww_sign),
+            "ww_fp": np.asarray(ww_fp, dtype=int)}
+
+
+def _y_transient_systems():
+    scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
+    return [scenario.build_system(cells_per_edge=n) for n in (2, 3, 24)]
+
+
+@pytest.mark.parametrize("system", _y_transient_systems()
+                         + list(_mixed_junction_systems()),
+                         ids=["y2", "y3", "y24", "mixed", "loop"])
+def test_setup_arrays_match_per_face_loops(system):
+    from pipeflow.solver import HyperbolicStepper
+
+    ref = _template_loops(system)
+    stepper = HyperbolicStepper(system)
+    # the kinetic block comes right before the momentum diagonal and the
+    # three junction blocks
+    end = (stepper._rows.size - system.n_faces
+           - 3 * system.junction_term_faces.size)
+    ww = slice(end - ref["ww_rows"].size, end)
+    arrays = {"pair_face": system.pair_face, "pair_cell": system.pair_cell,
+              "ww_rows": stepper._rows[ww], "ww_cols": stepper._cols[ww],
+              "ww_sign": stepper._ww_sign, "ww_fp": stepper._ww_fp}
+    for name, value in arrays.items():
+        assert value.dtype == ref[name].dtype, name
+        assert np.array_equal(value, ref[name]), name
+
+
+@pytest.mark.parametrize("system", _y_transient_systems()[1:]
+                         + list(_mixed_junction_systems()),
+                         ids=["y3", "y24", "mixed", "loop"])
+def test_gather_forms_and_norms_on_stacks(system):
+    # a (K, n) stack goes through in one call: the gather forms equal
+    # the row-by-row results bitwise, the reductions to rounding
+    rng = np.random.default_rng(system.n_faces)
+    rho = 1.0 + 0.3 * rng.random((7, system.n_cells))
+    w = rng.standard_normal((7, system.n_faces))
+    for name, stack in (("arho_faces", rho), ("kinetic_cells", w)):
+        fn = getattr(system, name)
+        assert np.array_equal(fn(stack), np.array([fn(row) for row in stack]))
+    d_rho, d_w = rho - 1.0, w - w[::-1]
+    for name, args in (("l2sq_cells", (d_rho,)), ("l2sq_faces", (d_w,)),
+                       ("l3_faces", (d_w,)), ("c_norm_sq", (d_rho, d_w))):
+        fn = getattr(system, name)
+        batched = fn(*args)
+        rows = [fn(*row) for row in zip(*args)]
+        assert batched.shape == (7,), name
+        assert all(type(r) is float for r in rows), name
+        np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)

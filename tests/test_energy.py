@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,11 @@ from pipeflow.energy import (
 )
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.network import loop_network, single_pipe, y_network
+from pipeflow.scenario import load_scenario
 from pipeflow.solver import SolverConfig, Trajectory, run
 
+SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "scenarios")
 LAW = IsothermalLaw(1.0)
 BOUNDS = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=0.9, eps_max=0.5)
 
@@ -332,6 +338,20 @@ class TestBoundaryPerturbation:
         assert val == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["pipe_limit", "y_limit"])
+def test_limit_energy_balance_on_committed_scenarios(name):
+    # backward Euler on the convex limit energy: every step's residual is
+    # <= 0 up to solver tolerance
+    scenario = load_scenario(os.path.join(SCEN, f"{name}.scn"))
+    scenario = replace(scenario, solver=replace(scenario.solver, parabolic=True))
+    system = scenario.build_system()
+    traj = run(system, scenario.initial_state(system), scenario.solver,
+               scenario.boundary)
+    res = power_balance_residual(traj)
+    assert res.size == len(traj.states) - 1 >= 600
+    assert np.max(res) <= 1e-10
+
+
 class TestPowerBalance:
     def test_rest_state_residuals_vanish(self):
         system = pipe_system(eps=0.4)
@@ -447,6 +467,145 @@ class TestGronwallMonitor:
         cert = gronwall_monitor(system, traj, traj, constants, sched,
                                 bounds=tight)
         assert cert.warnings
+
+
+def _residual_fields_loop(system, traj, eps, eps_hat, gamma_hat):
+    """residual_fields one snapshot at a time, as it was computed before
+    it took the snapshot stack; the reference for the batched form."""
+    times = np.asarray(traj.times)
+    w = traj.w_array()
+    dtw = np.empty_like(w)
+    dtw[1:-1] = (w[2:] - w[:-2]) / (times[2:] - times[:-2])[:, None]
+    dtw[0] = (w[1] - w[0]) / (times[1] - times[0])
+    dtw[-1] = (w[-1] - w[-2]) / (times[-1] - times[-2])
+    gamma = system.gamma_faces
+    lc, rc = system.face_left_cell, system.face_right_cell
+    interior, start, end = (lc >= 0) & (rc >= 0), lc < 0, rc < 0
+    lf, rf = system.cell_left_face, system.cell_right_face
+    om = system.omega_faces
+    e2 = np.empty_like(w)
+    for k, wk in enumerate(w):
+        kin_c = 0.25 * (wk[lf] ** 2 + wk[rf] ** 2)
+        dkin = np.empty(system.n_faces)
+        dkin[interior] = (kin_c[rc[interior]] - kin_c[lc[interior]]) / om[interior]
+        dkin[start] = (kin_c[rc[start]] - 0.5 * wk[start] ** 2) / om[start]
+        dkin[end] = (0.5 * wk[end] ** 2 - kin_c[lc[end]]) / om[end]
+        e2[k] = ((eps**2 - eps_hat**2) * (dtw[k] + dkin)
+                 + (gamma - gamma_hat) * np.abs(wk) * wk)
+    return np.zeros((len(w), system.n_cells)), e2
+
+
+def _gronwall_loop(system, traj_u, traj_hat, constants, schedule,
+                   schedule_hat, eps_hat, gamma_hat, bounds):
+    """The certificate ingredients and bound sides one snapshot at a time."""
+    from pipeflow.energy import _exp_trapz_accumulate
+
+    times = np.asarray(traj_u.times)
+    e1, e2 = _residual_fields_loop(system, traj_hat, system.epsilon, eps_hat,
+                                   gamma_hat)
+    out = {key: [] for key in ("cnorm_sq", "rel_dissipation", "rel_energy",
+                               "p_residual", "p_boundary")}
+    admissible = []
+    for k, (u, uh) in enumerate(zip(traj_u.states, traj_hat.states)):
+        out["cnorm_sq"].append(system.c_norm_sq(u.rho - uh.rho, u.w - uh.w))
+        out["rel_dissipation"].append(relative_dissipation(system, u, uh))
+        out["rel_energy"].append(relative_energy(system, u, uh))
+        out["p_residual"].append(
+            perturbation_functional(system, e1[k], e2[k], constants))
+        out["p_boundary"].append(boundary_perturbation(
+            system, schedule, schedule_hat, times[k], system.epsilon,
+            eps_hat, constants))
+        admissible.append(system.check_state(u, bounds).ok
+                          and system.check_state(uh, bounds).ok)
+    out = {key: np.array(v) for key, v in out.items()}
+    rate = constants.growth
+    i_diss = _exp_trapz_accumulate(times, out["rel_dissipation"], rate)
+    i_pert = _exp_trapz_accumulate(times, out["p_residual"] + out["p_boundary"],
+                                   rate)
+    out["lhs"] = constants.c0_lower * out["cnorm_sq"] + i_diss
+    out["rhs"] = (constants.c0_upper * out["cnorm_sq"][0]
+                  * np.exp(rate * times) + i_pert)
+    sel = np.array(admissible)
+    slack = out["rhs"][sel] - out["lhs"][sel]
+    out["ok"] = bool(np.all(slack >= -1e-10 * np.maximum(1.0, np.abs(out["rhs"][sel]))))
+    out["excluded"] = int(np.sum(~sel))
+    return out
+
+
+class TestBatchedCertificate:
+    """The certificate over the snapshot stack against per-snapshot loops."""
+
+    def pair(self, kind):
+        system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
+        rho0 = 1.0 + 0.08 * np.sin(np.pi * system.x_cells)
+        ramp = lambda tau: 1.0 + 0.1 * min(tau / 0.05, 1.0)
+        sched = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 0.99}
+        config = SolverConfig(dt=5e-3, t_final=0.1)
+        if kind == "epsilon":
+            # a hyperbolic run against the limit model
+            traj = run(system, NetworkState(0.0, rho0, np.zeros(system.n_faces)),
+                       config, sched)
+            limit = SolverConfig(dt=5e-3, t_final=0.1, parabolic=True)
+            ref = run(system, NetworkState(0.0, rho0, np.zeros(system.n_faces)),
+                      limit, sched)
+            return system, traj, ref, sched, {"eps_hat": 0.0, "gamma_hat": None}
+        pert = build_system(y_network(epsilon=0.3).with_friction_offset(0.2),
+                            cells_per_edge=6, law=LAW)
+        state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
+        traj = run(system, state0, config, sched)
+        traj_hat = run(pert, state0, config, sched)
+        return system, traj, traj_hat, sched, {
+            "eps_hat": 0.3, "gamma_hat": system.gamma_faces + 0.2}
+
+    @pytest.mark.parametrize("kind", ["epsilon", "gamma"])
+    def test_functionals_on_stacks_match_rows(self, kind):
+        system, traj, traj_hat, _, kw = self.pair(kind)
+        u = NetworkState(np.asarray(traj.times), traj.rho_array(), traj.w_array())
+        uh = NetworkState(u.tau, traj_hat.rho_array(), traj_hat.w_array())
+        for fn in (relative_energy, relative_dissipation):
+            batched = fn(system, u, uh)
+            rows = [fn(system, a, b) for a, b in zip(traj.states, traj_hat.states)]
+            assert batched.shape == (len(rows),)
+            np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)
+        constants = stability_constants(BOUNDS, LAW, lip_drho=1.0,
+                                        lip_eps_dw=1.0, n_boundary=3)
+        e1, e2 = residual_fields(system, traj_hat, 0.3, kw["eps_hat"],
+                                 gamma_hat=kw["gamma_hat"])
+        ref_e1, ref_e2 = _residual_fields_loop(
+            system, traj_hat, 0.3, kw["eps_hat"],
+            system.gamma_faces if kw["gamma_hat"] is None else kw["gamma_hat"])
+        assert np.array_equal(e1, ref_e1)
+        np.testing.assert_allclose(e2, ref_e2, rtol=1e-13, atol=0)
+        batched = perturbation_functional(system, e1, e2, constants)
+        rows = [perturbation_functional(system, a, b, constants)
+                for a, b in zip(e1, e2)]
+        np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)
+        with pytest.raises(ValueError, match="grids"):
+            relative_energy(system, u, traj_hat.states[0])
+
+    @pytest.mark.parametrize("kind,bounds", [
+        ("epsilon", BOUNDS),
+        # tight enough that the perturbed pair leaves it part of the time
+        ("gamma", AdmissibleBounds(rho_min=0.7, rho_max=1.07, w_max=0.9,
+                                   eps_max=0.5)),
+    ])
+    def test_monitor_matches_per_snapshot_loop(self, kind, bounds):
+        system, traj, traj_hat, sched, kw = self.pair(kind)
+        lip = lipschitz_estimates(system, traj_hat)
+        constants = stability_constants(BOUNDS, LAW, lip_drho=lip[0],
+                                        lip_eps_dw=lip[1], n_boundary=3)
+        cert = gronwall_monitor(system, traj, traj_hat, constants, sched,
+                                bounds=bounds, **kw)
+        gamma_hat = (system.gamma_faces if kw["gamma_hat"] is None
+                     else kw["gamma_hat"])
+        ref = _gronwall_loop(system, traj, traj_hat, constants, sched, sched,
+                             kw["eps_hat"], gamma_hat, bounds)
+        assert cert.ok == ref["ok"]
+        assert len(cert.warnings) == ref["excluded"]
+        for key in ("lhs", "rhs", "cnorm_sq", "rel_dissipation", "rel_energy",
+                    "p_residual", "p_boundary"):
+            np.testing.assert_allclose(getattr(cert, key), ref[key],
+                                       rtol=1e-12, atol=0, err_msg=key)
 
 
 def test_lipschitz_estimates_linear_motion():

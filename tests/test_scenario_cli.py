@@ -21,7 +21,7 @@ from pipeflow.scenario import (
     parse_scenario,
     write_trajectory,
 )
-from pipeflow.solver import ParabolicStepper, Trajectory, run
+from pipeflow.solver import ParabolicStepper, StepFailure, Trajectory, run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -564,3 +564,94 @@ def test_unknown_trajectory_format_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="'parquet'"):
         write_trajectory(tmp_path / "out", system, traj, fmt="parquet")
     assert not (tmp_path / "out").exists()
+
+
+def _single_pipe_initial(initial, bounds=True):
+    """single_pipe.scn with its [initial] section replaced, and without
+    its [bounds] section unless asked; the line of [initial]'s first key."""
+    with open(os.path.join(SCEN, "single_pipe.scn")) as fh:
+        text = fh.read()
+    if not bounds:
+        text = text.split("[bounds]")[0]
+    head, _, tail = text.partition("[initial]\n")
+    tail = tail.split("\n\n", 1)[1]
+    return head + "[initial]\n" + initial + "\n" + tail, head.count("\n") + 2
+
+
+def test_midpoint_step_rejects_negative_end_density():
+    # rest = 3.0 gives density 7.39 against boundary enthalpies 1.0; the
+    # outflow empties the end cells until a midpoint step's end density
+    # 2 rho_s - rho_n goes negative while its stage density stays positive
+    text, _ = _single_pipe_initial("rest = 3.0", bounds=False)
+    scen = parse_scenario(text, path="p.scn")
+    system = scen.build_system()
+    with pytest.raises(StepFailure, match="end density is not positive") as info:
+        run(system, scen.initial_state(system), scen.solver, scen.boundary)
+    failure = info.value
+    assert failure.step == 6
+    assert failure.dt == scen.solver.dt
+    assert failure.tau == pytest.approx(6 * scen.solver.dt)
+    assert len(failure.partial.states) == 7
+    assert min(s.rho.min() for s in failure.partial.states) > 0.0
+
+
+@pytest.mark.parametrize("initial, bad_key", [
+    ("rho = 1.0\nrest = 1.0", 1),
+    ("rest = 1.0\nw = 0.1", 1),
+    ("file = init.npz\nrho = 1.0", 1),
+    ("rho = 1.0\nw = recover\nrest = 1.0", 2),
+    ("rest = 1.0\nfile = init.npz", 1),
+], ids=["rho-rest", "rest-w", "file-rho", "rho-w-rest", "rest-file"])
+def test_initial_sources_are_exclusive(tmp_path, initial, bad_key):
+    text, line = _single_pipe_initial(initial)
+    path = tmp_path / "s.scn"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_scenario(str(path))
+    assert str(info.value).startswith(f"{path}:{line + bad_key}: ")
+    assert "takes one source" in str(info.value)
+
+
+def _write_state_file(tmp_path, name, **arrays):
+    system = load_scenario(os.path.join(SCEN, "single_pipe.scn")).build_system()
+    state = {"rho": np.full(system.n_cells, 1.1), "w": np.zeros(system.n_faces)}
+    state.update(arrays)
+    state = {k: v for k, v in state.items() if v is not None}
+    if name.endswith(".npy"):
+        np.save(tmp_path / name, state["rho"])
+    else:
+        np.savez(tmp_path / name, **state)
+    return system
+
+
+@pytest.mark.parametrize("name, arrays, error", [
+    ("init.npy", {}, "is not an .npz archive"),
+    ("init.npz", {"rho": None}, r"holds \['w'\], not rho and w"),
+    ("init.npz", {"w": None}, r"holds \['rho'\], not rho and w"),
+    ("init.npz", {"rho": np.ones(5)}, r"has shapes \(5,\)/\(33,\)"),
+    ("init.npz", {"rho": np.full(32, 2.0)}, r"violates the admissible bounds "
+                                            r"\(density_high\)"),
+    ("init.npz", {"rho": np.full(32, -1.0)}, "must be positive"),
+    ("gone.npz", {}, "cannot read initial state file"),
+], ids=["npy", "no-rho", "no-w", "shape", "bounds", "negative", "missing"])
+def test_bad_initial_file_names_line(tmp_path, name, arrays, error):
+    system = _write_state_file(tmp_path, "init.npy" if name == "init.npy"
+                               else "init.npz", **arrays)
+    text, line = _single_pipe_initial(f"file = {name}")
+    path = tmp_path / "s.scn"
+    path.write_text(text)
+    scen = load_scenario(str(path))
+    with pytest.raises(ConfigError, match=error) as info:
+        scen.initial_state(system)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+def test_rest_state_checked_against_bounds(tmp_path):
+    text, line = _single_pipe_initial("\n# a dense rest state\nrest = 3.0")
+    path = tmp_path / "s.scn"
+    path.write_text(text)
+    scen = load_scenario(str(path))
+    with pytest.raises(ConfigError) as info:
+        scen.initial_state(scen.build_system())
+    assert str(info.value) == (f"{path}:{line + 2}: initial state violates "
+                               "the admissible bounds (density_high)")
