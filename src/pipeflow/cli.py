@@ -12,6 +12,7 @@ import numpy as np
 from . import energy as energy_mod
 from . import studies as studies_mod
 from .discretization import NetworkState
+from .mms import manufactured_solution_test
 from .scenario import (
     ConfigError,
     load_scenario,
@@ -252,9 +253,6 @@ def cmd_verify(args):
 
 
 def cmd_mms(args):
-    # sympy is slow to import; only this command needs it
-    from .mms import manufactured_solution_test
-
     table = manufactured_solution_test(cells_list=tuple(args.cells_list),
                                        dt_list=tuple(args.dt_list))
     print(table.format())

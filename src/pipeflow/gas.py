@@ -165,19 +165,21 @@ class PowerLaw(GasLaw):
 class TabulatedLaw(GasLaw):
     """Pressure law interpolated from a (rho, p) table.
 
-    Monotone cubic interpolation of the table; the potential is built once
-    by composite Gauss quadrature on a dense grid and interpolated with a
-    cubic spline, which reproduces direct adaptive quadrature to better
-    than 1e-10 relative.
+    The pressure is the monotone piecewise cubic of Fritsch and Carlson
+    (SIAM J. Numer. Anal. 17, 1980), with the knot slopes of PCHIP.
+    Each piece is a cubic in rho, so Q(rho) = integral_1^rho p(r)/r^2 dr
+    has a closed form, and P = rho Q satisfies P'' = p'/rho exactly.
     """
 
     kind = "tabulated"
 
-    def __init__(self, rho_table, p_table, grid_points=4096):
+    def __init__(self, rho_table, p_table):
         rho_table = np.asarray(rho_table, dtype=float)
         p_table = np.asarray(p_table, dtype=float)
         if rho_table.ndim != 1 or rho_table.shape != p_table.shape:
             raise ValueError("tables must be one-dimensional and equally long")
+        if not (np.isfinite(rho_table).all() and np.isfinite(p_table).all()):
+            raise ValueError("table must contain only finite values")
         if rho_table.size < 4:
             raise ValueError("need at least four table points")
         if np.any(np.diff(rho_table) <= 0) or np.any(np.diff(p_table) <= 0):
@@ -186,15 +188,34 @@ class TabulatedLaw(GasLaw):
             raise ValueError("table densities must be positive")
         if not (rho_table[0] <= 1.0 <= rho_table[-1]):
             raise ValueError("table must bracket the reference density 1")
-        from scipy.interpolate import CubicSpline, PchipInterpolator
-
         self.rho_table = rho_table
         self.p_table = p_table
         self.density_range = (float(rho_table[0]), float(rho_table[-1]))
-        self._p = PchipInterpolator(rho_table, p_table)
-        self._dp = self._p.derivative()
-        self._grid = np.linspace(rho_table[0], rho_table[-1], grid_points)
-        self._q = CubicSpline(self._grid, self._cumulative_q(self._grid))
+
+        x, h = rho_table[:-1], np.diff(rho_table)
+        m = np.diff(p_table) / h
+        # knot slopes: the Fritsch-Butland weighted harmonic mean of the
+        # secants inside; at the ends a three-point one-sided estimate, zero
+        # where it turns negative (with positive secants, its limit of 3 m
+        # at a sign change never applies)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        ends = [max(((2 * h[a] + h[b]) * m[a] - h[a] * m[b]) / (h[a] + h[b]),
+                    0.0) for a, b in ((0, 1), (-1, -2))]
+        d = np.concatenate([ends[:1], (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]),
+                            ends[1:]])
+        # p = c0 + c1 s + c2 s^2 + c3 s^3 on piece i, with s = rho - x_i
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0, c1, c2, c3 = p_table[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
+        self._c = np.array([c0, c1, c2, c3])
+        # the same cubic in powers of rho: A0 + A1 rho + A2 rho^2 + A3 rho^3
+        self._a = np.array([c0 - x * (c1 - x * (c2 - x * c3)),
+                            c1 - x * (2 * c2 - 3 * x * c3),
+                            c2 - 3 * x * c3, c3])
+        # with zero knot values, _pq at x_(i+1) gives the integral over
+        # piece i, so the knot values are the running sums; then Q(1) = 0
+        self._q_knots = np.zeros(rho_table.size)
+        self._q_knots = np.cumsum(self._pq(rho_table)[2])
+        self._q_knots -= self._pq(1.0)[2]
 
     @classmethod
     def from_file(cls, path):
@@ -203,56 +224,71 @@ class TabulatedLaw(GasLaw):
             raise ValueError(f"{path}: expected two columns (rho, p)")
         return cls(data[:, 0], data[:, 1])
 
-    def _cumulative_q(self, grid):
-        from scipy.integrate import quad
-
-        # Q(rho) = integral_1^rho p(r)/r^2 dr accumulated with 5-point
-        # Gauss-Legendre per grid interval, anchored so that Q(1) = 0.
-        nodes, weights = np.polynomial.legendre.leggauss(5)
-        left, right = grid[:-1], grid[1:]
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = self._p(pts) / pts**2
-        pieces = half * (vals @ weights)
-        q = np.concatenate([[0.0], np.cumsum(pieces)])
-        ref, _ = quad(lambda r: self._p(r) / r**2, grid[0], 1.0,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        return q - ref
-
-    def _check_domain(self, rho):
+    def _locate(self, rho):
+        """Checked densities, pieces i (x_(i+1) closes i), s = rho - x_i."""
         rho = _as_positive(rho)
         if np.any(rho < self.rho_table[0]) or np.any(rho > self.rho_table[-1]):
             raise ValueError("density outside the tabulated range")
-        return rho
+        i = np.maximum(np.searchsorted(self.rho_table, rho) - 1, 0)
+        return rho, i, rho - self.rho_table[i]
+
+    def _pq(self, rho):
+        """The checked densities, p and Q = integral_1^rho p(r)/r^2 dr."""
+        rho, i, s = self._locate(rho)
+        x = self.rho_table[i]
+        c0, c1, c2, c3 = self._c[:, i]
+        a0, a1, a2, a3 = self._a[:, i]
+        q = (self._q_knots[i] + a0 * s / (x * rho) + a1 * np.log1p(s / x)
+             + a2 * s + a3 * s * (x + rho) / 2)
+        return rho, c0 + s * (c1 + s * (c2 + s * c3)), q
 
     def pressure(self, rho):
-        return self._p(self._check_domain(rho))
+        return self._pq(rho)[1]
 
     def dpressure(self, rho):
-        return self._dp(self._check_domain(rho))
+        _, i, s = self._locate(rho)
+        _, c1, c2, c3 = self._c[:, i]
+        return c1 + s * (2 * c2 + 3 * s * c3)
 
     def potential(self, rho):
-        rho = self._check_domain(rho)
-        return rho * self._q(rho)
+        rho, _, q = self._pq(rho)
+        return rho * q
 
     def _dpotential(self, rho):
         # positivity does not imply the table range, so the kernel checks it
-        rho = self._check_domain(rho)
-        return self._q(rho) + self._p(rho) / rho
+        rho, p, q = self._pq(rho)
+        return q + p / rho
+
+
+# the scenario keys each law kind takes
+LAW_KEYS = {"isothermal": ("sound_speed",), "power-law": ("kappa", "exponent"),
+            "tabulated": ("table",)}
+
+
+def law_kind(kind):
+    """The LAW_KEYS name of a gas law kind ('power_law' -> 'power-law')."""
+    kind = kind.strip().lower()
+    kind = {"power_law": "power-law", "powerlaw": "power-law"}.get(kind, kind)
+    if kind not in LAW_KEYS:
+        raise ValueError(f"unknown gas law kind {kind!r}")
+    return kind
 
 
 def make_law(kind, **kwargs):
-    """Gas-law factory used by scenario files."""
-    kind = kind.strip().lower()
+    """Gas-law factory used by scenario files; each kind takes only its
+    own keys, and the tabulated law needs its table file."""
+    kind = law_kind(kind)
+    for key in kwargs:
+        if key not in LAW_KEYS[kind]:
+            raise ValueError(f"{key!r} is not a parameter of the {kind} law")
     if kind == "isothermal":
         return IsothermalLaw(sound_speed=float(kwargs.get("sound_speed", 1.0)))
-    if kind in ("power-law", "power_law", "powerlaw"):
+    if kind == "power-law":
         return PowerLaw(kappa=float(kwargs.get("kappa", 1.0)),
                         exponent=float(kwargs.get("exponent", 2.0)))
-    if kind == "tabulated":
-        return TabulatedLaw.from_file(kwargs["table"])
-    raise ValueError(f"unknown gas law kind {kind!r}")
+    if "table" not in kwargs:
+        raise ValueError("the tabulated law needs 'table = <file>'")
+    return TabulatedLaw.from_file(kwargs["table"])
 
 
 # ---------------------------------------------------------------------------

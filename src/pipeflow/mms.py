@@ -5,7 +5,7 @@ curvature at the pipe ends (velocity and its slope vanish there, the
 density profile is a sine, and the quadratic pressure law has constant
 P''), which keeps the one-sided boundary stencils second order.  The
 velocity is nonnegative, so the friction term is polynomial in the
-symbolic fields.
+fields.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sy
 
 from .discretization import NetworkState, build_system
 from .gas import PowerLaw
@@ -49,29 +48,31 @@ class ManufacturedCase:
 
 def default_case(epsilon=0.3, gamma=1.0, kappa=1.0, length=1.0,
                  rho_amplitude=0.1, w_amplitude=0.4, rate=np.pi):
-    """Smooth space-time profiles with boundary-compatible curvature."""
-    x, t = sy.symbols("x tau")
-    ell = sy.Float(length)
-    rho_s = 1 + sy.Float(rho_amplitude) * sy.sin(2 * sy.pi * x / ell) \
-        * (1 + sy.Rational(1, 2) * sy.sin(sy.Float(rate) * t))
-    w_s = sy.Float(w_amplitude) * 16 * x**2 * (ell - x) ** 2 / ell**4 \
-        * (1 + sy.Rational(1, 2) * sy.cos(sy.Float(rate) * t))
-    dpot = sy.Float(kappa) * (2 * rho_s - 1)
-    h_s = sy.Float(epsilon) ** 2 * w_s**2 / 2 + dpot
-    f1_s = sy.diff(rho_s, t) + sy.diff(rho_s * w_s, x)
-    f2_s = (sy.Float(epsilon) ** 2 * sy.diff(w_s, t) + sy.diff(h_s, x)
-            + sy.Float(gamma) * w_s**2)  # w >= 0 by construction
+    """Smooth space-time profiles with boundary-compatible curvature.  The
+    forcing follows by the product rule: f1 = rho_t + rho_x w + rho w_x and
+    f2 = eps^2 (w_t + w w_x) + 2 kappa rho_x + gamma w^2."""
+    k, c = 2 * np.pi / length, 16 * w_amplitude / length**4
 
-    def lam(expr):
-        fn = sy.lambdify((x, t), expr, "numpy")
-        return lambda xs, tau: np.broadcast_to(
-            np.asarray(fn(xs, tau), dtype=float), np.shape(xs)).copy()
+    def fields(x, tau):
+        """rho, w, h, f1 and f2 at (x, tau)."""
+        g, g_t = 1 + np.sin(rate * tau) / 2, rate * np.cos(rate * tau) / 2
+        q, q_t = 1 + np.cos(rate * tau) / 2, -rate * np.sin(rate * tau) / 2
+        sine, bump = rho_amplitude * np.sin(k * x), c * x**2 * (length - x) ** 2
+        rho, rho_x = 1 + sine * g, rho_amplitude * k * np.cos(k * x) * g
+        w, w_x = bump * q, 2 * c * x * (length - x) * (length - 2 * x) * q
+        return (rho, w, epsilon**2 * w**2 / 2 + kappa * (2 * rho - 1),
+                sine * g_t + rho_x * w + rho * w_x,
+                epsilon**2 * (bump * q_t + w * w_x) + 2 * kappa * rho_x
+                + gamma * w**2)  # w >= 0 by construction
+
+    def field(j):
+        return lambda x, tau: fields(x, tau)[j]
 
     return ManufacturedCase(
         law=PowerLaw(kappa=kappa, exponent=2.0),
         epsilon=epsilon, gamma=gamma, length=length,
-        rho=lam(rho_s), w=lam(w_s), enthalpy=sy.lambdify((x, t), h_s),
-        forcing=(lam(f1_s), lam(f2_s)),
+        rho=field(0), w=field(1), enthalpy=field(2),
+        forcing=(field(3), field(4)),
     )
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import network as net
 from .discretization import NetworkState, build_system
-from .gas import AdmissibleBounds, PipeParameters, make_law
+from .gas import (LAW_KEYS, AdmissibleBounds, PipeParameters, law_kind,
+                  make_law)
 from .solver import SolverConfig, limit_flow
 
 
@@ -551,14 +552,21 @@ def parse_scenario(text, path="<string>", name=None):
         raise ConfigError(f"{path}:1: missing [model] section")
     model = take("model")
     epsilon = _get(model, "epsilon", float, default=1.0, path=path)
-    law_kind = _get(model, "law", str, default="isothermal", path=path)
+    law_name = _get(model, "law", str, default="isothermal", path=path)
+    with _at(path, model.lineno):
+        kind = law_kind(law_name)
+    for key in model:  # in file order
+        if key not in LAW_KEYS[kind] and any(key in keys for keys in
+                                             LAW_KEYS.values()):
+            raise ConfigError(f"{path}:{model.lines[key]}: {key!r} is not a "
+                              f"parameter of the {kind} law")
     law_kwargs = _given(model, (("sound_speed", float), ("kappa", float),
                                 ("exponent", float)), path)
     table = _get(model, "table", str, path=path)
     if table is not None:
         law_kwargs["table"] = os.path.join(base_dir, table)
     with _at(path, model.lineno):
-        law = make_law(law_kind, **law_kwargs)
+        law = make_law(kind, **law_kwargs)
 
     if "topology" not in sections:
         raise ConfigError(f"{path}:1: missing [topology] section")
@@ -649,7 +657,7 @@ def parse_scenario(text, path="<string>", name=None):
         boundary=boundary, solver=solver, bounds=bounds,
         output_dir=output_dir, output_format=output_format,
         name=name or os.path.splitext(os.path.basename(path))[0],
-        source=path, law_spec={"law": law_kind, **law_kwargs},
+        source=path, law_spec={"law": law_name, **law_kwargs},
     )
     scenario.check_boundary_complete()
     return scenario

@@ -134,6 +134,59 @@ class TestTabulated:
         assert law.potential(1.5) == pytest.approx(base.potential(1.5), rel=1e-6)
 
 
+def _table(rho, law):
+    rho = np.asarray(rho, dtype=float)
+    return rho, law.pressure(rho)
+
+
+# the 42-point fixture's table, a four-point table, a wide uneven one, and
+# one whose end slope at rho = 2 is clipped to zero (steep, then flat)
+REFERENCE_TABLES = {
+    "fixture": _table(np.linspace(0.4, 2.5, 42), IsothermalLaw(1.2)),
+    "four": _table([0.5, 0.9, 1.4, 2.0], PowerLaw(1.0, 2.0)),
+    "wide": _table([0.2, 0.3, 0.5, 0.9, 1.0, 2.5, 6.0, 11.0, 20.0],
+                   PowerLaw(2.0, 1.4)),
+    "clipped": (np.array([0.5, 0.6, 1.0, 2.0]), np.array([0.1, 1.0, 1.05, 1.1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+def test_tabulated_matches_scipy_pchip(name):
+    from scipy.interpolate import PchipInterpolator
+
+    rho, p = REFERENCE_TABLES[name]
+    law = TabulatedLaw(rho, p)
+    ref = PchipInterpolator(rho, p)
+    x = np.union1d(np.linspace(rho[0], rho[-1], 1001), rho)
+    np.testing.assert_allclose(law.pressure(x), ref(x), rtol=1e-14, atol=0)
+    # a clipped end slope is zero, so slopes near it are compared to the
+    # table's largest slope
+    slope = ref.derivative()(x)
+    np.testing.assert_allclose(law.dpressure(x), slope, rtol=1e-14,
+                               atol=1e-14 * np.abs(slope).max())
+
+
+def test_tabulated_potential_on_wide_uneven_table():
+    law = TabulatedLaw(*REFERENCE_TABLES["wide"])
+    for r in (0.2, 0.25, 0.7, 1.5, 4.0, 9.3, 17.0, 20.0):
+        assert law.potential(r) == pytest.approx(quad_potential(law, r),
+                                                 rel=1e-12)
+    # P'' = p'/rho is exact, so P' follows P to difference accuracy
+    x = np.linspace(0.3, 19.0, 23)
+    step = 1e-6 * x
+    fd = (law.potential(x + step) - law.potential(x - step)) / (2 * step)
+    np.testing.assert_allclose(law.dpotential(x), fd, rtol=1e-8)
+
+
+@pytest.mark.parametrize("rho, p", [
+    ([0.5, 1.0, 1.5, 2.0], [0.5, 1.0, np.nan, 2.0]),
+    ([0.5, 1.0, 1.5, np.inf], [0.5, 1.0, 1.5, 2.0]),
+])
+def test_tabulated_rejects_nonfinite_table(rho, p):
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedLaw(rho, p)
+
+
 def test_pressure_gradient_identity_second_order():
     # (1/rho) d/dx p(rho) == d/dx P'(rho); the two centered-difference
     # evaluations agree at second order under grid refinement
@@ -284,3 +337,7 @@ def test_make_law_factory():
     assert make_law("power-law", kappa=0.5, exponent=3.0).exponent == 3.0
     with pytest.raises(ValueError):
         make_law("van-der-waals")
+    with pytest.raises(ValueError, match="'kappa' is not a parameter"):
+        make_law("isothermal", kappa=3.0)
+    with pytest.raises(ValueError, match="needs 'table"):
+        make_law("tabulated")

@@ -154,6 +154,18 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match=rf"^s\.scn:{line}: {error}"):
             parse_scenario(head + f"{key} = {expr}\n", path="s.scn")
 
+    def test_tabulated_law_needs_table(self):
+        text = MINIMAL.replace("law = isothermal", "law = tabulated")
+        with pytest.raises(ConfigError, match=r"^s\.scn:2: the tabulated "
+                           r"law needs 'table = <file>'"):
+            parse_scenario(text, path="s.scn")
+
+    def test_law_rejects_key_of_another_law(self):
+        text = MINIMAL.replace("epsilon = 0.5", "epsilon = 0.5\nkappa = 3.0")
+        with pytest.raises(ConfigError, match=r"^s\.scn:5: 'kappa' is not a "
+                           r"parameter of the isothermal law"):
+            parse_scenario(text, path="s.scn")
+
     def test_expression_numbers_become_floats(self):
         # a huge power is a float overflow, not a huge integer: inspect
         # the checked tree only, never evaluate it
@@ -366,7 +378,7 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c",
-                        "import sys, pipeflow.cli; "
+                        "import sys, pipeflow.mms, pipeflow.cli; "
                         "assert not {'sympy', 'scipy.integrate', "
                         "'scipy.interpolate', 'scipy.optimize'} "
                         "& set(sys.modules)"],
@@ -391,6 +403,33 @@ class TestCli:
             "        traj = run(system, state, config, scen.boundary)\n"
             "        assert len(traj.states) == 4\n"
             "assert 'scipy.optimize' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_tabulated_runs_load_no_heavy_modules(self, tmp_path):
+        rho = np.linspace(0.5, 2.0, 40)
+        np.savetxt(tmp_path / "gas.dat", np.column_stack([rho, rho]))
+        scn = tmp_path / "s.scn"
+        scn.write_text(MINIMAL.replace("law = isothermal",
+                                       "law = tabulated\ntable = gas.dat")
+                       .replace("h = 1.0", "h = 1.05", 1))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from pipeflow.scenario import load_scenario\n"
+            "from pipeflow.solver import run\n"
+            f"scen = load_scenario({str(scn)!r})\n"
+            "system = scen.build_system()\n"
+            "state = scen.initial_state(system)\n"
+            "for parabolic in (False, True):\n"
+            "    config = replace(scen.solver, t_final=3 * scen.solver.dt,\n"
+            "                     parabolic=parabolic)\n"
+            "    traj = run(system, state, config, scen.boundary)\n"
+            "    assert len(traj.states) == 4\n"
+            "    assert traj.states[-1].rho[0] > 1.01\n"
+            "assert not {'sympy', 'scipy.integrate', 'scipy.interpolate',\n"
+            "            'scipy.optimize'} & set(sys.modules)\n")
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_mms_smoke(self, capsys):
@@ -482,6 +521,17 @@ def test_tabulated_law_scenario(tmp_path):
     assert scen.law.kind == "tabulated"
     assert scen.law.potential(1.5) == pytest.approx(base.potential(1.5),
                                                     rel=1e-8)
+
+
+def test_tabulated_law_scenario_rejects_nonfinite_table(tmp_path):
+    from pipeflow.scenario import parse_scenario
+
+    np.savetxt(tmp_path / "gas.dat",
+               [[0.5, 0.5], [1.0, 1.0], [1.5, np.nan], [2.0, 2.0]])
+    text = MINIMAL.replace("law = isothermal",
+                           "law = tabulated\ntable = gas.dat")
+    with pytest.raises(ConfigError, match=r"s\.scn:2: .*only finite values"):
+        parse_scenario(text, path=str(tmp_path / "s.scn"))
 
 
 def _reference_write_csv(directory, system, trajectory, prefix="states"):
