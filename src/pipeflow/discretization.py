@@ -392,7 +392,8 @@ class NetworkSystem:
         return weighted_sum(self.omega_faces, np.square(g))
 
     def l3_faces(self, g):
-        return weighted_sum(self.omega_faces, np.abs(g) ** 3)
+        abs_g = np.abs(g)
+        return weighted_sum(self.omega_faces, abs_g * abs_g * abs_g)
 
     def c_norm_sq(self, d_rho, d_w):
         """||(d_rho, d_w)||_C^2 = ||sqrt(a) d_rho||^2 + ||eps d_w||^2."""

@@ -42,8 +42,8 @@ def limit_energy(system, rho):
 def dissipation(system, state):
     """Friction dissipation: integral of gamma * a * rho * |w|^3."""
     arho = system.arho_faces(state.rho)
-    return float(np.dot(system.omega_gamma * arho,
-                        np.abs(state.w) ** 3))
+    abs_w = np.abs(state.w)
+    return float(np.dot(system.omega_gamma * arho, abs_w * abs_w * abs_w))
 
 
 def boundary_flux(system, state, boundary_values):
@@ -257,7 +257,8 @@ def residual_fields(system, trajectory, eps, eps_hat, gamma_hat=None):
 
 def perturbation_functional(system, e1, e2, constants):
     """p1 ||e1||_L2^2 + p2 ||e2||_L2^2 + p3 ||e2||_{L^{3/2}}^{3/2}."""
-    l32 = weighted_sum(system.omega_faces, np.abs(e2) ** 1.5)
+    abs_e2 = np.abs(e2)
+    l32 = weighted_sum(system.omega_faces, abs_e2 * np.sqrt(abs_e2))
     return (constants.p1 * system.l2sq_cells(e1)
             + constants.p2 * system.l2sq_faces(e2) + constants.p3 * l32)
 

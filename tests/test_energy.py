@@ -26,7 +26,7 @@ from pipeflow.energy import (
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
-from pipeflow.solver import SolverConfig, Trajectory, run
+from pipeflow.solver import HyperbolicStepper, SolverConfig, Trajectory, run
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "scenarios")
@@ -71,6 +71,33 @@ class TestDissipation:
         a = dissipation(system, system.constant_state(1.3, 0.7))
         b = dissipation(system, system.constant_state(1.3, -0.7))
         assert a == pytest.approx(b, rel=1e-14)
+
+    @pytest.mark.parametrize("scheme", ["midpoint", "backward-euler"])
+    def test_cube_matches_power_formula(self, scheme):
+        # |w|^3 is taken as a product: exact zeros, velocities whose cube
+        # underflows to zero, and ordinary ones give the pow formula's sum
+        system = pipe_system(n=32)
+        rng = np.random.default_rng(7)
+        w = rng.uniform(-0.5, 0.5, system.n_faces)
+        w[::4] = 0.0
+        w[1::4] = rng.uniform(-3.0, 3.0, w[1::4].size) * 1e-120
+        state = NetworkState(0.0, rng.uniform(0.9, 1.1, system.n_cells), w)
+        assert dissipation(system, state) == pytest.approx(
+            _cube_power(system, state.rho, state.w), rel=1e-15, abs=0.0)
+        new, info = HyperbolicStepper(system, scheme=scheme).step(
+            state, 0.01, {"inlet": 1.0, "outlet": 1.0})
+        rho_s, w_s = new.rho, new.w
+        if scheme == "midpoint":
+            rho_s = state.rho + 0.5 * (new.rho - state.rho)
+            w_s = state.w + 0.5 * (new.w - state.w)
+        assert info["stage_dissipation"] == pytest.approx(
+            _cube_power(system, rho_s, w_s), rel=1e-15, abs=0.0)
+
+
+def _cube_power(system, rho, w):
+    """Friction power by the libm pow formula."""
+    return float(np.dot(system.omega_gamma * system.arho_faces(rho),
+                        np.abs(w) ** 3))
 
 
 class TestCNorm:
@@ -394,6 +421,23 @@ class TestPowerBalance:
                    SolverConfig(dt=5e-3, t_final=0.1, scheme="backward-euler"),
                    {"inlet": 1.0, "outlet": 1.0})
         assert np.max(power_balance_residual(traj)) <= 1e-10
+
+    def test_committed_transient(self):
+        # every report's dissipation is the pow formula's to roundoff, and
+        # the midpoint residual falls under dt/2 as `pipeflow verify` asks
+        scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
+        system = scenario.build_system()
+        state0 = scenario.initial_state(system)
+        worst = []
+        for dt in (scenario.solver.dt, scenario.solver.dt / 2):
+            traj = run(system, state0, replace(scenario.solver, dt=dt),
+                       scenario.boundary)
+            for state, report in zip(traj.states, traj.reports, strict=True):
+                assert report.dissipation == pytest.approx(
+                    _cube_power(system, state.rho, state.w), rel=1e-15,
+                    abs=0.0)
+            worst.append(np.max(np.abs(power_balance_residual(traj))))
+        assert worst[1] <= 0.35 * worst[0]
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_parabolic_residual_nonpositive(self, eps):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.sparse import linalg as sp_linalg
 
 from pipeflow import energy as energy_mod
 from pipeflow import solver as solver_mod
@@ -181,6 +182,36 @@ class TestFactorizationReuse:
         fresh, _ = make().step(state0, 0.01, boundary)
         assert np.max(np.abs(half.rho - fresh.rho)) < 1e-10
         assert np.max(np.abs(half.w - fresh.w)) < 1e-10
+
+
+@pytest.mark.parametrize("stepper, eps", [(HyperbolicStepper, 0.4),
+                                          (HyperbolicStepper, 0.025),
+                                          (HyperbolicStepper, 0.005),
+                                          (ParabolicStepper, 0.4)])
+def test_stepper_ordering_keeps_fill_linear(stepper, eps, monkeypatch):
+    # y_transient filling from rest at 256 cells per edge: the factors
+    # hold about 6 entries per row; MMD_AT_PLUS_A on the parabolic
+    # Jacobian, whose momentum diagonal vanishes where the gas rests,
+    # holds more than 300 from the second step on
+    jacobians = []
+    splu = solver_mod.splu
+
+    def capturing(jac, **kwargs):
+        jacobians.append(jac)
+        return splu(jac, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "splu", capturing)
+    scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
+    scenario = scenario.with_epsilon(eps)
+    system = scenario.build_system(cells_per_edge=256)
+    state = scenario.initial_state(system)
+    newton = stepper(system)
+    for _ in range(3):
+        state = newton.step(state, scenario.solver.dt, scenario.boundary)[0]
+    assert jacobians
+    for jac in jacobians:
+        lu = sp_linalg.splu(jac, permc_spec=stepper.ordering)
+        assert lu.L.nnz + lu.U.nnz <= 10 * jac.shape[0]
 
 
 def _start_and_step(stepper, state, dt, boundary):
