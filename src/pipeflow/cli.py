@@ -106,12 +106,26 @@ def cmd_simulate(args):
     scenario = _load(args)
     system = scenario.build_system()
     state0 = scenario.initial_state(system)
+    out = scenario.output_dir
     try:
         trajectory = run(system, state0, scenario.solver, scenario.boundary,
                          bounds=scenario.bounds)
     except StepFailure as failure:
-        print(f"step failure at tau={failure.tau:.6g}: {failure}",
-              file=sys.stderr)
+        # the energy trace of every accepted snapshot, and the failure in
+        # the manifest
+        residual = ("n/a" if failure.residual is None
+                    else f"{failure.residual:.6g}")
+        where = (f"step {failure.step} from tau={failure.tau:.6g} with "
+                 f"dt={failure.dt:.6g}, residual {residual}")
+        print(f"step failure in {where}: {failure}", file=sys.stderr)
+        if out:
+            os.makedirs(out, exist_ok=True)
+            write_energy_trace(os.path.join(out, "energy.csv"), failure.partial)
+            write_manifest(os.path.join(out, "manifest.txt"), scenario,
+                           extra={"command": "simulate",
+                                  "failure": f"{where}: {failure}"})
+            print(f"wrote {out}/ ({len(failure.partial.states)} snapshots "
+                  "in energy.csv)", file=sys.stderr)
         return 1
     for w in trajectory.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -119,15 +133,13 @@ def cmd_simulate(args):
     print(f"simulated {len(trajectory.states) - 1} steps to "
           f"tau={trajectory.times[-1]:.6g}")
     print(f"final energy {last.energy:.9g}, dissipation {last.dissipation:.6g}")
-    if scenario.output_dir:
-        os.makedirs(scenario.output_dir, exist_ok=True)
-        write_trajectory(scenario.output_dir, system, trajectory,
-                         fmt=scenario.output_format)
-        write_energy_trace(os.path.join(scenario.output_dir, "energy.csv"),
-                           trajectory)
-        write_manifest(os.path.join(scenario.output_dir, "manifest.txt"),
-                       scenario, extra={"command": "simulate"})
-        print(f"wrote {scenario.output_dir}/")
+    if out:
+        os.makedirs(out, exist_ok=True)
+        write_trajectory(out, system, trajectory, fmt=scenario.output_format)
+        write_energy_trace(os.path.join(out, "energy.csv"), trajectory)
+        write_manifest(os.path.join(out, "manifest.txt"), scenario,
+                       extra={"command": "simulate"})
+        print(f"wrote {out}/")
     return 0
 
 

@@ -228,12 +228,15 @@ class NetworkSystem:
         self._gs_left = np.where(has_left, face_left_cell, outside)
         self._gs_right = np.where(has_right, face_right_cell, outside)
         # S^T: row p holds every junction's p-th term in face order; a
-        # junction with fewer terms is padded with sign 0 at the end
+        # junction with fewer terms is padded with sign 0 at the end.  A
+        # trailing column of zeros keeps the rows two wide at least, so a
+        # reduction over them adds row by row (numpy sums a single column
+        # pairwise from eight terms on)
         order = np.lexsort((self.junction_term_faces, self.junction_term_slots))
         slots = self.junction_term_slots[order]
         degree = np.bincount(slots, minlength=self.n_junctions)
         rank = np.arange(slots.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        shape = (max(degree.max(initial=0), 1), self.n_junctions)
+        shape = (max(degree.max(initial=0), 1), self.n_junctions + 1)
         self._st_faces = np.zeros(shape, dtype=int)
         self._st_signs = np.zeros(shape)
         self._st_faces[rank, slots] = self.junction_term_faces[order]
@@ -301,10 +304,7 @@ class NetworkSystem:
     def apply_st(self, m):
         """S^T m: the signed mass-flow sum at every junction."""
         terms = self._st_signs * m.take(self._st_faces)
-        total = terms[0]
-        for row in terms[1:]:
-            total = total + row
-        return total
+        return np.add.reduce(terms, axis=0)[:self.n_junctions]
 
     def r_diag(self, state):
         """Diagonal of R(u) on the extended vector; friction on face slots."""
@@ -321,15 +321,17 @@ class NetworkSystem:
 
         With apply_gs this is the whole terminal-face rule: G h + S h_v - B
         is the enthalpy difference across every face.  values maps
-        boundary vertex names to numbers; a missing one is an error.
+        boundary vertex names to numbers, or to (K,) arrays of K snapshots'
+        values for a (K, n_faces) stack of loads; a missing one is an
+        error.
         """
         try:
-            h = [values[v] for v in self.boundary_vertices]
+            h = np.array([values[v] for v in self.boundary_vertices], dtype=float)
         except KeyError as exc:
             raise ValueError(f"missing boundary enthalpy for vertex "
                              f"{exc.args[0]!r}") from None
-        load = np.zeros(self.n_faces)
-        load[self.boundary_term_faces] = -self.boundary_term_signs * h
+        load = np.zeros(h.shape[1:] + (self.n_faces,))
+        load.T[self.boundary_term_faces] = (-self.boundary_term_signs * h.T).T
         return load
 
     def junction_mass_defect(self, state):

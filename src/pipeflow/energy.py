@@ -4,11 +4,10 @@ All functionals use the discretization's own quadrature weights (cell
 widths and face dual volumes), so the discrete power balance is an
 algebraic identity of the scheme rather than a quadrature approximation.
 The dissipation is the operator form integral of gamma * a * rho * |w|^3
-(cross-section weighted) on pipes and networks alike.  The relative
-energy and dissipation and the perturbation functional take one state or
-a (K, n) stack of K snapshots, such as NetworkState(times,
-trajectory.rho_array(), trajectory.w_array()), and return a float or a
-(K,) array.
+(cross-section weighted) on pipes and networks alike.  The functionals
+take one state or a (K, n) stack of K snapshots, such as
+NetworkState(times, trajectory.rho_array(), trajectory.w_array()), and
+return a float or a (K,) array whose rows are the floats bit for bit.
 """
 
 from __future__ import annotations
@@ -29,27 +28,28 @@ def hamiltonian(system, state):
     kin = system.kinetic_cells(state.w)
     density = (0.5 * system.epsilon**2 * state.rho * kin
                + system.law.potential(state.rho) + system.gz_cells * state.rho)
-    return float(np.dot(system.c_rho, density))
+    return weighted_sum(system.c_rho, density)
 
 
 def limit_energy(system, rho):
     """The limit model's energy: integral of a*(P(rho) + g z rho), the
     Hamiltonian without its eps^2 kinetic term."""
     density = system.law.potential(rho) + system.gz_cells * rho
-    return float(np.dot(system.c_rho, density))
+    return weighted_sum(system.c_rho, density)
 
 
 def dissipation(system, state):
     """Friction dissipation: integral of gamma * a * rho * |w|^3."""
     arho = system.arho_faces(state.rho)
     abs_w = np.abs(state.w)
-    return float(np.dot(system.omega_gamma * arho, abs_w * abs_w * abs_w))
+    return weighted_sum(system.omega_gamma * arho, abs_w * abs_w * abs_w)
 
 
 def boundary_flux(system, state, boundary_values):
-    """Signed energy flux over the boundary vertices, -sum(n h m)."""
+    """Signed energy flux over the boundary vertices, -sum(n h m); for a
+    stack, boundary_values maps each vertex to its (K,) values."""
     m = system.arho_faces(state.rho) * state.w
-    return float(np.dot(system.boundary_load(boundary_values), m))
+    return weighted_sum(system.boundary_load(boundary_values), m)
 
 
 def _check_pair(system, u, uhat):

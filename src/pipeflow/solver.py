@@ -97,6 +97,10 @@ class EnergyReport:
 
 @dataclass
 class Trajectory:
+    """Snapshots with their reports and the work of the steps between
+    them.  ``rho_array()`` and ``w_array()`` are (K, n) stacks of the
+    snapshots, built once."""
+
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     reports: list = field(default_factory=list)
@@ -106,11 +110,13 @@ class Trajectory:
     factorizations: list = field(default_factory=list)
     junction_h: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    stacks: tuple = field(default=None, repr=False, compare=False)
 
     def append(self, state, report):
         self.times.append(state.tau)
         self.states.append(state)
         self.reports.append(report)
+        self.stacks = None
 
     @property
     def dt(self):
@@ -118,11 +124,17 @@ class Trajectory:
             raise ValueError("trajectory has fewer than two snapshots")
         return self.times[1] - self.times[0]
 
+    def _stacked(self):
+        if self.stacks is None or len(self.stacks[0]) != len(self.states):
+            self.stacks = (np.array([s.rho for s in self.states]),
+                           np.array([s.w for s in self.states]))
+        return self.stacks
+
     def rho_array(self):
-        return np.array([s.rho for s in self.states])
+        return self._stacked()[0]
 
     def w_array(self):
-        return np.array([s.w for s in self.states])
+        return self._stacked()[1]
 
 
 def _eval_boundary(schedule, vertices, tau):
@@ -186,6 +198,8 @@ class _NewtonStepper:
         self.newton_tol = newton_tol
         self.max_iter = max_iter
         self._c_w = eps**2 * system.omega_faces
+        self._half_eps2 = 0.5 * eps**2
+        self._scale = self._scale_dt = None  # row scale, per dt
         self._lu = None
         self._lu_dt = None
         self._history = []  # stacked unknowns of the last accepted steps
@@ -193,11 +207,12 @@ class _NewtonStepper:
         self._returned = None  # the state the last step returned
         self._build_template()
 
-    def _build_template(self):
-        # tocsc() sums duplicate entries in this order, and the Jacobian
-        # values follow it
+    def _entries(self):
+        """The Jacobian's (rows, cols) in the order _jacobian_data lists
+        its values, duplicates included; sets the index arrays those
+        values are gathered with."""
         sys = self.system
-        n_c, n_f, n_j = sys.n_cells, sys.n_faces, sys.n_junctions
+        n_c, n_f = sys.n_cells, sys.n_faces
         rows, cols = [], []
 
         def block(r, c):
@@ -253,9 +268,31 @@ class _NewtonStepper:
         block(n_c + n_f + sys.junction_term_slots, adj)
         block(n_c + n_f + sys.junction_term_slots, n_c + jf)
 
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        self._shape = (n_c + n_f + n_j, n_c + n_f + n_j)
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def _build_template(self):
+        """The CSC pattern coo_matrix((data, (rows, cols))).tocsc() builds
+        from the entries: sorted by column, then row, with equal (row,
+        col) pairs kept in entry order (a stable sort) and their values
+        added left to right.  _csc_first holds each CSC entry's first
+        value's position in the data; _csc_more, per further rank j,
+        the entries with a j-th value and that value's position."""
+        rows, cols = self._entries()
+        n = self.system.n_z
+        self._shape = (n, n)
+        order = np.lexsort((rows, cols)).astype(np.intc)
+        r, c = rows[order], cols[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        starts = np.flatnonzero(first)
+        count = np.diff(np.append(starts, order.size))
+        self._csc_first = order[starts]
+        self._csc_more = [(np.flatnonzero(count > j).astype(np.intc),
+                           order[starts[count > j] + j])
+                          for j in range(1, count.max())]
+        self._csc_indices = r[starts].astype(np.intc)
+        self._csc_indptr = np.searchsorted(c[starts],
+                                           np.arange(n + 1)).astype(np.intc)
 
     def step(self, state, dt, boundary, tau_new=None):
         """Advance one step; returns (new_state, stage_info dict)."""
@@ -270,8 +307,12 @@ class _NewtonStepper:
         # scale rows to update units with the flux part in field units
         # (junction rows unscaled); the combined weight keeps the
         # attainable floor near machine precision for any dt
-        scale = np.concatenate((sys.c_rho + dt * sys.dx_cells,
-                                self._w_weight(dt), np.ones(sys.n_junctions)))
+        if dt != self._scale_dt:
+            self._scale = np.concatenate((sys.c_rho + dt * sys.dx_cells,
+                                          self._w_weight(dt),
+                                          np.ones(sys.n_junctions)))
+            self._scale_dt = dt
+        scale = self._scale
 
         def failure(message, residual=None, iterations=None):
             return StepFailure(message, tau=tau_n, dt=dt, residual=residual,
@@ -313,10 +354,12 @@ class _NewtonStepper:
                         or new[2] <= self.newton_tol):
                     new = None
             if new is None:
-                data = self._jacobian_data(dt, out[1])
-                jac = sp.coo_matrix((data, (self._rows, self._cols)),
-                                    shape=self._shape).tocsc()
-                self._lu = None  # free the held factors before building new ones
+                # built while the held factors still hold their memory:
+                # freeing them first made SuperLU page its work arrays in
+                # afresh (25k against 6k minor page faults in a run of
+                # y_transient at 1024 cells per edge)
+                jac = self._jacobian(dt, out[1])
+                self._lu = None  # free the held factors before factoring anew
                 try:
                     self._lu = splu(jac, permc_spec=self.ordering)
                     self._lu_dt = dt
@@ -340,7 +383,7 @@ class _NewtonStepper:
         rho, w, hv = self._unstack(x)
         # the residual checks the stage density only; at theta < 1 the
         # end density 2 rho_s - rho_n (midpoint) can still be negative
-        if self.theta != 1.0 and not rho.min() > 0.0:
+        if self.theta != 1.0 and not np.minimum.reduce(rho) > 0.0:
             raise failure("end density is not positive", residual=norm,
                           iterations=it)
         self._history = self._history[-2:] + [x]
@@ -369,7 +412,7 @@ class _NewtonStepper:
             x = 3.0 * h[2] - 3.0 * h[1] + h[0]
         else:
             x = 2.0 * h[1] - h[0]
-        if not x[:self.system.n_cells].min() > 0.0:  # also false for NaN
+        if not np.minimum.reduce(x[:self.system.n_cells]) > 0.0:  # NaN too
             self._history = []
             return None
         return x
@@ -390,28 +433,29 @@ class _NewtonStepper:
         sys = self.system
         rho, w, hv = self._unstack(x)
         th = self.theta
-        rho_n, w_n = state.rho, state.w
         load_rho, load_w = loads
+        d_rho = rho - state.rho
+        d_w = w - state.w if self.eps or th != 1.0 else None
         if th == 1.0:
             rho_s, w_s = rho, w
         else:
-            rho_s = rho_n + th * (rho - rho_n)
-            w_s = w_n + th * (w - w_n)
-        if not rho_s.min() > 0.0:  # also false for NaN
+            rho_s = state.rho + th * d_rho
+            w_s = state.w + th * d_w
+        if not np.minimum.reduce(rho_s) > 0.0:  # also false for NaN
             return None
         h_s = sys.law._dpotential(rho_s)
         if self.eps:
-            h_s = 0.5 * self.eps**2 * sys.kinetic_cells(w_s) + h_s
+            h_s = self._half_eps2 * sys.kinetic_cells(w_s) + h_s
         h_s = h_s + sys.gz_cells
         arho_s = sys.arho_faces(rho_s)
         m_s = arho_s * w_s
         fr_s = sys.omega_gamma * np.abs(w_s) * w_s
-        f_rho = sys.c_rho * (rho - rho_n) + dt * sys.apply_d(m_s)
+        f_rho = sys.c_rho * d_rho + dt * sys.apply_d(m_s)
         if load_rho is not None:
             f_rho = f_rho - dt * load_rho
         f_w = dt * (sys.apply_gs(h_s, hv) + fr_s)
         if self.eps:
-            f_w = self._c_w * (w - w_n) + f_w
+            f_w = self._c_w * d_w + f_w
         f_w = f_w - dt * load_w
         if th == 1.0:
             arho_end, m_end = arho_s, m_s
@@ -422,7 +466,19 @@ class _NewtonStepper:
         cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
         return np.concatenate((f_rho, f_w, f_j)), cache
 
+    def _jacobian(self, dt, cache):
+        """The Jacobian at a residual's cache, in canonical CSC form."""
+        values = self._jacobian_data(dt, cache)
+        data = values.take(self._csc_first)
+        for entries, positions in self._csc_more:
+            data[entries] += values.take(positions)
+        jac = sp.csc_matrix((data, self._csc_indices, self._csc_indptr),
+                            shape=self._shape)
+        jac.has_canonical_format = True  # sorted, without duplicates
+        return jac
+
     def _jacobian_data(self, dt, cache):
+        """The Jacobian's values in template entry order."""
         sys = self.system
         dth = dt * self.theta
         rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
@@ -462,7 +518,7 @@ class _NewtonStepper:
 
 def _scaled_norm(res, scale):
     """Largest scaled residual entry; NaN if any entry is NaN."""
-    return (np.abs(res) / scale).max()
+    return np.maximum.reduce(np.abs(res) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +668,8 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
     """Advance from state0 to t_final, recording every step.
 
     Returns a Trajectory.  On a step failure the exception carries the
-    partial trajectory in its ``partial`` attribute.
+    partial trajectory, reported up to its last accepted state, in its
+    ``partial`` attribute.
     """
     n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
     if n_steps and abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
@@ -629,61 +686,96 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
                                     newton_tol=config.newton_tol,
                                     max_iter=config.max_iter, forcing=forcing)
 
-    traj = Trajectory()
-    values0 = _eval_boundary(boundary, system.boundary_vertices, state0.tau)
-    traj.append(state0.copy(), _snapshot_report(system, state0, values0, np.nan))
-    if bounds is not None:
-        _flag(system, state0, bounds, traj, 0)
-
-    state = state0.copy()
-    # the balance residual's energy: the Hamiltonian, or the limit energy
-    # on a parabolic run
-    h_prev = (energy_mod.limit_energy(system, state.rho) if config.parabolic
-              else traj.reports[0].energy)
+    recorder = _Recorder(system, config, boundary, bounds, n_steps + 1)
+    recorder.add(state0)
+    state = state0
     for k in range(n_steps):
         tau_new = state0.tau + (k + 1) * config.dt
         try:
             state, info = stepper.step(state, config.dt, boundary, tau_new=tau_new)
         except StepFailure as failure:
             failure.step = k
-            failure.partial = traj
+            failure.partial = recorder.flush()
             raise
-        energy = None
-        if config.parabolic:
-            # backward Euler on the convex limit energy dissipates at
-            # least dt*D, so this residual is <= 0 to solver tolerance
-            h_new = energy_mod.limit_energy(system, state.rho)
-        else:
-            h_new = energy = energy_mod.hamiltonian(system, state)
-        residual = (h_new - h_prev
-                    + config.dt * info["stage_dissipation"]
-                    - config.dt * info["stage_flux"])
-        h_prev = h_new
-        values = _eval_boundary(boundary, system.boundary_vertices, state.tau)
-        report = _snapshot_report(system, state, values, residual, energy)
-        traj.append(state.copy(), report)
-        traj.stage_dissipation.append(info["stage_dissipation"])
-        traj.stage_flux.append(info["stage_flux"])
-        traj.iterations.append(info["iterations"])
-        traj.factorizations.append(info["factorizations"])
-        traj.junction_h.append(info["junction_h"])
-        if bounds is not None:
-            _flag(system, state, bounds, traj, k + 1)
-    return traj
+        recorder.add(state, info)
+    return recorder.flush()
 
 
-def _snapshot_report(system, state, boundary_values, residual, energy=None):
-    """The energy report of a state; ``energy`` is its Hamiltonian if
-    already computed."""
-    if energy is None:
-        energy = energy_mod.hamiltonian(system, state)
-    return EnergyReport(
-        tau=state.tau,
-        energy=energy,
-        dissipation=energy_mod.dissipation(system, state),
-        boundary_flux=energy_mod.boundary_flux(system, state, boundary_values),
-        balance_residual=residual,
-    )
+# values per row of a report block, whose (K, n) temporaries thus stay
+# near 64 kB on any grid
+_BLOCK_VALUES = 8192
+
+
+class _Recorder:
+    """A run's trajectory, with the energy reports computed a block of
+    snapshots at a time.
+
+    The stepping loop only adds states.  Every few snapshots (fewer on a
+    large grid) the functionals run once on a (K, n) stack of the
+    block's states: energy, dissipation, boundary flux at each
+    snapshot's own boundary data, and the balance residual H_k - H_{k-1}
+    + dt (D - F) with the stage power of the step that produced snapshot
+    k.  H is the Hamiltonian, or on a parabolic run the limit energy,
+    which backward Euler on that convex energy keeps <= 0 to solver
+    tolerance.  Admissibility is flagged per snapshot as it is added.
+
+    Each state is its own copy.  With (K, n) stacks preallocated for the
+    whole run, about half of the runs of y_transient at 1024 cells per
+    edge paged SuperLU's work arrays in afresh at every factorization
+    (19k minor page faults per run against 4-6k).
+    """
+
+    def __init__(self, system, config, boundary, bounds, n_snapshots):
+        self.system, self.boundary, self.bounds = system, boundary, bounds
+        self.dt, self.parabolic = config.dt, config.parabolic
+        # stage dissipation and flux of the step into each snapshot
+        self.power = np.full((2, n_snapshots), np.nan)
+        self.h_last = np.nan  # balance energy of the last reported snapshot
+        self.block = max(1, _BLOCK_VALUES // max(system.n_faces, 1))
+        self.traj = Trajectory()
+
+    def add(self, state, info=None):
+        traj, k = self.traj, len(self.traj.states)
+        traj.times.append(state.tau)
+        traj.states.append(state.copy())
+        if info is not None:
+            self.power[:, k] = info["stage_dissipation"], info["stage_flux"]
+            traj.stage_dissipation.append(info["stage_dissipation"])
+            traj.stage_flux.append(info["stage_flux"])
+            traj.iterations.append(info["iterations"])
+            traj.factorizations.append(info["factorizations"])
+            traj.junction_h.append(info["junction_h"])
+        if self.bounds is not None:
+            _flag(self.system, traj.states[k], self.bounds, traj, k)
+        if k + 1 - len(traj.reports) == self.block:
+            self.flush()
+
+    def flush(self):
+        """Report the snapshots not reported yet; returns the trajectory."""
+        sys, traj = self.system, self.traj
+        start, stop = len(traj.reports), len(traj.states)
+        if start == stop:
+            return traj
+        taus, states = traj.times[start:stop], traj.states[start:stop]
+        block = NetworkState(taus, np.array([s.rho for s in states]),
+                             np.array([s.w for s in states]))
+        values = [_eval_boundary(self.boundary, sys.boundary_vertices, tau)
+                  for tau in taus]
+        energy = energy_mod.hamiltonian(sys, block)
+        dissipation = energy_mod.dissipation(sys, block)
+        flux = energy_mod.boundary_flux(
+            sys, block, {v: [x[v] for x in values] for v in sys.boundary_vertices})
+        h = (energy_mod.limit_energy(sys, block.rho) if self.parabolic
+             else energy)
+        h_prev = np.concatenate(([self.h_last], h[:-1]))
+        self.h_last = h[-1]
+        stage_dissipation, stage_flux = self.power[:, start:stop]
+        residual = (h - h_prev + self.dt * stage_dissipation
+                    - self.dt * stage_flux)
+        traj.reports += map(EnergyReport, taus, energy.tolist(),
+                            dissipation.tolist(), flux.tolist(),
+                            residual.tolist())
+        return traj
 
 
 def _flag(system, state, bounds, traj, step):
@@ -692,4 +784,3 @@ def _flag(system, state, bounds, traj, step):
         kinds = sorted({v.kind for v in report.violations})
         traj.warnings.append(
             f"step {step} (tau={state.tau:.6g}): admissibility lost ({', '.join(kinds)})")
-

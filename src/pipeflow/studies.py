@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from .discretization import NetworkState
 from .energy import (
     gronwall_monitor,
     lipschitz_estimates,
@@ -107,10 +108,14 @@ class StudyResult:
 
 
 def _subsample(trajectory, stride):
-    return Trajectory(times=trajectory.times[::stride],
-                      states=trajectory.states[::stride],
+    """Every stride-th snapshot, stacked once; the states are views of
+    the stacks' rows."""
+    times, kept = trajectory.times[::stride], trajectory.states[::stride]
+    rho, w = np.array([s.rho for s in kept]), np.array([s.w for s in kept])
+    return Trajectory(times=times,
+                      states=[NetworkState(*s) for s in zip(times, rho, w)],
                       reports=trajectory.reports[::stride],
-                      warnings=list(trajectory.warnings))
+                      warnings=list(trajectory.warnings), stacks=(rho, w))
 
 
 def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):

@@ -380,6 +380,29 @@ def test_gather_forms_match_csr_on_mixed_junctions():
         _assert_gather_forms_match_csr(system, seed=seed)
 
 
+def test_gather_forms_match_csr_at_a_lone_junction_of_high_degree():
+    # nine edges at one junction: S^T adds nine terms per junction, which
+    # numpy would sum pairwise over a single column
+    p = PipeParameters(length=1.0)
+    edges = [Edge(f"e{i}", "hub", f"v{i}", p) if i % 3 else
+             Edge(f"e{i}", f"v{i}", "hub", p) for i in range(9)]
+    system = NetworkSystem(NetworkTopology(edges),
+                           {e.name: EdgeGrid(1.0, 2 + i % 4)
+                            for i, e in enumerate(edges)}, LAW)
+    assert system.n_junctions == 1
+    _assert_gather_forms_match_csr(system, seed=9)
+
+
+def test_boundary_load_per_snapshot():
+    # per-snapshot values give one load row per snapshot
+    system = build_system(y_network(), cells_per_edge=4, law=LAW)
+    values = {"inlet": np.array([1.1, 1.2, 1.3]), "outlet_a": [1.0, 0.9, 0.8],
+              "outlet_b": np.full(3, 0.95)}
+    rows = [system.boundary_load({v: float(x[k]) for v, x in values.items()})
+            for k in range(3)]
+    assert np.array_equal(system.boundary_load(values), np.array(rows))
+
+
 def test_boundary_load_on_y_network():
     # faces 0-4 feed (inlet -> junction), 5-9 branch_a, 10-14 branch_b;
     # the load is -n h: +h where a pipe starts, -h where it ends
@@ -550,11 +573,12 @@ def test_setup_arrays_match_per_face_loops(system):
     stepper = HyperbolicStepper(system)
     # the kinetic block comes right before the momentum diagonal and the
     # three junction blocks
-    end = (stepper._rows.size - system.n_faces
+    rows, cols = stepper._entries()
+    end = (rows.size - system.n_faces
            - 3 * system.junction_term_faces.size)
     ww = slice(end - ref["ww_rows"].size, end)
     arrays = {"pair_face": system.pair_face, "pair_cell": system.pair_cell,
-              "ww_rows": stepper._rows[ww], "ww_cols": stepper._cols[ww],
+              "ww_rows": rows[ww], "ww_cols": cols[ww],
               "ww_sign": stepper._ww_sign, "ww_fp": stepper._ww_fp}
     for name, value in arrays.items():
         assert value.dtype == ref[name].dtype, name

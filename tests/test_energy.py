@@ -6,6 +6,7 @@ import pytest
 
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.energy import (
+    boundary_flux,
     boundary_perturbation,
     c0_constants,
     costate_defect_closed,
@@ -731,3 +732,44 @@ def test_backward_euler_dissipative_on_network():
     # junction coupling transmits no energy, so the signed per-step
     # balance stays nonpositive on networks too
     assert np.max(power_balance_residual(traj)) <= 1e-10
+
+
+def _tabulated_law():
+    from pipeflow.gas import TabulatedLaw
+
+    rho = np.linspace(0.3, 3.0, 12)
+    return TabulatedLaw(rho, PowerLaw(1.0, 1.4).pressure(rho))
+
+
+@pytest.mark.parametrize("law", [LAW, PowerLaw(1.0, 1.4), _tabulated_law()],
+                         ids=["isothermal", "power", "tabulated"])
+def test_report_functionals_on_stacks_equal_their_rows(law):
+    # the run reports a block of snapshots with one call per functional;
+    # each row is the float of that snapshot alone, bit for bit
+    topology = y_network(epsilon=0.3, elevation=((0.0, 0.0), (1.0, 0.2)),
+                         gravity=0.5)
+    system = build_system(topology, cells_per_edge=7, law=law)
+    rng = np.random.default_rng(5)
+    k = 6
+    rho = 0.8 + 0.6 * rng.random((k, system.n_cells))
+    w = rng.standard_normal((k, system.n_faces))
+    taus = np.linspace(0.0, 0.5, k).tolist()
+    values = {v: 1.0 + 0.1 * rng.random(k) for v in system.boundary_vertices}
+    stack = NetworkState(taus, rho, w)
+    states = [NetworkState(t, r, u) for t, r, u in zip(taus, rho, w)]
+    row_values = [{v: float(x[i]) for v, x in values.items()} for i in range(k)]
+    cases = {
+        "hamiltonian": (hamiltonian(system, stack),
+                        [hamiltonian(system, s) for s in states]),
+        "limit_energy": (limit_energy(system, rho),
+                         [limit_energy(system, r) for r in rho]),
+        "dissipation": (dissipation(system, stack),
+                        [dissipation(system, s) for s in states]),
+        "boundary_flux": (boundary_flux(system, stack, values),
+                          [boundary_flux(system, s, x)
+                           for s, x in zip(states, row_values)]),
+    }
+    for name, (batched, rows) in cases.items():
+        assert batched.shape == (k,), name
+        assert all(type(r) is float for r in rows), name
+        assert batched.tobytes() == np.array(rows).tobytes(), name

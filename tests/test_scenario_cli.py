@@ -645,6 +645,36 @@ def test_midpoint_step_rejects_negative_end_density():
     assert min(s.rho.min() for s in failure.partial.states) > 0.0
 
 
+def test_simulate_reports_a_step_failure(tmp_path, capsys):
+    # the end-density failure above, through the CLI: the failure's step,
+    # tau, dt and residual on stderr, the accepted snapshots' energy
+    # trace and a manifest naming the failure, exit code 1
+    text, _ = _single_pipe_initial("rest = 3.0", bounds=False)
+    scn = tmp_path / "p.scn"
+    scn.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out)]) == 1
+    dt = parse_scenario(text).solver.dt
+    where = f"step 6 from tau={6 * dt:.6g} with dt={dt:.6g}, residual "
+    err = capsys.readouterr().err
+    assert f"step failure in {where}" in err
+    residual = float(err.split(where)[1].split(":")[0])
+    assert 0.0 <= residual <= parse_scenario(text).solver.newton_tol
+    assert "end density is not positive" in err
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
+        [k * dt for k in range(7)])
+    assert rows[0].split(",")[4] == "nan"
+    assert all(r.split(",")[4] != "nan" for r in rows[1:])
+    manifest = (out / "manifest.txt").read_text()
+    assert "command = simulate" in manifest
+    failure_line = next(line for line in manifest.splitlines()
+                        if line.startswith("failure = "))
+    assert where in failure_line
+    assert failure_line.endswith("end density is not positive")
+    assert not (out / "states_cells.csv").exists()
+
+
 @pytest.mark.parametrize("initial, bad_key", [
     ("rho = 1.0\nrest = 1.0", 1),
     ("rest = 1.0\nw = 0.1", 1),

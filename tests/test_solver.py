@@ -477,15 +477,16 @@ class TestRun:
         hamiltonian = energy_mod.hamiltonian
         calls = []
 
-        def counting(system, state):
-            calls.append(state.tau)
+        def counting(system, state):  # one state or a block of them
+            calls.extend(np.atleast_1d(state.tau).tolist())
             return hamiltonian(system, state)
 
         monkeypatch.setattr(energy_mod, "hamiltonian", counting)
         config = SolverConfig(dt=0.01, t_final=0.1,
                               parabolic=model == "parabolic")
         traj = run(system, state0, config, boundary)
-        assert len(calls) == len(traj.states) == 11
+        assert len(traj.states) == 11
+        assert calls == traj.times
         for state, report in zip(traj.states, traj.reports):
             assert report.energy == hamiltonian(system, state)
 
@@ -536,3 +537,168 @@ def test_reports_use_boundary_data_at_their_own_time():
         values = {"inlet": ramp(state.tau), **fixed}
         assert report.boundary_flux == energy_mod.boundary_flux(system, state,
                                                                 values)
+
+
+# ---------------------------------------------------------------------------
+# the run's snapshot bookkeeping and the Newton step's CSC Jacobian
+
+def _per_state_reports(system, config, boundary, traj, bounds):
+    """Reports and warnings built one snapshot at a time, with the
+    stepping loop's own per-step formulas, as the reference for run's
+    block-wise bookkeeping."""
+    reports, warnings, h_prev = [], [], np.nan
+    for k, state in enumerate(traj.states):
+        values = {v: float(boundary[v](state.tau)) if callable(boundary[v])
+                  else float(boundary[v]) for v in system.boundary_vertices}
+        energy = energy_mod.hamiltonian(system, state)
+        h = (energy_mod.limit_energy(system, state.rho) if config.parabolic
+             else energy)
+        residual = np.nan
+        if k:
+            residual = (h - h_prev + config.dt * traj.stage_dissipation[k - 1]
+                        - config.dt * traj.stage_flux[k - 1])
+        h_prev = h
+        reports.append((state.tau, energy, energy_mod.dissipation(system, state),
+                        energy_mod.boundary_flux(system, state, values),
+                        residual))
+        if bounds is not None and not (check := system.check_state(state, bounds)).ok:
+            kinds = sorted({v.kind for v in check.violations})
+            warnings.append(f"step {k} (tau={state.tau:.6g}): admissibility "
+                            f"lost ({', '.join(kinds)})")
+    return reports, warnings
+
+
+def _assert_reports_match_per_state(system, config, boundary, traj, bounds):
+    reports, warnings = _per_state_reports(system, config, boundary, traj,
+                                           bounds)
+    got = [(r.tau, r.energy, r.dissipation, r.boundary_flux,
+            r.balance_residual) for r in traj.reports]
+    assert len(got) == len(reports) == len(traj.states)
+    assert all(type(v) is float for row in got for v in row[1:])
+    assert np.array_equal(np.array(got), np.array(reports), equal_nan=True)
+    assert np.isnan(got[0][4]) and not np.isnan([r[4] for r in got[1:]]).any()
+    assert traj.warnings == warnings
+
+
+@pytest.mark.parametrize("parabolic", [False, True],
+                         ids=["hyperbolic", "parabolic"])
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCEN)
+                                        if f.endswith(".scn")))
+def test_block_reports_equal_per_state_functionals(name, parabolic,
+                                                   monkeypatch):
+    scen = load_scenario(os.path.join(SCEN, name))
+    system = scen.build_system()
+    config = replace(scen.solver, parabolic=parabolic,
+                     t_final=min(scen.solver.t_final, 300 * scen.solver.dt))
+    # blocks of 7 snapshots: several of them, and a shorter last one
+    monkeypatch.setattr(solver_mod, "_BLOCK_VALUES", 7 * system.n_faces)
+    assert int(round(config.t_final / config.dt)) % 7
+    traj = run(system, scen.initial_state(system), config, scen.boundary,
+               bounds=scen.bounds)
+    _assert_reports_match_per_state(system, config, scen.boundary, traj,
+                                    scen.bounds)
+
+
+def test_block_reports_on_a_failed_run(monkeypatch):
+    # single_pipe.scn from rest = 3.0 fails at step 6 when a midpoint
+    # step's end density turns negative (see the scenario tests): the
+    # partial trajectory is reported up to its last accepted state, which
+    # ends inside a block of 4, and states outside the bounds are flagged
+    from pipeflow.scenario import parse_scenario
+
+    with open(os.path.join(SCEN, "single_pipe.scn")) as fh:
+        text = fh.read().split("[bounds]")[0]
+    head, _, tail = text.partition("[initial]\n")
+    scen = parse_scenario(head + "[initial]\nrest = 3.0\n"
+                          + tail.split("\n\n", 1)[1])
+    system = scen.build_system()
+    monkeypatch.setattr(solver_mod, "_BLOCK_VALUES", 4 * system.n_faces)
+    bounds = AdmissibleBounds(rho_min=0.5, rho_max=7.5, w_max=5.0,
+                              eps_max=0.05)
+    with pytest.raises(StepFailure, match="end density") as info:
+        run(system, scen.initial_state(system), scen.solver, scen.boundary,
+            bounds=bounds)
+    partial = info.value.partial
+    assert len(partial.states) == 7
+    assert partial.warnings
+    _assert_reports_match_per_state(system, scen.solver, scen.boundary,
+                                    partial, bounds)
+    assert partial.rho_array().shape == (len(partial.states), system.n_cells)
+
+
+def _star(n_edges, epsilon):
+    from pipeflow.gas import PipeParameters
+    from pipeflow.network import Edge, NetworkTopology
+
+    p = PipeParameters(length=1.0, epsilon=epsilon)
+    return NetworkTopology([Edge(f"e{i}", f"v{i}", "hub", p) if i % 2 else
+                            Edge(f"e{i}", "hub", f"v{i}", p)
+                            for i in range(n_edges)])
+
+
+def _chain(epsilon):
+    from pipeflow.gas import PipeParameters
+    from pipeflow.network import Edge, NetworkTopology
+
+    p = PipeParameters(length=1.0, epsilon=epsilon,
+                       elevation=((0.0, 0.0), (1.0, 0.2)))
+    return NetworkTopology([Edge("a", "in", "j1", p), Edge("b", "j1", "j2", p),
+                            Edge("c", "j2", "out", p)])
+
+
+NETWORKS = {"y": lambda eps: y_network(epsilon=eps),
+            "loop": lambda eps: loop_network(n_edges=3, epsilon=eps),
+            "chain": _chain, "star": lambda eps: _star(9, eps)}
+
+
+@pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+def test_csc_jacobian_equals_coo_conversion(network, stepper):
+    import scipy.sparse as sp
+
+    system = build_system(NETWORKS[network](0.3), cells_per_edge=5, law=LAW)
+    if stepper == "parabolic":
+        st = ParabolicStepper(system)
+    else:
+        st = HyperbolicStepper(system, scheme=stepper)
+    rng = np.random.default_rng(len(network))
+    state = NetworkState(0.0, 1.0 + 0.2 * rng.random(system.n_cells),
+                         0.3 * rng.standard_normal(system.n_faces))
+    x = np.concatenate((state.rho * (1.0 + 0.01 * rng.random(system.n_cells)),
+                        state.w + 0.01 * rng.standard_normal(system.n_faces),
+                        rng.random(system.n_junctions)))
+    values = {v: 1.0 + 0.1 * rng.random() for v in system.boundary_vertices}
+    _, cache = st._residual(0.01, state, (None, system.boundary_load(values)), x)
+    jac = st._jacobian(0.01, cache)
+    data = st._jacobian_data(0.01, cache)
+    rows, cols = st._entries()
+    ref = sp.coo_matrix((data, (rows, cols)), shape=jac.shape).tocsc()
+    assert jac.format == "csc" and jac.has_canonical_format
+    assert ref.has_canonical_format
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(jac, name), getattr(ref, name)), name
+    assert jac.data.tobytes() == ref.data.tobytes()
+    # some entries sum three values, where the order of the sum shows
+    assert (np.bincount(np.ravel_multi_index((rows, cols), jac.shape)) == 3).any()
+
+
+def test_run_memory_stays_near_the_trajectory():
+    # the block-wise reports and the Newton step keep their temporaries
+    # small: the traced peak of a large-grid run exceeds what the
+    # returned trajectory holds by at most 1 MB
+    import tracemalloc
+
+    scen = load_scenario(os.path.join(SCEN, "y_transient.scn"))
+    system = scen.build_system(cells_per_edge=512)
+    state0 = scen.initial_state(system)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run(system, state0, scen.solver, scen.boundary,
+                   bounds=scen.bounds)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    arrays = traj.rho_array().nbytes + traj.w_array().nbytes
+    assert len(traj.states) == 301 and arrays < held < arrays + 2**18
+    assert peak - held <= 2**20, (peak - held) / 2**20

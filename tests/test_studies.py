@@ -118,3 +118,30 @@ class TestStudiesEndToEnd:
         result.write_table(path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("gamma_offset,")
+
+
+def test_trajectories_are_stacked_once():
+    # a trajectory stacks its states once; the study's subsample stacks
+    # the states it keeps, and its states are views of those stacks;
+    # appending rebuilds them
+    from pipeflow.solver import run
+    from pipeflow.studies import _subsample
+
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    system = scen.build_system()
+    config = replace(scen.solver, t_final=40 * scen.solver.dt)
+    traj = run(system, scen.initial_state(system), config, scen.boundary)
+    rho, w = traj.rho_array(), traj.w_array()
+    assert traj.rho_array() is rho and traj.w_array() is w
+    assert rho.shape == (41, system.n_cells) and w.shape == (41, system.n_faces)
+    for k, s in enumerate(traj.states):
+        assert np.array_equal(s.rho, rho[k]) and np.array_equal(s.w, w[k])
+    sub = _subsample(traj, 4)
+    assert sub.times == traj.times[::4]
+    assert np.array_equal(sub.rho_array(), rho[::4])
+    assert np.array_equal(sub.w_array(), w[::4])
+    assert not np.shares_memory(sub.rho_array(), rho)
+    assert all(np.shares_memory(s.rho, sub.rho_array()) for s in sub.states)
+    sub.append(traj.states[-1], traj.reports[-1])
+    assert sub.rho_array().shape == (12, system.n_cells)
+    assert np.array_equal(sub.rho_array()[-1], rho[-1])
