@@ -133,6 +133,12 @@ def cmd_simulate(args):
     print(f"simulated {len(trajectory.states) - 1} steps to "
           f"tau={trajectory.times[-1]:.6g}")
     print(f"final energy {last.energy:.9g}, dissipation {last.dissipation:.6g}")
+    iterations = trajectory.iterations
+    if iterations:
+        print(f"solver: {len(iterations)} steps, Newton iterations per step "
+              f"{sum(iterations) / len(iterations):.2f} mean, "
+              f"{max(iterations)} max, "
+              f"LU factorizations {sum(trajectory.factorizations)}")
     if out:
         os.makedirs(out, exist_ok=True)
         write_trajectory(out, system, trajectory, fmt=scenario.output_format)

@@ -13,9 +13,9 @@ factored at the current iterate and the update is damped by a halving
 line search.  The stopping test is the same in both cases, so every
 accepted state satisfies the equations to the Newton tolerance.  A step
 that continues the stepper's own sequence at the same dt starts Newton
-from the solution extrapolated through the last accepted steps
-(quadratic through three, linear through two); any other step starts
-afresh from its initial state.
+from the solution extrapolated through the last accepted steps, at the
+order (1 to 4) whose prediction of the last step missed least; any
+other step starts afresh from its initial state.
 Junction mass balances are imposed on the accepted end-of-step state so
 that every snapshot satisfies them to solver tolerance.  Two steppers
 fix the model's parameters:
@@ -162,7 +162,7 @@ class _NewtonStepper:
     with c_w = eps^2 omega, h_s = eps^2 kin(w_s)/2 + P'(rho_s) + g z and
     the junction balances imposed on the end-of-step state.  A stepper
     fixes eps and theta and supplies its stage loads (``_stage``), its
-    starting values from a prediction or afresh (``_start``), its
+    starting values when there is no prediction (``_fresh_start``), its
     line-search cut limit (``max_cuts``) and the column order SuperLU
     factors its Jacobian in (``ordering``).  At eps = 0 the c_w term and
     the kinetic coupling d(G h)/dw vanish, and with them the template's
@@ -171,14 +171,20 @@ class _NewtonStepper:
     keeps the other cases' floating-point results unchanged.
 
     Newton starts from values extrapolated through the stacked unknowns
-    (rho, w, h_v) of the last accepted steps (the starting values of
-    Hairer & Wanner, Solving ODEs II, IV.8): quadratic through three,
-    linear through two.  The stepper keeps at most three, with their dt
-    and the state it last returned, and extrapolates only when it is
-    stepped on from that state with that dt and the predicted densities
-    are positive.  Otherwise the history restarts and the stepper's
-    fresh start (``_start``) is used; with one accepted step the start is
-    that step's unknowns.
+    x = (rho, w, h_v) of the last accepted steps (the starting values of
+    Hairer & Wanner, Solving ODEs II, IV.8).  The stepper keeps them as
+    the backward differences [x_n, nabla x_n, ..., nabla^5 x_n], with
+    their dt and the state it last returned, and predicts x_n + nabla x_n
+    + ... + nabla^p x_n.  nabla^(p+1) x_n is exactly how far the order-p
+    prediction of x_n missed, so p, from 1 to ``max_order``, is the one
+    whose nabla^(p+1) x_n has the least 2-norm (Shampine & Gordon's order
+    choice): smooth solutions extrapolate at high order, grid-scale
+    oscillations at low order.  With one accepted step the start is x_n,
+    with two the linear extrapolation; a rest state predicts itself bit
+    for bit.  The stepper extrapolates only when it is stepped on from
+    the state it returned with the same dt and the predicted densities
+    are positive; otherwise the table restarts and the step starts from
+    the stepper's fresh start (``_fresh_start``).
 
     The stepper holds the LU factorization of the last Jacobian it built
     and the dt it was built for.  Each iteration first tries a full step
@@ -190,6 +196,7 @@ class _NewtonStepper:
     """
 
     contraction = 0.05  # residual reduction a step with the held LU must reach
+    max_order = 4  # highest extrapolation order of the Newton start
 
     def __init__(self, system, eps, theta, newton_tol, max_iter):
         self.system = system
@@ -202,15 +209,15 @@ class _NewtonStepper:
         self._scale = self._scale_dt = None  # row scale, per dt
         self._lu = None
         self._lu_dt = None
-        self._history = []  # stacked unknowns of the last accepted steps
-        self._history_dt = None
+        self._diffs = []  # backward differences of the accepted unknowns
+        self._diffs_dt = None
         self._returned = None  # the state the last step returned
         self._build_template()
 
     def _entries(self):
         """The Jacobian's (rows, cols) in the order _jacobian_data lists
         its values, duplicates included; sets the index arrays those
-        values are gathered with."""
+        values are gathered with and each block's slice of the values."""
         sys = self.system
         n_c, n_f = sys.n_cells, sys.n_faces
         rows, cols = [], []
@@ -268,6 +275,8 @@ class _NewtonStepper:
         block(n_c + n_f + sys.junction_term_slots, adj)
         block(n_c + n_f + sys.junction_term_slots, n_c + jf)
 
+        ends = np.cumsum([r.size for r in rows]).tolist()
+        self._blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         return np.concatenate(rows), np.concatenate(cols)
 
     def _build_template(self):
@@ -301,9 +310,11 @@ class _NewtonStepper:
         if tau_new is None:
             tau_new = tau_n + dt
         tau_s, values, loads = self._stage(state, dt, boundary, tau_new)
-        if state is not self._returned or dt != self._history_dt:
-            self._history = []
-        x = self._start(state, values, self._predict())
+        if state is not self._returned or dt != self._diffs_dt:
+            self._diffs = []
+        x = self._predict()
+        if x is None:
+            x = self._fresh_start(state, values)
         # scale rows to update units with the flux part in field units
         # (junction rows unscaled); the combined weight keeps the
         # attainable floor near machine precision for any dt
@@ -386,8 +397,7 @@ class _NewtonStepper:
         if self.theta != 1.0 and not np.minimum.reduce(rho) > 0.0:
             raise failure("end density is not positive", residual=norm,
                           iterations=it)
-        self._history = self._history[-2:] + [x]
-        self._history_dt = dt
+        self._accept(x, dt)
         stage_dissipation, stage_flux = self._stage_power(loads, out[1])
         info = {
             "junction_h": hv.copy(),
@@ -401,19 +411,38 @@ class _NewtonStepper:
         self._returned = NetworkState(tau_new, rho, w)
         return self._returned, info
 
+    def _accept(self, x, dt):
+        """Put accepted unknowns at the head of the difference table:
+        nabla^j x_(n+1) = nabla^(j-1) x_(n+1) - nabla^(j-1) x_n."""
+        diffs = [x]
+        for d in self._diffs[:self.max_order + 1]:
+            diffs.append(diffs[-1] - d)
+        self._diffs = diffs
+        self._diffs_dt = dt
+
+    def _order(self):
+        """The extrapolation order: -1 without accepted steps, the number
+        of differences below three entries, else the p in 1..max_order
+        whose miss nabla^(p+1) x_n is least (the lowest on a tie)."""
+        d = self._diffs
+        if len(d) < 3:
+            return len(d) - 1
+        misses = [np.dot(e, e) for e in d[2:]]
+        return 1 + misses.index(min(misses))
+
     def _predict(self):
-        """The unknowns extrapolated through the history: the last
-        accepted ones after one step, None if there are none or the
-        predicted densities are not positive (which restarts it)."""
-        h = self._history
-        if len(h) < 2:
-            return h[-1].copy() if h else None
-        if len(h) == 3:
-            x = 3.0 * h[2] - 3.0 * h[1] + h[0]
-        else:
-            x = 2.0 * h[1] - h[0]
+        """x_n + nabla x_n + ... + nabla^p x_n at p = _order(), or None
+        if there are no accepted steps or the predicted densities are
+        not positive (which restarts the table)."""
+        p = self._order()
+        if p < 0:
+            return None
+        d = self._diffs
+        x = d[0] + d[1] if p else d[0].copy()
+        for e in d[2:p + 1]:
+            x += e
         if not np.minimum.reduce(x[:self.system.n_cells]) > 0.0:  # NaN too
-            self._history = []
+            self._diffs = []
             return None
         return x
 
@@ -478,30 +507,36 @@ class _NewtonStepper:
         return jac
 
     def _jacobian_data(self, dt, cache):
-        """The Jacobian's values in template entry order."""
+        """The Jacobian's values in template entry order, each block
+        written into its slice of one buffer."""
         sys = self.system
         dth = dt * self.theta
         rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
         d2p = sys.law._d2potential(rho_s)
-        parts = [
-            sys.c_rho,
-            dth * w_s[sys.pair_face[self._rr_left]] * sys.pair_kappa[self._rr_left],
-            -dth * w_s[sys.pair_face[self._rr_right]] * sys.pair_kappa[self._rr_right],
-            dth * arho_s[self._rw_left],
-            -dth * arho_s[self._rw_right],
-            dth * d2p[sys.face_right_cell[self._rw_right]],
-            -dth * d2p[sys.face_left_cell[self._rw_left]],
-        ]
+        mul, v = np.multiply, np.empty(self._blocks[-1].stop)
+        at = iter(self._blocks)  # the blocks in _entries' order
+        v[next(at)] = sys.c_rho
+        pf, kappa, left, right = (sys.pair_face, sys.pair_kappa,
+                                  self._rr_left, self._rr_right)
+        mul(dth * w_s[pf[left]], kappa[left], out=v[next(at)])
+        mul(-dth * w_s[pf[right]], kappa[right], out=v[next(at)])
+        mul(dth, arho_s[self._rw_left], out=v[next(at)])
+        mul(-dth, arho_s[self._rw_right], out=v[next(at)])
+        mul(dth, d2p[sys.face_right_cell[self._rw_right]], out=v[next(at)])
+        mul(-dth, d2p[sys.face_left_cell[self._rw_left]], out=v[next(at)])
         if self.eps:
-            parts.append(dth * self._ww_sign * 0.5 * self.eps**2 * w_s[self._ww_fp])
-        friction = dth * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s)
-        parts += [
-            self._c_w + friction if self.eps else friction,
-            dt * sys.junction_term_signs,
-            sys.junction_term_signs * w_end[sys.junction_term_faces] * self._j_kappa,
-            sys.junction_term_signs * arho_end[sys.junction_term_faces],
-        ]
-        return np.concatenate(parts)
+            mul(dth * self._ww_sign * 0.5 * self.eps**2, w_s[self._ww_fp],
+                out=v[next(at)])
+        diagonal = v[next(at)]
+        mul(dth * 2.0 * sys.omega_faces * sys.gamma_faces, np.abs(w_s),
+            out=diagonal)
+        if self.eps:
+            diagonal += self._c_w
+        jf, signs = sys.junction_term_faces, sys.junction_term_signs
+        mul(dt, signs, out=v[next(at)])
+        mul(signs * w_end[jf], self._j_kappa, out=v[next(at)])
+        mul(signs, arho_end[jf], out=v[next(at)])
+        return v
 
     def _stage_power(self, loads, cache):
         sys = self.system
@@ -555,11 +590,8 @@ class HyperbolicStepper(_NewtonStepper):
             load_w = load_w + sys.omega_faces * f2(sys.x_faces, tau_s)
         return tau_s, values, (load_rho, load_w)
 
-    def _start(self, state, values, predicted):
-        """The predicted unknowns, or the state with zero junction
-        enthalpies."""
-        if predicted is not None:
-            return predicted
+    def _fresh_start(self, state, values):
+        """The state with zero junction enthalpies."""
         return np.concatenate((state.rho, state.w,
                                np.zeros(self.system.n_junctions)))
 
@@ -575,10 +607,9 @@ class ParabolicStepper(_NewtonStepper):
     has unbounded slope there), while the polynomial form is semismooth
     with superlinear convergence.  At convergence both forms satisfy
     exactly the same equations, so every accepted state still fulfils
-    gamma*|w|*w = -s face by face to solver tolerance.  Each step starts
-    from the predicted densities and junction enthalpies (rho_n and
-    limit_flow's junction values on a fresh start) and the velocities
-    recovered from them, so a rest state stays at rest bit for bit.
+    gamma*|w|*w = -s face by face to solver tolerance.  A step starts
+    from the predicted unknowns as they are; a fresh start takes rho_n
+    with limit_flow's velocities and junction enthalpies.
     """
 
     max_cuts = 14
@@ -594,14 +625,10 @@ class ParabolicStepper(_NewtonStepper):
                                 tau_new)
         return tau_new, values, (None, self.system.boundary_load(values))
 
-    def _start(self, state, values, predicted):
-        sys = self.system
-        if predicted is None:
-            w, hv = limit_flow(sys, state.rho, values)
-            return np.concatenate((state.rho, w, hv))
-        rho, _, hv = self._unstack(predicted)
-        w = velocity_recovery(sys, rho, values, junction_h=hv)
-        return np.concatenate((rho, w, hv))
+    def _fresh_start(self, state, values):
+        """rho_n with the limit velocities and junction enthalpies."""
+        w, hv = limit_flow(self.system, state.rho, values)
+        return np.concatenate((state.rho, w, hv))
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,22 @@ class TestCli:
         assert all(it >= 1 for it, _ in rows[1:])
         assert 1 <= sum(lu for _, lu in rows) < 30
 
+    def test_simulate_prints_solver_summary(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario",
+                     os.path.join(SCEN, "y_transient.scn"),
+                     "--out", str(tmp_path / "out"), "--cells", "8",
+                     "--dt", "0.01"])
+        assert code == 0
+        lines = (tmp_path / "out" / "energy.csv").read_text().splitlines()
+        rows = [[int(v) for v in line.split(",")[-2:]] for line in lines[2:]]
+        its = [it for it, _ in rows]
+        summary = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("solver:")]
+        assert summary == [
+            f"solver: 30 steps, Newton iterations per step "
+            f"{sum(its) / 30:.2f} mean, {max(its)} max, "
+            f"LU factorizations {sum(lu for _, lu in rows)}"]
+
     def test_simulate_writes_manifest(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(MINIMAL)

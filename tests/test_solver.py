@@ -231,17 +231,101 @@ def _start_and_step(stepper, state, dt, boundary):
     return starts[0], new
 
 
-@pytest.mark.parametrize("model, bound", [("parabolic", 3.0),
-                                          ("hyperbolic", 4.0)])
+@pytest.mark.parametrize("model, bound", [("parabolic", 2.0),
+                                          ("hyperbolic", 3.0)])
 def test_predicted_start_cuts_iterations_on_y_limit(model, bound):
     # starting from the previous state took 4.37 (parabolic) and 4.55
-    # (hyperbolic) iterations per step
+    # (hyperbolic) iterations per step, the quadratic start 2.73 and 3.48
     scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     system = scenario.build_system()
     config = replace(scenario.solver, parabolic=model == "parabolic")
     traj = run(system, scenario.initial_state(system), config,
                scenario.boundary)
     assert np.mean(traj.iterations) < bound
+
+
+def _polynomial_sequence(degree, n_steps, size=7):
+    """Vectors x_k = sum_i c_i k^i with small integer coefficients, whose
+    differences and extrapolations are exact in floating point."""
+    rng = np.random.default_rng(degree)
+    coeffs = rng.integers(-3, 4, size=(degree + 1, size)).astype(float)
+    coeffs[0] += 1000.0  # positive "densities"
+    return [sum(c * float(k)**i for i, c in enumerate(coeffs))
+            for k in range(n_steps)]
+
+
+class TestDifferenceTable:
+    def _table(self, xs):
+        system = build_system(single_pipe(epsilon=0.4), cells_per_edge=3,
+                              law=LAW)
+        stepper = HyperbolicStepper(system)
+        for x in xs:
+            stepper._accept(x, 0.01)
+        return stepper
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_exact_on_polynomial_sequences(self, degree):
+        xs = _polynomial_sequence(degree, 9)
+        stepper = self._table(xs[:-1])
+        assert len(stepper._diffs) == HyperbolicStepper.max_order + 2
+        assert np.array_equal(stepper._predict(), xs[-1])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_order_follows_the_degree(self, degree):
+        # the order-p miss nabla^(p+1) x_n vanishes from p = degree on;
+        # the lowest such order wins, and at least the linear one
+        xs = _polynomial_sequence(degree, 9)
+        assert self._table(xs)._order() == max(degree, 1)
+        # a short table is limited by its length: x_n, then linear,
+        # then up to the number of differences less one
+        for n in range(1, 7):
+            assert self._table(xs[:n])._order() == (
+                n - 1 if n < 3 else min(max(degree, 1), n - 2))
+
+    def test_order_drops_on_an_oscillation(self):
+        # a linear sequence plus a (-1)^k mode: its differences double
+        # with each order, so the lowest order wins
+        xs = _polynomial_sequence(1, 9)
+        xs = [x + 0.1 * (-1.0)**k for k, x in enumerate(xs)]
+        assert self._table(xs)._order() == 1
+
+    def test_update_is_one_subtraction_per_entry(self):
+        xs = _polynomial_sequence(4, 9)
+        stepper = self._table(xs)
+        table = [np.array(xs[-6:])]
+        for _ in range(5):
+            table.append(table[-1][1:] - table[-1][:-1])
+        assert all(np.array_equal(d, t[-1])
+                   for d, t in zip(stepper._diffs, table))
+
+
+def _rest_on_a_y_network(model):
+    """A sloped y-network at rest, boundary enthalpies at rest, and a stepper."""
+    topo = y_network(epsilon=0.4 if model == "hyperbolic" else 0.0,
+                     elevation=((0.0, 0.0), (1.0, 0.3)), gravity=1.0)
+    system = build_system(topo, cells_per_edge=8, law=LAW)
+    state = system.rest_state(1.2)
+    boundary = {v: 1.2 for v in system.boundary_vertices}
+    stepper = (HyperbolicStepper(system) if model == "hyperbolic"
+               else ParabolicStepper(system))
+    return system, state, boundary, stepper
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
+def test_rest_state_stays_at_rest_bit_for_bit(model):
+    # once a step has found the junction enthalpies, every prediction is
+    # the last state itself and Newton accepts it without an iteration
+    system, state, boundary, stepper = _rest_on_a_y_network(model)
+    states, iterations = [state], []
+    for _ in range(20):
+        state, info = stepper.step(state, 0.05, boundary)
+        states.append(state)
+        iterations.append(info["iterations"])
+    assert iterations[1:] == [0] * 19
+    for s in states[2:]:
+        assert np.array_equal(s.rho, states[1].rho)
+        assert np.array_equal(s.w, states[1].w)
+    assert np.max(np.abs(states[1].rho - states[0].rho)) < 1e-12
 
 
 @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
@@ -255,20 +339,15 @@ class TestPredictor:
             states.append(stepper.step(states[-1], 0.02, boundary)[0])
         return system, boundary, make, stepper, states
 
-    def test_quadratic_prediction(self, model):
-        system, boundary, _, stepper, states = self._stepped(model)
+    def test_start_is_the_prediction(self, model):
+        # the parabolic stepper also starts from the predicted unknowns as
+        # they are, velocities included
+        system, boundary, _, stepper, states = self._stepped(model, n=6)
+        p = stepper._order()
+        assert p >= 1
+        predicted = sum(stepper._diffs[1:p + 1], stepper._diffs[0])
         start, _ = _start_and_step(stepper, states[-1], 0.02, boundary)
-        r0, r1, r2 = (s.rho for s in states[1:])
-        assert np.array_equal(start[:system.n_cells], 3.0 * r2 - 3.0 * r1 + r0)
-        w = start[system.n_cells:system.n_state]
-        if model == "hyperbolic":
-            w0, w1, w2 = (s.w for s in states[1:])
-            assert np.array_equal(w, 3.0 * w2 - 3.0 * w1 + w0)
-        else:
-            # the velocities are recovered from the predicted rho and h_v
-            assert np.array_equal(w, velocity_recovery(
-                system, start[:system.n_cells], boundary,
-                junction_h=start[system.n_state:]))
+        assert np.array_equal(start, predicted)
 
     @pytest.mark.parametrize("case", ["new dt", "foreign state",
                                       "nonpositive prediction"])
@@ -280,12 +359,14 @@ class TestPredictor:
         elif case == "foreign state":
             state = state.copy()
         else:
-            # 3 x_n - 3 x_{n-1} + x_{n-2} falls below zero
-            stepper._history[1][:system.n_cells] += 10.0
+            # x_n + nabla x_n falls below zero
+            stepper._diffs[1][:system.n_cells] -= 10.0
+            assert stepper._order() == 1
         start, new = _start_and_step(stepper, state, dt, boundary)
         fresh_start, _ = _start_and_step(make(), state, dt, boundary)
         assert np.array_equal(start, fresh_start)
-        # the history restarts from the accepted step
+        # the table restarts from the accepted step
+        assert len(stepper._diffs) == 1
         again, _ = _start_and_step(stepper, new, dt, boundary)
         assert np.array_equal(again[:system.n_cells], new.rho)
 
@@ -651,6 +732,36 @@ NETWORKS = {"y": lambda eps: y_network(epsilon=eps),
             "chain": _chain, "star": lambda eps: _star(9, eps)}
 
 
+def _concatenated_jacobian_data(st, dt, cache):
+    """The Jacobian's values as twelve parts joined by concatenate: the
+    reference for the one-buffer form."""
+    sys = st.system
+    dth = dt * st.theta
+    rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
+    d2p = sys.law._d2potential(rho_s)
+    rr_l, rr_r, rw_l, rw_r = st._rr_left, st._rr_right, st._rw_left, st._rw_right
+    parts = [
+        sys.c_rho,
+        dth * w_s[sys.pair_face[rr_l]] * sys.pair_kappa[rr_l],
+        -dth * w_s[sys.pair_face[rr_r]] * sys.pair_kappa[rr_r],
+        dth * arho_s[rw_l],
+        -dth * arho_s[rw_r],
+        dth * d2p[sys.face_right_cell[rw_r]],
+        -dth * d2p[sys.face_left_cell[rw_l]],
+    ]
+    if st.eps:
+        parts.append(dth * st._ww_sign * 0.5 * st.eps**2 * w_s[st._ww_fp])
+    friction = dth * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s)
+    jf, signs = sys.junction_term_faces, sys.junction_term_signs
+    parts += [
+        st._c_w + friction if st.eps else friction,
+        dt * signs,
+        signs * w_end[jf] * st._j_kappa,
+        signs * arho_end[jf],
+    ]
+    return np.concatenate(parts)
+
+
 @pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
 @pytest.mark.parametrize("network", sorted(NETWORKS))
 def test_csc_jacobian_equals_coo_conversion(network, stepper):
@@ -671,6 +782,7 @@ def test_csc_jacobian_equals_coo_conversion(network, stepper):
     _, cache = st._residual(0.01, state, (None, system.boundary_load(values)), x)
     jac = st._jacobian(0.01, cache)
     data = st._jacobian_data(0.01, cache)
+    assert data.tobytes() == _concatenated_jacobian_data(st, 0.01, cache).tobytes()
     rows, cols = st._entries()
     ref = sp.coo_matrix((data, (rows, cols)), shape=jac.shape).tocsc()
     assert jac.format == "csc" and jac.has_canonical_format
