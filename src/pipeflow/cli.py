@@ -37,6 +37,28 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from None
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _two_or_more(parse):
+    """A list type that needs two values at least: an order of
+    convergence compares two resolutions."""
+    def parse_list(text):
+        values = parse(text)
+        if len(values) < 2:
+            raise argparse.ArgumentTypeError(
+                f"need at least two values, got {len(values)}")
+        return values
+    return parse_list
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pipeflow",
@@ -76,13 +98,14 @@ def build_parser():
     common(p_ver)
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sampling")
-    p_ver.add_argument("--samples", type=int, default=200,
-                       help="random samples per check")
+    p_ver.add_argument("--samples", type=_positive_int, default=200,
+                       help="random samples per check (at least 1)")
 
     p_mms = sub.add_parser("mms", help="manufactured-solution convergence")
     common(p_mms, scenario=False)
-    p_mms.add_argument("--cells-list", type=_int_list, default=[12, 24, 48])
-    p_mms.add_argument("--dt-list", type=_float_list,
+    p_mms.add_argument("--cells-list", type=_two_or_more(_int_list),
+                       default=[12, 24, 48])
+    p_mms.add_argument("--dt-list", type=_two_or_more(_float_list),
                        default=[2e-3, 1e-3, 5e-4])
     return parser
 
@@ -199,7 +222,7 @@ def cmd_verify(args):
     worst = 0.0
     for _ in range(args.samples):
         z = rng.standard_normal(system.n_z)
-        worst = max(worst, abs(z @ (system.j_matrix @ z)) / (z @ z))
+        worst = max(worst, abs(z @ system.apply_j(z)) / (z @ z))
     report("skew-symmetry", worst < 1e-12, f"max |<Jz,z>|/||z||^2 = {worst:.2e}")
     report("weight-positivity", bool(np.all(system.c_state > 0)),
            "C diagonal strictly positive")

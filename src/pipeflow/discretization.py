@@ -6,10 +6,10 @@ system has the form
     C du/dtau + (J + R(u)) z(u) = B,
 
 where z(u) stacks cell enthalpies, face mass flow rates and one shared
-enthalpy unknown per interior junction.  J is assembled exactly
-antisymmetric, C is a positive diagonal over the state unknowns, and
-R(u) is a nonnegative diagonal, so the energy balance of the continuous
-model carries over to the discrete level identically.
+enthalpy unknown per interior junction.  J is applied in gather form
+and is exactly antisymmetric, C is a positive diagonal over the state
+unknowns, and R(u) is a nonnegative diagonal, so the energy balance of
+the continuous model carries over to the discrete level identically.
 
 The junction blocks couple each incident pipe's terminal momentum row to
 the shared junction enthalpy, and one constraint row per junction
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import network as net
 from .gas import bisect, check_admissible
@@ -189,30 +188,13 @@ class NetworkSystem:
         self.pair_cell = pairs[has_cell]
         self.pair_kappa = (self.a_cells[self.pair_cell] * self.dx_cells[self.pair_cell]
                            / (2.0 * self.omega_faces[self.pair_face]))
-        self.k_matrix = sp.csr_matrix(
-            (self.pair_kappa, (self.pair_face, self.pair_cell)), shape=(n_f, n_c))
 
-        # difference operator: (D m)_c = m_right(c) - m_left(c)
-        rows = np.concatenate([np.arange(n_c), np.arange(n_c)])
-        cols = np.concatenate([cell_right_face, cell_left_face])
-        data = np.concatenate([np.ones(n_c), -np.ones(n_c)])
-        self.d_matrix = sp.csr_matrix((data, (rows, cols)), shape=(n_c, n_f))
-        self.g_matrix = sp.csr_matrix(-self.d_matrix.T)
-
-        if self.n_junctions:
-            self.s_matrix = sp.csr_matrix(
-                (self.junction_term_signs,
-                 (self.junction_term_faces, self.junction_term_slots)),
-                shape=(n_f, self.n_junctions))
-        else:
-            self.s_matrix = sp.csr_matrix((n_f, 0))
-
-        # Gather forms of K, D, [G S] and S^T for the Newton residual.  A
-        # row adds its terms in the CSR matrix's column order and every
+        # Gather forms of K, D, [G S] and S^T, the one representation of
+        # these operators.  A row adds its terms in column order and every
         # coefficient is +-1 or one kappa per side, so each product equals
-        # the CSR one bit for bit on finite input (an exact zero may
-        # differ in sign).  K: a missing side gets weight 0 on the other
-        # cell.
+        # that of the CSR matrix assembled from the index arrays above bit
+        # for bit on finite input (an exact zero may differ in sign).  K: a
+        # missing side gets weight 0 on the other cell.
         has_left, has_right = face_left_cell >= 0, face_right_cell >= 0
         self._k_left = np.where(has_left, face_left_cell, face_right_cell)
         self._k_right = np.where(has_right, face_right_cell, face_left_cell)
@@ -241,14 +223,6 @@ class NetworkSystem:
         self._st_signs = np.zeros(shape)
         self._st_faces[rank, slots] = self.junction_term_faces[order]
         self._st_signs[rank, slots] = self.junction_term_signs[order]
-
-        z_cc = sp.csr_matrix((n_c, n_c))
-        z_cj = sp.csr_matrix((n_c, self.n_junctions))
-        self.j_matrix = sp.bmat(
-            [[z_cc, self.d_matrix, z_cj],
-             [self.g_matrix, sp.csr_matrix((n_f, n_f)), self.s_matrix],
-             [z_cj.T, -self.s_matrix.T, sp.csr_matrix((self.n_junctions, self.n_junctions))]],
-            format="csr")
 
         self.omega_gamma = self.omega_faces * self.gamma_faces
         self.c_rho = self.a_cells * self.dx_cells
@@ -306,6 +280,14 @@ class NetworkSystem:
         terms = self._st_signs * m.take(self._st_faces)
         return np.add.reduce(terms, axis=0)[:self.n_junctions]
 
+    def apply_j(self, z):
+        """J z for an extended co-state z = (h, m, h_v): the blocks
+        (D m, G h + S h_v, -S^T m), laid out as z is."""
+        n_c, n_f = self.n_cells, self.n_faces
+        h, m, hv = z[:n_c], z[n_c:n_c + n_f], z[n_c + n_f:]
+        return np.concatenate((self.apply_d(m), self.apply_gs(h, hv),
+                               -self.apply_st(m)))
+
     def r_diag(self, state):
         """Diagonal of R(u) on the extended vector; friction on face slots."""
         diag = np.zeros(self.n_z)
@@ -339,52 +321,6 @@ class NetworkSystem:
         _, m = self.costate(state)
         return self.apply_st(m)
 
-    def junction_enthalpies(self, state):
-        """Consistent junction enthalpies for the instantaneous dynamics.
-
-        Solves for the shared enthalpy of every junction that keeps its
-        signed mass-flow balance stationary; requires epsilon > 0.
-        """
-        if self.epsilon == 0.0:
-            raise ValueError("junction enthalpies of the limit model are "
-                             "algebraic unknowns of the parabolic solver")
-        h, m = self.costate(state)
-        jf, slots = self.junction_term_faces, self.junction_term_slots
-        arho, cw, w = self.arho_faces(state.rho)[jf], self.c_w[jf], state.w[jf]
-        # the rate of w without the junction enthalpy (no boundary load
-        # acts at a junction), and d(a rho)/dtau = -(Dm)_c / dx in the
-        # cell each face adjoins
-        wdot_free = -((self.g_matrix @ h)[jf]
-                      + self.omega_gamma[jf] * np.abs(w) * w) / cw
-        drho_gain = (self.apply_d(m) / self.dx_cells)[self.junction_term_cells]
-        # d/dtau sum(sign * arho_f w_f) = 0 determines the multiplier
-        coef = np.bincount(slots, arho / cw, minlength=self.n_junctions)
-        rhs = np.bincount(slots, self.junction_term_signs
-                          * (arho * wdot_free - w * drho_gain),
-                          minlength=self.n_junctions)
-        return rhs / coef
-
-    def spatial_residual(self, state, boundary_values, forcing=None, tau=None):
-        """Instantaneous (drho/dtau, dw/dtau) for the hyperbolic model."""
-        if self.epsilon == 0.0:
-            raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
-                             "use the parabolic solver")
-        state.validate()
-        if tau is None:
-            tau = state.tau
-        h, m = self.costate(state)
-        hv = self.junction_enthalpies(state)
-        load_w = self.boundary_load(boundary_values)
-        load_rho = np.zeros(self.n_cells)
-        if forcing is not None:
-            f1, f2 = forcing
-            load_rho += self.dx_cells * f1(self.x_cells, tau)
-            load_w += self.omega_faces * f2(self.x_faces, tau)
-        fr = self.omega_faces * self.gamma_faces * np.abs(state.w) * state.w
-        drho = (load_rho - self.d_matrix @ m) / self.c_rho
-        dw = (load_w - self.g_matrix @ h - self.s_matrix @ hv - fr) / self.c_w
-        return drho, dw
-
     # -- norms and quadrature ----------------------------------------------
 
     def l2sq_cells(self, g):
@@ -401,9 +337,6 @@ class NetworkSystem:
         """||(d_rho, d_w)||_C^2 = ||sqrt(a) d_rho||^2 + ||eps d_w||^2."""
         return (weighted_sum(self.c_rho, np.square(d_rho))
                 + weighted_sum(self.c_w, np.square(d_w)))
-
-    def total_mass(self, state):
-        return float(np.dot(self.c_rho, state.rho))
 
     # -- states --------------------------------------------------------------
 

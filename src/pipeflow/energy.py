@@ -86,39 +86,6 @@ def relative_dissipation(system, u, uhat):
                         * (u.w - uhat.w) ** 2) / 16.0
 
 
-def costate_defect_direct(system, u, uhat):
-    """z(u) - z(uhat) - G(uhat)(u - uhat) from the assembled maps."""
-    _check_pair(system, u, uhat)
-    h_u, m_u = system.costate(u)
-    h_hat, m_hat = system.costate(uhat)
-    d_rho = u.rho - uhat.rho
-    d_w = u.w - uhat.w
-    lf, rf = system.cell_left_face, system.cell_right_face
-    dh = (system.law.d2potential(uhat.rho) * d_rho
-          + 0.5 * system.epsilon**2 * (uhat.w[lf] * d_w[lf] + uhat.w[rf] * d_w[rf]))
-    dm = (system.k_matrix @ d_rho) * uhat.w + system.arho_faces(uhat.rho) * d_w
-    return h_u - h_hat - dh, m_u - m_hat - dm
-
-
-def costate_defect_closed(system, u, uhat):
-    """Closed form of the same defect.
-
-    First component: P'(rho | rhohat) + eps^2 (w - what)^2 / 2 (cell
-    averaged); second component: a (rho - rhohat) (w - what) with the
-    face reconstruction of a*(rho - rhohat).
-    """
-    _check_pair(system, u, uhat)
-    d_rho = u.rho - uhat.rho
-    d_w = u.w - uhat.w
-    law = system.law
-    p_rel = (law.dpotential(u.rho) - law.dpotential(uhat.rho)
-             - law.d2potential(uhat.rho) * d_rho)
-    lf, rf = system.cell_left_face, system.cell_right_face
-    first = p_rel + 0.25 * system.epsilon**2 * (d_w[lf] ** 2 + d_w[rf] ** 2)
-    second = (system.k_matrix @ d_rho) * d_w
-    return first, second
-
-
 def power_balance_residual(trajectory):
     """Per-step residuals H^{n+1} - H^n + dt*(D - flux) at the stage; on
     a parabolic run H is the limit energy and the residual is <= 0 up to

@@ -469,14 +469,6 @@ def hessian_apply(rho, w, d_rho, d_w, law, area=1.0, epsilon=1.0):
     return dh, dm
 
 
-def energy_density(rho, w, law, elevation=0.0, gravity=1.0, epsilon=1.0):
-    """eps^2 rho w^2 / 2 + P(rho) + g z rho (cross-section factor excluded)."""
-    rho = _as_positive(rho)
-    w = np.asarray(w, dtype=float)
-    return (0.5 * epsilon**2 * rho * w**2 + law.potential(rho)
-            + gravity * np.asarray(elevation, dtype=float) * rho)
-
-
 # ---------------------------------------------------------------------------
 # physical to rescaled parameters
 

@@ -279,34 +279,6 @@ def _boundary_vertex(section, topology, path):
 # ---------------------------------------------------------------------------
 # topology files
 
-def _format_profile(spec):
-    if isinstance(spec, tuple):
-        return ", ".join(f"{x:.17g}:{y:.17g}" for x, y in spec)
-    return f"{spec:.17g}"
-
-
-def format_topology(topology, boundary_defaults=None):
-    """Serialize a topology to the plain-text format parse_topology reads."""
-    lines = ["[vertices]"]
-    lines += list(topology.vertices)
-    for e in topology.edges:
-        p = e.params
-        lines += [
-            "",
-            f"[edge {e.name}]",
-            f"from = {e.start}",
-            f"to = {e.end}",
-            f"length = {p.length:.17g}",
-            f"area = {_format_profile(p.area)}",
-            f"friction = {_format_profile(p.friction)}",
-            f"elevation = {_format_profile(p.elevation)}",
-            f"gravity = {p.gravity:.17g}",
-        ]
-    for v, value in (boundary_defaults or {}).items():
-        lines += ["", f"[boundary {v}]", f"h = {value:.17g}"]
-    return "\n".join(lines) + "\n"
-
-
 def _edge(section, epsilon, path):
     name = _section_arg(section, "name", path)
     start = _get(section, "from", str, path=path, required=True)

@@ -57,12 +57,6 @@ def fit_loglog_slope(x, y, guard=0.10):
     return float(slope), mask
 
 
-def monotone_violations(values, rel_tol=1e-9):
-    """Number of increases in a supposedly decreasing error sequence."""
-    values = np.asarray(values, dtype=float)
-    return int(np.sum(values[1:] > values[:-1] * (1.0 + rel_tol)))
-
-
 @dataclass
 class StudyResult:
     name: str

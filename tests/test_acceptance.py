@@ -105,7 +105,7 @@ def test_criterion_01_structure():
             assert np.all(system.r_diag(state) >= 0.0)
             z = rng.standard_normal(system.n_z)
             worst_skew = max(worst_skew,
-                             abs(z @ (system.j_matrix @ z) / (z @ z)))
+                             abs(z @ system.apply_j(z) / (z @ z)))
     _report(1, worst_skew < 1e-12, 5.0, clock,
             f"50 states on the 3-edge network: max |<Jz,z>|/||z||^2 = "
             f"{worst_skew:.2e}, C > 0, R(u) >= 0")

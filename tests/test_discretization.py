@@ -26,6 +26,8 @@ from pipeflow.network import (
 )
 from pipeflow.scenario import load_scenario
 
+from helpers import csr_operators, spatial_residual
+
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "scenarios")
 
@@ -61,21 +63,30 @@ class TestStructure:
         system = build_system(y_network(epsilon=0.3), cells_per_edge=16, law=LAW)
         for _ in range(20):
             z = rng.standard_normal(system.n_z)
-            val = z @ (system.j_matrix @ z)
+            val = z @ system.apply_j(z)
             assert abs(val) / (z @ z) < 1e-13
 
     def test_j_blocks_negative_transpose(self):
-        # single pipe, N=4: the m->cells block is the signed pair
-        # difference matrix and the h->faces block its negative transpose
+        # single pipe, N=4: the m->cells block of the applied J is the
+        # signed pair difference matrix and the h->faces block its
+        # negative transpose
         system = build_system(single_pipe(epsilon=0.4), cells_per_edge=4, law=LAW)
         d_expected = np.zeros((4, 5))
         for c in range(4):
             d_expected[c, c] = -1.0
             d_expected[c, c + 1] = 1.0
-        j = system.j_matrix.toarray()
+        j = np.column_stack([system.apply_j(e) for e in np.eye(system.n_z)])
         n_c, n_f = system.n_cells, system.n_faces
         assert np.array_equal(j[:n_c, n_c:n_c + n_f], d_expected)
         assert np.array_equal(j[n_c:n_c + n_f, :n_c], -d_expected.T)
+        assert np.array_equal(j, -j.T)
+        # with junctions: each of a closed loop's three junction rows
+        # holds its two terms, and J = -J^T entry by entry
+        loop = build_system(loop_network(n_edges=3), cells_per_edge=3, law=LAW)
+        j = np.column_stack([loop.apply_j(e) for e in np.eye(loop.n_z)])
+        assert np.array_equal(np.count_nonzero(j[loop.n_state:], axis=1),
+                              [2, 2, 2])
+        assert np.array_equal(j, -j.T)
 
     def test_c_diagonal_positive(self):
         system = build_system(y_network(epsilon=0.25), cells_per_edge=8, law=LAW)
@@ -185,8 +196,8 @@ class TestSpatialResidual:
                            gravity=1.0)
         system = build_system(topo, cells_per_edge=16, law=LAW)
         state = system.rest_state(1.2)
-        drho, dw = system.spatial_residual(
-            state, {"inlet": 1.2, "outlet": 1.2})
+        drho, dw = spatial_residual(
+            system, state, {"inlet": 1.2, "outlet": 1.2})
         assert np.max(np.abs(drho)) < 1e-13
         assert np.max(np.abs(dw)) < 1e-12
 
@@ -255,7 +266,7 @@ class TestSpatialResidual:
         system = build_system(loop_network(epsilon=eps, friction=gamma),
                               cells_per_edge=8, law=LAW)
         state = system.constant_state(1.0, w0)
-        drho, dw = system.spatial_residual(state, {})
+        drho, dw = spatial_residual(system, state, {})
         assert np.max(np.abs(drho)) < 1e-13
         assert np.allclose(dw, -gamma * w0**2 / eps**2, rtol=1e-12)
 
@@ -263,13 +274,13 @@ class TestSpatialResidual:
         system = build_system(single_pipe(epsilon=0.4), cells_per_edge=8, law=LAW)
         state = system.constant_state(1.0)
         with pytest.raises(ValueError, match="outlet"):
-            system.spatial_residual(state, {"inlet": 1.0})
+            spatial_residual(system, state, {"inlet": 1.0})
 
     def test_epsilon_zero_rejected(self):
         system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
         state = system.constant_state(1.0)
         with pytest.raises(ValueError, match="parabolic"):
-            system.spatial_residual(state, {"inlet": 1.0, "outlet": 1.0})
+            spatial_residual(system, state, {"inlet": 1.0, "outlet": 1.0})
 
     def test_manufactured_consistency_second_order(self):
         # symbolic forcing oracle: the semi-discrete residual matches the
@@ -299,7 +310,7 @@ class TestSpatialResidual:
                         "outlet": float(fns["h"](1.0, tau0))}
             forcing = (lambda xs, s: fns["f1"](xs, s),
                        lambda xs, s: fns["f2"](xs, s))
-            drho, dw = system.spatial_residual(state, boundary, forcing=forcing)
+            drho, dw = spatial_residual(system, state, boundary, forcing=forcing)
             err_r = np.sqrt(system.l2sq_cells(drho - fns["drho"](system.x_cells, tau0)))
             err_w = np.sqrt(system.l2sq_faces(dw - fns["dw"](system.x_faces, tau0)))
             errs.append(err_r + err_w)
@@ -321,7 +332,7 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
     state.w[system.edge_faces("branch_b")] = 0.05
     assert np.max(np.abs(system.junction_mass_defect(state))) < 1e-15
     boundary = {"inlet": 1.05, "outlet_a": 1.0, "outlet_b": 0.99}
-    drho, dw = system.spatial_residual(state, boundary)
+    drho, dw = spatial_residual(system, state, boundary)
     gaps = []
     for dt in (1e-4, 5e-5):
         new, _ = HyperbolicStepper(system, newton_tol=1e-13).step(
@@ -334,19 +345,21 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
 def _assert_gather_forms_match_csr(system, seed):
     rng = np.random.default_rng(seed)
     n_c, n_f, n_j = system.n_cells, system.n_faces, system.n_junctions
+    ref = csr_operators(system)
     for _ in range(5):
         h, m, hv = (rng.standard_normal(n) for n in (n_c, n_f, n_j))
-        assert np.array_equal(system.arho_faces(h), system.k_matrix @ h)
-        assert np.array_equal(system.apply_d(m), system.d_matrix @ m)
-        assert np.array_equal(system.apply_gs(h, np.zeros(n_j)),
-                              system.g_matrix @ h)
-        assert np.array_equal(system.apply_gs(np.zeros(n_c), hv),
-                              system.s_matrix @ hv)
-        assert np.array_equal(system.apply_gs(h, hv),
-                              system.g_matrix @ h + system.s_matrix @ hv)
+        assert np.array_equal(system.arho_faces(h), ref.k @ h)
+        assert np.array_equal(system.apply_d(m), ref.d @ m)
+        assert np.array_equal(system.apply_gs(h, np.zeros(n_j)), ref.g @ h)
+        assert np.array_equal(system.apply_gs(np.zeros(n_c), hv), ref.s @ hv)
+        assert np.array_equal(system.apply_gs(h, hv), ref.g @ h + ref.s @ hv)
         st = system.apply_st(m)
         assert st.shape == (n_j,)
-        assert np.array_equal(st, system.s_matrix.T @ m)
+        assert np.array_equal(st, ref.s.T @ m)
+        z = np.concatenate((h, m, hv))
+        jz = system.apply_j(z)
+        assert jz.shape == (system.n_z,)
+        assert np.array_equal(jz, ref.j @ z)
 
 
 @pytest.mark.parametrize("cells", [2, 3, 24, 1024])

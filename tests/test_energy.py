@@ -9,8 +9,6 @@ from pipeflow.energy import (
     boundary_flux,
     boundary_perturbation,
     c0_constants,
-    costate_defect_closed,
-    costate_defect_direct,
     dissipation,
     gronwall_monitor,
     hamiltonian,
@@ -28,6 +26,8 @@ from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
 from pipeflow.solver import HyperbolicStepper, SolverConfig, Trajectory, run
+
+from helpers import costate_defect_closed, costate_defect_direct
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "scenarios")
@@ -690,7 +690,8 @@ class TestPerturbedSubstitution:
                 wdot = (traj.states[k + 1].w - traj.states[k - 1].w) / (
                     times[k + 1] - times[k - 1])
                 fr = base.gamma_faces * np.abs(s.w) * s.w
-                row = (base.c_w * wdot + base.g_matrix @ h
+                row = (base.c_w * wdot
+                       + base.apply_gs(h, np.zeros(base.n_junctions))
                        + base.omega_faces * fr - base.boundary_load(sched))
                 substitution = row / base.omega_faces
                 worst = max(worst, np.max(np.abs(substitution - e2[k])))

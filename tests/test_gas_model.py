@@ -10,7 +10,6 @@ from pipeflow.gas import (
     TabulatedLaw,
     check_admissible,
     costate,
-    energy_density,
     hessian_apply,
     make_law,
     rescale_physical,
@@ -323,13 +322,6 @@ class TestRescaling:
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValueError):
             rescale_physical(PhysicalParameters(0.02, 0.5), 0.0)
-
-
-def test_energy_density_values():
-    law = IsothermalLaw(1.0)
-    assert energy_density(1.0, 0.0, law) == pytest.approx(0.0)
-    assert energy_density(1.0, 1.0, law, epsilon=1.0) == pytest.approx(0.5)
-    assert energy_density(np.e, 0.0, law) == pytest.approx(np.e)
 
 
 def test_make_law_factory():

@@ -11,12 +11,9 @@ from pipeflow.network import (
     single_pipe,
     y_network,
 )
-from pipeflow.scenario import (
-    ConfigError,
-    format_topology,
-    load_topology,
-    parse_topology,
-)
+from pipeflow.scenario import ConfigError, load_topology, parse_topology
+
+from helpers import format_topology
 
 
 def make_edge(name, start, end, length=1.0):

@@ -383,6 +383,42 @@ class TestCli:
         assert "FAIL limit-energy-balance" in out
         assert "ok   power-balance" in out
 
+    def test_verify_catches_a_j_that_is_not_skew(self, monkeypatch, capsys):
+        # a junction row of S^T off by a relative 1e-6: the steppers still
+        # converge, and only the skew check on the applied J can see it
+        apply_st = NetworkSystem.apply_st
+        monkeypatch.setattr(NetworkSystem, "apply_st",
+                            lambda self, m: apply_st(self, m) * (1 + 1e-6))
+        code = main(["verify", "--scenario",
+                     os.path.join(SCEN, "y_transient.scn"),
+                     "--samples", "5", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL skew-symmetry" in out
+        assert out.count("FAIL") == 1
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_needs_one_sample_at_least(self, samples, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--scenario",
+                  os.path.join(SCEN, "y_transient.scn"),
+                  f"--samples={samples}"])
+        assert info.value.code == 2
+        assert "--samples: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, values, other", [
+        ("--cells-list", "12", "--dt-list=2e-3,1e-3"),
+        ("--cells-list", "", "--dt-list=2e-3,1e-3"),
+        ("--dt-list", "1e-3", "--cells-list=8,16"),
+        ("--dt-list", "", "--cells-list=8,16")])
+    def test_mms_needs_two_values_per_list(self, option, values, other,
+                                           capsys):
+        # one resolution gives no order of convergence to check
+        with pytest.raises(SystemExit) as info:
+            main(["mms", f"{option}={values}", other])
+        assert info.value.code == 2
+        assert f"{option}: need at least two values" in capsys.readouterr().err
+
     def test_threads_only_for_study(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(MINIMAL)

@@ -11,8 +11,9 @@ from pipeflow.studies import (
     epsilon_limit_study,
     fit_loglog_slope,
     gamma_perturbation_study,
-    monotone_violations,
 )
+
+from helpers import monotone_violations
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
