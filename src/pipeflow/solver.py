@@ -6,16 +6,17 @@ the cell densities, the face velocities and the junction enthalpies; the
 Jacobian is analytic on a fixed sparsity pattern, and the friction term
 gamma*|w|*w is handled semismoothly (subgradient 0 at w = 0).  The
 iteration is a simplified Newton method: it keeps the LU factorization of
-the last Jacobian it built, across iterations and steps of the same dt,
-and takes a full step with it as long as that step contracts the
-residual quickly.  When it does not, the Jacobian is rebuilt and
-factored at the current iterate and the update is damped by a halving
-line search.  The stopping test is the same in both cases, so every
-accepted state satisfies the equations to the Newton tolerance.  A step
-that continues the stepper's own sequence at the same dt starts Newton
-from the solution extrapolated through the last accepted steps, at the
-order (1 to 4) whose prediction of the last step missed least; any
-other step starts afresh from its initial state.
+the last Jacobian it built, across iterations and steps of the same dt
+but for at most ``max_lu_age`` steps after the one that built it, and
+takes a full step with it as long as that step contracts the residual
+quickly.  When it does not, the Jacobian is rebuilt and factored at the
+current iterate and the update is damped by a halving line search.
+The stopping test is the same in both cases, so every accepted state
+satisfies the equations to the Newton tolerance.  A step that continues
+the stepper's own sequence at the same dt starts Newton from the
+solution extrapolated through the last accepted steps, at the order (1
+to 4) whose prediction of the last step missed least; any other step
+starts afresh from its initial state.
 Junction mass balances are imposed on the accepted end-of-step state so
 that every snapshot satisfies them to solver tolerance.  Two steppers
 fix the model's parameters:
@@ -186,16 +187,22 @@ class _NewtonStepper:
     are positive; otherwise the table restarts and the step starts from
     the stepper's fresh start (``_fresh_start``).
 
-    The stepper holds the LU factorization of the last Jacobian it built
-    and the dt it was built for.  Each iteration first tries a full step
-    with it and keeps that step if the scaled residual norm falls to at
-    most ``contraction`` times its value, or below the tolerance.
-    Otherwise the trial is dropped, the Jacobian is factored afresh at
-    the current iterate and a damped Newton step is taken.  A new
-    stepper or a new dt always factors on its first iteration.
+    The stepper holds the LU factorization of the last Jacobian it built,
+    the dt it was built for and the number of steps taken since.  Each
+    iteration first tries a full step with it and keeps that step if the
+    scaled residual norm falls to at most ``contraction`` times its
+    value, or below the tolerance.  Otherwise the trial is dropped, the
+    Jacobian is factored afresh at the current iterate and a damped
+    Newton step is taken.  A new stepper or a new dt always factors on
+    its first iteration, and so does a step that finds the held LU more
+    than ``max_lu_age`` steps old (LSODE and CVODE likewise set their
+    Newton matrix up again every 20 steps): the state drifts away from
+    the one the LU was built at, and the chord steps contract less.  A
+    step whose start already meets the tolerance factors nothing.
     """
 
     contraction = 0.05  # residual reduction a step with the held LU must reach
+    max_lu_age = 20  # steps after its own that a held LU may serve
     max_order = 4  # highest extrapolation order of the Newton start
 
     def __init__(self, system, eps, theta, newton_tol, max_iter):
@@ -209,6 +216,7 @@ class _NewtonStepper:
         self._scale = self._scale_dt = None  # row scale, per dt
         self._lu = None
         self._lu_dt = None
+        self._lu_age = 0  # steps ended since the held LU was factored
         self._diffs = []  # backward differences of the accepted unknowns
         self._diffs_dt = None
         self._returned = None  # the state the last step returned
@@ -309,7 +317,7 @@ class _NewtonStepper:
         tau_n = state.tau
         if tau_new is None:
             tau_new = tau_n + dt
-        tau_s, values, loads = self._stage(state, dt, boundary, tau_new)
+        values, loads = self._stage(state, dt, boundary, tau_new)
         if state is not self._returned or dt != self._diffs_dt:
             self._diffs = []
         x = self._predict()
@@ -336,7 +344,7 @@ class _NewtonStepper:
         if not np.isfinite(norm):
             raise failure(f"residual is not finite ({norm})", residual=norm,
                           iterations=0)
-        if dt != self._lu_dt:
+        if dt != self._lu_dt or self._lu_age > self.max_lu_age:
             self._lu = None
         it = factorizations = 0
 
@@ -374,6 +382,7 @@ class _NewtonStepper:
                 try:
                     self._lu = splu(jac, permc_spec=self.ordering)
                     self._lu_dt = dt
+                    self._lu_age = 0
                     delta = self._lu.solve(rhs)
                 except RuntimeError as exc:
                     raise failure(f"linear solve failed: {exc}",
@@ -398,15 +407,14 @@ class _NewtonStepper:
             raise failure("end density is not positive", residual=norm,
                           iterations=it)
         self._accept(x, dt)
+        self._lu_age += 1
         stage_dissipation, stage_flux = self._stage_power(loads, out[1])
         info = {
             "junction_h": hv.copy(),
             "stage_dissipation": stage_dissipation,
             "stage_flux": stage_flux,
-            "stage_tau": tau_s,
             "iterations": it,
             "factorizations": factorizations,
-            "boundary_values": values,
         }
         self._returned = NetworkState(tau_new, rho, w)
         return self._returned, info
@@ -588,7 +596,7 @@ class HyperbolicStepper(_NewtonStepper):
             f1, f2 = self.forcing
             load_rho = sys.dx_cells * f1(sys.x_cells, tau_s)
             load_w = load_w + sys.omega_faces * f2(sys.x_faces, tau_s)
-        return tau_s, values, (load_rho, load_w)
+        return values, (load_rho, load_w)
 
     def _fresh_start(self, state, values):
         """The state with zero junction enthalpies."""
@@ -623,7 +631,7 @@ class ParabolicStepper(_NewtonStepper):
     def _stage(self, state, dt, boundary, tau_new):
         values = _eval_boundary(boundary, self.system.boundary_vertices,
                                 tau_new)
-        return tau_new, values, (None, self.system.boundary_load(values))
+        return values, (None, self.system.boundary_load(values))
 
     def _fresh_start(self, state, values):
         """rho_n with the limit velocities and junction enthalpies."""

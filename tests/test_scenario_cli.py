@@ -21,7 +21,8 @@ from pipeflow.scenario import (
     parse_scenario,
     write_trajectory,
 )
-from pipeflow.solver import ParabolicStepper, StepFailure, Trajectory, run
+from pipeflow.solver import (HyperbolicStepper, ParabolicStepper, StepFailure,
+                             Trajectory, run)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -364,6 +365,34 @@ class TestCli:
         assert "junction-conservation" in out
         assert "ok   limit-energy-balance" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(SCEN) if f.endswith(".scn")))
+    def test_verify_passes_on_committed_scenarios(self, name, capsys):
+        # pipe_perturbation's balance residuals (7e-13) lie below what its
+        # Newton tolerance allows, where halving dt no longer cuts them
+        code = main(["verify", "--scenario", os.path.join(SCEN, name),
+                     "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", ["y_transient.scn",
+                                      "pipe_perturbation.scn"])
+    def test_verify_catches_a_broken_power_balance(self, name, monkeypatch,
+                                                   capsys):
+        # hyperbolic steps that report no stage dissipation
+        stage_power = HyperbolicStepper._stage_power
+        monkeypatch.setattr(
+            HyperbolicStepper, "_stage_power",
+            lambda self, loads, cache: (0.0,
+                                        stage_power(self, loads, cache)[1]))
+        code = main(["verify", "--scenario", os.path.join(SCEN, name),
+                     "--samples", "5", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL power-balance" in out
+        assert out.count("FAIL") == 1
 
     def test_verify_catches_corrupted_parabolic_step(self, monkeypatch,
                                                      capsys):

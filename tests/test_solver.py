@@ -173,6 +173,27 @@ class TestFactorizationReuse:
         assert sum(traj.factorizations) == len(lu_calls)
         assert sum(traj.iterations) >= len(lu_calls)
 
+    def test_held_lu_is_refreshed_after_max_lu_age_steps(self, model,
+                                                         lu_calls):
+        # every iterating step uses an LU factored at most max_lu_age = 20
+        # steps before it; without the limit the hyperbolic run of
+        # y_limit keeps its first LU for all 300 steps
+        scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+        system = scenario.build_system()
+        config = replace(scenario.solver, t_final=300 * scenario.solver.dt,
+                         parabolic=model == "parabolic")
+        traj = run(system, scenario.initial_state(system), config,
+                   scenario.boundary)
+        assert len(traj.iterations) == len(traj.factorizations) == 300
+        assert sum(traj.factorizations) == len(lu_calls)
+        factored = None
+        for k, (its, lus) in enumerate(zip(traj.iterations,
+                                           traj.factorizations)):
+            if lus:
+                factored = k
+            elif its:
+                assert k - factored <= 20
+
     def test_new_dt_factors_again(self, model, lu_calls):
         system, state0, boundary, make = _y_flow(model)
         stepper = make()
@@ -234,10 +255,12 @@ def _start_and_step(stepper, state, dt, boundary):
 
 
 @pytest.mark.parametrize("model, bound", [("parabolic", 2.0),
-                                          ("hyperbolic", 3.0)])
+                                          ("hyperbolic", 2.5)])
 def test_predicted_start_cuts_iterations_on_y_limit(model, bound):
     # starting from the previous state took 4.37 (parabolic) and 4.55
-    # (hyperbolic) iterations per step, the quadratic start 2.73 and 3.48
+    # (hyperbolic) iterations per step, the quadratic start 2.73 and 3.48;
+    # the variable-order start takes 1.46 and 2.66, with the held LU
+    # refreshed after max_lu_age steps 1.44 and 1.99
     scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     system = scenario.build_system()
     config = replace(scenario.solver, parabolic=model == "parabolic")
@@ -316,14 +339,19 @@ def _rest_on_a_y_network(model):
 @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
 def test_rest_state_stays_at_rest_bit_for_bit(model):
     # once a step has found the junction enthalpies, every prediction is
-    # the last state itself and Newton accepts it without an iteration
+    # the last state itself and Newton accepts it without an iteration;
+    # past max_lu_age steps the held LU is dropped, and nothing is
+    # factored in its place
     system, state, boundary, stepper = _rest_on_a_y_network(model)
-    states, iterations = [state], []
-    for _ in range(20):
+    states, iterations, factorizations = [state], [], []
+    for _ in range(45):
         state, info = stepper.step(state, 0.05, boundary)
         states.append(state)
         iterations.append(info["iterations"])
-    assert iterations[1:] == [0] * 19
+        factorizations.append(info["factorizations"])
+    assert iterations[1:] == [0] * 44
+    assert factorizations[1:] == [0] * 44
+    assert stepper._lu is None
     for s in states[2:]:
         assert np.array_equal(s.rho, states[1].rho)
         assert np.array_equal(s.w, states[1].w)
@@ -500,7 +528,9 @@ class TestParabolic:
         dt = 0.02
         for _ in range(2):  # the second step starts from held junction values
             new, info = stepper.step(state, dt, boundary)
-            w_rec = velocity_recovery(system, new.rho, info["boundary_values"],
+            values = {v: b(new.tau) if callable(b) else b
+                      for v, b in boundary.items()}
+            w_rec = velocity_recovery(system, new.rho, values,
                                       junction_h=info["junction_h"])
             # friction form: the square root amplifies rounding near w = 0
             friction = system.gamma_faces * np.abs(new.w) * new.w
