@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,13 +38,29 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from None
 
 
-def _positive_int(text):
+def _int_at_least(minimum):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text):
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:  # false on nan
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value}")
     return value
 
 
@@ -70,10 +87,10 @@ def build_parser():
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--cells", type=int, default=None,
-                       help="override cells per edge")
-        p.add_argument("--dt", type=float, default=None,
-                       help="override time step")
+        p.add_argument("--cells", type=_int_at_least(2), default=None,
+                       help="override cells per edge (at least 2)")
+        p.add_argument("--dt", type=_positive_float, default=None,
+                       help="override time step (positive, finite)")
         p.add_argument("--scheme", choices=("midpoint", "backward-euler"),
                        default=None, help="override time scheme")
 
@@ -98,7 +115,7 @@ def build_parser():
     common(p_ver)
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sampling")
-    p_ver.add_argument("--samples", type=_positive_int, default=200,
+    p_ver.add_argument("--samples", type=_int_at_least(1), default=200,
                        help="random samples per check (at least 1)")
 
     p_mms = sub.add_parser("mms", help="manufactured-solution convergence")
@@ -130,6 +147,8 @@ def cmd_simulate(args):
     system = scenario.build_system()
     state0 = scenario.initial_state(system)
     out = scenario.output_dir
+    if out:
+        os.makedirs(out, exist_ok=True)
     try:
         trajectory = run(system, state0, scenario.solver, scenario.boundary,
                          bounds=scenario.bounds)
@@ -142,7 +161,6 @@ def cmd_simulate(args):
                  f"dt={failure.dt:.6g}, residual {residual}")
         print(f"step failure in {where}: {failure}", file=sys.stderr)
         if out:
-            os.makedirs(out, exist_ok=True)
             write_energy_trace(os.path.join(out, "energy.csv"), failure.partial)
             write_manifest(os.path.join(out, "manifest.txt"), scenario,
                            extra={"command": "simulate",
@@ -163,7 +181,6 @@ def cmd_simulate(args):
               f"{max(iterations)} max, "
               f"LU factorizations {sum(trajectory.factorizations)}")
     if out:
-        os.makedirs(out, exist_ok=True)
         write_trajectory(out, system, trajectory, fmt=scenario.output_format)
         write_energy_trace(os.path.join(out, "energy.csv"), trajectory)
         write_manifest(os.path.join(out, "manifest.txt"), scenario,
@@ -175,6 +192,8 @@ def cmd_simulate(args):
 def cmd_study(args):
     scenario = _load(args)
     certify = not args.no_certify
+    if scenario.output_dir:
+        os.makedirs(scenario.output_dir, exist_ok=True)
     if args.kind == "epsilon":
         result = studies_mod.epsilon_limit_study(
             scenario, args.eps_list, certify=certify, threads=args.threads)
@@ -187,7 +206,6 @@ def cmd_study(args):
             scenario, args.amplitudes, certify=certify, threads=args.threads)
     print(result.format())
     if scenario.output_dir:
-        os.makedirs(scenario.output_dir, exist_ok=True)
         result.write_table(os.path.join(scenario.output_dir,
                                         f"study_{args.kind}.csv"))
         for i, cert in enumerate(result.certificates):
@@ -296,11 +314,12 @@ def cmd_verify(args):
 
 
 def cmd_mms(args):
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     table = manufactured_solution_test(cells_list=tuple(args.cells_list),
                                        dt_list=tuple(args.dt_list))
     print(table.format())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "mms.txt"), "w") as fh:
             fh.write(table.format() + "\n")
     ok = (np.all(table.spatial_orders > 1.5)
@@ -327,7 +346,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

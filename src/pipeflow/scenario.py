@@ -12,7 +12,10 @@ it came from, and a repeated section or key is an error.
 from __future__ import annotations
 
 import ast
+import marshal
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -663,11 +666,43 @@ def _row_pieces(system, x, block):
     return pieces
 
 
+# The face table's writer, run by a bare interpreter beside the process
+# that writes the cell table.  Its stdin carries a length-prefixed marshal
+# header (path, encoding, header line, row pieces, doubles per snapshot),
+# then per snapshot tau and the (w, m) pairs as native doubles; the rows
+# are formatted as the cell rows are.  A short block fails the format.
+_FACE_TABLE_WRITER = """\
+import marshal, sys
+from array import array
+read = sys.stdin.buffer.read
+path, encoding, header, pieces, count = marshal.loads(
+    read(int.from_bytes(read(8), "little")))
+with open(path, "w", encoding=encoding) as fh:
+    fh.write(header)
+    while block := read(8 * (1 + count)):
+        values = array("d", block)
+        fh.write(f"{values[0]:.12g}".join(pieces) % tuple(values[1:]))
+"""
+
+
+def _write_all(pipe, data):
+    """Write all of data to an unbuffered pipe, whose writes may be short."""
+    view = memoryview(data)
+    while view:
+        view = view[pipe.write(view):]
+
+
 def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
     """Snapshot tables: cell rows (tau, edge, node, x, rho, h) and face
     rows (tau, edge, node, x, w, m), numbers as %.12g; per snapshot the
     rows run through the edges in topology order, then the node index.
-    ``fmt="npz"`` writes the arrays instead."""
+    ``fmt="npz"`` writes the arrays instead.
+
+    This process writes the cell table.  A second interpreter, started
+    for the call and ended before it returns, formats and writes the face
+    table from the doubles this process sends it, so the two tables are
+    formatted on two cores.  An OSError naming the face table reports
+    that writer's failure."""
     if fmt not in ("csv", "npz"):
         raise ValueError(f"unknown trajectory format {fmt!r}: use csv or npz")
     os.makedirs(directory, exist_ok=True)
@@ -689,16 +724,32 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
     face_rows = _row_pieces(system, system.x_faces, system.edge_faces)
     cells_path = os.path.join(directory, f"{prefix}_cells.csv")
     faces_path = os.path.join(directory, f"{prefix}_faces.csv")
-    with open(cells_path, "w") as fc, open(faces_path, "w") as ff:
-        fc.write("tau,edge,node,x,rho,h\n")
-        ff.write("tau,edge,node,x,w,m\n")
-        for state in trajectory.states:
-            h, m = system.costate(state)
-            tau = f"{state.tau:.12g}"
-            fc.write(tau.join(cell_rows)
-                     % tuple(np.column_stack((state.rho, h)).ravel().tolist()))
-            ff.write(tau.join(face_rows)
-                     % tuple(np.column_stack((state.w, m)).ravel().tolist()))
+    with open(cells_path, "w") as fc, subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _FACE_TABLE_WRITER],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE,
+            bufsize=0) as faces:
+        header = marshal.dumps((faces_path, fc.encoding,
+                                "tau,edge,node,x,w,m\n", face_rows,
+                                2 * system.n_faces))
+        try:
+            _write_all(faces.stdin, len(header).to_bytes(8, "little") + header)
+            fc.write("tau,edge,node,x,rho,h\n")
+            for state in trajectory.states:
+                h, m = system.costate(state)
+                _write_all(faces.stdin, np.float64(state.tau).tobytes()
+                           + np.column_stack((state.w, m)).tobytes())
+                fc.write(f"{state.tau:.12g}".join(cell_rows)
+                         % tuple(np.column_stack((state.rho, h)).ravel()
+                                 .tolist()))
+            faces.stdin.close()
+        except BrokenPipeError:
+            pass  # the writer has ended: its stderr and status say why
+        reason = faces.stderr.read().decode(errors="replace").splitlines()
+        if faces.wait():
+            raise OSError(f"cannot write {faces_path}: "
+                          + (reason[-1] if reason else
+                             "its writer exited with status "
+                             f"{faces.returncode}"))
 
 
 def write_energy_trace(path, trajectory):

@@ -38,6 +38,7 @@ faces and are left as an extension point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +74,18 @@ class SolverConfig:
     parabolic: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("time step must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("final time must be nonnegative")
-        if self.newton_tol <= 0.0:
-            raise ValueError("Newton tolerance must be positive")
+        # each comparison is false on nan
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("time step must be positive and finite, "
+                             f"got {self.dt}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("final time must be nonnegative and finite, "
+                             f"got {self.t_final}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError("Newton tolerance must be positive and finite, "
+                             f"got {self.newton_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         aliases = {"implicit-midpoint": "midpoint", "midpoint": "midpoint",
                    "backward-euler": "backward-euler", "be": "backward-euler"}
         key = str(self.scheme).strip().lower()

@@ -435,6 +435,62 @@ class TestCli:
         assert info.value.code == 2
         assert "--samples: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--dt", "inf"), ("--dt", "nan"), ("--dt", "0"), ("--dt", "-1e-3"),
+        ("--dt", "fast"), ("--cells", "1"), ("--cells", "0"),
+        ("--cells", "2.5")])
+    def test_bad_dt_or_cells_is_a_usage_error(self, option, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--scenario",
+                  os.path.join(SCEN, "y_transient.scn"), f"{option}={value}"])
+        assert info.value.code == 2
+        assert f"{option}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "inf"), ("dt", "nan"), ("t_final", "inf"), ("t_final", "nan"),
+        ("newton_tol", "inf"), ("newton_tol", "nan"), ("max_iter", "0")])
+    def test_nonfinite_solver_setting_fails_at_its_section(
+            self, tmp_path, key, value, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(MINIMAL.replace("dt = 0.01\nt_final = 0.1",
+                                       f"{key} = {value}"))
+        line = scn.read_text().splitlines().index("[solver]") + 1
+        assert main(["simulate", "--scenario", str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {scn}:{line}: ")
+        assert ("max_iter must be at least 1" in err if key == "max_iter"
+                else "finite" in err)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", os.path.join(SCEN, "y_transient.scn")],
+        ["study", "epsilon", "--scenario", os.path.join(SCEN, "y_limit.scn")]],
+        ids=["simulate", "study"])
+    def test_unusable_out_fails_before_the_run(self, tmp_path, command,
+                                               monkeypatch, capsys):
+        import pipeflow.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(cli.studies_mod, "epsilon_limit_study", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(command + ["--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(taken) in captured.err
+        assert captured.out == ""
+
+    def test_writer_failure_is_an_error_line(self, tmp_path, capsys):
+        scn = tmp_path / "rest.scn"
+        scn.write_text(MINIMAL + "\n[initial]\nrest = 1.0\n")
+        faces = tmp_path / "out" / "states_faces.csv"
+        faces.mkdir(parents=True)
+        assert main(["simulate", "--scenario", str(scn),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {faces}: ")
+
     @pytest.mark.parametrize("option, values, other", [
         ("--cells-list", "12", "--dt-list=2e-3,1e-3"),
         ("--cells-list", "", "--dt-list=2e-3,1e-3"),
@@ -615,12 +671,15 @@ def test_tabulated_law_scenario_rejects_nonfinite_table(tmp_path):
         parse_scenario(text, path=str(tmp_path / "s.scn"))
 
 
-def _reference_write_csv(directory, system, trajectory, prefix="states"):
-    """The snapshot tables row by row, one f-string per row: the
-    reference the C-level writer must match byte for byte."""
+def _reference_write_csv(directory, system, trajectory, prefix="states",
+                         encoding=None):
+    """The snapshot tables row by row, one f-string per row, both in this
+    process: the reference the two-process writer must match byte for
+    byte."""
     cells_path = os.path.join(directory, f"{prefix}_cells.csv")
     faces_path = os.path.join(directory, f"{prefix}_faces.csv")
-    with open(cells_path, "w") as fc, open(faces_path, "w") as ff:
+    with open(cells_path, "w", encoding=encoding) as fc, \
+            open(faces_path, "w", encoding=encoding) as ff:
         fc.write("tau,edge,node,x,rho,h\n")
         ff.write("tau,edge,node,x,w,m\n")
         for state in trajectory.states:
@@ -638,10 +697,12 @@ def _reference_write_csv(directory, system, trajectory, prefix="states"):
                              f"{m[f]:.12g}\n")
 
 
-def _assert_tables_match_reference(tmp_path, system, trajectory):
+def _assert_tables_match_reference(tmp_path, system, trajectory,
+                                   encoding=None):
     write_trajectory(tmp_path / "new", system, trajectory, prefix="snap")
     os.makedirs(tmp_path / "ref")
-    _reference_write_csv(tmp_path / "ref", system, trajectory, prefix="snap")
+    _reference_write_csv(tmp_path / "ref", system, trajectory, prefix="snap",
+                         encoding=encoding)
     for name in ("snap_cells.csv", "snap_faces.csv"):
         new = (tmp_path / "new" / name).read_bytes()
         assert new == (tmp_path / "ref" / name).read_bytes()
@@ -657,22 +718,110 @@ def test_csv_tables_match_reference_on_y_transient(tmp_path):
     assert faces.count(b"\n") == 1 + len(traj.states) * system.n_faces
 
 
-def test_csv_tables_match_reference_with_format_characters_in_names(tmp_path):
-    names = ["p%", "q%s", "{tau}", "}"]
+def _star_system(names):
+    """A star of four edges with the given names, of 2, 5, 3 and 7 cells."""
     params = PipeParameters(length=1.5)
     edges = [net.Edge(name, start, end, params) for name, start, end in
              zip(names, ["a", "j", "j", "j"], ["j", "b", "c", "d"])]
     topology = net.NetworkTopology(edges)
     grids = {name: EdgeGrid(params.length, n)
              for name, n in zip(names, [2, 5, 3, 7])}
-    system = NetworkSystem(topology, grids, make_law("isothermal"))
+    return NetworkSystem(topology, grids, make_law("isothermal"))
+
+
+def _random_trajectory(system, times):
     rng = np.random.default_rng(3)
     traj = Trajectory()
-    for tau in (0.0, 0.125, 1 / 3):
+    for tau in times:
         traj.append(NetworkState(tau, 1 + 0.1 * rng.random(system.n_cells),
                                  rng.standard_normal(system.n_faces)), None)
+    return traj
+
+
+def test_csv_tables_match_reference_with_format_characters_in_names(tmp_path):
+    system = _star_system(["p%", "q%s", "{tau}", "}"])
+    traj = _random_trajectory(system, (0.0, 0.125, 1 / 3))
     faces = _assert_tables_match_reference(tmp_path, system, traj)
     assert b",q%s,1," in faces and b",{tau},0," in faces
+
+
+@pytest.mark.parametrize("encoding", [None, "latin-1"])
+def test_csv_tables_match_reference_with_non_ascii_names(tmp_path, encoding,
+                                                         monkeypatch):
+    # the face table is written in the encoding the cell table was opened
+    # with, here also one that is not this process's default
+    import functools
+
+    import pipeflow.scenario as scenario_mod
+
+    if encoding is not None:
+        monkeypatch.setattr(scenario_mod, "open",
+                            functools.partial(open, encoding=encoding),
+                            raising=False)
+    system = _star_system(["café", "Öl", "ñu", "x"])
+    traj = _random_trajectory(system, (0.0, 0.5))
+    faces = _assert_tables_match_reference(tmp_path, system, traj,
+                                           encoding=encoding)
+    assert ",Öl,4,".encode(encoding or "utf-8") in faces
+
+
+@pytest.mark.parametrize("snapshots", [0, 1])
+def test_csv_tables_match_reference_with_few_snapshots(tmp_path, snapshots):
+    system = _star_system(["a", "b", "c", "d"])
+    traj = _random_trajectory(system, [0.25] * snapshots)
+    faces = _assert_tables_match_reference(tmp_path, system, traj)
+    assert faces.count(b"\n") == 1 + snapshots * system.n_faces
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The face-table writers that write_trajectory starts."""
+    import pipeflow.scenario as scenario_mod
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+    monkeypatch.setattr(scenario_mod.subprocess, "Popen", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("snapshots", [1, 400])
+def test_unwritable_face_table_raises_naming_it(tmp_path, snapshots, writers):
+    # one snapshot fits the pipe, so the writer's exit status reports the
+    # failure; 400 snapshots (137 KB, past a pipe's 64 KB) break the pipe
+    system = _star_system(["a", "b", "c", "d"])
+    traj = _random_trajectory(system, np.linspace(0, 1, snapshots))
+    faces = tmp_path / "snap_faces.csv"
+    faces.mkdir()
+    with pytest.raises(OSError) as info:
+        write_trajectory(tmp_path, system, traj, prefix="snap")
+    assert str(info.value).startswith(f"cannot write {faces}: ")
+    assert "Is a directory" in str(info.value)
+    assert [w.returncode for w in writers] == [1]
+
+
+def test_failing_snapshot_stops_the_face_writer(tmp_path, monkeypatch,
+                                                writers):
+    system = _star_system(["a", "b", "c", "d"])
+    traj = _random_trajectory(system, np.linspace(0, 1, 6))
+    costate = system.costate
+    calls = []
+
+    def failing_costate(state):
+        calls.append(state.tau)
+        if len(calls) == 4:
+            raise RuntimeError("snapshot 3 fails")
+        return costate(state)
+    monkeypatch.setattr(system, "costate", failing_costate)
+    with pytest.raises(RuntimeError, match="snapshot 3 fails"):
+        write_trajectory(tmp_path, system, traj, prefix="snap")
+    # the writer saw its input end after three whole snapshots
+    assert [w.returncode for w in writers] == [0]
+    faces = (tmp_path / "snap_faces.csv").read_bytes()
+    assert faces.count(b"\n") == 1 + 3 * system.n_faces
 
 
 def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
