@@ -83,10 +83,11 @@ def build_parser():
                     "stability verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, out=True):
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario file")
-        p.add_argument("--out", default=None, help="output directory")
+        if out:
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--cells", type=_int_at_least(2), default=None,
                        help="override cells per edge (at least 2)")
         p.add_argument("--dt", type=_positive_float, default=None,
@@ -112,7 +113,7 @@ def build_parser():
                          help="worker threads for sweeps")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    common(p_ver)
+    common(p_ver, out=False)  # verify writes nothing
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sampling")
     p_ver.add_argument("--samples", type=_int_at_least(1), default=200,
@@ -137,7 +138,7 @@ def _load(args):
     if args.scheme is not None:
         solver = replace(solver, scheme=args.scheme)
     scenario = replace(scenario, solver=solver)
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         scenario = replace(scenario, output_dir=args.out)
     return scenario
 

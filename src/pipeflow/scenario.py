@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 import marshal
 import os
-import subprocess
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -717,6 +716,8 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
             edges=np.array([e.name for e in system.topology.edges]),
         )
         return
+    import subprocess  # 5-10 ms of every start if imported at the top
+
     # edges own consecutive cell and face blocks in topology order, so the
     # rows of a snapshot follow the flat arrays; one snapshot's text at a
     # time is formatted in C and written

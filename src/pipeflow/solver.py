@@ -38,16 +38,78 @@ faces and are left as an extension point.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import energy as energy_mod
 from .discretization import NetworkState
 from .gas import bisect
+
+
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _load_superlu():
+    """scipy's SuperLU extension, loaded from its file.  The extension
+    imports numpy alone, so this runs no ``__init__`` of scipy: importing
+    ``scipy.sparse.linalg`` for one factorization would cost about 0.25 s
+    of every start.  The module goes into ``sys.modules`` under its own
+    name, so a later import of ``scipy.sparse.linalg`` uses it too."""
+    if _SUPERLU in sys.modules:
+        return sys.modules[_SUPERLU]
+    spec = importlib.util.find_spec("scipy")  # imports nothing
+    if spec is None:
+        raise ImportError("pipeflow needs scipy's SuperLU extension, "
+                          "and scipy is not installed")
+    path = os.path.join(spec.submodule_search_locations[0], "sparse",
+                        "linalg", "_dsolve",
+                        "_superlu" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+        raise ImportError(f"no SuperLU extension at {path} (scipy "
+                          f"{version('scipy')}; pipeflow is tested with "
+                          "scipy 1.17)", path=path)
+    loader = importlib.machinery.ExtensionFileLoader(_SUPERLU, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_SUPERLU, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[_SUPERLU] = module
+    return module
+
+
+_superlu = _load_superlu()
+
+# A square matrix in canonical CSC form (column-sorted rows, no
+# duplicates), with int32 indices: the attributes splu reads, which a
+# scipy CSC matrix has as well.
+CSC = namedtuple("CSC", "data indices indptr shape")
+
+
+def _csc_array(*args, **kwargs):
+    """scipy's csc_array, imported when a factorization's L or U is
+    asked for."""
+    from scipy.sparse import csc_array
+    return csc_array(*args, **kwargs)
+
+
+def splu(jac, permc_spec=None):
+    """The SuperLU factorization of a square canonical CSC matrix: the
+    gstrf call that scipy.sparse.linalg.splu(jac, permc_spec) makes under
+    the COLAMD and MMD orderings (under NATURAL scipy also sets
+    SymmetricMode)."""
+    return _superlu.gstrf(jac.shape[0], len(jac.data), jac.data,
+                          jac.indices, jac.indptr,
+                          csc_construct_func=_csc_array, ilu=False,
+                          options=dict(DiagPivotThresh=None,
+                                       ColPerm=permc_spec, PanelSize=None,
+                                       Relax=None))
 
 
 class StepFailure(RuntimeError):
@@ -516,10 +578,7 @@ class _NewtonStepper:
         data = values.take(self._csc_first)
         for entries, positions in self._csc_more:
             data[entries] += values.take(positions)
-        jac = sp.csc_matrix((data, self._csc_indices, self._csc_indptr),
-                            shape=self._shape)
-        jac.has_canonical_format = True  # sorted, without duplicates
-        return jac
+        return CSC(data, self._csc_indices, self._csc_indptr, self._shape)
 
     def _jacobian_data(self, dt, cache):
         """The Jacobian's values in template entry order, each block

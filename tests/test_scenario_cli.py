@@ -26,6 +26,8 @@ from pipeflow.solver import (HyperbolicStepper, ParabolicStepper, StepFailure,
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
+# the only scipy module a run loads: SuperLU's extension, without scipy
+SCIPY_MODULES = ["scipy.sparse.linalg._dsolve._superlu"]
 
 
 MINIMAL = """
@@ -435,6 +437,16 @@ class TestCli:
         assert info.value.code == 2
         assert "--samples: must be at least 1" in capsys.readouterr().err
 
+    def test_verify_has_no_out(self, tmp_path, capsys):
+        # verify writes nothing, so it takes no output directory
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--scenario",
+                  os.path.join(SCEN, "single_pipe.scn"), "--samples", "5",
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--dt", "inf"), ("--dt", "nan"), ("--dt", "0"), ("--dt", "-1e-3"),
         ("--dt", "fast"), ("--cells", "1"), ("--cells", "0"),
@@ -516,9 +528,9 @@ class TestCli:
             [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
         subprocess.run([sys.executable, "-c",
                         "import sys, pipeflow.mms, pipeflow.cli; "
-                        "assert not {'sympy', 'scipy.integrate', "
-                        "'scipy.interpolate', 'scipy.optimize'} "
-                        "& set(sys.modules)"],
+                        "assert 'sympy' not in sys.modules; "
+                        f"assert {SCIPY_MODULES!r} == "
+                        "[m for m in sys.modules if m.startswith('scipy')]"],
                        env=env, check=True)
 
     def test_runs_do_not_load_scipy_optimize(self):
@@ -539,7 +551,8 @@ class TestCli:
             "                         parabolic=parabolic)\n"
             "        traj = run(system, state, config, scen.boundary)\n"
             "        assert len(traj.states) == 4\n"
-            "assert 'scipy.optimize' not in sys.modules\n")
+            f"assert {SCIPY_MODULES!r} == [\n"
+            "    m for m in sys.modules if m.startswith('scipy')]\n")
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_tabulated_runs_load_no_heavy_modules(self, tmp_path):
@@ -565,8 +578,9 @@ class TestCli:
             "    traj = run(system, state, config, scen.boundary)\n"
             "    assert len(traj.states) == 4\n"
             "    assert traj.states[-1].rho[0] > 1.01\n"
-            "assert not {'sympy', 'scipy.integrate', 'scipy.interpolate',\n"
-            "            'scipy.optimize'} & set(sys.modules)\n")
+            "assert 'sympy' not in sys.modules\n"
+            f"assert {SCIPY_MODULES!r} == [\n"
+            "    m for m in sys.modules if m.startswith('scipy')]\n")
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_mms_smoke(self, capsys):
@@ -776,15 +790,14 @@ def test_csv_tables_match_reference_with_few_snapshots(tmp_path, snapshots):
 @pytest.fixture
 def writers(monkeypatch):
     """The face-table writers that write_trajectory starts."""
-    import pipeflow.scenario as scenario_mod
-
     started = []
 
     class Recorded(subprocess.Popen):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             started.append(self)
-    monkeypatch.setattr(scenario_mod.subprocess, "Popen", Recorded)
+    # write_trajectory imports subprocess when it writes CSV
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     return started
 
 

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+import scipy.sparse as sp
 from scipy.sparse import linalg as sp_linalg
 
 from pipeflow import energy as energy_mod
@@ -207,15 +210,9 @@ class TestFactorizationReuse:
         assert np.max(np.abs(half.w - fresh.w)) < 1e-10
 
 
-@pytest.mark.parametrize("stepper, eps", [(HyperbolicStepper, 0.4),
-                                          (HyperbolicStepper, 0.025),
-                                          (HyperbolicStepper, 0.005),
-                                          (ParabolicStepper, 0.4)])
-def test_stepper_ordering_keeps_fill_linear(stepper, eps, monkeypatch):
-    # y_transient filling from rest at 256 cells per edge: the factors
-    # hold about 6 entries per row; MMD_AT_PLUS_A on the parabolic
-    # Jacobian, whose momentum diagonal vanishes where the gas rests,
-    # holds more than 300 from the second step on
+def _transient_jacobians(stepper, eps, cells):
+    """The Jacobians a stepper factors over three steps of y_transient
+    filling from rest, each with its scipy CSC matrix."""
     jacobians = []
     splu = solver_mod.splu
 
@@ -223,18 +220,73 @@ def test_stepper_ordering_keeps_fill_linear(stepper, eps, monkeypatch):
         jacobians.append(jac)
         return splu(jac, **kwargs)
 
-    monkeypatch.setattr(solver_mod, "splu", capturing)
     scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
     scenario = scenario.with_epsilon(eps)
-    system = scenario.build_system(cells_per_edge=256)
+    system = scenario.build_system(cells_per_edge=cells)
     state = scenario.initial_state(system)
     newton = stepper(system)
-    for _ in range(3):
-        state = newton.step(state, scenario.solver.dt, scenario.boundary)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "splu", capturing)
+        for _ in range(3):
+            state = newton.step(state, scenario.solver.dt,
+                                scenario.boundary)[0]
     assert jacobians
-    for jac in jacobians:
-        lu = sp_linalg.splu(jac, permc_spec=stepper.ordering)
+    return [(jac, sp.csc_matrix((jac.data, jac.indices, jac.indptr),
+                                shape=jac.shape)) for jac in jacobians]
+
+
+@pytest.mark.parametrize("stepper, eps", [(HyperbolicStepper, 0.4),
+                                          (HyperbolicStepper, 0.025),
+                                          (HyperbolicStepper, 0.005),
+                                          (ParabolicStepper, 0.4)])
+def test_stepper_ordering_keeps_fill_linear(stepper, eps):
+    # y_transient filling from rest at 256 cells per edge: the factors
+    # hold about 6 entries per row; MMD_AT_PLUS_A on the parabolic
+    # Jacobian, whose momentum diagonal vanishes where the gas rests,
+    # holds more than 300 from the second step on
+    for jac, csc in _transient_jacobians(stepper, eps, cells=256):
+        lu = sp_linalg.splu(csc, permc_spec=stepper.ordering)
         assert lu.L.nnz + lu.U.nnz <= 10 * jac.shape[0]
+
+
+@pytest.mark.parametrize("stepper", [HyperbolicStepper, ParabolicStepper])
+def test_splu_factors_as_scipy_does(stepper):
+    # pipeflow calls SuperLU's extension itself; on the steppers'
+    # Jacobians, under their orderings, that factorization is scipy's
+    rng = np.random.default_rng(0)
+    for jac, csc in _transient_jacobians(stepper, 0.4, cells=64):
+        ours = solver_mod.splu(jac, permc_spec=stepper.ordering)
+        ref = sp_linalg.splu(csc, permc_spec=stepper.ordering)
+        b = rng.standard_normal(jac.shape[0])
+        assert ours.solve(b).tobytes() == ref.solve(b).tobytes()
+        assert ours.L.nnz + ours.U.nnz == ref.L.nnz + ref.U.nnz
+        assert np.array_equal(ours.perm_c, ref.perm_c)
+
+
+def test_splu_loads_no_scipy_package():
+    # only the extension is loaded; scipy.sparse.linalg, imported
+    # afterwards, shares it and still factors
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(SCEN), "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pipeflow import solver\n"
+        "jac = solver.CSC(np.array([4.0, 1.0, 2.0, 3.0, 1.0]),\n"
+        "                 np.array([0, 1, 0, 1, 2], dtype=np.intc),\n"
+        "                 np.array([0, 2, 4, 5], dtype=np.intc), (3, 3))\n"
+        "b = np.array([1.0, 2.0, 3.0])\n"
+        "x = solver.splu(jac, permc_spec='COLAMD').solve(b)\n"
+        "assert [m for m in sys.modules if m.startswith('scipy')] == [\n"
+        "    'scipy.sparse.linalg._dsolve._superlu']\n"
+        "import scipy.sparse as sp\n"
+        "from scipy.sparse.linalg import splu\n"
+        "csc = sp.csc_matrix(jac[:3], shape=jac.shape)\n"
+        "assert splu(csc, permc_spec='COLAMD').solve(b).tobytes() == x.tobytes()\n"
+        "assert np.allclose(csc @ x, b)\n"
+        "assert solver.splu(jac).L.nnz == splu(csc).L.nnz\n")
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def _start_and_step(stepper, state, dt, boundary):
@@ -797,8 +849,6 @@ def _concatenated_jacobian_data(st, dt, cache):
 @pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
 @pytest.mark.parametrize("network", sorted(NETWORKS))
 def test_csc_jacobian_equals_coo_conversion(network, stepper):
-    import scipy.sparse as sp
-
     system = build_system(NETWORKS[network](0.3), cells_per_edge=5, law=LAW)
     if stepper == "parabolic":
         st = ParabolicStepper(system)
@@ -817,7 +867,6 @@ def test_csc_jacobian_equals_coo_conversion(network, stepper):
     assert data.tobytes() == _concatenated_jacobian_data(st, 0.01, cache).tobytes()
     rows, cols = st._entries()
     ref = sp.coo_matrix((data, (rows, cols)), shape=jac.shape).tocsc()
-    assert jac.format == "csc" and jac.has_canonical_format
     assert ref.has_canonical_format
     for name in ("indptr", "indices"):
         assert np.array_equal(getattr(jac, name), getattr(ref, name)), name
