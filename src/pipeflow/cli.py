@@ -24,18 +24,14 @@ from .scenario import (
 from .solver import SolverConfig, StepFailure, run
 
 
-def _float_list(text):
-    try:
-        return [float(x) for x in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from None
-
-
-def _int_list(text):
-    try:
-        return [int(x) for x in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from None
+def _list_of(cast):
+    def parse(text):
+        try:
+            return [cast(x) for x in text.replace(",", " ").split()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse list {text!r}") from None
+    return parse
 
 
 def _int_at_least(minimum):
@@ -101,16 +97,14 @@ def build_parser():
     p_study = sub.add_parser("study", help="parameter sweep studies")
     p_study.add_argument("kind", choices=("epsilon", "gamma", "boundary"))
     common(p_study)
-    p_study.add_argument("--eps-list", type=_float_list,
+    p_study.add_argument("--eps-list", type=_list_of(float),
                          default=[0.2, 0.1, 0.05, 0.025])
-    p_study.add_argument("--gamma-offsets", type=_float_list,
+    p_study.add_argument("--gamma-offsets", type=_list_of(float),
                          default=[0.4, 0.2, 0.1, 0.05])
-    p_study.add_argument("--amplitudes", type=_float_list,
+    p_study.add_argument("--amplitudes", type=_list_of(float),
                          default=[0.2, 0.1, 0.05])
     p_study.add_argument("--no-certify", action="store_true",
                          help="skip the stability certificates")
-    p_study.add_argument("--threads", type=int, default=1,
-                         help="worker threads for sweeps")
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     common(p_ver, out=False)  # verify writes nothing
@@ -121,9 +115,9 @@ def build_parser():
 
     p_mms = sub.add_parser("mms", help="manufactured-solution convergence")
     common(p_mms, scenario=False)
-    p_mms.add_argument("--cells-list", type=_two_or_more(_int_list),
+    p_mms.add_argument("--cells-list", type=_two_or_more(_list_of(int)),
                        default=[12, 24, 48])
-    p_mms.add_argument("--dt-list", type=_two_or_more(_float_list),
+    p_mms.add_argument("--dt-list", type=_two_or_more(_list_of(float)),
                        default=[2e-3, 1e-3, 5e-4])
     return parser
 
@@ -143,6 +137,15 @@ def _load(args):
     return scenario
 
 
+def _failure_text(failure):
+    """The failed step, which run of a study it was in, and why."""
+    residual = ("n/a" if failure.residual is None
+                else f"{failure.residual:.6g}")
+    run_name = f"the {failure.run_label} run, " if failure.run_label else ""
+    return (f"{run_name}step {failure.step} from tau={failure.tau:.6g} with "
+            f"dt={failure.dt:.6g}, residual {residual}: {failure}")
+
+
 def cmd_simulate(args):
     scenario = _load(args)
     system = scenario.build_system()
@@ -155,20 +158,15 @@ def cmd_simulate(args):
                          bounds=scenario.bounds)
     except StepFailure as failure:
         # the energy trace of every accepted snapshot, and the failure in
-        # the manifest
-        residual = ("n/a" if failure.residual is None
-                    else f"{failure.residual:.6g}")
-        where = (f"step {failure.step} from tau={failure.tau:.6g} with "
-                 f"dt={failure.dt:.6g}, residual {residual}")
-        print(f"step failure in {where}: {failure}", file=sys.stderr)
+        # the manifest; main reports it
         if out:
             write_energy_trace(os.path.join(out, "energy.csv"), failure.partial)
             write_manifest(os.path.join(out, "manifest.txt"), scenario,
                            extra={"command": "simulate",
-                                  "failure": f"{where}: {failure}"})
+                                  "failure": _failure_text(failure)})
             print(f"wrote {out}/ ({len(failure.partial.states)} snapshots "
                   "in energy.csv)", file=sys.stderr)
-        return 1
+        raise
     for w in trajectory.warnings:
         print(f"warning: {w}", file=sys.stderr)
     last = trajectory.reports[-1]
@@ -196,15 +194,14 @@ def cmd_study(args):
     if scenario.output_dir:
         os.makedirs(scenario.output_dir, exist_ok=True)
     if args.kind == "epsilon":
-        result = studies_mod.epsilon_limit_study(
-            scenario, args.eps_list, certify=certify, threads=args.threads)
+        result = studies_mod.epsilon_limit_study(scenario, args.eps_list,
+                                                 certify=certify)
     elif args.kind == "gamma":
         result = studies_mod.gamma_perturbation_study(
-            scenario, args.gamma_offsets, certify=certify,
-            threads=args.threads)
+            scenario, args.gamma_offsets, certify=certify)
     else:
         result = studies_mod.boundary_perturbation_study(
-            scenario, args.amplitudes, certify=certify, threads=args.threads)
+            scenario, args.amplitudes, certify=certify)
     print(result.format())
     if scenario.output_dir:
         result.write_table(os.path.join(scenario.output_dir,
@@ -217,8 +214,7 @@ def cmd_study(args):
             os.path.join(scenario.output_dir, "manifest.txt"), scenario,
             extra={"command": f"study {args.kind}",
                    "study.parameters": ",".join(map(str, result.parameters)),
-                   "study.slope": result.slope,
-                   "threads": args.threads})
+                   "study.slope": result.slope})
         print(f"wrote {scenario.output_dir}/")
     if result.certificates and not result.all_certified:
         print("stability certificate failed", file=sys.stderr)
@@ -279,12 +275,11 @@ def cmd_verify(args):
         traj = run(system, state0, short, scenario.boundary)
     except (StepFailure, ValueError) as exc:
         report("power-balance", False, f"transient failed: {exc}")
-        report("junction-conservation", False, "transient failed")
+        traj = None
     else:
         res = np.max(np.abs(energy_mod.power_balance_residual(traj)))
-        dt2 = replace(short, dt=short.dt / 2,
-                      t_final=short.t_final)
-        traj2 = run(system, state0, dt2, scenario.boundary)
+        traj2 = run(system, state0, replace(short, dt=short.dt / 2),
+                    scenario.boundary)
         res2 = np.max(np.abs(energy_mod.power_balance_residual(traj2)))
         # the midpoint term O(dt^3) falls to 1/8 under dt/2, down to the
         # level at which the steps' Newton tolerance shows in the balance
@@ -304,13 +299,15 @@ def cmd_verify(args):
                 1.0, abs(energy_mod.limit_energy(system, state0.rho)))
             report("limit-energy-balance", worst <= tol,
                    f"max parabolic step residual {worst:.2e} <= {tol:.0e}")
-        if system.n_junctions:
-            worst = max(np.max(np.abs(system.junction_mass_defect(s)))
-                        for s in traj.states)
-            report("junction-conservation", worst < 1e-10,
-                   f"max |signed mass flow sum| = {worst:.2e}")
-        else:
-            print("ok   junction-conservation: no interior junctions")
+    if not system.n_junctions:
+        print("ok   junction-conservation: no interior junctions")
+    elif traj is None:
+        report("junction-conservation", False, "transient failed")
+    else:
+        worst = max(np.max(np.abs(system.junction_mass_defect(s)))
+                    for s in traj.states)
+        report("junction-conservation", worst < 1e-10,
+               f"max |signed mass flow sum| = {worst:.2e}")
     return 1 if failures else 0
 
 
@@ -347,6 +344,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except StepFailure as failure:
+        print(f"error: step failure in {_failure_text(failure)}",
+              file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

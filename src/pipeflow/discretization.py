@@ -340,11 +340,11 @@ class NetworkSystem:
 
     # -- states --------------------------------------------------------------
 
-    def constant_state(self, rho, w=0.0, tau=0.0):
-        return NetworkState(tau, np.full(self.n_cells, float(rho)),
+    def constant_state(self, rho, w=0.0):
+        return NetworkState(0.0, np.full(self.n_cells, float(rho)),
                             np.full(self.n_faces, float(w)))
 
-    def rest_state(self, boundary_enthalpy, tau=0.0):
+    def rest_state(self, boundary_enthalpy):
         """Well-balanced rest state: w = 0, P'(rho) + g z = const per cell.
 
         Every distinct target P'(rho) = const - g z is solved at once by
@@ -369,7 +369,7 @@ class NetworkSystem:
                 f"[{r_lo:.6g}, {r_hi:.6g}]")
         roots = bisect(lambda r: self.law.dpotential(r) - targets,
                        np.full(targets.shape, r_lo), np.full(targets.shape, r_hi))
-        return NetworkState(tau, roots[cell_target], np.zeros(self.n_faces))
+        return NetworkState(0.0, roots[cell_target], np.zeros(self.n_faces))
 
     def check_state(self, state, bounds):
         """Box and margin checks with (edge, node) locations."""

@@ -298,7 +298,7 @@ def _exp_trapz_accumulate(times, values, rate):
 
 def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
                      schedule_hat=None, eps_hat=None, gamma_hat=None,
-                     bounds=None, initial_cnorm_sq=None):
+                     bounds=None):
     """Check the exponential stability bound along a trajectory pair.
 
     At every snapshot the monitor compares
@@ -348,9 +348,8 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
     rate = constants.growth
     i_diss = _exp_trapz_accumulate(times, rel_diss, rate)
     i_pert = _exp_trapz_accumulate(times, p_res + p_bnd, rate)
-    init = cnorm[0] if initial_cnorm_sq is None else float(initial_cnorm_sq)
     lhs = constants.c0_lower * cnorm + i_diss
-    rhs = constants.c0_upper * init * np.exp(rate * times) + i_pert
+    rhs = constants.c0_upper * cnorm[0] * np.exp(rate * times) + i_pert
 
     slack = rhs[admissible] - lhs[admissible]
     tol = 1e-10 * np.maximum(1.0, np.abs(rhs[admissible]))
@@ -366,12 +365,12 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
 # ---------------------------------------------------------------------------
 # sampling helpers
 
-def random_admissible_state(system, bounds, rng, margin=0.02, tau=0.0):
-    """Uniform random state strictly inside the admissible box."""
+def random_admissible_state(system, bounds, rng):
+    """Uniform random state at tau 0 strictly inside the admissible box."""
     span_r = bounds.rho_max - bounds.rho_min
-    lo = bounds.rho_min + margin * span_r
-    hi = bounds.rho_max - margin * span_r
+    lo = bounds.rho_min + 0.02 * span_r
+    hi = bounds.rho_max - 0.02 * span_r
     rho = rng.uniform(lo, max(lo, hi), size=system.n_cells)
-    wmax = (1.0 - margin) * bounds.w_max
+    wmax = 0.98 * bounds.w_max
     w = rng.uniform(-wmax, wmax, size=system.n_faces)
-    return NetworkState(tau, rho, w)
+    return NetworkState(0.0, rho, w)

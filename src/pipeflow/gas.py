@@ -85,11 +85,11 @@ class GasLaw:
     def _d2potential(self, rho):
         return self.dpressure(rho) / rho
 
-    def d2potential_bounds(self, lo, hi, samples=1024):
-        """Min and max of P'' over [lo, hi], sampled densely plus endpoints."""
+    def d2potential_bounds(self, lo, hi):
+        """Min and max of P'' over [lo, hi], sampled at 1024 points."""
         if not (0.0 < lo <= hi):
             raise ValueError("need 0 < lo <= hi")
-        grid = np.linspace(lo, hi, samples)
+        grid = np.linspace(lo, hi, 1024)
         vals = self.d2potential(grid)
         return float(np.min(vals)), float(np.max(vals))
 
@@ -389,9 +389,9 @@ class AdmissibleBounds:
         if not (0.0 < self.friction_min <= self.friction_max):
             raise ValueError("need 0 < friction_min <= friction_max")
 
-    def subsonic_margin(self, law, samples=1024):
+    def subsonic_margin(self, law):
         """min over [rho_min, rho_max] of rho*P''(rho) - 4*eps_max^2*w_max^2."""
-        grid = np.linspace(self.rho_min, self.rho_max, samples)
+        grid = np.linspace(self.rho_min, self.rho_max, 1024)
         grid = np.union1d(grid, [self.rho_min, self.rho_max])
         return float(np.min(grid * law.d2potential(grid))
                      - 4.0 * self.eps_max**2 * self.w_max**2)
@@ -413,13 +413,13 @@ class AdmissibilityReport:
         return self.ok
 
 
-def check_admissible(rho, w, bounds, law, samples=1024, margin=None):
+def check_admissible(rho, w, bounds, law, margin=None):
     """Check pointwise box bounds and the subsonic margin.
 
     Returns a report listing every violation with its flat index; the
     margin check depends only on (bounds, law) and is reported once.
     A caller that checks many states may pass the margin it computed
-    with ``bounds.subsonic_margin(law, samples)``.
+    with ``bounds.subsonic_margin(law)``.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -431,7 +431,7 @@ def check_admissible(rho, w, bounds, law, samples=1024, margin=None):
     for idx in np.flatnonzero(np.abs(w) > bounds.w_max):
         violations.append(Violation("velocity", int(idx), float(w[idx])))
     if margin is None:
-        margin = bounds.subsonic_margin(law, samples=samples)
+        margin = bounds.subsonic_margin(law)
     if margin < 0.0:
         violations.append(Violation("subsonic_margin",
                                     (bounds.rho_min, bounds.rho_max), margin))

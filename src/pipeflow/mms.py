@@ -76,10 +76,13 @@ def default_case(epsilon=0.3, gamma=1.0, kappa=1.0, length=1.0,
     )
 
 
-def _solve(case, cells, dt, t_final, newton_tol=1e-12):
+T_FINAL = 0.2
+
+
+def _solve(case, cells, dt):
     system = build_system(case.topology(), cells_per_edge=cells, law=case.law)
     state0 = case.initial_state(system)
-    config = SolverConfig(dt=dt, t_final=t_final, newton_tol=newton_tol)
+    config = SolverConfig(dt=dt, t_final=T_FINAL, newton_tol=1e-12)
     traj = run(system, state0, config, case.boundary(), forcing=case.forcing)
     return system, traj.states[-1]
 
@@ -89,27 +92,26 @@ def _state_error(system, state, other_rho, other_w):
                    + system.l2sq_faces(state.w - other_w))
 
 
-def spatial_convergence(case, cells_list=(12, 24, 48), dt=2e-4, t_final=0.2):
-    """Errors against the exact restriction at t_final per resolution."""
+def spatial_convergence(case, cells_list):
+    """Errors against the exact restriction at T_FINAL per resolution."""
     errors = []
     for n in cells_list:
-        system, final = _solve(case, n, dt, t_final)
+        system, final = _solve(case, n, 2e-4)
         errors.append(_state_error(system, final,
-                                   case.rho(system.x_cells, t_final),
-                                   case.w(system.x_faces, t_final)))
+                                   case.rho(system.x_cells, T_FINAL),
+                                   case.w(system.x_faces, T_FINAL)))
     orders = np.log(np.array(errors[:-1]) / np.array(errors[1:])) / \
         np.log(np.array(cells_list[1:]) / np.array(cells_list[:-1], dtype=float))
     return np.asarray(errors), orders
 
 
-def temporal_convergence(case, cells=24, dt_list=(2e-3, 1e-3, 5e-4),
-                         t_final=0.2, ref_divider=4):
-    """Self-convergence against a run with the smallest step divided."""
-    dt_ref = min(dt_list) / ref_divider
-    system, ref = _solve(case, cells, dt_ref, t_final)
+def temporal_convergence(case, dt_list):
+    """Self-convergence on 24 cells against a run with a quarter of the
+    smallest step."""
+    system, ref = _solve(case, 24, min(dt_list) / 4)
     errors = []
     for dt in dt_list:
-        _, final = _solve(case, cells, dt, t_final)
+        _, final = _solve(case, 24, dt)
         errors.append(_state_error(system, final, ref.rho, ref.w))
     orders = np.log(np.array(errors[:-1]) / np.array(errors[1:])) / \
         np.log(np.array(dt_list[:-1]) / np.array(dt_list[1:]))
@@ -139,13 +141,9 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def manufactured_solution_test(case=None, cells_list=(12, 24, 48),
-                               dt_list=(2e-3, 1e-3, 5e-4), cells_fixed=24,
-                               dt_spatial=2e-4, t_final=0.2):
-    if case is None:
-        case = default_case()
-    se, so = spatial_convergence(case, cells_list, dt=dt_spatial,
-                                 t_final=t_final)
-    te, to = temporal_convergence(case, cells=cells_fixed, dt_list=dt_list,
-                                  t_final=t_final)
+def manufactured_solution_test(cells_list=(12, 24, 48),
+                               dt_list=(2e-3, 1e-3, 5e-4)):
+    case = default_case()
+    se, so = spatial_convergence(case, cells_list)
+    te, to = temporal_convergence(case, dt_list)
     return ConvergenceTable(tuple(cells_list), se, so, tuple(dt_list), te, to)

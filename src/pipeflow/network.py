@@ -141,8 +141,8 @@ def classify(topology):
 # ---------------------------------------------------------------------------
 # convenience builders
 
-def single_pipe(length=1.0, name="pipe", **params):
-    edge = Edge(name, "inlet", "outlet", PipeParameters(length=length, **params))
+def single_pipe(length=1.0, **params):
+    edge = Edge("pipe", "inlet", "outlet", PipeParameters(length=length, **params))
     return NetworkTopology([edge], name="single-pipe")
 
 

@@ -368,9 +368,8 @@ class Scenario:
     def with_friction_offset(self, offset):
         return replace(self, topology=self.topology.with_friction_offset(offset))
 
-    def build_system(self, cells_per_edge=None):
-        return build_system(self.topology,
-                            cells_per_edge=cells_per_edge or self.cells_per_edge,
+    def build_system(self):
+        return build_system(self.topology, cells_per_edge=self.cells_per_edge,
                             law=self.law)
 
     def initial_state(self, system):
@@ -506,7 +505,7 @@ def _build_topology(section, epsilon, base_dir, path):
         return _BUILTIN_TOPOLOGIES[builtin](epsilon=epsilon, **kwargs), {}
 
 
-def parse_scenario(text, path="<string>", name=None):
+def parse_scenario(text, path="<string>"):
     base_dir = os.path.dirname(path) if os.path.dirname(path) else "."
     sections = _parse_sections(text, path)
     boundary_sections = [sections.pop(header) for header in list(sections)
@@ -630,7 +629,7 @@ def parse_scenario(text, path="<string>", name=None):
         topology=topology, law=law, cells_per_edge=cells, initial=initial,
         boundary=boundary, solver=solver, bounds=bounds,
         output_dir=output_dir, output_format=output_format,
-        name=name or os.path.splitext(os.path.basename(path))[0],
+        name=os.path.splitext(os.path.basename(path))[0],
         source=path, law_spec={"law": law_name, **law_kwargs},
     )
     scenario.check_boundary_complete()
@@ -691,7 +690,7 @@ def _write_all(pipe, data):
         view = view[pipe.write(view):]
 
 
-def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
+def write_trajectory(directory, system, trajectory, fmt="csv"):
     """Snapshot tables: cell rows (tau, edge, node, x, rho, h) and face
     rows (tau, edge, node, x, w, m), numbers as %.12g; per snapshot the
     rows run through the edges in topology order, then the node index.
@@ -707,7 +706,7 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
     os.makedirs(directory, exist_ok=True)
     if fmt == "npz":
         np.savez_compressed(
-            os.path.join(directory, f"{prefix}.npz"),
+            os.path.join(directory, "states.npz"),
             times=np.asarray(trajectory.times),
             rho=trajectory.rho_array(),
             w=trajectory.w_array(),
@@ -723,8 +722,8 @@ def write_trajectory(directory, system, trajectory, fmt="csv", prefix="states"):
     # time is formatted in C and written
     cell_rows = _row_pieces(system, system.x_cells, system.edge_cells)
     face_rows = _row_pieces(system, system.x_faces, system.edge_faces)
-    cells_path = os.path.join(directory, f"{prefix}_cells.csv")
-    faces_path = os.path.join(directory, f"{prefix}_faces.csv")
+    cells_path = os.path.join(directory, "states_cells.csv")
+    faces_path = os.path.join(directory, "states_faces.csv")
     with open(cells_path, "w") as fc, subprocess.Popen(
             [sys.executable, "-I", "-S", "-c", _FACE_TABLE_WRITER],
             stdin=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -124,6 +124,7 @@ class StepFailure(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.partial = None
+        self.run_label = None  # which run of a study failed
 
 
 @dataclass
@@ -187,12 +188,6 @@ class Trajectory:
         self.states.append(state)
         self.reports.append(report)
         self.stacks = None
-
-    @property
-    def dt(self):
-        if len(self.times) < 2:
-            raise ValueError("trajectory has fewer than two snapshots")
-        return self.times[1] - self.times[0]
 
     def _stacked(self):
         if self.stacks is None or len(self.stacks[0]) != len(self.states):

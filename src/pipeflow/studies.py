@@ -11,9 +11,7 @@ tighter Newton tolerance, so sweep errors isolate the perturbation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -23,14 +21,14 @@ from .energy import (
     lipschitz_estimates,
     stability_constants,
 )
-from .solver import SolverConfig, Trajectory, run
+from .solver import SolverConfig, StepFailure, Trajectory, run
 
 
-def fit_loglog_slope(x, y, guard=0.10):
+def fit_loglog_slope(x, y):
     """Least-squares slope of log y against log x.
 
     If the relative fit residual (in log space, against the data range)
-    exceeds the guard, the largest-x point is discarded once and the
+    exceeds 0.10, the largest-x point is discarded once and the
     slope refitted.  Returns (slope, mask of points used).
     """
     x = np.asarray(x, dtype=float)
@@ -51,7 +49,7 @@ def fit_loglog_slope(x, y, guard=0.10):
 
     mask = np.ones(x.size, dtype=bool)
     slope, rel = fit(mask)
-    if rel > guard:
+    if rel > 0.10:
         mask[np.argmax(x)] = False
         slope, _ = fit(mask)
     return float(slope), mask
@@ -139,16 +137,29 @@ def _require_bounds(scenario):
     return scenario.bounds
 
 
-def _run_sweep(tasks, threads):
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _sweep_values(values, what):
+    """Three finite, distinct floats at least, checked before any run."""
+    values = [float(v) for v in values]
+    if len(values) < 3:
+        raise ValueError(f"need at least three {what}")
+    if not all(map(math.isfinite, values)):  # nan passes every comparison
+        raise ValueError(f"{what} must be finite")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{what} must be distinct; no slope otherwise")
+    return values
+
+
+def _named(label, fn, *args):
+    """fn(*args), a StepFailure from it naming the study run."""
+    try:
+        return fn(*args)
+    except StepFailure as failure:
+        failure.run_label = label
+        raise
 
 
 def _sweep(name, parameter_name, parameters, member, scenario, system,
-           ref_config, certify, threads):
+           ref_config, certify):
     """Measure one member per parameter against one reference run.
 
     The reference runs on `system` with `ref_config` and is subsampled to
@@ -158,8 +169,9 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     constants taken along u_hat.
     """
     # only the subsample is kept, not the full-resolution run
-    ref = _subsample(run(system, scenario.initial_state(system), ref_config,
-                         scenario.boundary), 4)
+    ref = _subsample(_named("reference", run, system,
+                            scenario.initial_state(system), ref_config,
+                            scenario.boundary), 4)
 
     def measure(p):
         x, pair_system, u, u_hat, monitor_kwargs = member(p, ref)
@@ -177,7 +189,8 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                                     scenario.boundary, **monitor_kwargs)
         return x, sup_sq + l3, sup_sq, l3, cert
 
-    results = _run_sweep([partial(measure, p) for p in parameters], threads)
+    results = [_named(f"{parameter_name}={p:g}", measure, p)
+               for p in parameters]
     x = [r[0] for r in results]
     errors = [r[1] for r in results]
     slope, mask = fit_loglog_slope(x, errors)
@@ -199,9 +212,9 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     density, which realizes the compatible-data assumptions.  The fitted
     slope is log(error) vs log(eps^2).
     """
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 3:
-        raise ValueError("need at least three epsilon values")
+    if threads != 1:  # the keyword stays because benchmarks/job.py passes 1
+        raise ValueError("members run serially; threads must be 1")
+    eps_list = _sweep_values(eps_list, "epsilon values")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("epsilon values must be positive; the limit model "
                          "is the reference, not a sweep point")
@@ -220,14 +233,12 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     return _sweep("high-friction limit study", "epsilon", eps_list, member,
                   scenario, scenario.build_system(),
                   _reference_config(scenario.solver, parabolic=True),
-                  certify, threads)
+                  certify)
 
 
-def gamma_perturbation_study(scenario, offsets, certify=True, threads=1):
+def gamma_perturbation_study(scenario, offsets, certify=True):
     """Friction-coefficient perturbations against a fine unperturbed run."""
-    offsets = [float(o) for o in offsets]
-    if len(offsets) < 3:
-        raise ValueError("need at least three offsets")
+    offsets = _sweep_values(offsets, "offsets")
     if any(o == 0.0 for o in offsets):
         raise ValueError("offsets must be nonzero")
     if len({math.copysign(1, o) for o in offsets}) != 1:
@@ -259,16 +270,13 @@ def gamma_perturbation_study(scenario, offsets, certify=True, threads=1):
 
     return _sweep("friction perturbation study", "gamma_offset", offsets,
                   member, scenario, system, _reference_config(scenario.solver),
-                  certify, threads)
+                  certify)
 
 
-def boundary_perturbation_study(scenario, amplitudes, vertex=None,
-                                certify=True, threads=1):
-    """Boundary-schedule perturbations; the abscissa is the time integral
-    of the boundary discrepancy (root-sum-square over vertices)."""
-    amplitudes = [float(a) for a in amplitudes]
-    if len(amplitudes) < 3:
-        raise ValueError("need at least three amplitudes")
+def boundary_perturbation_study(scenario, amplitudes, certify=True):
+    """Perturbations of the first boundary vertex's schedule; the
+    abscissa is the time integral of the boundary discrepancy."""
+    amplitudes = _sweep_values(amplitudes, "amplitudes")
     if any(a <= 0.0 for a in amplitudes):
         raise ValueError("amplitudes must be positive")
     if certify:
@@ -277,8 +285,7 @@ def boundary_perturbation_study(scenario, amplitudes, vertex=None,
     system = scenario.build_system()
     if not system.boundary_vertices:
         raise ValueError("the scenario's network has no boundary vertices")
-    if vertex is None:
-        vertex = system.boundary_vertices[0]
+    vertex = system.boundary_vertices[0]
     t_final = scenario.solver.t_final
 
     def bump(tau):
@@ -298,4 +305,4 @@ def boundary_perturbation_study(scenario, amplitudes, vertex=None,
 
     return _sweep("boundary perturbation study", "amplitude", amplitudes,
                   member, scenario, system, _reference_config(scenario.solver),
-                  certify, threads)
+                  certify)

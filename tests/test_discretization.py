@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -367,8 +368,8 @@ def _assert_gather_forms_match_csr(system, seed):
                                   "pipe_limit"])
 def test_gather_forms_match_csr(name, cells):
     scenario = load_scenario(os.path.join(SCEN, f"{name}.scn"))
-    _assert_gather_forms_match_csr(scenario.build_system(cells_per_edge=cells),
-                                   seed=cells)
+    _assert_gather_forms_match_csr(
+        replace(scenario, cells_per_edge=cells).build_system(), seed=cells)
 
 
 def _mixed_junction_systems():
@@ -530,9 +531,9 @@ def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
     calls = []
     margin = AdmissibleBounds.subsonic_margin
 
-    def counting(self, law, samples=1024):
+    def counting(self, law):
         calls.append(self)
-        return margin(self, law, samples)
+        return margin(self, law)
 
     monkeypatch.setattr(AdmissibleBounds, "subsonic_margin", counting)
     tight = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=1.0, eps_max=1.0)
@@ -573,7 +574,8 @@ def _template_loops(system):
 
 def _y_transient_systems():
     scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
-    return [scenario.build_system(cells_per_edge=n) for n in (2, 3, 24)]
+    return [replace(scenario, cells_per_edge=n).build_system()
+            for n in (2, 3, 24)]
 
 
 @pytest.mark.parametrize("system", _y_transient_systems()

@@ -516,11 +516,11 @@ class TestCli:
         assert info.value.code == 2
         assert f"{option}: need at least two values" in capsys.readouterr().err
 
-    def test_threads_only_for_study(self, tmp_path):
+    def test_study_has_no_threads_option(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(MINIMAL)
         with pytest.raises(SystemExit) as info:
-            main(["simulate", "--scenario", str(scn), "--threads", "2"])
+            main(["study", "gamma", "--scenario", str(scn), "--threads", "2"])
         assert info.value.code == 2
 
     def test_import_does_not_load_sympy(self):
@@ -529,6 +529,8 @@ class TestCli:
         subprocess.run([sys.executable, "-c",
                         "import sys, pipeflow.mms, pipeflow.cli; "
                         "assert 'sympy' not in sys.modules; "
+                        "assert 'concurrent.futures' not in sys.modules; "
+                        "assert 'logging' not in sys.modules; "
                         f"assert {SCIPY_MODULES!r} == "
                         "[m for m in sys.modules if m.startswith('scipy')]"],
                        env=env, check=True)
@@ -685,13 +687,12 @@ def test_tabulated_law_scenario_rejects_nonfinite_table(tmp_path):
         parse_scenario(text, path=str(tmp_path / "s.scn"))
 
 
-def _reference_write_csv(directory, system, trajectory, prefix="states",
-                         encoding=None):
+def _reference_write_csv(directory, system, trajectory, encoding=None):
     """The snapshot tables row by row, one f-string per row, both in this
     process: the reference the two-process writer must match byte for
     byte."""
-    cells_path = os.path.join(directory, f"{prefix}_cells.csv")
-    faces_path = os.path.join(directory, f"{prefix}_faces.csv")
+    cells_path = os.path.join(directory, "states_cells.csv")
+    faces_path = os.path.join(directory, "states_faces.csv")
     with open(cells_path, "w", encoding=encoding) as fc, \
             open(faces_path, "w", encoding=encoding) as ff:
         fc.write("tau,edge,node,x,rho,h\n")
@@ -713,11 +714,11 @@ def _reference_write_csv(directory, system, trajectory, prefix="states",
 
 def _assert_tables_match_reference(tmp_path, system, trajectory,
                                    encoding=None):
-    write_trajectory(tmp_path / "new", system, trajectory, prefix="snap")
+    write_trajectory(tmp_path / "new", system, trajectory)
     os.makedirs(tmp_path / "ref")
-    _reference_write_csv(tmp_path / "ref", system, trajectory, prefix="snap",
+    _reference_write_csv(tmp_path / "ref", system, trajectory,
                          encoding=encoding)
-    for name in ("snap_cells.csv", "snap_faces.csv"):
+    for name in ("states_cells.csv", "states_faces.csv"):
         new = (tmp_path / "new" / name).read_bytes()
         assert new == (tmp_path / "ref" / name).read_bytes()
     return new
@@ -725,7 +726,7 @@ def _assert_tables_match_reference(tmp_path, system, trajectory,
 
 def test_csv_tables_match_reference_on_y_transient(tmp_path):
     scen = load_scenario(os.path.join(SCEN, "y_transient.scn"))
-    system = scen.build_system(8)
+    system = replace(scen, cells_per_edge=8).build_system()
     traj = run(system, scen.initial_state(system),
                replace(scen.solver, t_final=0.05), scen.boundary)
     faces = _assert_tables_match_reference(tmp_path, system, traj)
@@ -807,10 +808,10 @@ def test_unwritable_face_table_raises_naming_it(tmp_path, snapshots, writers):
     # failure; 400 snapshots (137 KB, past a pipe's 64 KB) break the pipe
     system = _star_system(["a", "b", "c", "d"])
     traj = _random_trajectory(system, np.linspace(0, 1, snapshots))
-    faces = tmp_path / "snap_faces.csv"
+    faces = tmp_path / "states_faces.csv"
     faces.mkdir()
     with pytest.raises(OSError) as info:
-        write_trajectory(tmp_path, system, traj, prefix="snap")
+        write_trajectory(tmp_path, system, traj)
     assert str(info.value).startswith(f"cannot write {faces}: ")
     assert "Is a directory" in str(info.value)
     assert [w.returncode for w in writers] == [1]
@@ -830,16 +831,16 @@ def test_failing_snapshot_stops_the_face_writer(tmp_path, monkeypatch,
         return costate(state)
     monkeypatch.setattr(system, "costate", failing_costate)
     with pytest.raises(RuntimeError, match="snapshot 3 fails"):
-        write_trajectory(tmp_path, system, traj, prefix="snap")
+        write_trajectory(tmp_path, system, traj)
     # the writer saw its input end after three whole snapshots
     assert [w.returncode for w in writers] == [0]
-    faces = (tmp_path / "snap_faces.csv").read_bytes()
+    faces = (tmp_path / "states_faces.csv").read_bytes()
     assert faces.count(b"\n") == 1 + 3 * system.n_faces
 
 
 def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
     scen = parse_scenario(MINIMAL)
-    system = scen.build_system(4)
+    system = replace(scen, cells_per_edge=4).build_system()
     w = np.array([-0.0, 1e-300, 123456789012345.6, -2.5e-7, 0.1 + 0.2])
     rho = np.array([1e-300, 1.0, 123456789012345.6, 1e16])
     traj = Trajectory()
@@ -851,7 +852,7 @@ def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
 
 def test_unknown_trajectory_format_is_rejected(tmp_path):
     scen = parse_scenario(MINIMAL)
-    system = scen.build_system(4)
+    system = replace(scen, cells_per_edge=4).build_system()
     traj = Trajectory()
     traj.append(scen.initial_state(system), None)
     with pytest.raises(ValueError, match="'parquet'"):
@@ -978,3 +979,89 @@ def test_rest_state_checked_against_bounds(tmp_path):
         scen.initial_state(scen.build_system())
     assert str(info.value) == (f"{path}:{line + 2}: initial state violates "
                                "the admissible bounds (density_high)")
+
+
+def _with_max_iter_1(tmp_path, name):
+    """A committed scenario whose Newton iterations stop after one."""
+    with open(os.path.join(SCEN, name)) as fh:
+        text = fh.read().replace("[solver]\n", "[solver]\nmax_iter = 1\n")
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _step_failure_line(err):
+    """The one line a step failure prints: no traceback."""
+    assert "Traceback" not in err
+    line, = err.strip().splitlines()
+    assert line.startswith("error: step failure in ")
+    return line
+
+
+def test_study_step_failure_names_the_member(tmp_path, capsys):
+    # the members take the scenario's max_iter, the reference 20 more
+    scn = _with_max_iter_1(tmp_path, "pipe_perturbation.scn")
+    assert main(["study", "gamma", "--no-certify", "--scenario", scn]) == 1
+    line = _step_failure_line(capsys.readouterr().err)
+    assert line.startswith("error: step failure in the gamma_offset=0.4 run, "
+                           "step 0 from tau=0 with dt=0.001, residual ")
+    assert "Newton did not converge in 1 iterations" in line
+
+
+def _failing_run(real_run, fails):
+    def run_or_fail(system, state0, config, boundary, **kwargs):
+        if fails(config):
+            raise StepFailure("Newton did not converge", step=2,
+                              tau=2 * config.dt, dt=config.dt, residual=0.5)
+        return real_run(system, state0, config, boundary, **kwargs)
+    return run_or_fail
+
+
+def test_study_step_failure_names_the_reference(monkeypatch, capsys):
+    from pipeflow import studies
+
+    monkeypatch.setattr(studies, "run", _failing_run(
+        studies.run, lambda config: config.parabolic))
+    scn = os.path.join(SCEN, "pipe_limit.scn")
+    assert main(["study", "epsilon", "--no-certify", "--scenario", scn]) == 1
+    dt = load_scenario(scn).solver.dt / 4
+    assert _step_failure_line(capsys.readouterr().err) == (
+        f"error: step failure in the reference run, step 2 from "
+        f"tau={2 * dt:.6g} with dt={dt:.6g}, residual 0.5: Newton did not "
+        "converge")
+
+
+def test_mms_step_failure_is_reported(monkeypatch, capsys):
+    from pipeflow import mms
+
+    monkeypatch.setattr(mms, "run", _failing_run(
+        mms.run, lambda config: config.dt == 2e-3))
+    assert main(["mms", "--cells-list", "8,16", "--dt-list",
+                 "4e-3,2e-3"]) == 1
+    assert _step_failure_line(capsys.readouterr().err) == (
+        "error: step failure in step 2 from tau=0.004 with dt=0.002, "
+        "residual 0.5: Newton did not converge")
+
+
+def test_verify_step_failure_at_half_step(monkeypatch, capsys):
+    from pipeflow import cli
+
+    scn = os.path.join(SCEN, "y_transient.scn")
+    dt = load_scenario(scn).solver.dt
+    monkeypatch.setattr(cli, "run", _failing_run(
+        cli.run, lambda config: config.dt < dt))
+    assert main(["verify", "--samples", "5", "--scenario", scn]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out
+    assert _step_failure_line(err) == (
+        f"error: step failure in step 2 from tau={dt:.6g} with "
+        f"dt={dt / 2:.6g}, residual 0.5: Newton did not converge")
+
+
+def test_verify_failed_transient_without_junctions(tmp_path, capsys):
+    scn = _with_max_iter_1(tmp_path, "single_pipe.scn")
+    assert main(["verify", "--samples", "5", "--scenario", scn]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL power-balance: transient failed: Newton did not" in out
+    assert out.endswith("ok   junction-conservation: no interior junctions\n")
+    assert out.count("FAIL") == 1

@@ -222,7 +222,7 @@ def _transient_jacobians(stepper, eps, cells):
 
     scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
     scenario = scenario.with_epsilon(eps)
-    system = scenario.build_system(cells_per_edge=cells)
+    system = replace(scenario, cells_per_edge=cells).build_system()
     state = scenario.initial_state(system)
     newton = stepper(system)
     with pytest.MonkeyPatch.context() as patch:
@@ -882,7 +882,7 @@ def test_run_memory_stays_near_the_trajectory():
     import tracemalloc
 
     scen = load_scenario(os.path.join(SCEN, "y_transient.scn"))
-    system = scen.build_system(cells_per_edge=512)
+    system = replace(scen, cells_per_edge=512).build_system()
     state0 = scen.initial_state(system)
     tracemalloc.start()
     try:

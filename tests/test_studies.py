@@ -1,9 +1,11 @@
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pipeflow import studies
 from pipeflow.network import Edge, NetworkTopology
 from pipeflow.scenario import load_scenario
 from pipeflow.studies import (
@@ -93,6 +95,30 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="positive"):
             boundary_perturbation_study(scenario, [0.2, 0.1, -0.05])
 
+    @pytest.mark.parametrize("study, values, error", [
+        (epsilon_limit_study, [0.2, math.nan, 0.05, 0.025], "finite"),
+        (boundary_perturbation_study, [0.2, math.inf, 0.05], "finite"),
+        (gamma_perturbation_study, [0.4, math.nan, 0.1], "finite"),
+        (gamma_perturbation_study, [-math.inf, -0.2, -0.1], "finite"),
+        (epsilon_limit_study, [0.2, 0.1, 0.1], "distinct"),
+        (boundary_perturbation_study, [0.2, 0.1, 0.2], "distinct"),
+        (gamma_perturbation_study, [0.4, 0.1, 0.1], "distinct"),
+    ])
+    def test_values_checked_before_any_run(self, scenario, monkeypatch,
+                                           study, values, error):
+        # nan passes every comparison, and a repeated value leaves the
+        # slope fit short of distinct points only after every run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a study ran before checking its values")
+        monkeypatch.setattr(studies, "run", no_run)
+        for certify in (True, False):
+            with pytest.raises(ValueError, match=error):
+                study(scenario, values, certify=certify)
+
+    def test_epsilon_study_runs_serially_only(self, scenario):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            epsilon_limit_study(scenario, [0.2, 0.1, 0.05], threads=2)
+
 
 @pytest.mark.slow
 class TestStudiesEndToEnd:
@@ -104,12 +130,14 @@ class TestStudiesEndToEnd:
         assert result.all_certified
         assert monotone_violations(result.errors) <= 1
 
-    def test_gamma_study_threads_deterministic(self):
-        scenario = load_scenario(os.path.join(SCEN, "pipe_perturbation.scn"))
-        a = gamma_perturbation_study(scenario, [0.4, 0.2, 0.1], certify=False)
-        b = gamma_perturbation_study(scenario, [0.4, 0.2, 0.1], certify=False,
-                                     threads=3)
-        assert a.errors == b.errors
+    def test_epsilon_study_accepts_one_thread(self):
+        scenario = load_scenario(os.path.join(SCEN, "pipe_limit.scn"))
+        scenario = replace(scenario,
+                           solver=replace(scenario.solver, t_final=0.05))
+        serial = epsilon_limit_study(scenario, [0.2, 0.1, 0.05], certify=False)
+        one = epsilon_limit_study(scenario, [0.2, 0.1, 0.05], certify=False,
+                                  threads=1)
+        assert one.errors == serial.errors
 
     def test_study_table_written(self, tmp_path):
         scenario = load_scenario(os.path.join(SCEN, "pipe_perturbation.scn"))
