@@ -10,22 +10,17 @@ from .gas import (
     AdmissibleBounds,
     GasLaw,
     IsothermalLaw,
-    PhysicalParameters,
     PipeParameters,
     PowerLaw,
     TabulatedLaw,
     check_admissible,
-    costate,
-    hessian_apply,
     make_law,
-    rescale_physical,
 )
 from .network import (
     Edge,
     NetworkTopology,
     TopologyError,
     classify,
-    incidence,
     loop_network,
     single_pipe,
     y_network,

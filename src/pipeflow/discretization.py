@@ -340,10 +340,6 @@ class NetworkSystem:
 
     # -- states --------------------------------------------------------------
 
-    def constant_state(self, rho, w=0.0):
-        return NetworkState(0.0, np.full(self.n_cells, float(rho)),
-                            np.full(self.n_faces, float(w)))
-
     def rest_state(self, boundary_enthalpy):
         """Well-balanced rest state: w = 0, P'(rho) + g z = const per cell.
 

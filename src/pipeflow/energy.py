@@ -269,10 +269,6 @@ class GronwallCertificate:
     constants: StabilityConstants = None
     warnings: list = field(default_factory=list)
 
-    @property
-    def slack(self):
-        return self.rhs - self.lhs
-
     def write_trace(self, path):
         """Tabular relative-energy trace with the bound sides and slack."""
         with open(path, "w") as fh:

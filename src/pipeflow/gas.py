@@ -436,81 +436,3 @@ def check_admissible(rho, w, bounds, law, margin=None):
         violations.append(Violation("subsonic_margin",
                                     (bounds.rho_min, bounds.rho_max), margin))
     return AdmissibilityReport(ok=not violations, violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# co-state and energy maps (collocated fields)
-
-def costate(rho, w, law, area=1.0, elevation=0.0, gravity=1.0, epsilon=1.0):
-    """Total specific enthalpy and mass flow rate at collocated points.
-
-    h = eps^2 w^2 / 2 + P'(rho) + g z,   m = a rho w.
-    """
-    rho = _as_positive(rho)
-    w = np.asarray(w, dtype=float)
-    h = 0.5 * epsilon**2 * w**2 + law.dpotential(rho) + gravity * np.asarray(elevation, dtype=float)
-    m = np.asarray(area, dtype=float) * rho * w
-    return h, m
-
-
-def hessian_apply(rho, w, d_rho, d_w, law, area=1.0, epsilon=1.0):
-    """Derivative of the co-state map applied to a direction (d_rho, d_w).
-
-    Pointwise matrix [[P''(rho), eps^2 w], [a w, a rho]]; symmetric with
-    respect to the weight diag(a, eps^2).
-    """
-    rho = _as_positive(rho)
-    w = np.asarray(w, dtype=float)
-    d_rho = np.asarray(d_rho, dtype=float)
-    d_w = np.asarray(d_w, dtype=float)
-    a = np.asarray(area, dtype=float)
-    dh = law.d2potential(rho) * d_rho + epsilon**2 * w * d_w
-    dm = a * w * d_rho + a * rho * d_w
-    return dh, dm
-
-
-# ---------------------------------------------------------------------------
-# physical to rescaled parameters
-
-@dataclass(frozen=True)
-class PhysicalParameters:
-    """Raw pipe friction data and scales before rescaling."""
-
-    friction_factor: float
-    diameter: float
-    velocity: float = 1.0
-    time_horizon: float = 1.0
-
-    def __post_init__(self):
-        if self.friction_factor <= 0.0 or self.diameter <= 0.0:
-            raise ValueError("friction factor and diameter must be positive")
-
-
-@dataclass(frozen=True)
-class RescaledQuantities:
-    gamma: float
-    velocity: float
-    time_horizon: float
-    epsilon: float
-
-    def friction_over_diameter(self):
-        """Recover lambda/(2 d) from the rescaled friction coefficient."""
-        return self.gamma / self.epsilon**2
-
-
-def rescale_physical(phys, epsilon):
-    """Map physical friction/velocity/time to their rescaled counterparts.
-
-    gamma = eps^2 * lambda / (2 d), w = v / eps, tau = eps * t.  The map
-    is undefined for eps = 0 (the limit model is reached by letting the
-    rescaled eps tend to 0, not by rescaling with it).
-    """
-    if epsilon <= 0.0:
-        raise ValueError("rescaling requires epsilon > 0")
-    gamma = epsilon**2 * phys.friction_factor / (2.0 * phys.diameter)
-    return RescaledQuantities(
-        gamma=gamma,
-        velocity=phys.velocity / epsilon,
-        time_horizon=epsilon * phys.time_horizon,
-        epsilon=epsilon,
-    )

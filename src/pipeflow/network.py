@@ -122,15 +122,6 @@ class NetworkTopology:
         return len(self.edges_at(vertex))
 
 
-def incidence(vertex, edge):
-    """+1 if the edge ends at the vertex, -1 if it starts there, else 0."""
-    if edge.end == vertex:
-        return 1
-    if edge.start == vertex:
-        return -1
-    return 0
-
-
 def classify(topology):
     """Split vertices into interior (degree > 1) and boundary (degree 1)."""
     interior = frozenset(v for v in topology.vertices if topology.degree(v) > 1)

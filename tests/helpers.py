@@ -5,8 +5,8 @@ The library applies K, D, G, S and J in gather form only
 and ``apply_j``).  ``csr_operators`` assembles the same operators as
 CSR matrices from the system's index arrays; the tests check the gather
 forms against them.  The instantaneous hyperbolic dynamics
-(``spatial_residual``), the co-state defect in two forms, and a few
-small utilities for the tests live here as well.
+(``spatial_residual``), the co-state defect in two forms, constant
+states and a few small utilities for the tests live here as well.
 """
 
 from types import SimpleNamespace
@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
+from pipeflow.discretization import NetworkState
 from pipeflow.energy import _check_pair
 
 
@@ -92,6 +93,13 @@ def spatial_residual(system, state, boundary_values, forcing=None, tau=None):
     drho = (load_rho - system.apply_d(m)) / system.c_rho
     dw = (load_w - system.apply_gs(h, hv) - fr) / system.c_w
     return drho, dw
+
+
+def constant_state(system, rho, w=0.0):
+    """The state at tau 0 with density rho in every cell and velocity w
+    on every face."""
+    return NetworkState(0.0, np.full(system.n_cells, float(rho)),
+                        np.full(system.n_faces, float(w)))
 
 
 def total_mass(system, state):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.energy import (
@@ -20,16 +21,23 @@ from pipeflow.energy import (
     relative_dissipation,
     relative_energy,
 )
-from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw, costate, hessian_apply
+from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.mms import manufactured_solution_test
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
-from pipeflow.solver import SolverConfig, run
+from pipeflow.solver import (
+    HyperbolicStepper,
+    ParabolicStepper,
+    SolverConfig,
+    run,
+)
 from pipeflow.studies import (
     boundary_perturbation_study,
     epsilon_limit_study,
     gamma_perturbation_study,
 )
+
+from helpers import constant_state
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -245,37 +253,63 @@ def test_criterion_10_junction_conservation():
             f"{worst_mass:.2e}, energy-flux sum {worst_flux:.2e} (< 1e-10)")
 
 
-def test_criterion_11_hessian_consistency():
+def _jacobian_error_ratio(stepper, rng, dt=0.05):
+    """The ratio of the central-difference errors of a stepper's Newton
+    Jacobian along a random direction, at steps 1e-2 and 5e-3.
+
+    The start state and the iterate x = (rho, w, h_v) are random and
+    admissible, and they share each face's flow direction with
+    |w| >= 0.1.  A difference step moves w by 1e-2 at most, so neither
+    the iterate nor the midpoint stage crosses w = 0, where the
+    friction term |w| w has no second derivative.
+    """
+    system = stepper.system
+    n_c, n_f = system.n_cells, system.n_faces
+    sign = rng.choice((-1.0, 1.0), size=n_f)
+    state = NetworkState(0.0, rng.uniform(0.8, 1.3, n_c),
+                         sign * rng.uniform(0.1, 0.9, n_f))
+    x = np.concatenate((rng.uniform(0.8, 1.3, n_c),
+                        sign * rng.uniform(0.1, 0.9, n_f),
+                        rng.uniform(0.5, 1.5, system.n_junctions)))
+    d = rng.uniform(-1.0, 1.0, system.n_z)
+    boundary = {v: 1.0 for v in system.boundary_vertices}
+    _, loads = stepper._stage(state, dt, boundary, dt)
+    _, cache = stepper._residual(dt, state, loads, x)
+    data, indices, indptr, shape = stepper._jacobian(dt, cache)
+    jd = sp.csc_matrix((data, indices, indptr), shape=shape) @ d
+
+    def fd_error(step):
+        plus = stepper._residual(dt, state, loads, x + step * d)[0]
+        minus = stepper._residual(dt, state, loads, x - step * d)[0]
+        return np.linalg.norm((plus - minus) / (2 * step) - jd)
+
+    return fd_error(1e-2) / fd_error(5e-3)
+
+
+def test_criterion_11_jacobian_consistency():
+    # the Jacobian each stepper factors is the derivative of its own
+    # residual; PowerLaw's exponent 1.4 keeps P' from being quadratic,
+    # on which central differences would be exact
     rng = np.random.default_rng(1111)
     with _Clock() as clock:
-        ok = True
         ratios = []
-        for _ in range(20):
-            n = 32
-            rho = rng.uniform(0.7, 1.4, size=n)
-            w = rng.uniform(-0.9, 0.9, size=n)
-            d_rho = rng.standard_normal(n)
-            d_w = rng.standard_normal(n)
-            area = rng.uniform(0.8, 1.5)
-            eps = rng.uniform(0.2, 0.45)
-            dh, dm = hessian_apply(rho, w, d_rho, d_w, ISO, area=area,
-                                   epsilon=eps)
-
-            def fd_error(step):
-                hp, mp = costate(rho + step * d_rho, w + step * d_w, ISO,
-                                 area=area, epsilon=eps)
-                hm, mm = costate(rho - step * d_rho, w - step * d_w, ISO,
-                                 area=area, epsilon=eps)
-                fh = (hp - hm) / (2 * step)
-                fm = (mp - mm) / (2 * step)
-                return np.sqrt(np.sum((fh - dh) ** 2) + np.sum((fm - dm) ** 2))
-
-            ratio = fd_error(1e-2) / fd_error(5e-3)
-            ratios.append(ratio)
-            ok = ok and 3.5 < ratio < 4.5
+        for network in (y_network, loop_network):
+            for law in (ISO, PowerLaw(1.0, 1.4)):
+                topology = network(epsilon=0.4, friction=2.0,
+                                   area=((0.0, 1.0), (1.0, 1.3)))
+                system = build_system(topology, cells_per_edge=6, law=law)
+                for stepper in (HyperbolicStepper(system),
+                                HyperbolicStepper(system,
+                                                  scheme="backward-euler"),
+                                ParabolicStepper(system)):
+                    for _ in range(5):
+                        ratios.append(_jacobian_error_ratio(stepper, rng))
+        ok = all(3.5 < r < 4.5 for r in ratios)
     _report(11, ok, 5.0, clock,
-            f"20 random states: finite-difference error ratios in "
-            f"[{min(ratios):.2f}, {max(ratios):.2f}] (window [3.5, 4.5])")
+            f"{len(ratios)} random iterates of the midpoint, backward-Euler "
+            f"and parabolic Newton Jacobians: finite-difference error "
+            f"ratios in [{min(ratios):.3f}, {max(ratios):.3f}] "
+            f"(window [3.5, 4.5])")
 
 
 def test_criterion_12_friction_decay_oracle():
@@ -285,7 +319,7 @@ def test_criterion_12_friction_decay_oracle():
                               cells_per_edge=8, law=ISO)
 
         def sup_error(dt):
-            traj = run(system, system.constant_state(1.0, w0),
+            traj = run(system, constant_state(system, 1.0, w0),
                        SolverConfig(dt=dt, t_final=1.0), {})
             worst = 0.0
             for s in traj.states:

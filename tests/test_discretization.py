@@ -27,7 +27,7 @@ from pipeflow.network import (
 )
 from pipeflow.scenario import load_scenario
 
-from helpers import csr_operators, spatial_residual
+from helpers import constant_state, csr_operators, spatial_residual
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "scenarios")
@@ -96,7 +96,7 @@ class TestStructure:
     def test_r_entries(self):
         # face with gamma=1, a=1, rho=1, |w|=2 has R entry 2*face volume
         system = build_system(single_pipe(epsilon=0.5), cells_per_edge=8, law=LAW)
-        state = system.constant_state(1.0, 2.0)
+        state = constant_state(system, 1.0, 2.0)
         diag = system.r_diag(state)
         m_slots = slice(system.n_cells, system.n_cells + system.n_faces)
         assert np.allclose(diag[m_slots], 2.0 * system.omega_faces)
@@ -111,11 +111,11 @@ class TestStructure:
 
     def test_validate_rejects_bad_state(self):
         system = build_system(single_pipe(epsilon=0.5), cells_per_edge=4, law=LAW)
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         state.rho[2] = -1.0
         with pytest.raises(ValueError, match="density"):
             state.validate()
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         state.w[1] = np.nan
         with pytest.raises(ValueError, match="velocity"):
             state.validate()
@@ -124,7 +124,7 @@ class TestStructure:
 class TestCostate:
     def test_constant_state(self):
         system = build_system(single_pipe(epsilon=0.2), cells_per_edge=8, law=LAW)
-        state = system.constant_state(1.0, 2.0)
+        state = constant_state(system, 1.0, 2.0)
         h, m = system.costate(state)
         assert np.allclose(h, 0.5 * 0.04 * 4.0 + 1.0)
         assert np.allclose(m, 2.0)
@@ -165,7 +165,7 @@ class TestJunctions:
     def test_mass_defect_of_constrained_state(self):
         # a state whose terminal fluxes balance has exactly zero defect
         system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
-        state = system.constant_state(1.0, 0.0)
+        state = constant_state(system, 1.0, 0.0)
         assert np.allclose(system.junction_mass_defect(state), 0.0)
         # feed 2*w into the junction, split evenly into the branches
         state.w[system.edge_faces("feed")] = 0.5
@@ -177,7 +177,7 @@ class TestJunctions:
         # with a single junction enthalpy the signed energy flux is
         # h_v * (signed mass sum) and vanishes for balanced states
         system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
-        state = system.constant_state(1.0, 0.0)
+        state = constant_state(system, 1.0, 0.0)
         state.w[system.edge_faces("feed")] = 0.5
         state.w[system.edge_faces("branch_a")] = 0.25
         state.w[system.edge_faces("branch_b")] = 0.25
@@ -266,20 +266,20 @@ class TestSpatialResidual:
         eps, gamma, w0 = 0.5, 0.8, 1.0
         system = build_system(loop_network(epsilon=eps, friction=gamma),
                               cells_per_edge=8, law=LAW)
-        state = system.constant_state(1.0, w0)
+        state = constant_state(system, 1.0, w0)
         drho, dw = spatial_residual(system, state, {})
         assert np.max(np.abs(drho)) < 1e-13
         assert np.allclose(dw, -gamma * w0**2 / eps**2, rtol=1e-12)
 
     def test_missing_boundary_datum(self):
         system = build_system(single_pipe(epsilon=0.4), cells_per_edge=8, law=LAW)
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         with pytest.raises(ValueError, match="outlet"):
             spatial_residual(system, state, {"inlet": 1.0})
 
     def test_epsilon_zero_rejected(self):
         system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         with pytest.raises(ValueError, match="parabolic"):
             spatial_residual(system, state, {"inlet": 1.0, "outlet": 1.0})
 
@@ -327,7 +327,7 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
     system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
     # constant density and a split velocity field keep the junction
     # balance exact, which the instantaneous dynamics require
-    state = system.constant_state(1.05)
+    state = constant_state(system, 1.05)
     state.w[system.edge_faces("feed")] = 0.1
     state.w[system.edge_faces("branch_a")] = 0.05
     state.w[system.edge_faces("branch_b")] = 0.05
@@ -537,7 +537,7 @@ def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
 
     monkeypatch.setattr(AdmissibleBounds, "subsonic_margin", counting)
     tight = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=1.0, eps_max=1.0)
-    state = system.constant_state(1.0, w=0.2)
+    state = constant_state(system, 1.0, w=0.2)
     for bounds in (BOUNDS, BOUNDS, tight, BOUNDS, tight):
         report = system.check_state(state, bounds)
     assert calls == [BOUNDS, tight]

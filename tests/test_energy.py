@@ -27,7 +27,11 @@ from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
 from pipeflow.solver import HyperbolicStepper, SolverConfig, Trajectory, run
 
-from helpers import costate_defect_closed, costate_defect_direct
+from helpers import (
+    constant_state,
+    costate_defect_closed,
+    costate_defect_direct,
+)
 
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "scenarios")
@@ -43,34 +47,34 @@ def pipe_system(eps=0.5, n=16, law=LAW, **params):
 class TestHamiltonian:
     def test_reference_rest_state(self):
         system = pipe_system()
-        assert hamiltonian(system, system.constant_state(1.0)) == pytest.approx(0.0)
+        assert hamiltonian(system, constant_state(system, 1.0)) == pytest.approx(0.0)
 
     def test_kinetic_energy(self):
         system = pipe_system(eps=1.0)
         # one pipe of length 1: a*l*eps^2*rho*w^2/2 with rho=w=1
-        state = system.constant_state(1.0, 1.0)
+        state = constant_state(system, 1.0, 1.0)
         assert hamiltonian(system, state) == pytest.approx(0.5)
 
     def test_potential_energy(self):
         system = pipe_system()
-        state = system.constant_state(np.e)
+        state = constant_state(system, np.e)
         assert hamiltonian(system, state) == pytest.approx(np.e)
 
 
 class TestDissipation:
     def test_rest(self):
         system = pipe_system()
-        assert dissipation(system, system.constant_state(1.0)) == 0.0
+        assert dissipation(system, constant_state(system, 1.0)) == 0.0
 
     def test_constants(self):
         system = pipe_system()
-        state = system.constant_state(2.0, -1.0)
+        state = constant_state(system, 2.0, -1.0)
         assert dissipation(system, state) == pytest.approx(2.0)
 
     def test_even_in_w(self):
         system = pipe_system()
-        a = dissipation(system, system.constant_state(1.3, 0.7))
-        b = dissipation(system, system.constant_state(1.3, -0.7))
+        a = dissipation(system, constant_state(system, 1.3, 0.7))
+        b = dissipation(system, constant_state(system, 1.3, -0.7))
         assert a == pytest.approx(b, rel=1e-14)
 
     @pytest.mark.parametrize("scheme", ["midpoint", "backward-euler"])
@@ -130,8 +134,8 @@ class TestRelativeEnergy:
 
     def test_quadratic_law_density_difference(self):
         system = pipe_system(law=PowerLaw(1.0, 2.0))
-        u = system.constant_state(2.0, 0.7)
-        uhat = system.constant_state(1.0, 0.7)
+        u = constant_state(system, 2.0, 0.7)
+        uhat = constant_state(system, 1.0, 0.7)
         # P(rho|rhohat) = (rho - rhohat)^2 for kappa=1, exponent 2; the
         # kinetic relative term reduces to (rho-rhohat) w dw = 0 at w=what
         # plus rho (w^2 - w^2)/2 = 0... with equal w it is
@@ -140,8 +144,8 @@ class TestRelativeEnergy:
 
     def test_kinetic_difference(self):
         system = pipe_system(eps=0.5)
-        u = system.constant_state(1.0, 2.0)
-        uhat = system.constant_state(1.0, 1.0)
+        u = constant_state(system, 1.0, 2.0)
+        uhat = constant_state(system, 1.0, 1.0)
         assert relative_energy(system, u, uhat) == pytest.approx(0.125, rel=1e-13)
 
     def test_matches_bregman_of_hamiltonian(self):
@@ -177,7 +181,7 @@ class TestRelativeEnergy:
     def test_grid_mismatch_rejected(self):
         a = pipe_system(n=8)
         b = pipe_system(n=16)
-        u = a.constant_state(1.0)
+        u = constant_state(a, 1.0)
         with pytest.raises(ValueError):
             relative_energy(b, u, u)
 
@@ -185,14 +189,14 @@ class TestRelativeEnergy:
 class TestRelativeDissipation:
     def test_zero_at_equal_velocity(self):
         system = pipe_system()
-        u = system.constant_state(1.2, 0.8)
-        uhat = system.constant_state(0.9, 0.8)
+        u = constant_state(system, 1.2, 0.8)
+        uhat = constant_state(system, 0.9, 0.8)
         assert relative_dissipation(system, u, uhat) == 0.0
 
     def test_constant_fields(self):
         system = pipe_system()
-        u = system.constant_state(1.0, 2.0)
-        uhat = system.constant_state(1.0, 0.0)
+        u = constant_state(system, 1.0, 2.0)
+        uhat = constant_state(system, 1.0, 0.0)
         assert relative_dissipation(system, u, uhat) == pytest.approx(0.5)
 
     def test_lower_bound_random(self):
@@ -716,7 +720,7 @@ def test_unperturbed_pair_error_at_solver_floor():
 def test_total_energy_scales_with_pipe_length():
     system = build_system(single_pipe(length=2.0, epsilon=1.0),
                           cells_per_edge=16, law=LAW)
-    state = system.constant_state(1.0, 1.0)
+    state = constant_state(system, 1.0, 1.0)
     assert hamiltonian(system, state) == pytest.approx(1.0)
 
 

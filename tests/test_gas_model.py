@@ -5,14 +5,10 @@ from scipy.integrate import quad
 from pipeflow.gas import (
     AdmissibleBounds,
     IsothermalLaw,
-    PhysicalParameters,
     PowerLaw,
     TabulatedLaw,
     check_admissible,
-    costate,
-    hessian_apply,
     make_law,
-    rescale_physical,
 )
 
 
@@ -202,71 +198,6 @@ def test_pressure_gradient_identity_second_order():
     assert np.all(orders > 1.7) and np.all(orders < 2.3)
 
 
-class TestCostate:
-    def test_rest_state(self):
-        h, m = costate(1.0, 0.0, IsothermalLaw(1.0))
-        assert h == pytest.approx(1.0)
-        assert m == pytest.approx(0.0)
-
-    def test_moving_state(self):
-        h, m = costate(1.0, 2.0, IsothermalLaw(1.0), epsilon=0.1)
-        assert h == pytest.approx(1.02)
-        assert m == pytest.approx(2.0)
-
-    def test_mass_flux_product(self):
-        _, m = costate(1.5, 2.0, IsothermalLaw(1.0), area=2.0)
-        assert m == pytest.approx(6.0)
-
-    def test_gravity_term(self):
-        h, _ = costate(1.0, 0.0, IsothermalLaw(1.0), elevation=2.0, gravity=3.0)
-        assert h == pytest.approx(1.0 + 6.0)
-
-
-class TestHessian:
-    def test_zero_direction(self):
-        dh, dm = hessian_apply(1.3, 0.7, 0.0, 0.0, IsothermalLaw(1.0))
-        assert dh == 0.0 and dm == 0.0
-
-    def test_unit_direction(self):
-        dh, dm = hessian_apply(1.0, 0.0, 1.0, 1.0, IsothermalLaw(1.0))
-        assert dh == pytest.approx(1.0)
-        assert dm == pytest.approx(1.0)
-
-    def test_symmetry_in_weighted_product(self):
-        rng = np.random.default_rng(7)
-        law = IsothermalLaw(1.2)
-        for _ in range(40):
-            rho = rng.uniform(0.5, 2.0, size=16)
-            w = rng.uniform(-1.0, 1.0, size=16)
-            a = rng.uniform(0.5, 2.0, size=16)
-            eps = rng.uniform(0.05, 0.4)
-            v1 = rng.standard_normal((2, 16))
-            v2 = rng.standard_normal((2, 16))
-            g1 = hessian_apply(rho, w, v1[0], v1[1], law, area=a, epsilon=eps)
-            g2 = hessian_apply(rho, w, v2[0], v2[1], law, area=a, epsilon=eps)
-            lhs = np.sum(a * g1[0] * v2[0] + eps**2 * g1[1] * v2[1])
-            rhs = np.sum(a * g2[0] * v1[0] + eps**2 * g2[1] * v1[1])
-            scale = max(1.0, abs(lhs))
-            assert abs(lhs - rhs) / scale < 1e-12
-
-    def test_finite_difference_consistency(self):
-        rng = np.random.default_rng(3)
-        law = IsothermalLaw(1.0)
-        rho, w = 1.4, 0.6
-        d_rho, d_w = 0.8, -0.5
-        eps = 0.3
-
-        def fd(step):
-            hp, mp = costate(rho + step * d_rho, w + step * d_w, law, epsilon=eps)
-            hm, mm = costate(rho - step * d_rho, w - step * d_w, law, epsilon=eps)
-            return (hp - hm) / (2 * step), (mp - mm) / (2 * step)
-
-        dh, dm = hessian_apply(rho, w, d_rho, d_w, law, epsilon=eps)
-        e1 = np.hypot(*(np.array(fd(1e-3)) - np.array([dh, dm])))
-        e2 = np.hypot(*(np.array(fd(5e-4)) - np.array([dh, dm])))
-        assert 3.5 < e1 / e2 < 4.5
-
-
 class TestAdmissibility:
     def test_margin_ok(self):
         bounds = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=2.0, eps_max=0.1)
@@ -296,32 +227,6 @@ class TestAdmissibility:
         w[2] = -1.5
         report = check_admissible(np.ones(5), w, bounds, IsothermalLaw(1.0))
         assert any(v.kind == "velocity" and v.where == 2 for v in report.violations)
-
-
-class TestRescaling:
-    def test_direct_formula(self):
-        phys = PhysicalParameters(friction_factor=0.02, diameter=0.5)
-        scaled = rescale_physical(phys, 0.1)
-        assert scaled.gamma == pytest.approx(2e-4)
-
-    def test_identity_scaling(self):
-        phys = PhysicalParameters(friction_factor=0.02, diameter=0.5,
-                                  velocity=3.0, time_horizon=7.0)
-        scaled = rescale_physical(phys, 1.0)
-        assert scaled.gamma == pytest.approx(0.02)
-        assert scaled.velocity == pytest.approx(3.0)
-        assert scaled.time_horizon == pytest.approx(7.0)
-
-    def test_round_trip(self):
-        phys = PhysicalParameters(friction_factor=0.013, diameter=0.8)
-        for eps in (0.03, 0.2, 0.9):
-            scaled = rescale_physical(phys, eps)
-            assert scaled.friction_over_diameter() == pytest.approx(
-                phys.friction_factor / (2 * phys.diameter), rel=1e-14)
-
-    def test_zero_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_physical(PhysicalParameters(0.02, 0.5), 0.0)
 
 
 def test_make_law_factory():

@@ -6,7 +6,6 @@ from pipeflow.network import (
     NetworkTopology,
     TopologyError,
     classify,
-    incidence,
     loop_network,
     single_pipe,
     y_network,
@@ -18,22 +17,6 @@ from helpers import format_topology
 
 def make_edge(name, start, end, length=1.0):
     return Edge(name, start, end, PipeParameters(length=length))
-
-
-class TestIncidence:
-    def test_signs(self):
-        e = make_edge("e", "v1", "v2")
-        assert incidence("v2", e) == 1
-        assert incidence("v1", e) == -1
-
-    def test_non_incident(self):
-        e = make_edge("e", "v1", "v2")
-        assert incidence("v3", e) == 0
-
-    def test_signs_cancel_per_edge(self):
-        topo = y_network()
-        for e in topo.edges:
-            assert incidence(e.start, e) + incidence(e.end, e) == 0
 
 
 class TestClassify:

@@ -25,7 +25,7 @@ from pipeflow.solver import (
     velocity_recovery,
 )
 
-from helpers import total_mass
+from helpers import constant_state, total_mass
 
 LAW = IsothermalLaw(1.0)
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -56,7 +56,7 @@ class TestHyperbolicStep:
         errors = []
         for dt in (0.02, 0.01):
             config = SolverConfig(dt=dt, t_final=1.0)
-            traj = run(system, system.constant_state(1.0, w0), config, {})
+            traj = run(system, constant_state(system, 1.0, w0), config, {})
             w_num = traj.states[-1].w
             assert np.ptp(w_num) < 1e-10  # stays spatially constant
             assert np.ptp(traj.states[-1].rho) < 1e-10
@@ -161,7 +161,7 @@ def _y_flow(model):
         make = lambda: HyperbolicStepper(system)
     else:
         make = lambda: ParabolicStepper(system)
-    return system, system.constant_state(1.0), boundary, make
+    return system, constant_state(system, 1.0), boundary, make
 
 
 @pytest.mark.parametrize("model", ["hyperbolic", "parabolic"])
@@ -496,7 +496,7 @@ class TestVelocityRecovery:
 class TestParabolic:
     def test_uniform_state_stationary(self):
         system = build_system(single_pipe(epsilon=0.0), cells_per_edge=10, law=LAW)
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         boundary = {"inlet": 1.0, "outlet": 1.0}
         new, _ = ParabolicStepper(system).step(state, 0.05, boundary)
         assert np.max(np.abs(new.rho - 1.0)) < 1e-12
@@ -510,7 +510,7 @@ class TestParabolic:
                               cells_per_edge=2, law=LAW)
         h_left, h_right = 1.2, 1.0
         boundary = {"inlet": h_left, "outlet": h_right}
-        state = system.constant_state(1.0)
+        state = constant_state(system, 1.0)
         config = SolverConfig(dt=0.5, t_final=60.0, parabolic=True,
                               newton_tol=1e-13)
         traj = run(system, state, config, boundary)
@@ -696,7 +696,7 @@ def test_reports_use_boundary_data_at_their_own_time():
     ramp = lambda tau: 1.0 + 0.15 * min(tau / 0.05, 1.0)
     fixed = {"outlet_a": 1.0, "outlet_b": 0.99}
     config = SolverConfig(dt=0.01, t_final=0.08, scheme="midpoint")
-    traj = run(system, system.constant_state(1.0), config,
+    traj = run(system, constant_state(system, 1.0), config,
                {"inlet": ramp, **fixed})
     for state, report in zip(traj.states, traj.reports, strict=True):
         values = {"inlet": ramp(state.tau), **fixed}
