@@ -139,6 +139,27 @@ class TestCostate:
         assert m[2] == pytest.approx(2.5)
         assert m[4] == pytest.approx(4.0)
 
+    def test_rest_state(self):
+        law = PowerLaw(1.2, 2.0)
+        system = build_system(y_network(epsilon=0.3), cells_per_edge=4, law=law)
+        rho = np.linspace(0.8, 1.3, system.n_cells)
+        h, m = system.costate(NetworkState(0.0, rho, np.zeros(system.n_faces)))
+        assert np.allclose(h, law.dpotential(rho), rtol=1e-15, atol=0.0)
+        assert np.all(m == 0.0)
+
+    def test_mass_flux_product(self):
+        system = build_system(single_pipe(epsilon=0.2, area=2.0),
+                              cells_per_edge=4, law=LAW)
+        _, m = system.costate(constant_state(system, 1.5, 2.0))
+        assert np.allclose(m, 6.0)
+
+    def test_gravity_term(self):
+        topo = single_pipe(epsilon=0.2, elevation=((0.0, 0.0), (1.0, 2.0)),
+                           gravity=3.0)
+        system = build_system(topo, cells_per_edge=4, law=LAW)
+        h, _ = system.costate(constant_state(system, 1.0))
+        assert np.allclose(h, 1.0 + 3.0 * 2.0 * system.x_cells)
+
     def test_energy_gradient_consistency(self):
         # the discrete co-state is exactly C^{-1} grad H
         from pipeflow.energy import hamiltonian
@@ -184,6 +205,45 @@ class TestJunctions:
         hv = np.array([1.23])
         defect = system.junction_mass_defect(state)
         assert abs(hv[0] * defect[0]) < 1e-15
+
+    @staticmethod
+    def _terminal_signs(system):
+        faces = np.concatenate((system.junction_term_faces,
+                                system.boundary_term_faces))
+        signs = np.concatenate((system.junction_term_signs,
+                                system.boundary_term_signs))
+        return dict(zip(faces.tolist(), signs.tolist()))
+
+    def test_terminal_face_signs(self):
+        # a pipe's flow leaves the vertex it starts at and enters the
+        # vertex it ends at
+        system = build_system(y_network(epsilon=0.3), cells_per_edge=4, law=LAW)
+        signs = self._terminal_signs(system)
+        assert len(signs) == 2 * len(system.topology.edges)
+        for e in system.topology.edges:
+            faces = system.edge_faces(e.name)
+            assert signs[faces.start] == -1.0
+            assert signs[faces.stop - 1] == 1.0
+
+    def test_signs_cancel_per_edge(self):
+        system = build_system(loop_network(n_edges=3, epsilon=0.3),
+                              cells_per_edge=4, law=LAW)
+        assert system.boundary_term_faces.size == 0
+        signs = self._terminal_signs(system)
+        for e in system.topology.edges:
+            faces = system.edge_faces(e.name)
+            assert signs[faces.start] + signs[faces.stop - 1] == 0.0
+
+    def test_junction_terms_come_from_incident_edges(self):
+        system = build_system(loop_network(n_edges=3, epsilon=0.3),
+                              cells_per_edge=4, law=LAW)
+        for slot, v in enumerate(system.junction_vertices):
+            faces = system.junction_term_faces[system.junction_term_slots == slot]
+            expected = []
+            for e in system.topology.edges_at(v):
+                edge = system.edge_faces(e.name)
+                expected.append(edge.start if e.start == v else edge.stop - 1)
+            assert sorted(faces.tolist()) == sorted(expected)
 
     def test_loop_counts(self):
         system = build_system(loop_network(epsilon=0.5), cells_per_edge=8, law=LAW)

@@ -19,6 +19,20 @@ def make_edge(name, start, end, length=1.0):
     return Edge(name, start, end, PipeParameters(length=length))
 
 
+class TestAdjacency:
+    def test_edges_at_lists_incident_edges(self):
+        topo = y_network()
+        assert {e.name for e in topo.edges_at("junction")} == {
+            "feed", "branch_a", "branch_b"}
+        assert [e.name for e in topo.edges_at("outlet_a")] == ["branch_a"]
+        for e in topo.edges:
+            assert e in topo.edges_at(e.start) and e in topo.edges_at(e.end)
+
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(TopologyError, match="unknown vertex 'nosuch'"):
+            single_pipe().edges_at("nosuch")
+
+
 class TestClassify:
     def test_single_edge(self):
         topo = single_pipe()

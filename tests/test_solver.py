@@ -12,7 +12,7 @@ from scipy.sparse import linalg as sp_linalg
 from pipeflow import energy as energy_mod
 from pipeflow import solver as solver_mod
 from pipeflow.discretization import NetworkState, build_system
-from pipeflow.gas import AdmissibleBounds, IsothermalLaw
+from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
 from pipeflow.solver import (
@@ -873,6 +873,45 @@ def test_csc_jacobian_equals_coo_conversion(network, stepper):
     assert jac.data.tobytes() == ref.data.tobytes()
     # some entries sum three values, where the order of the sum shows
     assert (np.bincount(np.ravel_multi_index((rows, cols), jac.shape)) == 3).any()
+
+
+SLOPED = {"single_pipe": single_pipe, "y_network": y_network}
+
+
+@pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
+@pytest.mark.parametrize("network", sorted(SLOPED))
+def test_jacobian_is_the_derivative_of_the_residual(network, stepper):
+    # with an area profile, a slope under gravity and boundary loads,
+    # which the acceptance check of the Jacobian leaves out; each face
+    # keeps its flow direction with |w| >= 0.1, so |w| w is smooth
+    topology = SLOPED[network](epsilon=0.3, friction=1.5, gravity=2.0,
+                               area=((0.0, 1.0), (1.0, 1.4)),
+                               elevation=((0.0, 0.0), (1.0, 0.3)))
+    system = build_system(topology, cells_per_edge=5, law=PowerLaw(1.0, 3.0))
+    if stepper == "parabolic":
+        st = ParabolicStepper(system)
+    else:
+        st = HyperbolicStepper(system, scheme=stepper)
+    rng = np.random.default_rng(len(network) + len(stepper))
+    sign = rng.choice((-1.0, 1.0), size=system.n_faces)
+    state = NetworkState(0.0, rng.uniform(0.8, 1.3, system.n_cells),
+                         sign * rng.uniform(0.1, 0.9, system.n_faces))
+    x = np.concatenate((rng.uniform(0.8, 1.3, system.n_cells),
+                        sign * rng.uniform(0.1, 0.9, system.n_faces),
+                        rng.uniform(0.5, 1.5, system.n_junctions)))
+    values = {v: rng.uniform(0.8, 1.2) for v in system.boundary_vertices}
+    loads = (None, system.boundary_load(values))
+    dt, step = 0.05, 1e-6
+    _, cache = st._residual(dt, state, loads, x)
+    data, indices, indptr, shape = st._jacobian(dt, cache)
+    jac = sp.csc_matrix((data, indices, indptr), shape=shape)
+    for _ in range(3):
+        d = rng.uniform(-1.0, 1.0, system.n_z)
+        plus = st._residual(dt, state, loads, x + step * d)[0]
+        minus = st._residual(dt, state, loads, x - step * d)[0]
+        jd = jac @ d
+        assert np.linalg.norm((plus - minus) / (2 * step) - jd) \
+            <= 1e-7 * np.linalg.norm(jd)
 
 
 def test_run_memory_stays_near_the_trajectory():
