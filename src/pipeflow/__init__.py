@@ -13,7 +13,6 @@ from .gas import (
     PipeParameters,
     PowerLaw,
     TabulatedLaw,
-    check_admissible,
     make_law,
 )
 from .network import (

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import energy as energy_mod
 from . import studies as studies_mod
-from .discretization import NetworkState
 from .mms import manufactured_solution_test
 from .scenario import (
     ConfigError,
@@ -21,7 +20,7 @@ from .scenario import (
     write_manifest,
     write_trajectory,
 )
-from .solver import SolverConfig, StepFailure, run
+from .solver import StepFailure, run
 
 
 def _list_of(cast):
@@ -190,6 +189,13 @@ def cmd_simulate(args):
     return 0
 
 
+def _label(p):
+    """p as '%g' where that reads back as p, else as repr(p), so that
+    distinct parameters get distinct trace names."""
+    text = f"{p:g}"
+    return text if float(text) == p else repr(p)
+
+
 def cmd_study(args):
     scenario = _load(args)
     certify = not args.no_certify
@@ -208,10 +214,9 @@ def cmd_study(args):
     if scenario.output_dir:
         result.write_table(os.path.join(scenario.output_dir,
                                         f"study_{args.kind}.csv"))
-        for i, cert in enumerate(result.certificates):
+        for p, cert in zip(result.parameters, result.certificates):
             cert.write_trace(os.path.join(
-                scenario.output_dir,
-                f"stability_{args.kind}_{result.parameters[i]:g}.csv"))
+                scenario.output_dir, f"stability_{args.kind}_{_label(p)}.csv"))
         write_manifest(
             os.path.join(scenario.output_dir, "manifest.txt"), scenario,
             extra={"command": f"study {args.kind}",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .gas import bisect, check_admissible
+from .gas import bisect
 
 _ZERO = np.zeros(1)
 
@@ -368,25 +368,17 @@ class NetworkSystem:
         return NetworkState(0.0, roots[cell_target], np.zeros(self.n_faces))
 
     def check_state(self, state, bounds):
-        """Box and margin checks with (edge, node) locations."""
+        """The sorted kinds of admissibility the state violates, [] if none:
+        density_high, density_low, subsonic_margin, velocity."""
         # the margin depends on the bounds and the law only
         margin = self._margins.get(bounds)
         if margin is None:
             margin = self._margins[bounds] = bounds.subsonic_margin(self.law)
-        report = check_admissible(state.rho, state.w, bounds, self.law,
-                                  margin=margin)
-        for v in report.violations:
-            if isinstance(v.where, int):
-                v.where = self.locate(v.where, kind=v.kind)
-        return report
-
-    def locate(self, flat_index, kind=""):
-        on_cells = kind.startswith("density")
-        offsets = self.cell_offset if on_cells else self.face_offset
-        for e in reversed(self.topology.edges):
-            if flat_index >= offsets[e.name]:
-                return (e.name, flat_index - offsets[e.name])
-        raise IndexError(flat_index)
+        violated = {"density_high": (state.rho > bounds.rho_max).any(),
+                    "density_low": (state.rho < bounds.rho_min).any(),
+                    "subsonic_margin": margin < 0.0,
+                    "velocity": (np.abs(state.w) > bounds.w_max).any()}
+        return [kind for kind, bad in violated.items() if bad]
 
 
 def build_system(topology, cells_per_edge, law):

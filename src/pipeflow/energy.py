@@ -13,7 +13,7 @@ return a float or a (K,) array whose rows are the floats bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,6 @@ class GronwallCertificate:
     p_residual: np.ndarray = None
     p_boundary: np.ndarray = None
     constants: StabilityConstants = None
-    warnings: list = field(default_factory=list)
 
     def write_trace(self, path):
         """Tabular relative-energy trace with the bound sides and slack."""
@@ -293,8 +292,7 @@ def _exp_trapz_accumulate(times, values, rate):
 
 
 def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
-                     schedule_hat=None, eps_hat=None, gamma_hat=None,
-                     bounds=None):
+                     schedule_hat=None, eps_hat=None, gamma_hat=None):
     """Check the exponential stability bound along a trajectory pair.
 
     At every snapshot the monitor compares
@@ -307,8 +305,7 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
         (residual perturbation + boundary perturbation),
 
     with c = constants.growth and trapezoidal time quadrature.  All
-    functionals are those of the unperturbed system.  Snapshots that
-    leave the admissible set are excluded with a warning.
+    functionals are those of the unperturbed system.
     """
     times = np.asarray(traj_u.times)
     times_hat = np.asarray(traj_hat.times)
@@ -331,15 +328,6 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
     cnorm = system.c_norm_sq(u.rho - uh.rho, u.w - uh.w)
     rel_diss = relative_dissipation(system, u, uh)
     rel_en = relative_energy(system, u, uh)
-    admissible = np.ones(times.size, dtype=bool)
-    warnings = []
-    if bounds is not None:
-        for k, (s, sh) in enumerate(zip(traj_u.states, traj_hat.states)):
-            if not (system.check_state(s, bounds).ok
-                    and system.check_state(sh, bounds).ok):
-                admissible[k] = False
-                warnings.append(f"snapshot {k} (tau={times[k]:.6g}) excluded: "
-                                "outside the admissible set")
 
     rate = constants.growth
     i_diss = _exp_trapz_accumulate(times, rel_diss, rate)
@@ -347,15 +335,15 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
     lhs = constants.c0_lower * cnorm + i_diss
     rhs = constants.c0_upper * cnorm[0] * np.exp(rate * times) + i_pert
 
-    slack = rhs[admissible] - lhs[admissible]
-    tol = 1e-10 * np.maximum(1.0, np.abs(rhs[admissible]))
+    slack = rhs - lhs
+    tol = 1e-10 * np.maximum(1.0, np.abs(rhs))
     ok = bool(np.all(slack >= -tol))
     return GronwallCertificate(ok=ok, min_slack=float(np.min(slack)),
                                times=times, lhs=lhs, rhs=rhs,
                                rel_energy=rel_en, rel_dissipation=rel_diss,
                                cnorm_sq=cnorm, p_residual=p_res,
                                p_boundary=p_bnd,
-                               constants=constants, warnings=warnings)
+                               constants=constants)
 
 
 # ---------------------------------------------------------------------------

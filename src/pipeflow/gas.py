@@ -1,4 +1,4 @@
-"""Barotropic gas laws, energy densities and admissibility checks.
+"""Barotropic gas laws, energy densities and admissible bounds.
 
 The momentum balance of the flow model is driven by the derivative of a
 pressure potential rather than the pressure itself.  For a barotropic
@@ -13,7 +13,7 @@ admissible density interval is required throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +224,7 @@ class TabulatedLaw(GasLaw):
             raise ValueError(f"{path}: expected two columns (rho, p)")
         return cls(data[:, 0], data[:, 1])
 
-    def _locate(self, rho):
+    def _pieces(self, rho):
         """Checked densities, pieces i (x_(i+1) closes i), s = rho - x_i."""
         rho = _as_positive(rho)
         if np.any(rho < self.rho_table[0]) or np.any(rho > self.rho_table[-1]):
@@ -234,7 +234,7 @@ class TabulatedLaw(GasLaw):
 
     def _pq(self, rho):
         """The checked densities, p and Q = integral_1^rho p(r)/r^2 dr."""
-        rho, i, s = self._locate(rho)
+        rho, i, s = self._pieces(rho)
         x = self.rho_table[i]
         c0, c1, c2, c3 = self._c[:, i]
         a0, a1, a2, a3 = self._a[:, i]
@@ -246,7 +246,7 @@ class TabulatedLaw(GasLaw):
         return self._pq(rho)[1]
 
     def dpressure(self, rho):
-        _, i, s = self._locate(rho)
+        _, i, s = self._pieces(rho)
         _, c1, c2, c3 = self._c[:, i]
         return c1 + s * (2 * c2 + 3 * s * c3)
 
@@ -395,44 +395,3 @@ class AdmissibleBounds:
         grid = np.union1d(grid, [self.rho_min, self.rho_max])
         return float(np.min(grid * law.d2potential(grid))
                      - 4.0 * self.eps_max**2 * self.w_max**2)
-
-
-@dataclass
-class Violation:
-    kind: str
-    where: object
-    value: float
-
-
-@dataclass
-class AdmissibilityReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_admissible(rho, w, bounds, law, margin=None):
-    """Check pointwise box bounds and the subsonic margin.
-
-    Returns a report listing every violation with its flat index; the
-    margin check depends only on (bounds, law) and is reported once.
-    A caller that checks many states may pass the margin it computed
-    with ``bounds.subsonic_margin(law)``.
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    violations = []
-    for idx in np.flatnonzero(rho < bounds.rho_min):
-        violations.append(Violation("density_low", int(idx), float(rho[idx])))
-    for idx in np.flatnonzero(rho > bounds.rho_max):
-        violations.append(Violation("density_high", int(idx), float(rho[idx])))
-    for idx in np.flatnonzero(np.abs(w) > bounds.w_max):
-        violations.append(Violation("velocity", int(idx), float(w[idx])))
-    if margin is None:
-        margin = bounds.subsonic_margin(law)
-    if margin < 0.0:
-        violations.append(Violation("subsonic_margin",
-                                    (bounds.rho_min, bounds.rho_max), margin))
-    return AdmissibilityReport(ok=not violations, violations=violations)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .gas import PipeParameters
 
 

@@ -217,10 +217,14 @@ def _get(section, key, cast, default=None, path="", required=False):
     try:
         if cast is bool:
             return _BOOLEANS[raw.strip().lower()]
-        return cast(raw)
+        value = cast(raw)
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{path}:{section.lines[key]}: cannot parse "
                           f"{key} = {raw!r}") from None
+    if cast in (float, _breakpoints) and not np.isfinite(value).all():
+        raise ConfigError(f"{path}:{section.lines[key]}: {key} = {raw!r} is "
+                          "not finite")
+    return value
 
 
 def _given(section, casts, path):
@@ -386,9 +390,8 @@ class Scenario:
                 state = self._initial_from_expressions(system)
             state.validate()
             if self.bounds is not None:
-                report = system.check_state(state, self.bounds)
-                if not report.ok:
-                    kinds = sorted({v.kind for v in report.violations})
+                kinds = system.check_state(state, self.bounds)
+                if kinds:
                     raise ValueError("initial state violates the admissible "
                                      f"bounds ({', '.join(kinds)})")
         return state
@@ -613,6 +616,7 @@ def parse_scenario(text, path="<string>"):
                                   path=path),
                 gz_max=_get(bsec, "gz_max", float, default=0.0, path=path),
             )
+            bounds.subsonic_margin(law)  # the law must cover [rho_min, rho_max]
 
     out = take("output")
     output_dir = _get(out, "dir", str, path=path)

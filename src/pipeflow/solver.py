@@ -875,8 +875,7 @@ class _Recorder:
 
 
 def _flag(system, state, bounds, traj, step):
-    report = system.check_state(state, bounds)
-    if not report.ok:
-        kinds = sorted({v.kind for v in report.violations})
+    kinds = system.check_state(state, bounds)
+    if kinds:
         traj.warnings.append(
             f"step {step} (tau={state.tau:.6g}): admissibility lost ({', '.join(kinds)})")

@@ -599,9 +599,9 @@ def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
     tight = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=1.0, eps_max=1.0)
     state = constant_state(system, 1.0, w=0.2)
     for bounds in (BOUNDS, BOUNDS, tight, BOUNDS, tight):
-        report = system.check_state(state, bounds)
+        kinds = system.check_state(state, bounds)
     assert calls == [BOUNDS, tight]
-    assert [v.kind for v in report.violations] == ["subsonic_margin"]
+    assert kinds == ["subsonic_margin"]
 
 
 def _template_loops(system):

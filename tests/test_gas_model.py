@@ -7,9 +7,10 @@ from pipeflow.gas import (
     IsothermalLaw,
     PowerLaw,
     TabulatedLaw,
-    check_admissible,
     make_law,
 )
+from pipeflow.discretization import NetworkState, build_system
+from pipeflow.network import single_pipe
 
 
 def quad_potential(law, rho):
@@ -199,34 +200,48 @@ def test_pressure_gradient_identity_second_order():
 
 
 class TestAdmissibility:
+    """NetworkSystem.check_state on a single pipe of five cells."""
+
+    LAW = IsothermalLaw(1.0)
+    BOUNDS = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=1.0, eps_max=0.1)
+
+    def kinds(self, rho, w, bounds=BOUNDS):
+        system = build_system(single_pipe(), cells_per_edge=5, law=self.LAW)
+        return system.check_state(NetworkState(0.0, rho, w), bounds)
+
     def test_margin_ok(self):
         bounds = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=2.0, eps_max=0.1)
-        report = check_admissible(np.ones(4), np.zeros(5), bounds, IsothermalLaw(1.0))
-        assert report.ok
+        assert self.kinds(np.ones(5), np.zeros(6), bounds) == []
         # isothermal: rho P'' = c^2 = 1 >= 4*0.01*4 = 0.16
-        assert bounds.subsonic_margin(IsothermalLaw(1.0)) == pytest.approx(0.84)
+        assert bounds.subsonic_margin(self.LAW) == pytest.approx(0.84)
 
     def test_margin_violation(self):
         bounds = AdmissibleBounds(rho_min=1.0, rho_max=1.0, w_max=1.0, eps_max=1.0)
-        report = check_admissible(np.ones(3), np.zeros(4), bounds, IsothermalLaw(1.0))
-        assert not report.ok
-        kinds = {v.kind for v in report.violations}
-        assert kinds == {"subsonic_margin"}
+        assert self.kinds(np.ones(5), np.zeros(6), bounds) == ["subsonic_margin"]
 
-    def test_density_violation_located(self):
-        bounds = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=1.0, eps_max=0.1)
+    @pytest.mark.parametrize("cell, value, kind", [
+        (3, 0.4, "density_low"), (0, 1.3, "density_high")])
+    def test_density_violation(self, cell, value, kind):
         rho = np.ones(5)
-        rho[3] = 0.4
-        report = check_admissible(rho, np.zeros(6), bounds, IsothermalLaw(1.0))
-        assert not report.ok
-        assert any(v.kind == "density_low" and v.where == 3 for v in report.violations)
+        rho[cell] = value
+        assert self.kinds(rho, np.zeros(6)) == [kind]
 
     def test_velocity_violation(self):
-        bounds = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=1.0, eps_max=0.1)
         w = np.zeros(6)
         w[2] = -1.5
-        report = check_admissible(np.ones(5), w, bounds, IsothermalLaw(1.0))
-        assert any(v.kind == "velocity" and v.where == 2 for v in report.violations)
+        assert self.kinds(np.ones(5), w) == ["velocity"]
+
+    def test_box_edges_are_admissible(self):
+        rho = np.array([0.8, 1.2, 1.0, 1.0, 1.0])
+        w = np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        assert self.kinds(rho, w) == []
+
+    def test_all_kinds_in_sorted_order(self):
+        bounds = AdmissibleBounds(rho_min=0.8, rho_max=1.2, w_max=1.0, eps_max=1.0)
+        rho = np.array([1.0, 0.4, 1.0, 1.5, 1.0])
+        w = np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+        assert self.kinds(rho, w, bounds) == [
+            "density_high", "density_low", "subsonic_margin", "velocity"]
 
 
 def test_make_law_factory():

@@ -478,7 +478,10 @@ class TestCli:
         scn = tmp_path / "s.scn"
         scn.write_text(MINIMAL.replace("dt = 0.01\nt_final = 0.1",
                                        f"{key} = {value}"))
-        line = scn.read_text().splitlines().index("[solver]") + 1
+        # a number that is not finite fails at its key, a bad setting of
+        # SolverConfig at the section
+        line = scn.read_text().splitlines().index(
+            "[solver]" if key == "max_iter" else f"{key} = {value}") + 1
         assert main(["simulate", "--scenario", str(scn)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {scn}:{line}: ")
@@ -633,6 +636,23 @@ def test_cli_study_writes_tables(tmp_path, capsys):
     assert "bound_lhs" in header and "slack" in header
 
 
+def test_study_writes_one_trace_per_parameter(tmp_path, capsys):
+    # 0.1000001 prints as 0.1 under %g
+    with open(os.path.join(SCEN, "y_limit.scn")) as fh:
+        text = fh.read().replace("t_final = 0.3", "t_final = 0.04")
+    (tmp_path / "y_limit.scn").write_text(text)
+    (tmp_path / "y_network.topo").write_text(
+        open(os.path.join(SCEN, "y_network.topo")).read())
+    out = tmp_path / "out"
+    assert main(["study", "epsilon", "--scenario", str(tmp_path / "y_limit.scn"),
+                 "--eps-list", "0.2,0.1000001,0.1,0.05", "--cells", "4",
+                 "--dt", "2e-3", "--out", str(out)]) == 0
+    assert "stability certificates: 4/4 hold" in capsys.readouterr().out
+    assert sorted(p.name for p in out.glob("stability_*.csv")) == [
+        "stability_epsilon_0.05.csv", "stability_epsilon_0.1.csv",
+        "stability_epsilon_0.1000001.csv", "stability_epsilon_0.2.csv"]
+
+
 def test_initial_state_from_file(tmp_path):
     import numpy as np
 
@@ -697,6 +717,25 @@ def test_tabulated_law_scenario_rejects_nonfinite_table(tmp_path):
                            "law = tabulated\ntable = gas.dat")
     with pytest.raises(ConfigError, match=r"s\.scn:2: .*only finite values"):
         parse_scenario(text, path=str(tmp_path / "s.scn"))
+
+
+def test_bounds_outside_the_tabulated_range_fail_at_bounds(tmp_path):
+    from pipeflow.gas import IsothermalLaw
+
+    rho = np.linspace(0.5, 2.0, 40)
+    np.savetxt(tmp_path / "gas.dat",
+               np.column_stack([rho, IsothermalLaw(1.0).pressure(rho)]))
+    text = (MINIMAL.replace("law = isothermal", "law = tabulated\ntable = gas.dat")
+            + "\n[initial]\nrest = 1.0\n"
+            + "\n[bounds]\nrho_min = 0.6\nrho_max = 1.9\nw_max = 0.5\n"
+            "eps_max = 0.5\n")
+    path = str(tmp_path / "s.scn")
+    assert parse_scenario(text, path=path).bounds.rho_max == 1.9
+    line = text.splitlines().index("[bounds]") + 1
+    with pytest.raises(ConfigError) as info:
+        parse_scenario(text.replace("rho_max = 1.9", "rho_max = 3.0"), path=path)
+    assert str(info.value) == (f"{path}:{line}: density outside the "
+                               "tabulated range")
 
 
 def _reference_write_csv(directory, system, trajectory, encoding=None):
@@ -991,6 +1030,60 @@ def test_rest_state_checked_against_bounds(tmp_path):
         scen.initial_state(scen.build_system())
     assert str(info.value) == (f"{path}:{line + 2}: initial state violates "
                                "the admissible bounds (density_high)")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("name, old, new", [
+    ("y_transient.scn", "epsilon = 0.4", "epsilon = {}"),
+    ("y_network.topo", "area = 1.0", "area = {}"),
+    ("y_transient.scn", "rest = 1.0", "rest = {}"),
+    ("y_transient.scn", "table = 0:1.0, 0.05:1.15", "table = 0:1.0, 0.05:{}"),
+    ("y_transient.scn", "h = 1.0", "h = {}"),
+    ("y_transient.scn", "dt = 1e-3", "dt = {}"),
+    ("y_transient.scn", "w_max = 0.95", "w_max = {}"),
+], ids=["model", "topology-file", "initial", "boundary-table", "boundary-h",
+        "solver", "bounds"])
+def test_nonfinite_number_fails_at_its_key(tmp_path, name, old, new, value,
+                                           capsys):
+    for f in ("y_transient.scn", "y_network.topo"):
+        with open(os.path.join(SCEN, f)) as fh:
+            text = fh.read()
+        if f == name:
+            assert old in text
+            text = text.replace(old, new.format(value), 1)
+            line = text[:text.index(new.format(value))].count("\n") + 1
+        (tmp_path / f).write_text(text)
+    assert main(["simulate", "--scenario",
+                 str(tmp_path / "y_transient.scn")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {tmp_path / name}:{line}: ")
+    assert "is not finite" in err
+
+
+def test_tight_bounds_warning_lines(tmp_path, capsys):
+    """The warnings of a y_transient run that leaves a tight box: the
+    kinds each step violates, in sorted order."""
+    with open(os.path.join(SCEN, "y_transient.scn")) as fh:
+        text = fh.read()
+    for old, new in (("include = y_network.topo", "include = "
+                      + os.path.join(SCEN, "y_network.topo")),
+                     ("t_final = 0.3", "t_final = 0.05"),
+                     ("rho_min = 0.6\nrho_max = 1.6\nw_max = 0.95",
+                      "rho_min = 0.99\nrho_max = 1.02\nw_max = 0.05")):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "tight.scn").write_text(text)
+    assert main(["simulate", "--scenario", str(tmp_path / "tight.scn")]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    lost = "warning: step {} (tau={}): admissibility lost ({})"
+    assert len(warnings) == 37
+    assert warnings[0] == lost.format(14, 0.014, "velocity")
+    assert warnings[10] == lost.format(24, 0.024, "velocity")
+    assert warnings[11] == lost.format(25, 0.025, "density_high, velocity")
+    assert warnings[17] == lost.format(31, 0.031,
+                                       "density_high, density_low, velocity")
+    assert warnings[-1] == lost.format(50, 0.05,
+                                       "density_high, density_low, velocity")
 
 
 def _with_max_iter_1(tmp_path, name):

@@ -726,8 +726,7 @@ def _per_state_reports(system, config, boundary, traj, bounds):
         reports.append((state.tau, energy, energy_mod.dissipation(system, state),
                         energy_mod.boundary_flux(system, state, values),
                         residual))
-        if bounds is not None and not (check := system.check_state(state, bounds)).ok:
-            kinds = sorted({v.kind for v in check.violations})
+        if bounds is not None and (kinds := system.check_state(state, bounds)):
             warnings.append(f"step {k} (tau={state.tau:.6g}): admissibility "
                             f"lost ({', '.join(kinds)})")
     return reports, warnings
