@@ -87,18 +87,20 @@ class NetworkState:
 
 
 class NetworkSystem:
-    """Topology + grids + gas law, with all index maps precomputed.
+    """Topology + grids + gas law + epsilon, with all index maps precomputed.
 
     The flat layout concatenates edge cells and edge faces in the order
     of ``topology.edges``; interior junction enthalpies are appended
     after the face block in the extended co-state vector.
     """
 
-    def __init__(self, topology, grids, law):
+    def __init__(self, topology, grids, law, epsilon=1.0):
+        if not 0.0 <= epsilon < np.inf:  # false on nan
+            raise ValueError(f"epsilon must be nonnegative and finite: {epsilon}")
         self.topology = topology
         self.law = law
         self.grids = {e.name: grids[e.name] for e in topology.edges}
-        self.epsilon = topology.epsilon
+        self.epsilon = float(epsilon)
 
         classes = net.classify(topology)
         self.junction_vertices = tuple(sorted(classes.interior))
@@ -381,5 +383,6 @@ class NetworkSystem:
         return [kind for kind, bad in violated.items() if bad]
 
 
-def build_system(topology, cells_per_edge, law):
-    return NetworkSystem(topology, build_grids(topology, cells_per_edge), law)
+def build_system(topology, cells_per_edge, law, epsilon=1.0):
+    return NetworkSystem(topology, build_grids(topology, cells_per_edge), law,
+                         epsilon)

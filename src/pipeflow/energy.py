@@ -182,11 +182,11 @@ def lipschitz_estimates(system, trajectory):
 # ---------------------------------------------------------------------------
 # perturbation residual of a reference trajectory
 
-def residual_fields(system, trajectory, eps, eps_hat, gamma_hat=None):
+def residual_fields(system, trajectory, eps_hat, gamma_hat=None):
     """Model-perturbation residual along a reference trajectory.
 
     The reference solves the equations with (eps_hat, gamma_hat); viewed
-    in the system with (eps, gamma) it leaves the momentum residual
+    in the system, with its (eps, gamma), it leaves the momentum residual
 
         e2 = (eps^2 - eps_hat^2) (dw/dtau + d(w^2/2)/dx) +
              (gamma - gamma_hat) |w| w
@@ -217,7 +217,7 @@ def residual_fields(system, trajectory, eps, eps_hat, gamma_hat=None):
     k = np.arange(times.size)
     prev, succ = np.maximum(k - 1, 0), np.minimum(k + 1, k[-1])
     e2 += (w[succ] - w[prev]) / (times[succ] - times[prev])[:, None]
-    e2 *= eps**2 - eps_hat**2
+    e2 *= system.epsilon**2 - eps_hat**2
     e2 += (gamma - gamma_hat) * np.abs(w) * w
     return np.zeros((times.size, system.n_cells)), e2
 
@@ -230,12 +230,13 @@ def perturbation_functional(system, e1, e2, constants):
             + constants.p2 * system.l2sq_faces(e2) + constants.p3 * l32)
 
 
-def boundary_perturbation(system, schedule, schedule_hat, taus, eps, eps_hat,
+def boundary_perturbation(system, schedule, schedule_hat, taus, eps_hat,
                           constants):
     """Boundary perturbation functional per snapshot time.
 
     c_boundary * (rss over boundary vertices of |h - hhat| + |eps^2 -
-    eps_hat^2|); the root-sum-square couples multiple boundary vertices.
+    eps_hat^2|) with the system's eps; the root-sum-square couples
+    multiple boundary vertices.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
 
@@ -245,7 +246,8 @@ def boundary_perturbation(system, schedule, schedule_hat, taus, eps, eps_hat,
 
     sq = sum(((values(schedule[v]) - values(schedule_hat[v])) ** 2
               for v in system.boundary_vertices), np.zeros(taus.size))
-    out = constants.c_boundary * (np.sqrt(sq) + abs(eps**2 - eps_hat**2))
+    out = constants.c_boundary * (np.sqrt(sq)
+                                  + abs(system.epsilon**2 - eps_hat**2))
     return out if out.size > 1 else float(out[0])
 
 
@@ -319,10 +321,10 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
 
     # the residual first: its temporaries are freed before the stacks exist
     p_res = perturbation_functional(
-        system, *residual_fields(system, traj_hat, system.epsilon, eps_hat,
+        system, *residual_fields(system, traj_hat, eps_hat,
                                  gamma_hat=gamma_hat), constants)
     p_bnd = boundary_perturbation(system, schedule, schedule_hat, times,
-                                  system.epsilon, eps_hat, constants)
+                                  eps_hat, constants)
     u = NetworkState(times, traj_u.rho_array(), traj_u.w_array())
     uh = NetworkState(times, traj_hat.rho_array(), traj_hat.w_array())
     cnorm = system.c_norm_sq(u.rho - uh.rho, u.w - uh.w)

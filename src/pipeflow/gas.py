@@ -76,8 +76,12 @@ class GasLaw:
         """Second derivative of the potential, p'(rho)/rho."""
         return self._d2potential(_as_positive(rho))
 
+    def admits(self, rho):
+        """Whether the kernels take every density of rho: all positive."""
+        return np.minimum.reduce(rho) > 0.0  # false on NaN
+
     # The kernels below take a float array the caller has already checked
-    # to be positive (the Newton residual tests its stage densities once).
+    # with admits (the Newton stepper tests each density it evaluates).
 
     def _dpotential(self, rho):
         raise NotImplementedError
@@ -224,6 +228,11 @@ class TabulatedLaw(GasLaw):
             raise ValueError(f"{path}: expected two columns (rho, p)")
         return cls(data[:, 0], data[:, 1])
 
+    def admits(self, rho):
+        """Whether every density of rho lies in the table (not on NaN)."""
+        return (np.minimum.reduce(rho) >= self.density_range[0]
+                and np.maximum.reduce(rho) <= self.density_range[1])
+
     def _pieces(self, rho):
         """Checked densities, pieces i (x_(i+1) closes i), s = rho - x_i."""
         rho = _as_positive(rho)
@@ -322,9 +331,9 @@ class PipeParameters:
     """Per-pipe coefficients of the rescaled flow model.
 
     area, friction and elevation are profiles over the local coordinate
-    [0, length]; epsilon is the time/velocity rescaling parameter shared
-    by every pipe of a network (epsilon = 0 selects the high-friction
-    limit model, which has no rescaled momentum dynamics).
+    [0, length], and gravity scales the elevation.  The time and velocity
+    rescaling of the model is one number of the whole system, not of a
+    pipe (NetworkSystem.epsilon).
     """
 
     length: float
@@ -332,16 +341,15 @@ class PipeParameters:
     friction: object = 1.0
     elevation: object = 0.0
     gravity: float = 1.0
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.length <= 0.0 or not np.isfinite(self.length):
             raise ValueError("pipe length must be positive and finite")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        object.__setattr__(self, "area", _freeze_profile(self.area))
-        object.__setattr__(self, "friction", _freeze_profile(self.friction))
-        object.__setattr__(self, "elevation", _freeze_profile(self.elevation))
+        for key in ("area", "friction", "elevation", "gravity"):
+            value = _freeze_profile(getattr(self, key))
+            if not np.isfinite(value).all():  # nan passes the probes below
+                raise ValueError(f"pipe {key} must be finite")
+            object.__setattr__(self, key, value)
         probe = np.linspace(0, self.length, 65)
         if np.any(profile_values(self.area, probe) <= 0.0):
             raise ValueError("area profile must be positive")

@@ -32,8 +32,7 @@ class ManufacturedCase:
     forcing: tuple         # (f1(x, tau), f2(x, tau))
 
     def topology(self):
-        return single_pipe(length=self.length, epsilon=self.epsilon,
-                           friction=self.gamma)
+        return single_pipe(length=self.length, friction=self.gamma)
 
     def boundary(self):
         h = self.enthalpy
@@ -80,7 +79,8 @@ T_FINAL = 0.2
 
 
 def _solve(case, cells, dt):
-    system = build_system(case.topology(), cells_per_edge=cells, law=case.law)
+    system = build_system(case.topology(), cells_per_edge=cells, law=case.law,
+                          epsilon=case.epsilon)
     state0 = case.initial_state(system)
     config = SolverConfig(dt=dt, t_final=T_FINAL, newton_tol=1e-12)
     traj = run(system, state0, config, case.boundary(), forcing=case.forcing)

@@ -41,7 +41,7 @@ class VertexClass:
 
 
 class NetworkTopology:
-    """Finite connected directed graph of pipes."""
+    """Finite connected directed graph of pipes (epsilon is the system's)."""
 
     def __init__(self, edges, vertices=None, name="network"):
         edges = tuple(edges)
@@ -85,18 +85,6 @@ class NetworkTopology:
         if reached != set(self.vertices):
             missing = sorted(set(self.vertices) - reached)
             raise TopologyError(f"network is not connected; unreachable: {missing}")
-        eps = {e.params.epsilon for e in self.edges}
-        if len(eps) > 1:
-            raise TopologyError("all pipes must share the same epsilon")
-
-    @property
-    def epsilon(self):
-        return self.edges[0].params.epsilon
-
-    def with_epsilon(self, epsilon):
-        new_edges = [replace(e, params=replace(e.params, epsilon=epsilon))
-                     for e in self.edges]
-        return NetworkTopology(new_edges, vertices=self.vertices, name=self.name)
 
     def with_friction_offset(self, offset):
         """Shift every friction profile by a constant (for perturbation runs)."""

@@ -285,7 +285,7 @@ def _boundary_vertex(section, topology, path):
 # ---------------------------------------------------------------------------
 # topology files
 
-def _edge(section, epsilon, path):
+def _edge(section, path):
     name = _section_arg(section, "name", path)
     start = _get(section, "from", str, path=path, required=True)
     end = _get(section, "to", str, path=path, required=True)
@@ -295,11 +295,11 @@ def _edge(section, epsilon, path):
                     path)
     section.check_read(path)
     with _at(path, section.lineno):
-        return net.Edge(name, start, end, PipeParameters(
-            length=length, epsilon=epsilon, **params))
+        return net.Edge(name, start, end,
+                        PipeParameters(length=length, **params))
 
 
-def parse_topology(text, epsilon=1.0, path="<string>"):
+def parse_topology(text, path="<string>"):
     """Parse the plain-text topology format.
 
     Returns (topology, boundary_defaults) where boundary_defaults maps
@@ -312,7 +312,7 @@ def parse_topology(text, epsilon=1.0, path="<string>"):
     for sec in sections.values():
         kind = sec.name.partition(" ")[0]
         if kind == "edge":
-            edges.append(_edge(sec, epsilon, path))
+            edges.append(_edge(sec, path))
         elif kind == "boundary":
             boundary_sections.append(sec)
         else:
@@ -328,10 +328,10 @@ def parse_topology(text, epsilon=1.0, path="<string>"):
     return topology, boundary
 
 
-def load_topology(path, epsilon=1.0):
+def load_topology(path):
     with open(path) as fh:
         text = fh.read()
-    return parse_topology(text, epsilon=epsilon, path=str(path))
+    return parse_topology(text, path=str(path))
 
 
 @dataclass
@@ -355,6 +355,7 @@ class Scenario:
     initial: InitialSpec
     boundary: dict
     solver: SolverConfig
+    epsilon: float = 1.0
     bounds: AdmissibleBounds | None = None
     output_dir: str | None = None
     output_format: str = "csv"
@@ -362,19 +363,12 @@ class Scenario:
     source: str = "<memory>"
     law_spec: dict = field(default_factory=dict)
 
-    @property
-    def epsilon(self):
-        return self.topology.epsilon
-
-    def with_epsilon(self, epsilon):
-        return replace(self, topology=self.topology.with_epsilon(epsilon))
-
     def with_friction_offset(self, offset):
         return replace(self, topology=self.topology.with_friction_offset(offset))
 
     def build_system(self):
         return build_system(self.topology, cells_per_edge=self.cells_per_edge,
-                            law=self.law)
+                            law=self.law, epsilon=self.epsilon)
 
     def initial_state(self, system):
         """Build the initial state; w = 'recover' uses the limit-model
@@ -488,14 +482,14 @@ _BUILTIN_TOPOLOGIES = {
 }
 
 
-def _build_topology(section, epsilon, base_dir, path):
+def _build_topology(section, base_dir, path):
     include = _get(section, "include", str, path=path)
     if include is not None:
         topo_path = os.path.join(base_dir, include)
         if not os.path.exists(topo_path):
             raise ConfigError(f"{path}:{section.lines['include']}: topology "
                               f"file {topo_path!r} not found")
-        return load_topology(topo_path, epsilon=epsilon)
+        return load_topology(topo_path)
     builtin = _get(section, "builtin", str, path=path, required=True)
     if builtin not in _BUILTIN_TOPOLOGIES:
         raise ConfigError(f"{path}:{section.lines['builtin']}: unknown builtin "
@@ -505,7 +499,7 @@ def _build_topology(section, epsilon, base_dir, path):
                               ("friction", float), ("gravity", float),
                               ("n_edges", int), ("elevation", _breakpoints)), path)
     with _at(path, section.lineno):
-        return _BUILTIN_TOPOLOGIES[builtin](epsilon=epsilon, **kwargs), {}
+        return _BUILTIN_TOPOLOGIES[builtin](**kwargs), {}
 
 
 def parse_scenario(text, path="<string>"):
@@ -528,6 +522,9 @@ def parse_scenario(text, path="<string>"):
         raise ConfigError(f"{path}:1: missing [model] section")
     model = take("model")
     epsilon = _get(model, "epsilon", float, default=1.0, path=path)
+    if epsilon < 0.0:
+        raise ConfigError(f"{path}:{model.lines['epsilon']}: epsilon must be "
+                          "nonnegative")
     law_name = _get(model, "law", str, default="isothermal", path=path)
     with _at(path, model.lineno):
         kind = law_kind(law_name)
@@ -546,8 +543,8 @@ def parse_scenario(text, path="<string>"):
 
     if "topology" not in sections:
         raise ConfigError(f"{path}:1: missing [topology] section")
-    topology, boundary_defaults = _build_topology(take("topology"), epsilon,
-                                                  base_dir, path)
+    topology, boundary_defaults = _build_topology(take("topology"), base_dir,
+                                                  path)
 
     grid = take("grid")
     cells = _get(grid, "cells_per_edge", int, default=32, path=path)
@@ -631,7 +628,7 @@ def parse_scenario(text, path="<string>"):
 
     scenario = Scenario(
         topology=topology, law=law, cells_per_edge=cells, initial=initial,
-        boundary=boundary, solver=solver, bounds=bounds,
+        boundary=boundary, solver=solver, epsilon=epsilon, bounds=bounds,
         output_dir=output_dir, output_format=output_format,
         name=os.path.splitext(os.path.basename(path))[0],
         source=path, law_spec={"law": law_name, **law_kwargs},

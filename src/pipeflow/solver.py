@@ -403,7 +403,8 @@ class _NewtonStepper:
 
         out = self._residual(dt, state, loads, x)
         if out is None:
-            raise failure("stage density is not positive")
+            raise failure("stage density is not positive or outside the "
+                          "gas law's table")
         norm = _scaled_norm(out[0], scale)
         if not np.isfinite(norm):
             raise failure(f"residual is not finite ({norm})", residual=norm,
@@ -414,8 +415,8 @@ class _NewtonStepper:
 
         def trial(delta, step_scale):
             """The iterate after a step of -step_scale*delta, with its
-            residual and scaled norm (inf if a stage density is not
-            positive)."""
+            residual and scaled norm (inf if the gas law does not admit a
+            stage density)."""
             if step_scale != 1.0:
                 delta = step_scale * delta
             x_new = x - delta
@@ -466,10 +467,10 @@ class _NewtonStepper:
 
         rho, w, hv = self._unstack(x)
         # the residual checks the stage density only; at theta < 1 the
-        # end density 2 rho_s - rho_n (midpoint) can still be negative
-        if self.theta != 1.0 and not np.minimum.reduce(rho) > 0.0:
-            raise failure("end density is not positive", residual=norm,
-                          iterations=it)
+        # end density 2 rho_s - rho_n (midpoint) may still not be admitted
+        if self.theta != 1.0 and not sys.law.admits(rho):
+            raise failure("end density is not positive or outside the gas "
+                          "law's table", residual=norm, iterations=it)
         self._accept(x, dt)
         self._lu_age += 1
         stage_dissipation, stage_flux = self._stage_power(loads, out[1])
@@ -504,8 +505,8 @@ class _NewtonStepper:
 
     def _predict(self):
         """x_n + nabla x_n + ... + nabla^p x_n at p = _order(), or None
-        if there are no accepted steps or the predicted densities are
-        not positive (which restarts the table)."""
+        if there are no accepted steps or the gas law does not admit the
+        predicted densities (which restarts the table)."""
         p = self._order()
         if p < 0:
             return None
@@ -513,7 +514,7 @@ class _NewtonStepper:
         x = d[0] + d[1] if p else d[0].copy()
         for e in d[2:p + 1]:
             x += e
-        if not np.minimum.reduce(x[:self.system.n_cells]) > 0.0:  # NaN too
+        if not self.system.law.admits(x[:self.system.n_cells]):
             self._diffs = []
             return None
         return x
@@ -530,7 +531,7 @@ class _NewtonStepper:
     def _residual(self, dt, state, loads, x):
         """The stacked residual (f_rho, f_w, f_j) at the unknowns x =
         (rho, w, h_v), and the values the Jacobian and the stage power
-        need; None if a stage density is not positive."""
+        need; None if the gas law does not admit a stage density."""
         sys = self.system
         rho, w, hv = self._unstack(x)
         th = self.theta
@@ -542,7 +543,7 @@ class _NewtonStepper:
         else:
             rho_s = state.rho + th * d_rho
             w_s = state.w + th * d_w
-        if not np.minimum.reduce(rho_s) > 0.0:  # also false for NaN
+        if not sys.law.admits(rho_s):
             return None
         h_s = sys.law._dpotential(rho_s)
         if self.eps:

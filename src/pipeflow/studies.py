@@ -11,7 +11,7 @@ tighter Newton tolerance, so sweep errors isolate the perturbation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,10 +224,9 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
         _require_bounds(scenario)
 
     def member(eps, ref):
-        scen = scenario.with_epsilon(eps)
-        system = scen.build_system()
-        traj = run(system, scen.initial_state(system), scen.solver,
-                   scen.boundary)
+        system = replace(scenario, epsilon=eps).build_system()
+        traj = run(system, scenario.initial_state(system), scenario.solver,
+                   scenario.boundary)
         return eps**2, system, traj, ref, {"eps_hat": 0.0}
 
     return _sweep("high-friction limit study", "epsilon", eps_list, member,

@@ -104,8 +104,8 @@ def test_criterion_01_structure():
                               eps_max=0.45)
     rng = np.random.default_rng(101)
     with _Clock() as clock:
-        system = build_system(y_network(epsilon=0.45), cells_per_edge=32,
-                              law=ISO)
+        system = build_system(y_network(), cells_per_edge=32,
+                              law=ISO, epsilon=0.45)
         worst_skew = 0.0
         for _ in range(50):
             state = random_admissible_state(system, bounds, rng)
@@ -121,8 +121,8 @@ def test_criterion_01_structure():
 
 def test_criterion_02_power_balance():
     with _Clock() as clock:
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=32,
-                              law=ISO)
+        system = build_system(single_pipe(), cells_per_edge=32,
+                              law=ISO, epsilon=0.5)
         rho0 = 1.0 + 0.2 * np.exp(-50.0 * (system.x_cells - 0.5) ** 2)
         boundary = {"inlet": 1.0, "outlet": 1.0}
         dts = np.array([1e-2, 5e-3, 2.5e-3])
@@ -158,8 +158,8 @@ def test_criterion_03_norm_equivalence():
     with _Clock() as clock:
         violations = 0
         for law, bounds in _sandwich_cases():
-            system = build_system(single_pipe(epsilon=bounds.eps_max),
-                                  cells_per_edge=64, law=law)
+            system = build_system(single_pipe(), cells_per_edge=64, law=law,
+                                  epsilon=bounds.eps_max)
             lo, hi = c0_constants(bounds, law)
             for _ in range(500):
                 u = random_admissible_state(system, bounds, rng)
@@ -178,8 +178,8 @@ def test_criterion_04_relative_dissipation_bound():
     with _Clock() as clock:
         violations = 0
         for law, bounds in _sandwich_cases():
-            system = build_system(single_pipe(epsilon=bounds.eps_max),
-                                  cells_per_edge=64, law=law)
+            system = build_system(single_pipe(), cells_per_edge=64, law=law,
+                                  epsilon=bounds.eps_max)
             c_d = bounds.friction_min * bounds.area_min * bounds.rho_min / 16.0
             for _ in range(500):
                 u = random_admissible_state(system, bounds, rng)
@@ -295,9 +295,10 @@ def test_criterion_11_jacobian_consistency():
         ratios = []
         for network in (y_network, loop_network):
             for law in (ISO, PowerLaw(1.0, 1.4)):
-                topology = network(epsilon=0.4, friction=2.0,
+                topology = network(friction=2.0,
                                    area=((0.0, 1.0), (1.0, 1.3)))
-                system = build_system(topology, cells_per_edge=6, law=law)
+                system = build_system(topology, cells_per_edge=6, law=law,
+                                      epsilon=0.4)
                 for stepper in (HyperbolicStepper(system),
                                 HyperbolicStepper(system,
                                                   scheme="backward-euler"),
@@ -315,8 +316,8 @@ def test_criterion_11_jacobian_consistency():
 def test_criterion_12_friction_decay_oracle():
     eps, gamma, w0 = 0.5, 1.0, 1.0
     with _Clock() as clock:
-        system = build_system(loop_network(epsilon=eps, friction=gamma),
-                              cells_per_edge=8, law=ISO)
+        system = build_system(loop_network(friction=gamma),
+                              cells_per_edge=8, law=ISO, epsilon=eps)
 
         def sup_error(dt):
             traj = run(system, constant_state(system, 1.0, w0),

@@ -61,7 +61,7 @@ class TestGrids:
 class TestStructure:
     def test_skew_symmetry_random(self):
         rng = np.random.default_rng(11)
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=16, law=LAW)
+        system = build_system(y_network(), cells_per_edge=16, law=LAW, epsilon=0.3)
         for _ in range(20):
             z = rng.standard_normal(system.n_z)
             val = z @ system.apply_j(z)
@@ -71,7 +71,7 @@ class TestStructure:
         # single pipe, N=4: the m->cells block of the applied J is the
         # signed pair difference matrix and the h->faces block its
         # negative transpose
-        system = build_system(single_pipe(epsilon=0.4), cells_per_edge=4, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=4, law=LAW, epsilon=0.4)
         d_expected = np.zeros((4, 5))
         for c in range(4):
             d_expected[c, c] = -1.0
@@ -90,12 +90,12 @@ class TestStructure:
         assert np.array_equal(j, -j.T)
 
     def test_c_diagonal_positive(self):
-        system = build_system(y_network(epsilon=0.25), cells_per_edge=8, law=LAW)
+        system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.25)
         assert np.all(system.c_state > 0.0)
 
     def test_r_entries(self):
         # face with gamma=1, a=1, rho=1, |w|=2 has R entry 2*face volume
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
         state = constant_state(system, 1.0, 2.0)
         diag = system.r_diag(state)
         m_slots = slice(system.n_cells, system.n_cells + system.n_faces)
@@ -104,13 +104,13 @@ class TestStructure:
 
     def test_r_nonnegative_random(self):
         rng = np.random.default_rng(5)
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=8, law=LAW)
+        system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.3)
         for _ in range(10):
             state = random_admissible_state(system, BOUNDS, rng)
             assert np.all(system.r_diag(state) >= 0.0)
 
     def test_validate_rejects_bad_state(self):
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=4, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=4, law=LAW, epsilon=0.5)
         state = constant_state(system, 1.0)
         state.rho[2] = -1.0
         with pytest.raises(ValueError, match="density"):
@@ -123,14 +123,14 @@ class TestStructure:
 
 class TestCostate:
     def test_constant_state(self):
-        system = build_system(single_pipe(epsilon=0.2), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.2)
         state = constant_state(system, 1.0, 2.0)
         h, m = system.costate(state)
         assert np.allclose(h, 0.5 * 0.04 * 4.0 + 1.0)
         assert np.allclose(m, 2.0)
 
     def test_face_average_of_mass_flux(self):
-        system = build_system(single_pipe(epsilon=0.2), cells_per_edge=4, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=4, law=LAW, epsilon=0.2)
         rho = np.array([1.0, 2.0, 3.0, 4.0])
         state = NetworkState(0.0, rho, np.ones(5))
         _, m = system.costate(state)
@@ -141,22 +141,21 @@ class TestCostate:
 
     def test_rest_state(self):
         law = PowerLaw(1.2, 2.0)
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=4, law=law)
+        system = build_system(y_network(), cells_per_edge=4, law=law, epsilon=0.3)
         rho = np.linspace(0.8, 1.3, system.n_cells)
         h, m = system.costate(NetworkState(0.0, rho, np.zeros(system.n_faces)))
         assert np.allclose(h, law.dpotential(rho), rtol=1e-15, atol=0.0)
         assert np.all(m == 0.0)
 
     def test_mass_flux_product(self):
-        system = build_system(single_pipe(epsilon=0.2, area=2.0),
-                              cells_per_edge=4, law=LAW)
+        system = build_system(single_pipe(area=2.0),
+                              cells_per_edge=4, law=LAW, epsilon=0.2)
         _, m = system.costate(constant_state(system, 1.5, 2.0))
         assert np.allclose(m, 6.0)
 
     def test_gravity_term(self):
-        topo = single_pipe(epsilon=0.2, elevation=((0.0, 0.0), (1.0, 2.0)),
-                           gravity=3.0)
-        system = build_system(topo, cells_per_edge=4, law=LAW)
+        topo = single_pipe(elevation=((0.0, 0.0), (1.0, 2.0)), gravity=3.0)
+        system = build_system(topo, cells_per_edge=4, law=LAW, epsilon=0.2)
         h, _ = system.costate(constant_state(system, 1.0))
         assert np.allclose(h, 1.0 + 3.0 * 2.0 * system.x_cells)
 
@@ -165,8 +164,9 @@ class TestCostate:
         from pipeflow.energy import hamiltonian
 
         rng = np.random.default_rng(2)
-        system = build_system(y_network(epsilon=0.35, elevation=((0.0, 0.0), (1.0, 0.2))),
-                              cells_per_edge=5, law=PowerLaw(1.2, 2.0))
+        system = build_system(y_network(elevation=((0.0, 0.0), (1.0, 0.2))),
+                              cells_per_edge=5, law=PowerLaw(1.2, 2.0),
+                              epsilon=0.35)
         state = random_admissible_state(system, BOUNDS, rng)
         h, m = system.costate(state)
         step = 1e-6
@@ -185,7 +185,7 @@ class TestCostate:
 class TestJunctions:
     def test_mass_defect_of_constrained_state(self):
         # a state whose terminal fluxes balance has exactly zero defect
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
+        system = build_system(y_network(), cells_per_edge=6, law=LAW, epsilon=0.3)
         state = constant_state(system, 1.0, 0.0)
         assert np.allclose(system.junction_mass_defect(state), 0.0)
         # feed 2*w into the junction, split evenly into the branches
@@ -197,7 +197,7 @@ class TestJunctions:
     def test_junction_energy_flux_vanishes(self):
         # with a single junction enthalpy the signed energy flux is
         # h_v * (signed mass sum) and vanishes for balanced states
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
+        system = build_system(y_network(), cells_per_edge=6, law=LAW, epsilon=0.3)
         state = constant_state(system, 1.0, 0.0)
         state.w[system.edge_faces("feed")] = 0.5
         state.w[system.edge_faces("branch_a")] = 0.25
@@ -217,7 +217,7 @@ class TestJunctions:
     def test_terminal_face_signs(self):
         # a pipe's flow leaves the vertex it starts at and enters the
         # vertex it ends at
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=4, law=LAW)
+        system = build_system(y_network(), cells_per_edge=4, law=LAW, epsilon=0.3)
         signs = self._terminal_signs(system)
         assert len(signs) == 2 * len(system.topology.edges)
         for e in system.topology.edges:
@@ -226,8 +226,8 @@ class TestJunctions:
             assert signs[faces.stop - 1] == 1.0
 
     def test_signs_cancel_per_edge(self):
-        system = build_system(loop_network(n_edges=3, epsilon=0.3),
-                              cells_per_edge=4, law=LAW)
+        system = build_system(loop_network(n_edges=3),
+                              cells_per_edge=4, law=LAW, epsilon=0.3)
         assert system.boundary_term_faces.size == 0
         signs = self._terminal_signs(system)
         for e in system.topology.edges:
@@ -235,8 +235,8 @@ class TestJunctions:
             assert signs[faces.start] + signs[faces.stop - 1] == 0.0
 
     def test_junction_terms_come_from_incident_edges(self):
-        system = build_system(loop_network(n_edges=3, epsilon=0.3),
-                              cells_per_edge=4, law=LAW)
+        system = build_system(loop_network(n_edges=3),
+                              cells_per_edge=4, law=LAW, epsilon=0.3)
         for slot, v in enumerate(system.junction_vertices):
             faces = system.junction_term_faces[system.junction_term_slots == slot]
             expected = []
@@ -246,16 +246,15 @@ class TestJunctions:
             assert sorted(faces.tolist()) == sorted(expected)
 
     def test_loop_counts(self):
-        system = build_system(loop_network(epsilon=0.5), cells_per_edge=8, law=LAW)
+        system = build_system(loop_network(), cells_per_edge=8, law=LAW, epsilon=0.5)
         assert system.n_junctions == 2
         assert len(system.boundary_vertices) == 0
 
 
 class TestSpatialResidual:
     def test_rest_state_is_stationary(self):
-        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.3)),
-                           gravity=1.0)
-        system = build_system(topo, cells_per_edge=16, law=LAW)
+        topo = single_pipe(elevation=((0.0, 0.0), (1.0, 0.3)), gravity=1.0)
+        system = build_system(topo, cells_per_edge=16, law=LAW, epsilon=0.4)
         state = system.rest_state(1.2)
         drho, dw = spatial_residual(
             system, state, {"inlet": 1.2, "outlet": 1.2})
@@ -270,8 +269,8 @@ class TestSpatialResidual:
                 sizes.append(np.size(rho))
                 return super().dpotential(rho)
 
-        system = build_system(y_network(epsilon=0.4), cells_per_edge=64,
-                              law=CountingLaw(1.0))
+        system = build_system(y_network(), cells_per_edge=64,
+                              law=CountingLaw(1.0), epsilon=0.4)
         state = system.rest_state(1.1)
         # one target whatever the number of cells: the law only ever sees
         # one-element arrays
@@ -282,9 +281,10 @@ class TestSpatialResidual:
     def test_rest_state_matches_per_cell_roots(self):
         from scipy.optimize import brentq
 
-        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.2)))
+        topo = single_pipe(elevation=((0.0, 0.0), (1.0, 0.2)))
         for law in (LAW, PowerLaw(1.0, 1.4)):
-            system = build_system(topo, cells_per_edge=12, law=law)
+            system = build_system(topo, cells_per_edge=12, law=law,
+                                  epsilon=0.4)
             targets = 1.1 - system.gz_cells
             reference = np.array([brentq(lambda r: law.dpotential(r) - t,
                                          1e-8, 1e8, xtol=1e-14, rtol=1e-15)
@@ -303,11 +303,11 @@ class TestSpatialResidual:
     def test_tabulated_rest_state_on_slope(self):
         table = np.linspace(0.2, 3.0, 57)
         law = TabulatedLaw(table, table**1.3)
-        flat = build_system(single_pipe(epsilon=0.4), cells_per_edge=8, law=law)
+        flat = build_system(single_pipe(), cells_per_edge=8, law=law, epsilon=0.4)
         assert flat.rest_state(law.dpotential([1.1])[0]).rho == pytest.approx(
             1.1, rel=1e-14)
-        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.5)))
-        system = build_system(topo, cells_per_edge=64, law=law)
+        topo = single_pipe(elevation=((0.0, 0.0), (1.0, 0.5)))
+        system = build_system(topo, cells_per_edge=64, law=law, epsilon=0.4)
         h = law.dpotential([1.1])[0]
         rho = system.rest_state(h).rho
         targets = h - system.gz_cells
@@ -324,21 +324,21 @@ class TestSpatialResidual:
 
     def test_friction_decay_on_loop(self):
         eps, gamma, w0 = 0.5, 0.8, 1.0
-        system = build_system(loop_network(epsilon=eps, friction=gamma),
-                              cells_per_edge=8, law=LAW)
+        system = build_system(loop_network(friction=gamma),
+                              cells_per_edge=8, law=LAW, epsilon=eps)
         state = constant_state(system, 1.0, w0)
         drho, dw = spatial_residual(system, state, {})
         assert np.max(np.abs(drho)) < 1e-13
         assert np.allclose(dw, -gamma * w0**2 / eps**2, rtol=1e-12)
 
     def test_missing_boundary_datum(self):
-        system = build_system(single_pipe(epsilon=0.4), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.4)
         state = constant_state(system, 1.0)
         with pytest.raises(ValueError, match="outlet"):
             spatial_residual(system, state, {"inlet": 1.0})
 
     def test_epsilon_zero_rejected(self):
-        system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.0)
         state = constant_state(system, 1.0)
         with pytest.raises(ValueError, match="parabolic"):
             spatial_residual(system, state, {"inlet": 1.0, "outlet": 1.0})
@@ -363,8 +363,9 @@ class TestSpatialResidual:
         tau0 = 0.3
         errs = []
         for n in (16, 32, 64):
-            system = build_system(single_pipe(epsilon=eps, friction=gamma),
-                                  cells_per_edge=n, law=PowerLaw(kappa, 2.0))
+            system = build_system(single_pipe(friction=gamma),
+                                  cells_per_edge=n, law=PowerLaw(kappa, 2.0),
+                                  epsilon=eps)
             state = NetworkState(tau0, fns["rho"](system.x_cells, tau0),
                                  fns["w"](system.x_faces, tau0))
             boundary = {"inlet": float(fns["h"](0.0, tau0)),
@@ -384,7 +385,7 @@ def test_instantaneous_dynamics_match_small_implicit_steps():
     # implicit stepper's dynamics as dt -> 0
     from pipeflow.solver import HyperbolicStepper
 
-    system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
+    system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.4)
     # constant density and a split velocity field keep the junction
     # balance exact, which the instantaneous dynamics require
     state = constant_state(system, 1.05)
@@ -447,6 +448,13 @@ def _mixed_junction_systems():
     assert system.n_junctions == 2
     loop = build_system(loop_network(n_edges=3), cells_per_edge=4, law=LAW)
     return system, loop
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
+def test_build_system_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be nonnegative and "
+                                         "finite"):
+        build_system(single_pipe(), cells_per_edge=4, law=LAW, epsilon=epsilon)
 
 
 def test_gather_forms_match_csr_on_mixed_junctions():
@@ -587,7 +595,7 @@ def test_limit_flow_degenerate_bracket():
 
 
 def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
-    system = build_system(y_network(epsilon=0.5), cells_per_edge=6, law=LAW)
+    system = build_system(y_network(), cells_per_edge=6, law=LAW, epsilon=0.5)
     calls = []
     margin = AdmissibleBounds.subsonic_margin
 

@@ -40,8 +40,8 @@ BOUNDS = AdmissibleBounds(rho_min=0.7, rho_max=1.4, w_max=0.9, eps_max=0.5)
 
 
 def pipe_system(eps=0.5, n=16, law=LAW, **params):
-    return build_system(single_pipe(epsilon=eps, **params), cells_per_edge=n,
-                        law=law)
+    return build_system(single_pipe(**params), cells_per_edge=n,
+                        law=law, epsilon=eps)
 
 
 class TestHamiltonian:
@@ -278,14 +278,14 @@ class TestResidualFields:
     def test_unperturbed_is_zero(self):
         system = pipe_system(eps=0.3)
         traj = make_trajectory(system, np.linspace(0, 1, 5), lambda t: 1.0)
-        e1, e2 = residual_fields(system, traj, 0.3, 0.3)
+        e1, e2 = residual_fields(system, traj, 0.3)
         assert np.max(np.abs(e1)) == 0.0
         assert np.max(np.abs(e2)) == 0.0
 
     def test_stationary_friction_offset(self):
         system = pipe_system(eps=0.3, friction=1.0)
         traj = make_trajectory(system, np.linspace(0, 1, 5), lambda t: 1.0)
-        e1, e2 = residual_fields(system, traj, 0.3, 0.3, gamma_hat=0.9)
+        e1, e2 = residual_fields(system, traj, 0.3, gamma_hat=0.9)
         assert np.allclose(e2, 0.1)
 
     def test_time_varying_uniform_velocity(self):
@@ -294,7 +294,7 @@ class TestResidualFields:
         w_fn = lambda t: 1.0 + 0.5 * t**2
         traj = make_trajectory(system, times, w_fn)
         eps, eps_hat, gamma_hat = 0.4, 0.1, 0.8
-        e1, e2 = residual_fields(system, traj, eps, eps_hat, gamma_hat=gamma_hat)
+        e1, e2 = residual_fields(system, traj, eps_hat, gamma_hat=gamma_hat)
         # spatially uniform: the kinetic slope vanishes and the formula
         # reduces to the scalar expression with the same time quotients
         k = 4
@@ -306,7 +306,7 @@ class TestResidualFields:
         system = pipe_system()
         traj = make_trajectory(system, [0.0], lambda t: 1.0)
         with pytest.raises(ValueError):
-            residual_fields(system, traj, 0.5, 0.0)
+            residual_fields(system, traj, 0.0)
 
 
 class TestPerturbationFunctional:
@@ -350,22 +350,21 @@ class TestBoundaryPerturbation:
     def test_identical_schedules(self, setup):
         system, constants = setup
         sched = {"inlet": 1.0, "outlet": 1.0}
-        val = boundary_perturbation(system, sched, sched, 0.5, 0.4, 0.4,
-                                    constants)
+        val = boundary_perturbation(system, sched, sched, 0.5, 0.4, constants)
         assert val == 0.0
 
     def test_single_vertex_offset(self, setup):
         system, constants = setup
         a = {"inlet": 1.2, "outlet": 1.0}
         b = {"inlet": 1.0, "outlet": 1.0}
-        val = boundary_perturbation(system, a, b, 0.0, 0.4, 0.4, constants)
+        val = boundary_perturbation(system, a, b, 0.0, 0.4, constants)
         assert val == pytest.approx(0.2 * constants.c_boundary, rel=1e-12)
 
     def test_two_vertices_rss_and_epsilon(self, setup):
         system, constants = setup
         a = {"inlet": 1.3, "outlet": 1.4}
         b = {"inlet": 1.0, "outlet": 1.0}
-        val = boundary_perturbation(system, a, b, 0.0, 0.4, 0.2, constants)
+        val = boundary_perturbation(system, a, b, 0.0, 0.2, constants)
         expected = constants.c_boundary * (0.5 + abs(0.4**2 - 0.2**2))
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -393,8 +392,8 @@ class TestPowerBalance:
         assert np.max(np.abs(power_balance_residual(traj))) < 1e-12
 
     def test_friction_loop_residual_second_order(self):
-        system = build_system(loop_network(epsilon=0.5), cells_per_edge=8,
-                              law=LAW)
+        system = build_system(loop_network(), cells_per_edge=8,
+                              law=LAW, epsilon=0.5)
         rho0 = 1.0 + 0.1 * np.sin(np.pi * system.x_cells)
         maxres = []
         for dt in (4e-3, 2e-3, 1e-3):
@@ -406,8 +405,8 @@ class TestPowerBalance:
         assert np.all(orders > 1.8), orders
 
     def test_lossless_loop_energy_drift_high_order(self):
-        system = build_system(loop_network(epsilon=0.5, friction=0.0),
-                              cells_per_edge=8, law=LAW)
+        system = build_system(loop_network(friction=0.0),
+                              cells_per_edge=8, law=LAW, epsilon=0.5)
         rho0 = 1.0 + 0.05 * np.sin(2 * np.pi * system.x_cells / 2.0)
         drifts = []
         for dt in (4e-3, 2e-3):
@@ -448,8 +447,8 @@ class TestPowerBalance:
     def test_parabolic_residual_nonpositive(self, eps):
         # on a parabolic run the residual is that of the limit energy
         # (no eps^2 kinetic term), which backward Euler dissipates
-        system = build_system(y_network(epsilon=eps), cells_per_edge=10,
-                              law=LAW)
+        system = build_system(y_network(), cells_per_edge=10,
+                              law=LAW, epsilon=eps)
         ramp = lambda tau: 1.0 + 0.12 * min(tau / 0.05, 1.0)
         sched = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 0.99}
         dt = 5e-3
@@ -484,8 +483,8 @@ class TestGronwallMonitor:
     def test_perturbed_friction_pair_certified(self):
         system, traj, sched = self.make_pair()
         pert = build_system(
-            single_pipe(epsilon=0.4).with_friction_offset(0.2),
-            cells_per_edge=12, law=LAW)
+            single_pipe().with_friction_offset(0.2),
+            cells_per_edge=12, law=LAW, epsilon=0.4)
         state0 = traj.states[0].copy()
         traj_hat = run(pert, state0, SolverConfig(dt=0.01, t_final=0.2), sched)
         lip = lipschitz_estimates(system, traj_hat)
@@ -552,8 +551,7 @@ def _gronwall_loop(system, traj_u, traj_hat, constants, schedule,
         out["p_residual"].append(
             perturbation_functional(system, e1[k], e2[k], constants))
         out["p_boundary"].append(boundary_perturbation(
-            system, schedule, schedule_hat, times[k], system.epsilon,
-            eps_hat, constants))
+            system, schedule, schedule_hat, times[k], eps_hat, constants))
     out = {key: np.array(v) for key, v in out.items()}
     rate = constants.growth
     i_diss = _exp_trapz_accumulate(times, out["rel_dissipation"], rate)
@@ -571,7 +569,7 @@ class TestBatchedCertificate:
     """The certificate over the snapshot stack against per-snapshot loops."""
 
     def pair(self, kind):
-        system = build_system(y_network(epsilon=0.3), cells_per_edge=6, law=LAW)
+        system = build_system(y_network(), cells_per_edge=6, law=LAW, epsilon=0.3)
         rho0 = 1.0 + 0.08 * np.sin(np.pi * system.x_cells)
         ramp = lambda tau: 1.0 + 0.1 * min(tau / 0.05, 1.0)
         sched = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 0.99}
@@ -584,8 +582,8 @@ class TestBatchedCertificate:
             ref = run(system, NetworkState(0.0, rho0, np.zeros(system.n_faces)),
                       limit, sched)
             return system, traj, ref, sched, {"eps_hat": 0.0, "gamma_hat": None}
-        pert = build_system(y_network(epsilon=0.3).with_friction_offset(0.2),
-                            cells_per_edge=6, law=LAW)
+        pert = build_system(y_network().with_friction_offset(0.2),
+                            cells_per_edge=6, law=LAW, epsilon=0.3)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         traj = run(system, state0, config, sched)
         traj_hat = run(pert, state0, config, sched)
@@ -604,7 +602,7 @@ class TestBatchedCertificate:
             np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)
         constants = stability_constants(BOUNDS, LAW, lip_drho=1.0,
                                         lip_eps_dw=1.0, n_boundary=3)
-        e1, e2 = residual_fields(system, traj_hat, 0.3, kw["eps_hat"],
+        e1, e2 = residual_fields(system, traj_hat, kw["eps_hat"],
                                  gamma_hat=kw["gamma_hat"])
         ref_e1, ref_e2 = _residual_fields_loop(
             system, traj_hat, 0.3, kw["eps_hat"],
@@ -664,7 +662,7 @@ class TestPerturbedSubstitution:
             sched = {"inlet": 1.0, "outlet": 1.0}
             traj = run(pert, state0, SolverConfig(dt=dt, t_final=0.1), sched)
 
-            _, e2 = residual_fields(base, traj, eps, eps, gamma_hat=gamma_hat)
+            _, e2 = residual_fields(base, traj, eps, gamma_hat=gamma_hat)
             times = np.asarray(traj.times)
             worst = 0.0
             for k in range(1, len(times) - 1):
@@ -697,8 +695,8 @@ def test_unperturbed_pair_error_at_solver_floor():
 
 
 def test_total_energy_scales_with_pipe_length():
-    system = build_system(single_pipe(length=2.0, epsilon=1.0),
-                          cells_per_edge=16, law=LAW)
+    system = build_system(single_pipe(length=2.0),
+                          cells_per_edge=16, law=LAW, epsilon=1.0)
     state = constant_state(system, 1.0, 1.0)
     assert hamiltonian(system, state) == pytest.approx(1.0)
 
@@ -706,7 +704,7 @@ def test_total_energy_scales_with_pipe_length():
 def test_backward_euler_dissipative_on_network():
     from pipeflow.network import y_network
 
-    system = build_system(y_network(epsilon=0.4), cells_per_edge=10, law=LAW)
+    system = build_system(y_network(), cells_per_edge=10, law=LAW, epsilon=0.4)
     state0 = system.rest_state(1.0)
     ramp = lambda tau: 1.0 + 0.12 * min(tau / 0.05, 1.0)
     sched = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 0.99}
@@ -730,9 +728,8 @@ def _tabulated_law():
 def test_report_functionals_on_stacks_equal_their_rows(law):
     # the run reports a block of snapshots with one call per functional;
     # each row is the float of that snapshot alone, bit for bit
-    topology = y_network(epsilon=0.3, elevation=((0.0, 0.0), (1.0, 0.2)),
-                         gravity=0.5)
-    system = build_system(topology, cells_per_edge=7, law=law)
+    topology = y_network(elevation=((0.0, 0.0), (1.0, 0.2)), gravity=0.5)
+    system = build_system(topology, cells_per_edge=7, law=law, epsilon=0.3)
     rng = np.random.default_rng(5)
     k = 6
     rho = 0.8 + 0.6 * rng.random((k, system.n_cells))

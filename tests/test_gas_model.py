@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from pipeflow.gas import (
     AdmissibleBounds,
     IsothermalLaw,
+    PipeParameters,
     PowerLaw,
     TabulatedLaw,
     make_law,
@@ -121,6 +122,16 @@ class TestTabulated:
         with pytest.raises(ValueError):
             law.pressure(0.01)
 
+    def test_admits_the_table_only(self, law):
+        # the Newton stepper asks admits before it evaluates the kernels
+        lo, hi = law.density_range
+        assert law.admits(np.array([lo, 1.0, hi]))
+        for bad in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), np.nan):
+            assert not law.admits(np.array([1.0, bad]))
+        assert IsothermalLaw(1.0).admits(np.array([1e-300, 1e300]))
+        for bad in (0.0, -1.0, np.nan):
+            assert not IsothermalLaw(1.0).admits(np.array([1.0, bad]))
+
     def test_from_file(self, tmp_path):
         base = PowerLaw(1.0, 2.0)
         rho = np.linspace(0.5, 2.0, 30)
@@ -181,6 +192,16 @@ def test_tabulated_potential_on_wide_uneven_table():
 def test_tabulated_rejects_nonfinite_table(rho, p):
     with pytest.raises(ValueError, match="finite"):
         TabulatedLaw(rho, p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["area", "friction", "elevation", "gravity"])
+def test_pipe_parameters_reject_nonfinite(key, value):
+    # nan passes the sign probes of the area and friction profiles
+    specs = [value] if key == "gravity" else [value, ((0.0, 1.0), (1.0, value))]
+    for spec in specs:
+        with pytest.raises(ValueError, match=f"pipe {key} must be finite"):
+            PipeParameters(length=1.0, **{key: spec})
 
 
 def test_pressure_gradient_identity_second_order():

@@ -87,13 +87,6 @@ class TestValidation:
         with pytest.raises(TopologyError, match="vertex names must be unique"):
             NetworkTopology([make_edge("e", "a", "b")], vertices=["a", "b", "b"])
 
-    def test_mixed_epsilon_rejected(self):
-        edges = [
-            Edge("e1", "a", "b", PipeParameters(length=1.0, epsilon=0.1)),
-            Edge("e2", "b", "c", PipeParameters(length=1.0, epsilon=0.2)),
-        ]
-        with pytest.raises(TopologyError, match="epsilon"):
-            NetworkTopology(edges)
 
 
 def test_handshake():
@@ -154,7 +147,6 @@ def test_boundary_section_needs_a_boundary_vertex(tmp_path, vertex, error):
 
 
 def test_with_helpers():
-    topo = single_pipe(epsilon=0.5)
-    assert topo.with_epsilon(0.1).epsilon == 0.1
+    topo = single_pipe()
     shifted = topo.with_friction_offset(0.25)
     assert shifted.edges[0].params.friction == pytest.approx(1.25)

@@ -966,7 +966,8 @@ def test_simulate_reports_a_step_failure(tmp_path, capsys):
     failure_line = next(line for line in manifest.splitlines()
                         if line.startswith("failure = "))
     assert where in failure_line
-    assert failure_line.endswith("end density is not positive")
+    assert failure_line.endswith("end density is not positive or outside "
+                                 "the gas law's table")
     assert not (out / "states_cells.csv").exists()
 
 
@@ -1058,6 +1059,53 @@ def test_nonfinite_number_fails_at_its_key(tmp_path, name, old, new, value,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {tmp_path / name}:{line}: ")
     assert "is not finite" in err
+
+
+def _y_transient_copy(tmp_path, *replacements):
+    """y_transient.scn and its topology in tmp_path, the old -> new
+    replacements made in the scenario; its path."""
+    with open(os.path.join(SCEN, "y_transient.scn")) as fh:
+        text = fh.read()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with open(os.path.join(SCEN, "y_network.topo")) as fh:
+        (tmp_path / "y_network.topo").write_text(fh.read())
+    path = tmp_path / "y_transient.scn"
+    path.write_text(text)
+    return path
+
+
+def test_negative_epsilon_fails_at_its_line(tmp_path, capsys):
+    path = _y_transient_copy(tmp_path, ("epsilon = 0.4", "epsilon = -0.1"))
+    line = path.read_text().splitlines().index("epsilon = -0.1") + 1
+    assert main(["simulate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {path}:{line}: "
+                                       "epsilon must be nonnegative\n")
+
+
+def test_density_leaving_the_table_is_a_step_failure(tmp_path, capsys):
+    # the inlet enthalpy ramps to 1.15, whose density exp(0.15) = 1.16 lies
+    # above the table; without [bounds] the run goes on until a step's
+    # densities leave it, which fails that step and keeps the ones before
+    rho = np.linspace(0.9, 1.1, 9)
+    np.savetxt(tmp_path / "gas.dat", np.column_stack([rho, rho]))
+    path = _y_transient_copy(
+        tmp_path, ("law = isothermal\nsound_speed = 1.0",
+                   "law = tabulated\ntable = gas.dat"))
+    path.write_text(path.read_text().split("[bounds]")[0])
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: step failure in step ")
+    assert err.endswith("density is not positive or outside the gas law's "
+                        "table")
+    step = int(err.split("step failure in step ")[1].split()[0])
+    assert step > 0
+    rows = (out / "energy.csv").read_text().splitlines()[1:]
+    assert len(rows) == step + 1
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"failure = {err.split('step failure in ')[1]}" in manifest
 
 
 def test_tight_bounds_warning_lines(tmp_path, capsys):

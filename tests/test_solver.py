@@ -39,8 +39,8 @@ def friction_decay(w0, gamma, eps, tau):
 
 class TestHyperbolicStep:
     def test_rest_state_fixed_point(self):
-        topo = single_pipe(epsilon=0.4, elevation=((0.0, 0.0), (1.0, 0.2)))
-        system = build_system(topo, cells_per_edge=12, law=LAW)
+        topo = single_pipe(elevation=((0.0, 0.0), (1.0, 0.2)))
+        system = build_system(topo, cells_per_edge=12, law=LAW, epsilon=0.4)
         state = system.rest_state(1.1)
         boundary = {"inlet": 1.1, "outlet": 1.1}
         for scheme in ("midpoint", "backward-euler"):
@@ -51,8 +51,8 @@ class TestHyperbolicStep:
 
     def test_friction_decay_matches_closed_form(self):
         eps, gamma, w0 = 0.5, 1.0, 1.0
-        system = build_system(loop_network(epsilon=eps, friction=gamma),
-                              cells_per_edge=6, law=LAW)
+        system = build_system(loop_network(friction=gamma),
+                              cells_per_edge=6, law=LAW, epsilon=eps)
         errors = []
         for dt in (0.02, 0.01):
             config = SolverConfig(dt=dt, t_final=1.0)
@@ -65,7 +65,7 @@ class TestHyperbolicStep:
         assert 3.4 < ratio < 4.6
 
     def test_midpoint_self_convergence_order_two(self):
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=12, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=12, law=LAW, epsilon=0.5)
         rho0 = 1.0 + 0.1 * np.exp(-40 * (system.x_cells - 0.5) ** 2)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         boundary = {"inlet": 1.0, "outlet": 1.0}
@@ -84,7 +84,7 @@ class TestHyperbolicStep:
         assert 1.7 < order < 2.3
 
     def test_epsilon_zero_rejected(self):
-        system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.0)
         with pytest.raises(ValueError, match="parabolic"):
             HyperbolicStepper(system)
 
@@ -92,8 +92,8 @@ class TestHyperbolicStep:
                                                   (0.0, ParabolicStepper)],
                              ids=["hyperbolic", "parabolic"])
     def test_newton_failure_diagnostics(self, epsilon, stepper):
-        system = build_system(single_pipe(epsilon=epsilon), cells_per_edge=8,
-                              law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8,
+                              law=LAW, epsilon=epsilon)
         rho0 = 1.0 + 0.3 * np.sin(2 * np.pi * system.x_cells)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         with pytest.raises(StepFailure) as info:
@@ -155,7 +155,7 @@ def lu_calls(monkeypatch):
 def _y_flow(model):
     """A y-network filling from its inlet, and a stepper factory for it."""
     epsilon = 0.4 if model == "hyperbolic" else 0.0
-    system = build_system(y_network(epsilon=epsilon), cells_per_edge=16, law=LAW)
+    system = build_system(y_network(), cells_per_edge=16, law=LAW, epsilon=epsilon)
     boundary = {"inlet": 1.1, "outlet_a": 1.0, "outlet_b": 0.99}
     if model == "hyperbolic":
         make = lambda: HyperbolicStepper(system)
@@ -221,7 +221,7 @@ def _transient_jacobians(stepper, eps, cells):
         return splu(jac, **kwargs)
 
     scenario = load_scenario(os.path.join(SCEN, "y_transient.scn"))
-    scenario = scenario.with_epsilon(eps)
+    scenario = replace(scenario, epsilon=eps)
     system = replace(scenario, cells_per_edge=cells).build_system()
     state = scenario.initial_state(system)
     newton = stepper(system)
@@ -333,8 +333,8 @@ def _polynomial_sequence(degree, n_steps, size=7):
 
 class TestDifferenceTable:
     def _table(self, xs):
-        system = build_system(single_pipe(epsilon=0.4), cells_per_edge=3,
-                              law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=3,
+                              law=LAW, epsilon=0.4)
         stepper = HyperbolicStepper(system)
         for x in xs:
             stepper._accept(x, 0.01)
@@ -378,9 +378,9 @@ class TestDifferenceTable:
 
 def _rest_on_a_y_network(model):
     """A sloped y-network at rest, boundary enthalpies at rest, and a stepper."""
-    topo = y_network(epsilon=0.4 if model == "hyperbolic" else 0.0,
-                     elevation=((0.0, 0.0), (1.0, 0.3)), gravity=1.0)
-    system = build_system(topo, cells_per_edge=8, law=LAW)
+    topo = y_network(elevation=((0.0, 0.0), (1.0, 0.3)), gravity=1.0)
+    system = build_system(topo, cells_per_edge=8, law=LAW,
+                          epsilon=0.4 if model == "hyperbolic" else 0.0)
     state = system.rest_state(1.2)
     boundary = {v: 1.2 for v in system.boundary_vertices}
     stepper = (HyperbolicStepper(system) if model == "hyperbolic"
@@ -455,22 +455,22 @@ class TestPredictor:
 
 class TestVelocityRecovery:
     def test_constant_density_flat_pipe(self):
-        system = build_system(single_pipe(epsilon=0.0), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.0)
         w = velocity_recovery(system, np.ones(system.n_cells),
                               {"inlet": 1.0, "outlet": 1.0}, NO_JUNCTIONS)
         assert np.allclose(w, 0.0)
 
     def test_exponential_profile(self):
         # rho = exp(-x): P' = 1 - x, slope -1 everywhere, w = 1 for gamma=1
-        system = build_system(single_pipe(epsilon=0.0), cells_per_edge=16, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=16, law=LAW, epsilon=0.0)
         rho = np.exp(-system.x_cells)
         w = velocity_recovery(system, rho, {"inlet": 1.0, "outlet": 0.0},
                               NO_JUNCTIONS)
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_gamma_scaling(self):
-        system = build_system(single_pipe(epsilon=0.0, friction=4.0),
-                              cells_per_edge=16, law=LAW)
+        system = build_system(single_pipe(friction=4.0),
+                              cells_per_edge=16, law=LAW, epsilon=0.0)
         rho = np.exp(-system.x_cells)
         w = velocity_recovery(system, rho, {"inlet": 1.0, "outlet": 0.0},
                               NO_JUNCTIONS)
@@ -478,8 +478,8 @@ class TestVelocityRecovery:
 
     def test_friction_law_satisfied_exactly(self):
         rng = np.random.default_rng(4)
-        system = build_system(single_pipe(epsilon=0.0, friction=2.0),
-                              cells_per_edge=12, law=LAW)
+        system = build_system(single_pipe(friction=2.0),
+                              cells_per_edge=12, law=LAW, epsilon=0.0)
         rho = 1.0 + 0.2 * rng.random(system.n_cells)
         boundary = {"inlet": 1.1, "outlet": 0.95}
         w = velocity_recovery(system, rho, boundary, NO_JUNCTIONS)
@@ -495,7 +495,7 @@ class TestVelocityRecovery:
 
 class TestParabolic:
     def test_uniform_state_stationary(self):
-        system = build_system(single_pipe(epsilon=0.0), cells_per_edge=10, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=10, law=LAW, epsilon=0.0)
         state = constant_state(system, 1.0)
         boundary = {"inlet": 1.0, "outlet": 1.0}
         new, _ = ParabolicStepper(system).step(state, 0.05, boundary)
@@ -506,8 +506,8 @@ class TestParabolic:
         # drive a 2-cell pipe to steady state, then check it against an
         # independent nested scalar root finder on the face relations
         gamma = 1.3
-        system = build_system(single_pipe(epsilon=0.0, friction=gamma),
-                              cells_per_edge=2, law=LAW)
+        system = build_system(single_pipe(friction=gamma),
+                              cells_per_edge=2, law=LAW, epsilon=0.0)
         h_left, h_right = 1.2, 1.0
         boundary = {"inlet": h_left, "outlet": h_right}
         state = constant_state(system, 1.0)
@@ -549,7 +549,7 @@ class TestParabolic:
         assert m[0] == pytest.approx(m_star, abs=1e-8)
 
     def test_mass_conserved_on_closed_loop(self):
-        system = build_system(loop_network(epsilon=0.0), cells_per_edge=10, law=LAW)
+        system = build_system(loop_network(), cells_per_edge=10, law=LAW, epsilon=0.0)
         rho0 = 1.0 + 0.15 * np.sin(2 * np.pi * system.x_cells / 2.0)
         state = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         config = SolverConfig(dt=0.01, t_final=0.5, parabolic=True)
@@ -560,7 +560,7 @@ class TestParabolic:
         assert np.max(np.abs(traj.states[-1].rho - rho0)) > 1e-3
 
     def test_junction_enthalpy_balances_fluxes(self):
-        system = build_system(y_network(epsilon=0.0), cells_per_edge=8, law=LAW)
+        system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.0)
         rng = np.random.default_rng(8)
         rho = 1.0 + 0.1 * rng.random(system.n_cells)
         boundary = {"inlet": 1.1, "outlet_a": 1.0, "outlet_b": 0.95}
@@ -571,7 +571,7 @@ class TestParabolic:
     def test_step_satisfies_limit_equations_on_network(self):
         # the stepper's residual is not used: the friction law is checked
         # against velocity recovery, the mass update against D and S^T
-        system = build_system(y_network(epsilon=0.0), cells_per_edge=12, law=LAW)
+        system = build_system(y_network(), cells_per_edge=12, law=LAW, epsilon=0.0)
         rho0 = 1.0 + 0.05 * np.sin(np.pi * system.x_cells)
         state = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         boundary = {"inlet": lambda tau: 1.0 + tau, "outlet_a": 1.0,
@@ -599,14 +599,14 @@ class TestParabolic:
 
 class TestRun:
     def test_zero_horizon(self):
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
         config = SolverConfig(dt=0.01, t_final=0.0)
         traj = run(system, system.rest_state(1.0), config,
                    {"inlet": 1.0, "outlet": 1.0})
         assert len(traj.states) == 1
 
     def test_rest_state_over_time(self):
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
         config = SolverConfig(dt=0.05, t_final=1.0)
         state0 = system.rest_state(1.0)
         traj = run(system, state0, config, {"inlet": 1.0, "outlet": 1.0})
@@ -615,7 +615,7 @@ class TestRun:
             assert np.max(np.abs(s.w)) < 1e-10
 
     def test_partial_trajectory_on_failure(self):
-        system = build_system(single_pipe(epsilon=0.05), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.05)
         rho0 = 1.0 + 0.3 * np.sin(2 * np.pi * system.x_cells)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         config = SolverConfig(dt=0.5, t_final=5.0, max_iter=1)
@@ -628,7 +628,7 @@ class TestRun:
     def test_admissibility_flагging(self):
         bounds = AdmissibleBounds(rho_min=0.999, rho_max=1.001, w_max=0.5,
                                   eps_max=0.5)
-        system = build_system(single_pipe(epsilon=0.5), cells_per_edge=8, law=LAW)
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
         rho0 = 1.0 + 0.1 * np.sin(np.pi * system.x_cells)
         state0 = NetworkState(0.0, rho0, np.zeros(system.n_faces))
         config = SolverConfig(dt=0.01, t_final=0.05)
@@ -656,7 +656,7 @@ class TestRun:
             assert report.energy == hamiltonian(system, state)
 
     def test_junction_constraint_on_snapshots(self):
-        system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
+        system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.4)
         state0 = system.rest_state(1.0)
         ramp = lambda tau: 1.0 + 0.15 * min(tau / 0.05, 1.0)
         boundary = {"inlet": ramp, "outlet_a": 1.0, "outlet_b": 1.0}
@@ -674,9 +674,8 @@ def test_parabolic_well_balanced_on_slope():
     # rest state over a sloped pipe stays stationary in the limit model
     from pipeflow.discretization import build_system as _bs
 
-    topo = single_pipe(epsilon=0.0, elevation=((0.0, 0.0), (1.0, 0.4)),
-                       gravity=1.0)
-    system = _bs(topo, cells_per_edge=12, law=LAW)
+    topo = single_pipe(elevation=((0.0, 0.0), (1.0, 0.4)), gravity=1.0)
+    system = _bs(topo, cells_per_edge=12, law=LAW, epsilon=0.0)
     state = system.rest_state(1.2)
     boundary = {"inlet": 1.2, "outlet": 1.2}
     config = SolverConfig(dt=0.05, t_final=0.5, parabolic=True)
@@ -692,7 +691,7 @@ def test_parabolic_well_balanced_on_slope():
 def test_reports_use_boundary_data_at_their_own_time():
     # the midpoint stage sees the inlet ramp at tau_n + dt/2; each report
     # describes the state at its own tau
-    system = build_system(y_network(epsilon=0.4), cells_per_edge=8, law=LAW)
+    system = build_system(y_network(), cells_per_edge=8, law=LAW, epsilon=0.4)
     ramp = lambda tau: 1.0 + 0.15 * min(tau / 0.05, 1.0)
     fixed = {"outlet_a": 1.0, "outlet_b": 0.99}
     config = SolverConfig(dt=0.01, t_final=0.08, scheme="midpoint")
@@ -790,29 +789,27 @@ def test_block_reports_on_a_failed_run(monkeypatch):
     assert partial.rho_array().shape == (len(partial.states), system.n_cells)
 
 
-def _star(n_edges, epsilon):
+def _star(n_edges):
     from pipeflow.gas import PipeParameters
     from pipeflow.network import Edge, NetworkTopology
 
-    p = PipeParameters(length=1.0, epsilon=epsilon)
+    p = PipeParameters(length=1.0)
     return NetworkTopology([Edge(f"e{i}", f"v{i}", "hub", p) if i % 2 else
                             Edge(f"e{i}", "hub", f"v{i}", p)
                             for i in range(n_edges)])
 
 
-def _chain(epsilon):
+def _chain():
     from pipeflow.gas import PipeParameters
     from pipeflow.network import Edge, NetworkTopology
 
-    p = PipeParameters(length=1.0, epsilon=epsilon,
-                       elevation=((0.0, 0.0), (1.0, 0.2)))
+    p = PipeParameters(length=1.0, elevation=((0.0, 0.0), (1.0, 0.2)))
     return NetworkTopology([Edge("a", "in", "j1", p), Edge("b", "j1", "j2", p),
                             Edge("c", "j2", "out", p)])
 
 
-NETWORKS = {"y": lambda eps: y_network(epsilon=eps),
-            "loop": lambda eps: loop_network(n_edges=3, epsilon=eps),
-            "chain": _chain, "star": lambda eps: _star(9, eps)}
+NETWORKS = {"y": y_network, "loop": lambda: loop_network(n_edges=3),
+            "chain": _chain, "star": lambda: _star(9)}
 
 
 def _concatenated_jacobian_data(st, dt, cache):
@@ -848,7 +845,8 @@ def _concatenated_jacobian_data(st, dt, cache):
 @pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
 @pytest.mark.parametrize("network", sorted(NETWORKS))
 def test_csc_jacobian_equals_coo_conversion(network, stepper):
-    system = build_system(NETWORKS[network](0.3), cells_per_edge=5, law=LAW)
+    system = build_system(NETWORKS[network](), cells_per_edge=5, law=LAW,
+                          epsilon=0.3)
     if stepper == "parabolic":
         st = ParabolicStepper(system)
     else:
@@ -883,10 +881,11 @@ def test_jacobian_is_the_derivative_of_the_residual(network, stepper):
     # with an area profile, a slope under gravity and boundary loads,
     # which the acceptance check of the Jacobian leaves out; each face
     # keeps its flow direction with |w| >= 0.1, so |w| w is smooth
-    topology = SLOPED[network](epsilon=0.3, friction=1.5, gravity=2.0,
+    topology = SLOPED[network](friction=1.5, gravity=2.0,
                                area=((0.0, 1.0), (1.0, 1.4)),
                                elevation=((0.0, 0.0), (1.0, 0.3)))
-    system = build_system(topology, cells_per_edge=5, law=PowerLaw(1.0, 3.0))
+    system = build_system(topology, cells_per_edge=5, law=PowerLaw(1.0, 3.0),
+                          epsilon=0.3)
     if stepper == "parabolic":
         st = ParabolicStepper(system)
     else:
