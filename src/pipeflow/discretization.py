@@ -26,8 +26,6 @@ import numpy as np
 from . import network as net
 from .gas import bisect
 
-_ZERO = np.zeros(1)
-
 
 def weighted_sum(weight, values):
     """sum(weight * values) over the last axis: a float for one state, a
@@ -269,18 +267,19 @@ class NetworkSystem:
 
     def apply_d(self, m):
         """D m: (D m)_c = m_right(c) - m_left(c)."""
-        return (m[1:] - m[:-1]).take(self.cell_left_face)
+        return (m[..., 1:] - m[..., :-1]).take(self.cell_left_face, axis=-1)
 
     def apply_gs(self, h, hv):
         """G h + S h_v: the enthalpy differences across every face, with
         the junction enthalpies h_v at junction terminal faces."""
-        ext = np.concatenate((h, hv, _ZERO))
-        return ext.take(self._gs_right) - ext.take(self._gs_left)
+        ext = np.concatenate((h, hv, np.zeros(h.shape[:-1] + (1,))), axis=-1)
+        return (ext.take(self._gs_right, axis=-1)
+                - ext.take(self._gs_left, axis=-1))
 
     def apply_st(self, m):
         """S^T m: the signed mass-flow sum at every junction."""
-        terms = self._st_signs * m.take(self._st_faces)
-        return np.add.reduce(terms, axis=0)[:self.n_junctions]
+        terms = self._st_signs * m.take(self._st_faces, axis=-1)
+        return np.add.reduce(terms, axis=-2)[..., :self.n_junctions]
 
     def apply_j(self, z):
         """J z for an extended co-state z = (h, m, h_v): the blocks

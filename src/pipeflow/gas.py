@@ -13,7 +13,8 @@ admissible density interval is required throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class GasLaw:
 
     def admits(self, rho):
         """Whether the kernels take every density of rho: all positive."""
-        return np.minimum.reduce(rho) > 0.0  # false on NaN
+        return np.minimum.reduce(rho, axis=None) > 0.0  # false on NaN
 
     # The kernels below take a float array the caller has already checked
     # with admits (the Newton stepper tests each density it evaluates).
@@ -230,8 +231,8 @@ class TabulatedLaw(GasLaw):
 
     def admits(self, rho):
         """Whether every density of rho lies in the table (not on NaN)."""
-        return (np.minimum.reduce(rho) >= self.density_range[0]
-                and np.maximum.reduce(rho) <= self.density_range[1])
+        return (np.minimum.reduce(rho, axis=None) >= self.density_range[0]
+                and np.maximum.reduce(rho, axis=None) <= self.density_range[1])
 
     def _pieces(self, rho):
         """Checked densities, pieces i (x_(i+1) closes i), s = rho - x_i."""
@@ -388,6 +389,12 @@ class AdmissibleBounds:
     gz_max: float = 0.0
 
     def __post_init__(self):
+        # nan fails every comparison below, and infinite bounds admit
+        # every state as well
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"bounds must be finite, got {f.name} = "
+                                 f"{getattr(self, f.name)}")
         if not (0.0 < self.rho_min <= self.rho_max):
             raise ValueError("need 0 < rho_min <= rho_max")
         if self.w_max < 0.0 or self.eps_max < 0.0:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy as energy_mod
-from .discretization import NetworkState
+from .discretization import NetworkState, weighted_sum
 from .gas import bisect
 
 
@@ -251,6 +251,15 @@ class _NewtonStepper:
     are positive; otherwise the table restarts and the step starts from
     the stepper's fresh start (``_fresh_start``).
 
+    Given a list of systems that share topology, grid and gas law, the
+    stepper advances them together, as one block-diagonal system: the
+    unknowns, residuals and differences are (M, n) stacks, eps, friction
+    and boundary loads are each member's own, and one SuperLU
+    factorization covers the members' Jacobians tiled along the
+    diagonal.  The scaled residual norm, the Newton decisions and the
+    extrapolation's restarts are joint (the order is each member's own),
+    so each member iterates until all have converged.
+
     The stepper holds the LU factorization of the last Jacobian it built,
     the dt it was built for and the number of steps taken since.  Each
     iteration first tries a full step with it and keeps that step if the
@@ -269,14 +278,36 @@ class _NewtonStepper:
     max_lu_age = 20  # steps after its own that a held LU may serve
     max_order = 4  # highest extrapolation order of the Newton start
 
-    def __init__(self, system, eps, theta, newton_tol, max_iter):
-        self.system = system
-        self.eps = eps
+    def __init__(self, system, theta, newton_tol, max_iter, limit=False):
+        members = None
+        if isinstance(system, (list, tuple)):
+            members, system = tuple(system), system[0]
+            keys = ("c_rho", "gz_cells", "pair_kappa", "_gs_left", "_gs_right",
+                    "boundary_term_faces")
+            if any(s.law is not system.law or not all(
+                    np.array_equal(getattr(s, k), getattr(system, k))
+                    for k in keys) for s in members):
+                raise ValueError("stepped members must share topology, grid "
+                                 "and gas law")
+        self.system, self.members = system, members
+
+        def per_member(name):
+            """The system's value, or the members' stacked (a column of
+            numbers, so that each scales its member's rows)."""
+            if members is None:
+                return getattr(system, name)
+            stack = np.array([getattr(s, name) for s in members])
+            return stack[:, None] if stack.ndim == 1 else stack
+
+        self.eps = 0.0 if limit else per_member("epsilon")
+        self.kinetic = not limit  # whether the c_w and kinetic terms exist
         self.theta = theta
         self.newton_tol = newton_tol
         self.max_iter = max_iter
-        self._c_w = eps**2 * system.omega_faces
-        self._half_eps2 = 0.5 * eps**2
+        self._omega_gamma = per_member("omega_gamma")
+        self._gamma = per_member("gamma_faces")
+        self._c_w = self.eps**2 * system.omega_faces
+        self._half_eps2 = 0.5 * self.eps**2
         self._scale = self._scale_dt = None  # row scale, per dt
         self._lu = None
         self._lu_dt = None
@@ -322,7 +353,7 @@ class _NewtonStepper:
         block(n_c + faces[self._rw_left], flc[self._rw_left])
 
         # momentum rows: kinetic coupling d(Gh)/dw
-        if self.eps:
+        if self.kinetic:
             # per face: its right cell (sign +1), then its left cell (-1),
             # each with that cell's left and right face
             cells = np.stack((frc, flc), axis=1).ravel()
@@ -374,6 +405,17 @@ class _NewtonStepper:
         self._csc_indices = r[starts].astype(np.intc)
         self._csc_indptr = np.searchsorted(c[starts],
                                            np.arange(n + 1)).astype(np.intc)
+        if self.members is not None:
+            # the member pattern tiled along the diagonal: member i's
+            # unknowns and CSC values follow those of members 0..i-1
+            m, nnz = len(self.members), self._csc_indices.size
+            i = np.arange(m)[:, None]
+            self._csc_indices = (self._csc_indices
+                                 + i * n).ravel().astype(np.intc)
+            self._csc_indptr = np.append(
+                (self._csc_indptr[:-1] + i * nnz).ravel(),
+                m * nnz).astype(np.intc)
+            self._shape = (m * n, m * n)
 
     def step(self, state, dt, boundary, tau_new=None):
         """Advance one step; returns (new_state, stage_info dict)."""
@@ -391,9 +433,14 @@ class _NewtonStepper:
         # (junction rows unscaled); the combined weight keeps the
         # attainable floor near machine precision for any dt
         if dt != self._scale_dt:
-            self._scale = np.concatenate((sys.c_rho + dt * sys.dx_cells,
-                                          self._w_weight(dt),
-                                          np.ones(sys.n_junctions)))
+            weight = dt * sys.omega_faces
+            parts = (sys.c_rho + dt * sys.dx_cells,
+                     self._c_w + weight if self.kinetic else weight,
+                     np.ones(sys.n_junctions))
+            lead = parts[1].shape[:-1]  # (M,) where eps is the members' own
+            self._scale = np.concatenate(
+                [np.broadcast_to(q, lead + q.shape[-1:]) for q in parts],
+                axis=-1)
             self._scale_dt = dt
         scale = self._scale
 
@@ -433,7 +480,7 @@ class _NewtonStepper:
             rhs = out[0]
             new = None
             if self._lu is not None:
-                new = trial(self._lu.solve(rhs), 1.0)
+                new = trial(self._solve(rhs), 1.0)
                 if not (new[2] <= self.contraction * norm
                         or new[2] <= self.newton_tol):
                     new = None
@@ -448,7 +495,7 @@ class _NewtonStepper:
                     self._lu = splu(jac, permc_spec=self.ordering)
                     self._lu_dt = dt
                     self._lu_age = 0
-                    delta = self._lu.solve(rhs)
+                    delta = self._solve(rhs)
                 except RuntimeError as exc:
                     raise failure(f"linear solve failed: {exc}",
                                   residual=norm, iterations=it) from exc
@@ -484,6 +531,22 @@ class _NewtonStepper:
         self._returned = NetworkState(tau_new, rho, w)
         return self._returned, info
 
+    def _solve(self, rhs):
+        """The held LU's solution for a residual or a stack of them."""
+        return self._lu.solve(rhs.ravel()).reshape(rhs.shape)
+
+    def _boundary(self, boundary, tau):
+        """The boundary values at tau and their load on the momentum rows;
+        a batch takes a list of schedules and gives a list and a stack."""
+        sys = self.system
+        if self.members is None:
+            values = _eval_boundary(boundary, sys.boundary_vertices, tau)
+            return values, sys.boundary_load(values)
+        values = [_eval_boundary(b, sys.boundary_vertices, tau)
+                  for b in boundary]
+        return values, sys.boundary_load(
+            {v: [x[v] for x in values] for v in sys.boundary_vertices})
+
     def _accept(self, x, dt):
         """Put accepted unknowns at the head of the difference table:
         nabla^j x_(n+1) = nabla^(j-1) x_(n+1) - nabla^(j-1) x_n."""
@@ -496,25 +559,30 @@ class _NewtonStepper:
     def _order(self):
         """The extrapolation order: -1 without accepted steps, the number
         of differences below three entries, else the p in 1..max_order
-        whose miss nabla^(p+1) x_n is least (the lowest on a tie)."""
+        whose miss nabla^(p+1) x_n is least (the lowest on a tie); on a
+        stack, an (M, 1) column of each member's p."""
         d = self._diffs
         if len(d) < 3:
             return len(d) - 1
-        misses = [np.dot(e, e) for e in d[2:]]
-        return 1 + misses.index(min(misses))
+        if d[0].ndim == 1:
+            misses = [np.dot(e, e) for e in d[2:]]
+            return 1 + misses.index(min(misses))
+        misses = [np.vecdot(e, e) for e in d[2:]]  # sums as np.dot does
+        return 1 + np.argmin(misses, axis=0)[:, None]
 
     def _predict(self):
         """x_n + nabla x_n + ... + nabla^p x_n at p = _order(), or None
         if there are no accepted steps or the gas law does not admit the
         predicted densities (which restarts the table)."""
-        p = self._order()
-        if p < 0:
-            return None
         d = self._diffs
-        x = d[0] + d[1] if p else d[0].copy()
-        for e in d[2:p + 1]:
-            x += e
-        if not self.system.law.admits(x[:self.system.n_cells]):
+        if not d:
+            return None
+        p = self._order()
+        x = d[0] + d[1] if len(d) > 1 else d[0].copy()
+        top = p if isinstance(p, int) else p.max()
+        for j, e in enumerate(d[2:top + 1], 2):
+            np.add(x, e, out=x, where=p >= j)  # where the member's p >= j
+        if not self.system.law.admits(x[..., :self.system.n_cells]):
             self._diffs = []
             return None
         return x
@@ -522,11 +590,7 @@ class _NewtonStepper:
     def _unstack(self, x):
         """Views of (rho, w, h_v) in a stacked vector."""
         n_c, n_cf = self.system.n_cells, self.system.n_state
-        return x[:n_c], x[n_c:n_cf], x[n_cf:]
-
-    def _w_weight(self, dt):
-        weight = dt * self.system.omega_faces
-        return self._c_w + weight if self.eps else weight
+        return x[..., :n_c], x[..., n_c:n_cf], x[..., n_cf:]
 
     def _residual(self, dt, state, loads, x):
         """The stacked residual (f_rho, f_w, f_j) at the unknowns x =
@@ -537,7 +601,7 @@ class _NewtonStepper:
         th = self.theta
         load_rho, load_w = loads
         d_rho = rho - state.rho
-        d_w = w - state.w if self.eps or th != 1.0 else None
+        d_w = w - state.w if self.kinetic or th != 1.0 else None
         if th == 1.0:
             rho_s, w_s = rho, w
         else:
@@ -546,17 +610,17 @@ class _NewtonStepper:
         if not sys.law.admits(rho_s):
             return None
         h_s = sys.law._dpotential(rho_s)
-        if self.eps:
+        if self.kinetic:
             h_s = self._half_eps2 * sys.kinetic_cells(w_s) + h_s
         h_s = h_s + sys.gz_cells
         arho_s = sys.arho_faces(rho_s)
         m_s = arho_s * w_s
-        fr_s = sys.omega_gamma * np.abs(w_s) * w_s
+        fr_s = self._omega_gamma * np.abs(w_s) * w_s
         f_rho = sys.c_rho * d_rho + dt * sys.apply_d(m_s)
         if load_rho is not None:
             f_rho = f_rho - dt * load_rho
         f_w = dt * (sys.apply_gs(h_s, hv) + fr_s)
-        if self.eps:
+        if self.kinetic:
             f_w = self._c_w * d_w + f_w
         f_w = f_w - dt * load_w
         if th == 1.0:
@@ -566,15 +630,16 @@ class _NewtonStepper:
             m_end = arho_end * w
         f_j = sys.apply_st(m_end)
         cache = (rho_s, w_s, arho_s, m_s, h_s, arho_end, w)
-        return np.concatenate((f_rho, f_w, f_j)), cache
+        return np.concatenate((f_rho, f_w, f_j), axis=-1), cache
 
     def _jacobian(self, dt, cache):
         """The Jacobian at a residual's cache, in canonical CSC form."""
         values = self._jacobian_data(dt, cache)
-        data = values.take(self._csc_first)
+        data = values.take(self._csc_first, axis=-1)
         for entries, positions in self._csc_more:
-            data[entries] += values.take(positions)
-        return CSC(data, self._csc_indices, self._csc_indptr, self._shape)
+            data[..., entries] += values.take(positions, axis=-1)
+        return CSC(data.ravel(), self._csc_indices, self._csc_indptr,
+                   self._shape)
 
     def _jacobian_data(self, dt, cache):
         """The Jacobian's values in template entry order, each block
@@ -583,29 +648,39 @@ class _NewtonStepper:
         dth = dt * self.theta
         rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
         d2p = sys.law._d2potential(rho_s)
-        mul, v = np.multiply, np.empty(self._blocks[-1].stop)
-        at = iter(self._blocks)  # the blocks in _entries' order
+        mul = np.multiply
+        v = np.empty(w_s.shape[:-1] + (self._blocks[-1].stop,))
+        # the blocks in _entries' order, each a slice of the last axis
+        at = ((..., block) for block in self._blocks)
+
+        def gather(values, index):
+            # numpy's 1-D fast path is five times faster on large grids
+            return values[index] if values.ndim == 1 else values[..., index]
         v[next(at)] = sys.c_rho
         pf, kappa, left, right = (sys.pair_face, sys.pair_kappa,
                                   self._rr_left, self._rr_right)
-        mul(dth * w_s[pf[left]], kappa[left], out=v[next(at)])
-        mul(-dth * w_s[pf[right]], kappa[right], out=v[next(at)])
-        mul(dth, arho_s[self._rw_left], out=v[next(at)])
-        mul(-dth, arho_s[self._rw_right], out=v[next(at)])
-        mul(dth, d2p[sys.face_right_cell[self._rw_right]], out=v[next(at)])
-        mul(-dth, d2p[sys.face_left_cell[self._rw_left]], out=v[next(at)])
-        if self.eps:
-            mul(dth * self._ww_sign * 0.5 * self.eps**2, w_s[self._ww_fp],
-                out=v[next(at)])
+        mul(dth * gather(w_s, pf[left]), kappa[left], out=v[next(at)])
+        mul(-dth * gather(w_s, pf[right]), kappa[right], out=v[next(at)])
+        mul(dth, gather(arho_s, self._rw_left), out=v[next(at)])
+        mul(-dth, gather(arho_s, self._rw_right), out=v[next(at)])
+        mul(dth, gather(d2p, sys.face_right_cell[self._rw_right]),
+            out=v[next(at)])
+        mul(-dth, gather(d2p, sys.face_left_cell[self._rw_left]),
+            out=v[next(at)])
+        if self.kinetic:
+            mul(dth * self._ww_sign * 0.5 * self.eps**2,
+                gather(w_s, self._ww_fp), out=v[next(at)])
+        abs_w = np.abs(w_s)
+        if not self.kinetic:
+            np.maximum(abs_w, self._w_floor, out=abs_w)
         diagonal = v[next(at)]
-        mul(dth * 2.0 * sys.omega_faces * sys.gamma_faces, np.abs(w_s),
-            out=diagonal)
-        if self.eps:
+        mul(dth * 2.0 * sys.omega_faces * self._gamma, abs_w, out=diagonal)
+        if self.kinetic:
             diagonal += self._c_w
         jf, signs = sys.junction_term_faces, sys.junction_term_signs
         mul(dt, signs, out=v[next(at)])
-        mul(signs * w_end[jf], self._j_kappa, out=v[next(at)])
-        mul(signs, arho_end[jf], out=v[next(at)])
+        mul(signs * gather(w_end, jf), self._j_kappa, out=v[next(at)])
+        mul(signs, gather(arho_end, jf), out=v[next(at)])
         return v
 
     def _stage_power(self, loads, cache):
@@ -613,25 +688,26 @@ class _NewtonStepper:
         load_rho, load_w = loads
         _, w_s, arho_s, m_s, h_s, _, _ = cache
         abs_w = np.abs(w_s)
-        stage_dissipation = float(np.dot(sys.omega_gamma * arho_s,
-                                         abs_w * abs_w * abs_w))
-        stage_flux = np.dot(load_w, m_s)
+        stage_dissipation = weighted_sum(self._omega_gamma * arho_s,
+                                         abs_w * abs_w * abs_w)
+        stage_flux = weighted_sum(load_w, m_s)
         if load_rho is not None:
-            stage_flux = stage_flux + np.dot(load_rho, h_s)
-        return stage_dissipation, float(stage_flux)
+            stage_flux = stage_flux + weighted_sum(load_rho, h_s)
+        return stage_dissipation, stage_flux
 
 
 def _scaled_norm(res, scale):
-    """Largest scaled residual entry; NaN if any entry is NaN."""
-    return np.maximum.reduce(np.abs(res) / scale)
+    """Largest scaled residual entry, over every member of a stack; NaN
+    if any entry is NaN."""
+    return np.maximum.reduce(np.abs(res) / scale, axis=None)
 
 
 # ---------------------------------------------------------------------------
 # the two steppers
 
 class HyperbolicStepper(_NewtonStepper):
-    """The port model at the system's epsilon, with implicit midpoint
-    (theta = 1/2) or backward Euler (theta = 1)."""
+    """The port model at the system's epsilon (each member's own), with
+    implicit midpoint (theta = 1/2) or backward Euler (theta = 1)."""
 
     max_cuts = 12  # line-search halvings before a step is given up
     # C > 0 puts a nonzero on every state row's diagonal and J is skew,
@@ -641,18 +717,17 @@ class HyperbolicStepper(_NewtonStepper):
 
     def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
                  forcing=None):
-        if system.epsilon == 0.0:
+        theta = 0.5 if scheme == "midpoint" else 1.0
+        super().__init__(system, theta, newton_tol, max_iter)
+        if np.any(self.eps == 0.0):
             raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
                              "use the parabolic solver")
-        theta = 0.5 if scheme == "midpoint" else 1.0
-        super().__init__(system, system.epsilon, theta, newton_tol, max_iter)
         self.forcing = forcing
 
     def _stage(self, state, dt, boundary, tau_new):
         sys = self.system
         tau_s = state.tau + self.theta * dt
-        values = _eval_boundary(boundary, sys.boundary_vertices, tau_s)
-        load_w = sys.boundary_load(values)
+        values, load_w = self._boundary(boundary, tau_s)
         load_rho = None
         if self.forcing is not None:
             f1, f2 = self.forcing
@@ -662,8 +737,10 @@ class HyperbolicStepper(_NewtonStepper):
 
     def _fresh_start(self, state, values):
         """The state with zero junction enthalpies."""
-        return np.concatenate((state.rho, state.w,
-                               np.zeros(self.system.n_junctions)))
+        return np.concatenate(
+            (state.rho, state.w,
+             np.zeros(state.rho.shape[:-1] + (self.system.n_junctions,))),
+            axis=-1)
 
 
 class ParabolicStepper(_NewtonStepper):
@@ -680,25 +757,36 @@ class ParabolicStepper(_NewtonStepper):
     gamma*|w|*w = -s face by face to solver tolerance.  A step starts
     from the predicted unknowns as they are; a fresh start takes rho_n
     with limit_flow's velocities and junction enthalpies.
+
+    The Jacobian's friction diagonal 2 dt omega gamma |w| vanishes at
+    rest, where a flow that changes no density (around a cycle, or out
+    of a junction through two starting pipes) makes it singular.  So the
+    Jacobian, not the residual, floors |w| at sqrt(newton_tol / gamma),
+    below which gamma w^2 meets the tolerance (no floor where gamma = 0).
     """
 
     max_cuts = 14
-    # the momentum diagonal 2 dt omega gamma |w| vanishes where the gas
-    # rests, so a symmetric order pivots off the diagonal and fills in
+    # the friction diagonal is small where the gas rests, so a symmetric
+    # order pivots off the diagonal and fills in
     ordering = "COLAMD"
 
     def __init__(self, system, newton_tol=1e-11, max_iter=40):
-        super().__init__(system, 0.0, 1.0, newton_tol, max_iter)
+        super().__init__(system, 1.0, newton_tol, max_iter, limit=True)
+        gamma = self._gamma
+        self._w_floor = np.sqrt(np.divide(newton_tol, gamma, where=gamma > 0.0,
+                                          out=np.zeros_like(gamma)))
 
     def _stage(self, state, dt, boundary, tau_new):
-        values = _eval_boundary(boundary, self.system.boundary_vertices,
-                                tau_new)
-        return values, (None, self.system.boundary_load(values))
+        values, load_w = self._boundary(boundary, tau_new)
+        return values, (None, load_w)
 
     def _fresh_start(self, state, values):
         """rho_n with the limit velocities and junction enthalpies."""
-        w, hv = limit_flow(self.system, state.rho, values)
-        return np.concatenate((state.rho, w, hv))
+        def start(system, rho, values):
+            return np.concatenate((rho, *limit_flow(system, rho, values)))
+        if self.members is None:
+            return start(self.system, state.rho, values)
+        return np.array(list(map(start, self.members, state.rho, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -761,31 +849,48 @@ def limit_flow(system, rho, boundary_values):
 # ---------------------------------------------------------------------------
 # driver
 
-def run(system, state0, config, boundary, forcing=None, bounds=None):
+def _steps(config):
+    n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
+    if n_steps and abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
+        raise ValueError("t_final must be an integer multiple of dt")
+    return n_steps
+
+
+def _stepper(system, config, forcing=None):
+    """The config's stepper for a system or a list of member systems."""
+    if config.parabolic:
+        return ParabolicStepper(system, newton_tol=config.newton_tol,
+                                max_iter=config.max_iter)
+    return HyperbolicStepper(system, scheme=config.scheme,
+                             newton_tol=config.newton_tol,
+                             max_iter=config.max_iter, forcing=forcing)
+
+
+def _start(system, state0, config, boundary):
+    """state0; on a parabolic run from rest velocities, with limit_flow's."""
+    if config.parabolic and np.count_nonzero(state0.w) == 0 and system.n_faces:
+        values = _eval_boundary(boundary, system.boundary_vertices, state0.tau)
+        w0, _ = limit_flow(system, state0.rho, values)
+        state0 = NetworkState(state0.tau, state0.rho.copy(), w0)
+    return state0
+
+
+def run(system, state0, config, boundary, forcing=None, bounds=None,
+        batch=None):
     """Advance from state0 to t_final, recording every step.
 
     Returns a Trajectory.  On a step failure the exception carries the
     partial trajectory, reported up to its last accepted state, in its
-    ``partial`` attribute.
+    ``partial`` attribute.  With ``batch``, returns the trajectory of the
+    Batch's member with these arguments.
     """
-    n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
-    if n_steps and abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
-        raise ValueError("t_final must be an integer multiple of dt")
-    if config.parabolic:
-        stepper = ParabolicStepper(system, newton_tol=config.newton_tol,
-                                   max_iter=config.max_iter)
-        if np.count_nonzero(state0.w) == 0 and system.n_faces:
-            values = _eval_boundary(boundary, system.boundary_vertices, state0.tau)
-            w0, _ = limit_flow(system, state0.rho, values)
-            state0 = NetworkState(state0.tau, state0.rho.copy(), w0)
-    else:
-        stepper = HyperbolicStepper(system, scheme=config.scheme,
-                                    newton_tol=config.newton_tol,
-                                    max_iter=config.max_iter, forcing=forcing)
-
+    if batch is not None:
+        return batch.take(system, state0, config, boundary)
+    n_steps = _steps(config)
+    stepper = _stepper(system, config, forcing)
+    state = state0 = _start(system, state0, config, boundary)
     recorder = _Recorder(system, config, boundary, bounds, n_steps + 1)
     recorder.add(state0)
-    state = state0
     for k in range(n_steps):
         tau_new = state0.tau + (k + 1) * config.dt
         try:
@@ -796,6 +901,65 @@ def run(system, state0, config, boundary, forcing=None, bounds=None):
             raise
         recorder.add(state, info)
     return recorder.flush()
+
+
+class Batch:
+    """Runs that share topology, grid, gas law and SolverConfig, stepped
+    as one block-diagonal system.  A member is the arguments (system,
+    state0, config, boundary) of its run, and ``run(*member,
+    batch=batch)`` returns its trajectory: the first call steps them all,
+    and each trajectory is dropped once handed out.  Members iterate to a
+    joint residual norm, so they differ from their own runs at tolerance
+    level.  After a failed joint step each member runs on its own, so a
+    StepFailure names the failing one and carries its partial trajectory.
+    """
+
+    def __init__(self, members):
+        self.members = [tuple(m) for m in members]
+        self._trajectories = None
+
+    def take(self, *member):
+        for i, known in enumerate(self.members):
+            if all(a is b for a, b in zip(known, member)):
+                break
+        else:
+            raise ValueError("not a member of this batch")
+        if self._trajectories is None:
+            try:
+                self._trajectories = self._run()
+            except StepFailure:
+                self._trajectories = [None] * len(self.members)
+        traj, self._trajectories[i] = self._trajectories[i], None
+        return run(*member) if traj is None else traj
+
+    def _run(self):
+        systems, _, configs, boundaries = zip(*self.members)
+        config = configs[0]
+        if any(c != config for c in configs):
+            raise ValueError("batched runs must share one SolverConfig")
+        n_steps = _steps(config)
+        stepper = _stepper(systems, config)
+        states = [_start(*m) for m in self.members]
+        recorders = [_Recorder(system, config, boundary, None, n_steps + 1)
+                     for system, boundary in zip(systems, boundaries)]
+        for recorder, state in zip(recorders, states):
+            recorder.add(state)
+        tau0 = states[0].tau
+        state = NetworkState(tau0, [s.rho for s in states],
+                             [s.w for s in states])
+        for k in range(n_steps):
+            state, info = stepper.step(state, config.dt, boundaries,
+                                       tau_new=tau0 + (k + 1) * config.dt)
+            split = zip(state.rho, state.w, info["junction_h"],
+                        info["stage_dissipation"].tolist(),
+                        info["stage_flux"].tolist())
+            for recorder, (rho, w, hv, dissipation, flux) in zip(recorders,
+                                                                 split):
+                recorder.add(NetworkState(state.tau, rho, w),
+                             dict(info, junction_h=hv,
+                                  stage_dissipation=dissipation,
+                                  stage_flux=flux))
+        return [recorder.flush() for recorder in recorders]
 
 
 # values per row of a report block, whose (K, n) temporaries thus stay

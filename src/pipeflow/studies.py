@@ -21,7 +21,7 @@ from .energy import (
     lipschitz_estimates,
     stability_constants,
 )
-from .solver import SolverConfig, StepFailure, Trajectory, run
+from .solver import Batch, SolverConfig, StepFailure, Trajectory, run
 
 
 def fit_loglog_slope(x, y):
@@ -163,18 +163,23 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     """Measure one member per parameter against one reference run.
 
     The reference runs on `system` with `ref_config` and is subsampled to
-    the members' snapshot times.  `member(p, ref)` returns (x, system, u,
-    u_hat, monitor_kwargs): the abscissa of parameter p and the trajectory
-    pair it contributes, compared on that system with the Lipschitz
-    constants taken along u_hat.
+    the members' snapshot times.  `member(p)` returns the arguments of
+    parameter p's run, (system, state0, config, boundary), and `pair(traj,
+    ref)`, which gives (x, system, u, u_hat, monitor_kwargs): the abscissa
+    of p and the trajectory pair it contributes, compared on that system
+    with the Lipschitz constants taken along u_hat.  The members run as
+    one Batch, and each is measured and dropped before the next.
     """
     # only the subsample is kept, not the full-resolution run
     ref = _subsample(_named("reference", run, system,
                             scenario.initial_state(system), ref_config,
                             scenario.boundary), 4)
+    members = [member(p) for p in parameters]
+    batch = Batch(args for args, _ in members)
 
-    def measure(p):
-        x, pair_system, u, u_hat, monitor_kwargs = member(p, ref)
+    def measure(args, pair):
+        x, pair_system, u, u_hat, monitor_kwargs = pair(
+            run(*args, batch=batch), ref)
         # the limit reference has no eps^2 kinetic norm contribution
         sup_sq, l3 = _pair_errors(pair_system, u, u_hat,
                                   include_kinetic=not ref_config.parabolic)
@@ -189,8 +194,8 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                                     scenario.boundary, **monitor_kwargs)
         return x, sup_sq + l3, sup_sq, l3, cert
 
-    results = [_named(f"{parameter_name}={p:g}", measure, p)
-               for p in parameters]
+    results = [_named(f"{parameter_name}={p:g}", measure, *m)
+               for p, m in zip(parameters, members)]
     x = [r[0] for r in results]
     errors = [r[1] for r in results]
     slope, mask = fit_loglog_slope(x, errors)
@@ -223,11 +228,13 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     if certify:
         _require_bounds(scenario)
 
-    def member(eps, ref):
+    def member(eps):
         system = replace(scenario, epsilon=eps).build_system()
-        traj = run(system, scenario.initial_state(system), scenario.solver,
-                   scenario.boundary)
-        return eps**2, system, traj, ref, {"eps_hat": 0.0}
+
+        def pair(traj, ref):
+            return eps**2, system, traj, ref, {"eps_hat": 0.0}
+        return (system, scenario.initial_state(system), scenario.solver,
+                scenario.boundary), pair
 
     return _sweep("high-friction limit study", "epsilon", eps_list, member,
                   scenario, scenario.build_system(),
@@ -258,14 +265,16 @@ def gamma_perturbation_study(scenario, offsets, certify=True):
 
     system = scenario.build_system()
 
-    def member(offset, ref):
+    def member(offset):
         scen = scenario.with_friction_offset(offset)
         pert_system = scen.build_system()
-        traj_hat = run(pert_system, scenario.initial_state(pert_system),
-                       scen.solver, scen.boundary)
-        return abs(offset), system, ref, traj_hat, {
-            "eps_hat": system.epsilon,
-            "gamma_hat": system.gamma_faces + offset}
+
+        def pair(traj_hat, ref):
+            return abs(offset), system, ref, traj_hat, {
+                "eps_hat": system.epsilon,
+                "gamma_hat": system.gamma_faces + offset}
+        return (pert_system, scenario.initial_state(pert_system), scen.solver,
+                scen.boundary), pair
 
     return _sweep("friction perturbation study", "gamma_offset", offsets,
                   member, scenario, system, _reference_config(scenario.solver),
@@ -290,17 +299,19 @@ def boundary_perturbation_study(scenario, amplitudes, certify=True):
     def bump(tau):
         return math.sin(math.pi * min(max(tau / t_final, 0.0), 1.0)) ** 2
 
-    def member(amplitude, ref):
+    def member(amplitude):
         base = scenario.boundary[vertex]
         pert = {**scenario.boundary,
                 vertex: (lambda tau, b=base, a=amplitude:
                          (b(tau) if callable(b) else b) + a * bump(tau))}
-        traj_hat = run(system, scenario.initial_state(system),
-                       scenario.solver, pert)
-        times = np.asarray(ref.times)
-        bump_integral = np.trapezoid([bump(t) for t in times], times)
-        return amplitude * bump_integral, system, ref, traj_hat, {
-            "schedule_hat": pert, "eps_hat": system.epsilon}
+
+        def pair(traj_hat, ref):
+            times = np.asarray(ref.times)
+            bump_integral = np.trapezoid([bump(t) for t in times], times)
+            return amplitude * bump_integral, system, ref, traj_hat, {
+                "schedule_hat": pert, "eps_hat": system.epsilon}
+        return (system, scenario.initial_state(system), scenario.solver,
+                pert), pair
 
     return _sweep("boundary perturbation study", "amplitude", amplitudes,
                   member, scenario, system, _reference_config(scenario.solver),

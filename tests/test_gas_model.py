@@ -274,3 +274,16 @@ def test_make_law_factory():
         make_law("isothermal", kappa=3.0)
     with pytest.raises(ValueError, match="needs 'table"):
         make_law("tabulated")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["rho_min", "rho_max", "w_max", "eps_max",
+                                  "area_min", "area_max", "friction_min",
+                                  "friction_max", "gz_max"])
+def test_bounds_must_be_finite(name, value):
+    # nan fails every comparison and an infinite bound admits every
+    # state; either used to pass for some field
+    fields = dict(rho_min=0.5, rho_max=1.5, w_max=1.0, eps_max=0.5)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"finite, got {name} = "):
+        AdmissibleBounds(**fields)

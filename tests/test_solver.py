@@ -688,6 +688,58 @@ def test_parabolic_well_balanced_on_slope():
     assert np.max(np.abs(traj.states[-1].w)) < 1e-11
 
 
+def _sloped_pipe(length, z0, z1, area=1.0, friction=1.0):
+    from pipeflow.gas import PipeParameters
+    return PipeParameters(length=length, area=area, friction=friction,
+                          elevation=((0.0, z0), (length, z1)))
+
+
+def _sloped_tree():
+    # v3 is a junction where both its pipes start
+    return {"a": ("v1", "v0", _sloped_pipe(1.0, 0.1, 0.5)),
+            "b": ("v0", "v2", _sloped_pipe(1.0, 0.5, 0.3)),
+            "c": ("v3", "v0", _sloped_pipe(1.0, 0.3, 0.5)),
+            "d": ("v3", "v4", _sloped_pipe(1.0, 0.3, 0.2))}, 2.0
+
+
+def _sloped_cycle():
+    # a two-pipe cycle with two branches, every pipe different
+    return {"a": ("v0", "v1", _sloped_pipe(1.0, 0.0, 0.4)),
+            "b": ("v1", "v0", _sloped_pipe(1.5, 0.4, 0.0, 0.8, 1.4)),
+            "c": ("v1", "v2", _sloped_pipe(0.7, 0.4, 0.1, 1.2, 0.9)),
+            "d": ("v3", "v1", _sloped_pipe(1.2, 0.2, 0.4, 0.9, 1.1))}, 1.0
+
+
+@pytest.mark.parametrize("network", [_sloped_tree, _sloped_cycle])
+def test_parabolic_rest_on_sloped_networks(network):
+    # a flow out of both pipes of the tree's v3, or around the cycle,
+    # changes no density: without the Jacobian's |w| floor the rest
+    # state's roundoff met a singular factorization at step 0
+    from pipeflow.network import Edge, NetworkTopology
+
+    edges, h = network()
+    topo = NetworkTopology([Edge(name, *e) for name, e in edges.items()])
+    system = build_system(topo, cells_per_edge=5, law=LAW)
+    rest = system.rest_state(h)
+    config = SolverConfig(dt=0.01, t_final=0.1, parabolic=True)
+    traj = run(system, rest, config,
+               dict.fromkeys(system.boundary_vertices, h))
+    assert len(traj.states) == 11
+    for s in traj.states:
+        assert np.max(np.abs(s.rho - rest.rho)) < 1e-13
+        # gamma w^2 = -s with a roundoff slope s: |w| ~ sqrt(1e-15)
+        assert np.max(np.abs(s.w)) < 1e-7
+
+
+def test_jacobian_floor_skips_frictionless_faces():
+    topo = single_pipe(friction=((0.0, 0.0), (1.0, 2.0)))
+    system = build_system(topo, cells_per_edge=4, law=LAW)
+    st = ParabolicStepper(system, newton_tol=1e-10)
+    gamma = system.gamma_faces
+    assert gamma[0] == 0.0 and st._w_floor[0] == 0.0
+    assert np.array_equal(st._w_floor[1:], np.sqrt(1e-10 / gamma[1:]))
+
+
 def test_reports_use_boundary_data_at_their_own_time():
     # the midpoint stage sees the inlet ramp at tau_n + dt/2; each report
     # describes the state at its own tau
@@ -932,3 +984,91 @@ def test_run_memory_stays_near_the_trajectory():
     arrays = traj.rho_array().nbytes + traj.w_array().nbytes
     assert len(traj.states) == 301 and arrays < held < arrays + 2**18
     assert peak - held <= 2**20, (peak - held) / 2**20
+
+
+def _members(scen, epsilons, frictions, n_steps):
+    """Run arguments of members differing in eps and friction offset."""
+    config = replace(scen.solver, t_final=n_steps * scen.solver.dt)
+    members = []
+    for eps, offset in zip(epsilons, frictions):
+        system = replace(scen.with_friction_offset(offset),
+                         epsilon=eps).build_system()
+        members.append((system, scen.initial_state(system), config,
+                        scen.boundary))
+    return members
+
+
+@pytest.mark.parametrize("parabolic", [False, True])
+def test_batch_of_one_equals_run_bit_for_bit(parabolic):
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    scen = replace(scen, solver=replace(scen.solver, parabolic=parabolic))
+    member, = _members(scen, [0.1], [0.0], 60)
+    alone = run(*member)
+    batched = run(*member, batch=solver_mod.Batch([member]))
+    for name in ("times", "iterations", "factorizations", "stage_dissipation",
+                 "stage_flux"):
+        assert getattr(batched, name) == getattr(alone, name), name
+    assert list(map(repr, batched.reports)) == list(map(repr, alone.reports))
+    for a, b in zip(alone.states, batched.states):
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.w.tobytes() == b.w.tobytes()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(alone.junction_h, batched.junction_h))
+
+
+@pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
+def test_tiled_jacobian_equals_block_diag(stepper):
+    topology = y_network(friction=1.5, gravity=2.0,
+                         elevation=((0.0, 0.0), (1.0, 0.3)))
+    law = PowerLaw(1.0, 3.0)  # the members share the law object
+    systems = [build_system(topology.with_friction_offset(offset),
+                            cells_per_edge=5, law=law, epsilon=eps)
+               for eps, offset in ((0.3, 0.0), (0.1, 0.4), (0.05, -0.5))]
+
+    def make(system):
+        if stepper == "parabolic":
+            return ParabolicStepper(system)
+        return HyperbolicStepper(system, scheme=stepper)
+
+    rng = np.random.default_rng(len(stepper))
+    n_c, n_f, n_j = (systems[0].n_cells, systems[0].n_faces,
+                     systems[0].n_junctions)
+    rho = rng.uniform(0.8, 1.3, (3, n_c))
+    w = rng.uniform(-0.5, 0.5, (3, n_f))
+    w[:, ::4] = 0.0  # where the parabolic floor applies
+    x = np.concatenate((rho * rng.uniform(0.99, 1.01, (3, n_c)),
+                        w + rng.uniform(-0.01, 0.01, (3, n_f)),
+                        rng.uniform(0.5, 1.5, (3, n_j))), axis=1)
+    values = [{v: rng.uniform(0.8, 1.2) for v in systems[0].boundary_vertices}
+              for _ in systems]
+    batch = make(systems)
+    state = NetworkState(0.0, rho, w)
+    loads = (None, systems[0].boundary_load(
+        {v: [x[v] for x in values] for v in systems[0].boundary_vertices}))
+    jac = batch._jacobian(0.01, batch._residual(0.01, state, loads, x)[1])
+    blocks = []
+    for i, system in enumerate(systems):
+        single = make(system)
+        _, cache = single._residual(0.01, NetworkState(0.0, rho[i], w[i]),
+                                    (None, system.boundary_load(values[i])),
+                                    x[i])
+        data, indices, indptr, shape = single._jacobian(0.01, cache)
+        blocks.append(sp.csc_matrix((data, indices, indptr), shape=shape))
+    ref = sp.block_diag(blocks, format="csc")
+    assert jac.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(jac, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_batch_members_must_share_grid_and_config():
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    a, b = _members(scen, [0.2, 0.1], [0.0, 0.0], 4)
+    coarse = replace(scen, cells_per_edge=4).build_system()
+    with pytest.raises(ValueError, match="share topology"):
+        HyperbolicStepper([a[0], coarse])
+    other = (b[0], b[1], replace(b[2], dt=b[2].dt / 2), b[3])
+    batch = solver_mod.Batch([a, other])
+    with pytest.raises(ValueError, match="one SolverConfig"):
+        run(*a, batch=batch)
+    with pytest.raises(ValueError, match="not a member"):
+        run(*b, batch=batch)

@@ -1,11 +1,13 @@
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pipeflow import studies
+from pipeflow import solver, studies
+from pipeflow.energy import hamiltonian
 from pipeflow.network import Edge, NetworkTopology
 from pipeflow.scenario import load_scenario
 from pipeflow.studies import (
@@ -174,3 +176,64 @@ def test_trajectories_are_stacked_once():
     sub.append(traj.states[-1], traj.reports[-1])
     assert sub.rho_array().shape == (12, system.n_cells)
     assert np.array_equal(sub.rho_array()[-1], rho[-1])
+
+
+def _recording(monkeypatch):
+    """Wrap studies.run as the benchmark does; returns the list that
+    collects each call's arguments and trajectory."""
+    runs, real = [], studies.run
+
+    def recorded(system, state0, config, boundary, **kwargs):
+        traj = real(system, state0, config, boundary, **kwargs)
+        runs.append(((system, state0, config, boundary), traj))
+        return traj
+    monkeypatch.setattr(studies, "run", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("study, name, values", [
+    (epsilon_limit_study, "y_limit.scn", [0.2, 0.1, 0.05, 0.025]),
+    (gamma_perturbation_study, "pipe_perturbation.scn", [0.4, 0.2, 0.1, 0.05]),
+    (boundary_perturbation_study, "y_transient.scn", [0.2, 0.1, 0.05]),
+])
+def test_batched_members_match_serial_runs(monkeypatch, study, name, values):
+    # the members iterate to a joint residual norm, which moves them at
+    # tolerance level only
+    scenario = replace(load_scenario(os.path.join(SCEN, name)),
+                       cells_per_edge=8)
+    runs = _recording(monkeypatch)
+    study(scenario, values, certify=False)
+    assert len(runs) == 1 + len(values)
+    for args, traj in runs[1:]:
+        serial = solver.run(*args)
+        assert np.max(np.abs(traj.rho_array() - serial.rho_array())) < 1e-9
+        assert np.max(np.abs(traj.w_array() - serial.w_array())) < 1e-9
+        floor = 1e-7 * max(1.0, abs(traj.reports[0].energy))
+        assert max(abs(r.balance_residual) for r in traj.reports[1:]) < floor
+
+
+def test_epsilon_study_keeps_the_benchmark_contract(monkeypatch):
+    # the benchmark counts steps and gates each run by wrapping
+    # studies.run: one call per run, each returning that run's whole
+    # trajectory, which neither the study nor the batch keeps
+    scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    scenario = replace(scenario, solver=replace(
+        scenario.solver, t_final=40 * scenario.solver.dt))
+    eps_list = [0.2, 0.1, 0.05, 0.025]
+    refs, real = [], studies.run
+
+    def checked(system, state0, config, boundary, **kwargs):
+        traj = real(system, state0, config, boundary, **kwargs)
+        assert len(traj.states) == round(config.t_final / config.dt) + 1
+        assert np.array_equal(traj.states[0].rho, state0.rho)
+        assert traj.reports[0].energy == pytest.approx(
+            hamiltonian(system, traj.states[0]), rel=1e-13)
+        # the study measures each run and drops it before the next
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(traj))
+        return traj
+    monkeypatch.setattr(studies, "run", checked)
+    result = epsilon_limit_study(scenario, eps_list, certify=True, threads=1)
+    assert result.all_certified
+    assert len(refs) == 1 + len(eps_list)
+    assert all(ref() is None for ref in refs)
