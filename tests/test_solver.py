@@ -986,13 +986,12 @@ def test_run_memory_stays_near_the_trajectory():
     assert peak - held <= 2**20, (peak - held) / 2**20
 
 
-def _members(scen, epsilons, frictions, n_steps):
-    """Run arguments of members differing in eps and friction offset."""
+def _members(scen, epsilons, n_steps):
+    """Run arguments of members differing in eps."""
     config = replace(scen.solver, t_final=n_steps * scen.solver.dt)
     members = []
-    for eps, offset in zip(epsilons, frictions):
-        system = replace(scen.with_friction_offset(offset),
-                         epsilon=eps).build_system()
+    for eps in epsilons:
+        system = replace(scen, epsilon=eps).build_system()
         members.append((system, scen.initial_state(system), config,
                         scen.boundary))
     return members
@@ -1002,7 +1001,7 @@ def _members(scen, epsilons, frictions, n_steps):
 def test_batch_of_one_equals_run_bit_for_bit(parabolic):
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     scen = replace(scen, solver=replace(scen.solver, parabolic=parabolic))
-    member, = _members(scen, [0.1], [0.0], 60)
+    member, = _members(scen, [0.1], 60)
     alone = run(*member)
     batched = run(*member, batch=solver_mod.Batch([member]))
     for name in ("times", "iterations", "factorizations", "stage_dissipation",
@@ -1062,7 +1061,7 @@ def test_tiled_jacobian_equals_block_diag(stepper):
 
 def test_batch_members_must_share_grid_and_config():
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
-    a, b = _members(scen, [0.2, 0.1], [0.0, 0.0], 4)
+    a, b = _members(scen, [0.2, 0.1], 4)
     coarse = replace(scen, cells_per_edge=4).build_system()
     with pytest.raises(ValueError, match="share topology"):
         HyperbolicStepper([a[0], coarse])
