@@ -42,7 +42,9 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
 import sys
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -907,16 +909,40 @@ class Batch:
     """Runs that share topology, grid, gas law and SolverConfig, stepped
     as one block-diagonal system.  A member is the arguments (system,
     state0, config, boundary) of its run, and ``run(*member,
-    batch=batch)`` returns its trajectory: the first call steps them all,
-    and each trajectory is dropped once handed out.  Members iterate to a
-    joint residual norm, so they differ from their own runs at tolerance
-    level.  After a failed joint step each member runs on its own, so a
-    StepFailure names the failing one and carries its partial trajectory.
+    batch=batch)`` returns its trajectory, each handed out once.  Members
+    iterate to a joint residual norm, so they differ from their own runs
+    at tolerance level.
+
+    The members step in a child process forked when the batch is made,
+    so the caller can do other work meanwhile; the first ``take`` waits
+    for them.  The child inherits the members' systems and boundary
+    schedules, which need not pickle, and sends back each trajectory as a
+    few arrays, received one member at a time as they are taken.  Without
+    ``os.fork``, or if it fails, the members step in process at the first
+    ``take``.  After a failed joint step each member runs on its own in
+    the caller, so a StepFailure names the failing one and carries its
+    partial trajectory; any other error of the joint run is raised in the
+    caller.  Leaving a ``with`` block, or ``close()``, stops and reaps a
+    child still running.
     """
 
     def __init__(self, members):
         self.members = [tuple(m) for m in members]
         self._trajectories = None
+        self._child = None
+        if hasattr(os, "fork"):
+            self._fork()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        """Kill and reap the child if it still runs."""
+        if self._child is not None:
+            self._reap()
 
     def take(self, *member):
         for i, known in enumerate(self.members):
@@ -924,13 +950,92 @@ class Batch:
                 break
         else:
             raise ValueError("not a member of this batch")
-        if self._trajectories is None:
+        if self._child is not None:
+            self._receive(i)
+        elif self._trajectories is None:
             try:
                 self._trajectories = self._run()
             except StepFailure:
                 self._trajectories = [None] * len(self.members)
         traj, self._trajectories[i] = self._trajectories[i], None
         return run(*member) if traj is None else traj
+
+    def _fork(self):
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes, say: step in process instead
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:  # the child: nothing may return into the caller's stack
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    self._send(pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pipe = open(read, "rb")
+        # also reaps the child of a batch dropped unfinished, or at exit
+        self._child = weakref.finalize(self, _stop, pid, self._pipe)
+
+    def _reap(self, kill=True):
+        """Reap the child, killing it first unless it has sent all it
+        will; returns its exit code."""
+        _, stop, args, _ = self._child.detach()
+        self._child = None
+        return stop(*args, kill=kill)
+
+    def _send(self, pipe):
+        """Step the members; send the outcome, then each trajectory."""
+        try:
+            trajectories = self._run()
+        except StepFailure:
+            trajectories = None
+        except Exception as exc:
+            try:
+                message = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                message = pickle.dumps(RuntimeError(
+                    f"batch child: {type(exc).__name__}: {exc}"))
+            pipe.write(message)
+            return
+        pickle.dump(trajectories is not None, pipe, pickle.HIGHEST_PROTOCOL)
+        for traj in trajectories or ():
+            pickle.dump(_pack(traj), pipe, pickle.HIGHEST_PROTOCOL)
+
+    def _receive(self, i):
+        """Read from the child until member i's trajectory is in; reap
+        the child once it has sent everything."""
+        if self._trajectories is None:
+            outcome = self._load()
+            if isinstance(outcome, Exception):
+                self._reap(kill=False)
+                raise outcome
+            if not outcome:  # a joint step failed
+                self._trajectories = [None] * len(self.members)
+                self._reap(kill=False)
+                return
+            self._trajectories = []
+        while len(self._trajectories) <= i:
+            self._trajectories.append(_unpack(*self._load()))
+        if len(self._trajectories) == len(self.members):
+            self._reap(kill=False)
+
+    def _load(self):
+        try:
+            return pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            status = self._reap(kill=False)
+            if status == 0:
+                raise
+            how = (f"was killed by signal {-status}" if status < 0
+                   else f"exited with status {status}")
+            raise RuntimeError(f"the batch's child process {how} before "
+                               "sending its runs") from exc
 
     def _run(self):
         systems, _, configs, boundaries = zip(*self.members)
@@ -960,6 +1065,39 @@ class Batch:
                                   stage_dissipation=dissipation,
                                   stage_flux=flux))
         return [recorder.flush() for recorder in recorders]
+
+
+def _stop(pid, pipe, kill=True):
+    """Close a batch's pipe and reap its child, killed first if kill;
+    returns the child's exit code."""
+    pipe.close()
+    if kill:
+        import signal  # 1 ms that a run without a batch need not pay
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _pack(traj):
+    """A trajectory as its lists and a few arrays, which pickle compactly."""
+    reports = np.array([(r.energy, r.dissipation, r.boundary_flux,
+                         r.balance_residual) for r in traj.reports])
+    return (traj.times, traj.rho_array(), traj.w_array(), reports,
+            traj.stage_dissipation, traj.stage_flux, traj.iterations,
+            traj.factorizations, np.array(traj.junction_h), traj.warnings)
+
+
+def _unpack(times, rho, w, reports, stage_dissipation, stage_flux, iterations,
+            factorizations, junction_h, warnings):
+    """The trajectory _pack took apart; its states are views of the
+    stacks' rows, as in studies._subsample."""
+    return Trajectory(
+        times=times, states=[NetworkState(*s) for s in zip(times, rho, w)],
+        reports=[EnergyReport(tau, *r)
+                 for tau, r in zip(times, reports.tolist())],
+        stage_dissipation=stage_dissipation, stage_flux=stage_flux,
+        iterations=iterations, factorizations=factorizations,
+        junction_h=list(junction_h), warnings=warnings, stacks=(rho, w))
 
 
 # values per row of a report block, whose (K, n) temporaries thus stay

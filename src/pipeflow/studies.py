@@ -168,15 +168,10 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     ref)`, which gives (x, system, u, u_hat, monitor_kwargs): the abscissa
     of p and the trajectory pair it contributes, compared on that system
     with the Lipschitz constants taken along u_hat.  The members run as
-    one Batch, and each is measured and dropped before the next.
+    one Batch, made first so that they step in its child process while
+    the reference runs here; each is measured and dropped before the
+    next.
     """
-    # only the subsample is kept, not the full-resolution run
-    ref = _subsample(_named("reference", run, system,
-                            scenario.initial_state(system), ref_config,
-                            scenario.boundary), 4)
-    members = [member(p) for p in parameters]
-    batch = Batch(args for args, _ in members)
-
     def measure(args, pair):
         x, pair_system, u, u_hat, monitor_kwargs = pair(
             run(*args, batch=batch), ref)
@@ -194,8 +189,14 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                                     scenario.boundary, **monitor_kwargs)
         return x, sup_sq + l3, sup_sq, l3, cert
 
-    results = [_named(f"{parameter_name}={p:g}", measure, *m)
-               for p, m in zip(parameters, members)]
+    members = [member(p) for p in parameters]
+    with Batch(args for args, _ in members) as batch:
+        # only the subsample is kept, not the full-resolution run
+        ref = _subsample(_named("reference", run, system,
+                                scenario.initial_state(system), ref_config,
+                                scenario.boundary), 4)
+        results = [_named(f"{parameter_name}={p:g}", measure, *m)
+                   for p, m in zip(parameters, members)]
     x = [r[0] for r in results]
     errors = [r[1] for r in results]
     slope, mask = fit_loglog_slope(x, errors)
@@ -218,7 +219,8 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     slope is log(error) vs log(eps^2).
     """
     if threads != 1:  # the keyword stays because benchmarks/job.py passes 1
-        raise ValueError("members run serially; threads must be 1")
+        raise ValueError("members step as one batch in one forked process; "
+                         "threads must be 1")
     eps_list = _sweep_values(eps_list, "epsilon values")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("epsilon values must be positive; the limit model "

@@ -9,6 +9,7 @@ forms against them.  The instantaneous hyperbolic dynamics
 states and a few small utilities for the tests live here as well.
 """
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,6 +145,15 @@ def costate_defect_closed(system, u, uhat):
 
 # ---------------------------------------------------------------------------
 # studies and topology files
+
+def assert_no_child_processes():
+    """No child process of this one is left, running or unreaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"child process {pid or 'still running'} was left")
+
 
 def monotone_violations(values, rel_tol=1e-9):
     """Number of increases in a supposedly decreasing error sequence."""

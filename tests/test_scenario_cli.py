@@ -24,6 +24,8 @@ from pipeflow.scenario import (
 from pipeflow.solver import (HyperbolicStepper, ParabolicStepper, StepFailure,
                              Trajectory, run)
 
+from helpers import assert_no_child_processes
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
 # the only scipy module a run loads: SuperLU's extension, without scipy
@@ -1159,6 +1161,8 @@ def test_study_step_failure_names_the_member(tmp_path, capsys):
     assert line.startswith("error: step failure in the gamma_offset=0.4 run, "
                            "step 0 from tau=0 with dt=0.001, residual ")
     assert "Newton did not converge in 1 iterations" in line
+    # the joint step failed in the batch's child; the member reran here
+    assert_no_child_processes()
 
 
 def _failing_run(real_run, fails):
@@ -1182,6 +1186,8 @@ def test_study_step_failure_names_the_reference(monkeypatch, capsys):
         f"error: step failure in the reference run, step 2 from "
         f"tau={2 * dt:.6g} with dt={dt:.6g}, residual 0.5: Newton did not "
         "converge")
+    # the members were stepping in the batch's child when it failed
+    assert_no_child_processes()
 
 
 def test_mms_step_failure_is_reported(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from pipeflow.solver import (
     velocity_recovery,
 )
 
-from helpers import constant_state, total_mass
+from helpers import assert_no_child_processes, constant_state, total_mass
 
 LAW = IsothermalLaw(1.0)
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -1071,3 +1072,86 @@ def test_batch_members_must_share_grid_and_config():
         run(*a, batch=batch)
     with pytest.raises(ValueError, match="not a member"):
         run(*b, batch=batch)
+    # the config check failed in the batch's child and was raised here
+    assert_no_child_processes()
+
+
+def _assert_same_runs(received, expected):
+    for got, want in zip(received, expected, strict=True):
+        for name in ("times", "iterations", "factorizations",
+                     "stage_dissipation", "stage_flux", "warnings"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert list(map(repr, got.reports)) == list(map(repr, want.reports))
+        assert len(got.states) == len(want.states)
+        for a, b in zip(got.states, want.states):
+            assert a.tau == b.tau
+            assert a.rho.tobytes() == b.rho.tobytes()
+            assert a.w.tobytes() == b.w.tobytes()
+        assert len(got.junction_h) == len(want.junction_h)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got.junction_h, want.junction_h))
+
+
+@pytest.mark.parametrize("parabolic", [False, True])
+def test_batch_child_sends_the_runs_bit_for_bit(parabolic):
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    scen = replace(scen, solver=replace(scen.solver, parabolic=parabolic))
+    members = _members(scen, [0.2, 0.1, 0.05], 30)
+    with solver_mod.Batch(members) as batch:
+        assert batch._child is not None
+        expected = batch._run()  # in this process, while the child steps
+        received = [run(*m, batch=batch) for m in members]
+    _assert_same_runs(received, expected)
+    for traj in received:
+        # the states are rows of the received stacks, so the certificates
+        # stack nothing a second time
+        rho, w = traj.rho_array(), traj.w_array()
+        assert rho is traj.rho_array() and w is traj.w_array()
+        for k, state in enumerate(traj.states):
+            assert np.shares_memory(state.rho, rho[k])
+            assert np.shares_memory(state.w, w[k])
+    assert_no_child_processes()
+
+
+def _no_processes():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_batch_without_fork_steps_in_process(monkeypatch, fork):
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    members = _members(scen, [0.2, 0.1], 20)
+    batch = solver_mod.Batch(members)
+    forked = [run(*m, batch=batch) for m in members]
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_processes)
+    batch = solver_mod.Batch(members)
+    assert batch._child is None
+    _assert_same_runs([run(*m, batch=batch) for m in members], forked)
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("death, message", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+])
+def test_batch_child_that_dies_is_an_error(monkeypatch, death, message):
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    members = _members(scen, [0.2, 0.1], 4)
+    # runs only in the forked child, which thus ends without sending
+    monkeypatch.setattr(solver_mod.Batch, "_run", lambda self: death())
+    with solver_mod.Batch(members) as batch:
+        with pytest.raises(RuntimeError,
+                           match=f"{message} before sending its runs"):
+            run(*members[1], batch=batch)
+    assert_no_child_processes()
+
+
+def test_batch_closed_early_kills_its_child():
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    batch = solver_mod.Batch(_members(scen, [0.2, 0.1], 2000))
+    assert batch._reap() == -signal.SIGKILL
+    batch.close()  # nothing left to stop
+    assert_no_child_processes()

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -17,7 +19,7 @@ from pipeflow.studies import (
     gamma_perturbation_study,
 )
 
-from helpers import monotone_violations
+from helpers import assert_no_child_processes, monotone_violations
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -237,3 +239,30 @@ def test_epsilon_study_keeps_the_benchmark_contract(monkeypatch):
     assert result.all_certified
     assert len(refs) == 1 + len(eps_list)
     assert all(ref() is None for ref in refs)
+    assert_no_child_processes()
+
+
+def test_study_forks_with_live_blas_threads():
+    # a fresh interpreter with the BLAS thread pool at its default size,
+    # busy once before the batch forks its child
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                        "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])
+    script = (
+        "from dataclasses import replace\n"
+        "import numpy as np\n"
+        "from pipeflow.scenario import load_scenario\n"
+        "from pipeflow.studies import epsilon_limit_study\n"
+        "a = np.ones((256, 256))\n"
+        "assert (a @ a)[0, 0] == 256.0\n"
+        f"scenario = load_scenario({os.path.join(SCEN, 'y_limit.scn')!r})\n"
+        "scenario = replace(scenario, solver=replace(\n"
+        "    scenario.solver, t_final=40 * scenario.solver.dt))\n"
+        "result = epsilon_limit_study(scenario, [0.2, 0.1, 0.05])\n"
+        "assert result.all_certified\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=120)
+    assert done.returncode == 0
