@@ -12,9 +12,7 @@ it came from, and a repeated section or key is an error.
 from __future__ import annotations
 
 import ast
-import marshal
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +22,7 @@ from . import network as net
 from .discretization import NetworkState, build_system
 from .gas import (LAW_KEYS, AdmissibleBounds, PipeParameters, law_kind,
                   make_law)
-from .solver import SolverConfig, limit_flow
+from .solver import SolverConfig, _Child, limit_flow
 
 
 class ConfigError(ValueError):
@@ -651,44 +649,22 @@ def write_manifest(path, scenario, extra=None):
         fh.write(scenario.manifest(extra=extra))
 
 
-def _row_pieces(system, x, block):
-    """The constant parts of a snapshot table's rows: a leading empty
-    piece, then ',edge,node,x,%.12g,%.12g\n' per row, edges in topology
-    order.  Joined on a snapshot's tau text and %-formatted with its two
-    value columns interleaved, they are the snapshot's rows.  A '%' in an
+def _write_table(fh, header, system, x, block, states, columns):
+    """Write a snapshot table: the header, then each state's rows.  The
+    constant parts of the rows are a leading empty piece, then
+    ',edge,node,x,%.12g,%.12g\n' per row, edges in topology order; joined
+    on a state's tau text and %-formatted with its two value columns,
+    columns(state), interleaved, they are the state's rows.  A '%' in an
     edge name is doubled, so the name comes out as written."""
     pieces = [""]
     for e in system.topology.edges:
         name = e.name.replace("%", "%%")
         pieces += [f",{name},{i},{xi:.12g},%.12g,%.12g\n"
                    for i, xi in enumerate(x[block(e.name)].tolist())]
-    return pieces
-
-
-# The face table's writer, run by a bare interpreter beside the process
-# that writes the cell table.  Its stdin carries a length-prefixed marshal
-# header (path, encoding, header line, row pieces, doubles per snapshot),
-# then per snapshot tau and the (w, m) pairs as native doubles; the rows
-# are formatted as the cell rows are.  A short block fails the format.
-_FACE_TABLE_WRITER = """\
-import marshal, sys
-from array import array
-read = sys.stdin.buffer.read
-path, encoding, header, pieces, count = marshal.loads(
-    read(int.from_bytes(read(8), "little")))
-with open(path, "w", encoding=encoding) as fh:
     fh.write(header)
-    while block := read(8 * (1 + count)):
-        values = array("d", block)
-        fh.write(f"{values[0]:.12g}".join(pieces) % tuple(values[1:]))
-"""
-
-
-def _write_all(pipe, data):
-    """Write all of data to an unbuffered pipe, whose writes may be short."""
-    view = memoryview(data)
-    while view:
-        view = view[pipe.write(view):]
+    for state in states:
+        fh.write(f"{state.tau:.12g}".join(pieces)
+                 % tuple(np.column_stack(columns(state)).ravel().tolist()))
 
 
 def write_trajectory(directory, system, trajectory, fmt="csv"):
@@ -697,11 +673,12 @@ def write_trajectory(directory, system, trajectory, fmt="csv"):
     rows run through the edges in topology order, then the node index.
     ``fmt="npz"`` writes the arrays instead.
 
-    This process writes the cell table.  A second interpreter, started
-    for the call and ended before it returns, formats and writes the face
-    table from the doubles this process sends it, so the two tables are
-    formatted on two cores.  An OSError naming the face table reports
-    that writer's failure."""
+    This process writes the cell table while a child forked for the call
+    (solver._Child) writes the face table in the same encoding, so the
+    two tables are formatted on two cores; the child is reaped before
+    the call returns or raises.  Without os.fork this process writes the
+    face table after the cell table.  An OSError naming the face table
+    reports that table's failure."""
     if fmt not in ("csv", "npz"):
         raise ValueError(f"unknown trajectory format {fmt!r}: use csv or npz")
     os.makedirs(directory, exist_ok=True)
@@ -716,41 +693,33 @@ def write_trajectory(directory, system, trajectory, fmt="csv"):
             edges=np.array([e.name for e in system.topology.edges]),
         )
         return
-    import subprocess  # 5-10 ms of every start if imported at the top
-
     # edges own consecutive cell and face blocks in topology order, so the
     # rows of a snapshot follow the flat arrays; one snapshot's text at a
     # time is formatted in C and written
-    cell_rows = _row_pieces(system, system.x_cells, system.edge_cells)
-    face_rows = _row_pieces(system, system.x_faces, system.edge_faces)
-    cells_path = os.path.join(directory, "states_cells.csv")
     faces_path = os.path.join(directory, "states_faces.csv")
-    with open(cells_path, "w") as fc, subprocess.Popen(
-            [sys.executable, "-I", "-S", "-c", _FACE_TABLE_WRITER],
-            stdin=subprocess.PIPE, stderr=subprocess.PIPE,
-            bufsize=0) as faces:
-        header = marshal.dumps((faces_path, fc.encoding,
-                                "tau,edge,node,x,w,m\n", face_rows,
-                                2 * system.n_faces))
-        try:
-            _write_all(faces.stdin, len(header).to_bytes(8, "little") + header)
-            fc.write("tau,edge,node,x,rho,h\n")
-            for state in trajectory.states:
-                h, m = system.costate(state)
-                _write_all(faces.stdin, np.float64(state.tau).tobytes()
-                           + np.column_stack((state.w, m)).tobytes())
-                fc.write(f"{state.tau:.12g}".join(cell_rows)
-                         % tuple(np.column_stack((state.rho, h)).ravel()
-                                 .tolist()))
-            faces.stdin.close()
-        except BrokenPipeError:
-            pass  # the writer has ended: its stderr and status say why
-        reason = faces.stderr.read().decode(errors="replace").splitlines()
-        if faces.wait():
-            raise OSError(f"cannot write {faces_path}: "
-                          + (reason[-1] if reason else
-                             "its writer exited with status "
-                             f"{faces.returncode}"))
+
+    def write_faces():
+        with open(faces_path, "w", encoding=encoding) as fh:
+            _write_table(fh, "tau,edge,node,x,w,m\n", system, system.x_faces,
+                         system.edge_faces, trajectory.states,
+                         lambda s: (s.w, system.arho_faces(s.rho) * s.w))
+
+    child = None
+    try:
+        with open(os.path.join(directory, "states_cells.csv"), "w") as fh:
+            encoding = fh.encoding
+            child = _Child.start(lambda pipe: write_faces())
+            _write_table(fh, "tau,edge,node,x,rho,h\n", system, system.x_cells,
+                         system.edge_cells, trajectory.states,
+                         lambda s: (s.rho, system.costate(s)[0]))
+    except BaseException:
+        if child is not None:
+            child.reap()
+        raise
+    try:
+        write_faces() if child is None else child.load()
+    except OSError as exc:
+        raise OSError(f"cannot write {faces_path}: {exc}") from exc
 
 
 def write_energy_trace(path, trajectory):

@@ -913,25 +913,23 @@ class Batch:
     iterate to a joint residual norm, so they differ from their own runs
     at tolerance level.
 
-    The members step in a child process forked when the batch is made,
-    so the caller can do other work meanwhile; the first ``take`` waits
-    for them.  The child inherits the members' systems and boundary
-    schedules, which need not pickle, and sends back each trajectory as a
-    few arrays, received one member at a time as they are taken.  Without
-    ``os.fork``, or if it fails, the members step in process at the first
-    ``take``.  After a failed joint step each member runs on its own in
-    the caller, so a StepFailure names the failing one and carries its
-    partial trajectory; any other error of the joint run is raised in the
-    caller.  Leaving a ``with`` block, or ``close()``, stops and reaps a
-    child still running.
+    The members step in a child process (_Child) forked when the batch
+    is made, so the caller can do other work meanwhile; the first
+    ``take`` waits for them.  The child inherits the members' systems and
+    boundary schedules, which need not pickle, and sends back each
+    trajectory as a few arrays, received one member at a time as they are
+    taken.  Without ``os.fork``, or if it fails, the members step in
+    process at the first ``take``.  After a failed joint step each
+    member runs on its own in the caller, so a StepFailure names the
+    failing one and carries its partial trajectory; any other error of
+    the joint run is raised in the caller.  Leaving a ``with`` block, or
+    ``close()``, kills and reaps a child still running.
     """
 
     def __init__(self, members):
         self.members = [tuple(m) for m in members]
         self._trajectories = None
-        self._child = None
-        if hasattr(os, "fork"):
-            self._fork()
+        self._child = _Child.start(self._send)
 
     def __enter__(self):
         return self
@@ -942,7 +940,7 @@ class Batch:
     def close(self):
         """Kill and reap the child if it still runs."""
         if self._child is not None:
-            self._reap()
+            self._child.reap()
 
     def take(self, *member):
         for i, known in enumerate(self.members):
@@ -950,7 +948,7 @@ class Batch:
                 break
         else:
             raise ValueError("not a member of this batch")
-        if self._child is not None:
+        if self._child is not None and self._child.alive:
             self._receive(i)
         elif self._trajectories is None:
             try:
@@ -960,49 +958,12 @@ class Batch:
         traj, self._trajectories[i] = self._trajectories[i], None
         return run(*member) if traj is None else traj
 
-    def _fork(self):
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # out of processes, say: step in process instead
-            os.close(read)
-            os.close(write)
-            return
-        if pid == 0:  # the child: nothing may return into the caller's stack
-            status = 1
-            try:
-                os.close(read)
-                with open(write, "wb") as pipe:
-                    self._send(pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self._pipe = open(read, "rb")
-        # also reaps the child of a batch dropped unfinished, or at exit
-        self._child = weakref.finalize(self, _stop, pid, self._pipe)
-
-    def _reap(self, kill=True):
-        """Reap the child, killing it first unless it has sent all it
-        will; returns its exit code."""
-        _, stop, args, _ = self._child.detach()
-        self._child = None
-        return stop(*args, kill=kill)
-
     def _send(self, pipe):
         """Step the members; send the outcome, then each trajectory."""
         try:
             trajectories = self._run()
         except StepFailure:
             trajectories = None
-        except Exception as exc:
-            try:
-                message = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                message = pickle.dumps(RuntimeError(
-                    f"batch child: {type(exc).__name__}: {exc}"))
-            pipe.write(message)
-            return
         pickle.dump(trajectories is not None, pipe, pickle.HIGHEST_PROTOCOL)
         for traj in trajectories or ():
             pickle.dump(_pack(traj), pipe, pickle.HIGHEST_PROTOCOL)
@@ -1011,31 +972,22 @@ class Batch:
         """Read from the child until member i's trajectory is in; reap
         the child once it has sent everything."""
         if self._trajectories is None:
-            outcome = self._load()
-            if isinstance(outcome, Exception):
-                self._reap(kill=False)
-                raise outcome
-            if not outcome:  # a joint step failed
+            if not self._load():  # a joint step failed
                 self._trajectories = [None] * len(self.members)
-                self._reap(kill=False)
+                self._child.reap(kill=False)
                 return
             self._trajectories = []
         while len(self._trajectories) <= i:
             self._trajectories.append(_unpack(*self._load()))
         if len(self._trajectories) == len(self.members):
-            self._reap(kill=False)
+            self._child.reap(kill=False)
 
     def _load(self):
         try:
-            return pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError) as exc:
-            status = self._reap(kill=False)
-            if status == 0:
-                raise
-            how = (f"was killed by signal {-status}" if status < 0
-                   else f"exited with status {status}")
-            raise RuntimeError(f"the batch's child process {how} before "
-                               "sending its runs") from exc
+            return self._child.load()
+        except ChildProcessError as exc:
+            raise RuntimeError(f"the batch's {exc} before sending its "
+                               "runs") from exc
 
     def _run(self):
         systems, _, configs, boundaries = zip(*self.members)
@@ -1067,15 +1019,91 @@ class Batch:
         return [recorder.flush() for recorder in recorders]
 
 
-def _stop(pid, pipe, kill=True):
-    """Close a batch's pipe and reap its child, killed first if kill;
-    returns the child's exit code."""
-    pipe.close()
-    if kill:
-        import signal  # 1 ms that a run without a batch need not pay
+class _Child:
+    """A child process forked to run work(pipe), with pipe the write end
+    of a pipe, and the read end of that pipe.  This is the one place
+    where pipeflow starts a second process.
 
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    The child's whole body ends in os._exit, so nothing of it returns
+    into the caller's stack or flushes the caller's buffers; it exits 0
+    once work has returned or its exception has gone into the pipe, for
+    load to raise.  reap(), or the finalizer of a child dropped unreaped
+    or left at exit, kills and reaps a child still running.
+    """
+
+    def __init__(self, pid, pipe):
+        self._pipe = pipe
+        self._finalizer = weakref.finalize(self, _Child._stop, pid, pipe)
+
+    @staticmethod
+    def start(work):
+        """The child running work, or None without os.fork or if it
+        fails, for the caller to do the work in process."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except (AttributeError, OSError):  # no fork here, or out of processes
+            os.close(read)
+            os.close(write)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    try:
+                        work(pipe)
+                    except Exception as exc:
+                        try:
+                            message = pickle.dumps(exc)
+                        except Exception:  # then say what it was
+                            message = pickle.dumps(RuntimeError(
+                                f"{type(exc).__name__}: {exc}"))
+                        pipe.write(message)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        return _Child(pid, open(read, "rb"))
+
+    @property
+    def alive(self):  # not reaped yet
+        return self._finalizer.alive
+
+    def load(self):
+        """The next object the child sent, or None once it has ended
+        after sending all; an exception it sent is raised.  The child is
+        reaped when it has nothing more to send, and a ChildProcessError
+        says how it ended if it died first."""
+        try:
+            item = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            status = self.reap(kill=False)
+            if status == 0:
+                return None
+            raise ChildProcessError(
+                "child process " + (f"was killed by signal {-status}"
+                                    if status < 0 else
+                                    f"exited with status {status}")) from exc
+        if isinstance(item, Exception):
+            self.reap(kill=False)
+            raise item
+        return item
+
+    def reap(self, kill=True):
+        """Reap the child, killed first if kill; returns its exit code,
+        or None if it was reaped before."""
+        stop = self._finalizer.detach()
+        return stop and stop[1](*stop[2], kill=kill)
+
+    @staticmethod
+    def _stop(pid, pipe, kill=True):
+        pipe.close()
+        if kill:
+            import signal  # 1 ms that a run without a child need not pay
+
+            os.kill(pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _pack(traj):

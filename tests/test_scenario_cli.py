@@ -768,6 +768,7 @@ def _reference_write_csv(directory, system, trajectory, encoding=None):
 def _assert_tables_match_reference(tmp_path, system, trajectory,
                                    encoding=None):
     write_trajectory(tmp_path / "new", system, trajectory)
+    assert_no_child_processes()
     os.makedirs(tmp_path / "ref")
     _reference_write_csv(tmp_path / "ref", system, trajectory,
                          encoding=encoding)
@@ -841,37 +842,22 @@ def test_csv_tables_match_reference_with_few_snapshots(tmp_path, snapshots):
     assert faces.count(b"\n") == 1 + snapshots * system.n_faces
 
 
-@pytest.fixture
-def writers(monkeypatch):
-    """The face-table writers that write_trajectory starts."""
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-    # write_trajectory imports subprocess when it writes CSV
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return started
-
-
 @pytest.mark.parametrize("snapshots", [1, 400])
-def test_unwritable_face_table_raises_naming_it(tmp_path, snapshots, writers):
-    # one snapshot fits the pipe, so the writer's exit status reports the
-    # failure; 400 snapshots (137 KB, past a pipe's 64 KB) break the pipe
+def test_unwritable_face_table_raises_naming_it(tmp_path, snapshots):
+    # the face table fails at its open, before or while this process
+    # writes a cell table of 1 or of 400 snapshots (137 KB)
     system = _star_system(["a", "b", "c", "d"])
     traj = _random_trajectory(system, np.linspace(0, 1, snapshots))
     faces = tmp_path / "states_faces.csv"
-    faces.mkdir()
+    faces.mkdir(parents=True)
     with pytest.raises(OSError) as info:
         write_trajectory(tmp_path, system, traj)
     assert str(info.value).startswith(f"cannot write {faces}: ")
     assert "Is a directory" in str(info.value)
-    assert [w.returncode for w in writers] == [1]
+    assert_no_child_processes()
 
 
-def test_failing_snapshot_stops_the_face_writer(tmp_path, monkeypatch,
-                                                writers):
+def test_failing_snapshot_stops_the_face_writer(tmp_path, monkeypatch):
     system = _star_system(["a", "b", "c", "d"])
     traj = _random_trajectory(system, np.linspace(0, 1, 6))
     costate = system.costate
@@ -883,12 +869,13 @@ def test_failing_snapshot_stops_the_face_writer(tmp_path, monkeypatch,
             raise RuntimeError("snapshot 3 fails")
         return costate(state)
     monkeypatch.setattr(system, "costate", failing_costate)
-    with pytest.raises(RuntimeError, match="snapshot 3 fails"):
+    with pytest.raises(RuntimeError, match="snapshot 3 fails") as info:
         write_trajectory(tmp_path, system, traj)
-    # the writer saw its input end after three whole snapshots
-    assert [w.returncode for w in writers] == [0]
-    faces = (tmp_path / "states_faces.csv").read_bytes()
-    assert faces.count(b"\n") == 1 + 3 * system.n_faces
+    # the face table's child was killed and reaped before the error left
+    # write_trajectory: info's traceback keeps the call's frame, so no
+    # finalizer reaped it since
+    assert_no_child_processes()
+    assert info.traceback
 
 
 def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
@@ -901,6 +888,35 @@ def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
     traj.append(NetworkState(1e-5, rho[::-1].copy(), -w), None)
     faces = _assert_tables_match_reference(tmp_path, system, traj)
     assert b",-0,-0\n" in faces and b"e-300," in faces
+
+
+def _no_processes():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_csv_tables_match_reference_without_fork(tmp_path, monkeypatch,
+                                                 fork):
+    # this process writes the face table after the cell table, byte for
+    # byte as the forked child does, in every case above
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_processes)
+    test_csv_tables_match_reference_on_y_transient(tmp_path / "y")
+    test_csv_tables_match_reference_with_format_characters_in_names(
+        tmp_path / "format")
+    for snapshots in (0, 1):
+        test_csv_tables_match_reference_with_few_snapshots(
+            tmp_path / f"few{snapshots}", snapshots)
+    test_csv_tables_match_reference_on_exponent_and_sign_forms(
+        tmp_path / "forms")
+    test_unwritable_face_table_raises_naming_it(tmp_path / "unwritable", 1)
+    test_failing_snapshot_stops_the_face_writer(tmp_path / "failing",
+                                                monkeypatch)
+    for encoding in (None, "latin-1"):  # the last, as it patches open
+        test_csv_tables_match_reference_with_non_ascii_names(
+            tmp_path / f"names-{encoding}", encoding, monkeypatch)
 
 
 def test_unknown_trajectory_format_is_rejected(tmp_path):

@@ -1152,6 +1152,6 @@ def test_batch_child_that_dies_is_an_error(monkeypatch, death, message):
 def test_batch_closed_early_kills_its_child():
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     batch = solver_mod.Batch(_members(scen, [0.2, 0.1], 2000))
-    assert batch._reap() == -signal.SIGKILL
+    assert batch._child.reap() == -signal.SIGKILL
     batch.close()  # nothing left to stop
     assert_no_child_processes()

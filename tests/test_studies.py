@@ -242,27 +242,50 @@ def test_epsilon_study_keeps_the_benchmark_contract(monkeypatch):
     assert_no_child_processes()
 
 
-def test_study_forks_with_live_blas_threads():
-    # a fresh interpreter with the BLAS thread pool at its default size,
-    # busy once before the batch forks its child
+def _run_with_live_blas_threads(script):
+    """Run script in a fresh interpreter with the BLAS thread pool at its
+    default size, busy once before the script forks a child; its exit
+    status."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                         "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])
+    script = ("import numpy as np\n"
+              "a = np.ones((256, 256))\n"
+              "assert (a @ a)[0, 0] == 256.0\n" + script)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=120).returncode
+
+
+def test_study_forks_with_live_blas_threads():
     script = (
         "from dataclasses import replace\n"
-        "import numpy as np\n"
         "from pipeflow.scenario import load_scenario\n"
         "from pipeflow.studies import epsilon_limit_study\n"
-        "a = np.ones((256, 256))\n"
-        "assert (a @ a)[0, 0] == 256.0\n"
         f"scenario = load_scenario({os.path.join(SCEN, 'y_limit.scn')!r})\n"
         "scenario = replace(scenario, solver=replace(\n"
         "    scenario.solver, t_final=40 * scenario.solver.dt))\n"
         "result = epsilon_limit_study(scenario, [0.2, 0.1, 0.05])\n"
         "assert result.all_certified\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          timeout=120)
-    assert done.returncode == 0
+    assert _run_with_live_blas_threads(script) == 0
+
+
+def test_csv_writer_forks_with_live_blas_threads(tmp_path):
+    script = (
+        "from dataclasses import replace\n"
+        "from pipeflow.scenario import load_scenario, write_trajectory\n"
+        "from pipeflow.solver import run\n"
+        f"scenario = load_scenario({os.path.join(SCEN, 'y_transient.scn')!r})\n"
+        "system = scenario.build_system()\n"
+        "traj = run(system, scenario.initial_state(system), replace(\n"
+        "    scenario.solver, t_final=20 * scenario.solver.dt),\n"
+        "    scenario.boundary)\n"
+        "assert len(traj.states) == 21\n"
+        f"write_trajectory({str(tmp_path)!r}, system, traj)\n")
+    assert _run_with_live_blas_threads(script) == 0
+    system = load_scenario(os.path.join(SCEN, "y_transient.scn")).build_system()
+    for name, rows in (("cells", system.n_cells), ("faces", system.n_faces)):
+        table = (tmp_path / f"states_{name}.csv").read_bytes()
+        assert table.count(b"\n") == 1 + 21 * rows
