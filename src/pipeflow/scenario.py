@@ -22,7 +22,7 @@ from . import network as net
 from .discretization import NetworkState, build_system
 from .gas import (LAW_KEYS, AdmissibleBounds, PipeParameters, law_kind,
                   make_law)
-from .solver import SolverConfig, _Child, limit_flow
+from .solver import SolverConfig, _Child, _eval_boundary, limit_flow
 
 
 class ConfigError(ValueError):
@@ -403,9 +403,8 @@ class Scenario:
                 w[faces] = eval_profile_expression(self.initial.w, xf,
                                                    e.params.length)
         if recover:
-            values = {v: (s(0.0) if callable(s) else float(s))
-                      for v, s in self.boundary.items()}
-            w, _ = limit_flow(system, rho, values)
+            w, _ = limit_flow(system, rho, _eval_boundary(
+                self.boundary, system.boundary_vertices, 0.0))
         return NetworkState(0.0, rho, w)
 
     def _initial_from_file(self, system):
@@ -676,9 +675,9 @@ def write_trajectory(directory, system, trajectory, fmt="csv"):
     This process writes the cell table while a child forked for the call
     (solver._Child) writes the face table in the same encoding, so the
     two tables are formatted on two cores; the child is reaped before
-    the call returns or raises.  Without os.fork this process writes the
-    face table after the cell table.  An OSError naming the face table
-    reports that table's failure."""
+    the call returns or raises.  Without os.fork the face table is
+    written here after the cell table, by _Child's stand-in.  An OSError
+    naming the face table reports that table's failure."""
     if fmt not in ("csv", "npz"):
         raise ValueError(f"unknown trajectory format {fmt!r}: use csv or npz")
     os.makedirs(directory, exist_ok=True)
@@ -717,7 +716,7 @@ def write_trajectory(directory, system, trajectory, fmt="csv"):
             child.reap()
         raise
     try:
-        write_faces() if child is None else child.load()
+        child.load()
     except OSError as exc:
         raise OSError(f"cannot write {faces_path}: {exc}") from exc
 

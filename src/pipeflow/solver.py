@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import io
 import math
 import os
 import pickle
@@ -184,6 +185,14 @@ class Trajectory:
     junction_h: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     stacks: tuple = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_stacks(cls, times, rho, w, **fields):
+        """A trajectory over (K, n) stacks rho and w, kept as its
+        stacks; its states are views of their rows."""
+        return cls(times=times,
+                   states=[NetworkState(*s) for s in zip(times, rho, w)],
+                   stacks=(rho, w), **fields)
 
     def append(self, state, report):
         self.times.append(state.tau)
@@ -913,22 +922,23 @@ class Batch:
     iterate to a joint residual norm, so they differ from their own runs
     at tolerance level.
 
-    The members step in a child process (_Child) forked when the batch
+    The members step in a child process (_Child) started when the batch
     is made, so the caller can do other work meanwhile; the first
     ``take`` waits for them.  The child inherits the members' systems and
     boundary schedules, which need not pickle, and sends back each
-    trajectory as a few arrays, received one member at a time as they are
-    taken.  Without ``os.fork``, or if it fails, the members step in
-    process at the first ``take``.  After a failed joint step each
-    member runs on its own in the caller, so a StepFailure names the
-    failing one and carries its partial trajectory; any other error of
-    the joint run is raised in the caller.  Leaving a ``with`` block, or
-    ``close()``, kills and reaps a child still running.
+    trajectory as a few arrays, received in member order as they are
+    taken.  After a failed joint step the child sends each member's own
+    run, up to the first StepFailure, which the take that reaches it
+    raises with the failing member's step and partial trajectory; any
+    other error of the joint run is raised by the first take.  Without
+    ``os.fork`` all of this runs in process at the first take.  Leaving
+    a ``with`` block, or ``close()``, kills and reaps a child still
+    running.
     """
 
     def __init__(self, members):
         self.members = [tuple(m) for m in members]
-        self._trajectories = None
+        self._trajectories = []  # received so far, None once taken
         self._child = _Child.start(self._send)
 
     def __enter__(self):
@@ -939,8 +949,7 @@ class Batch:
 
     def close(self):
         """Kill and reap the child if it still runs."""
-        if self._child is not None:
-            self._child.reap()
+        self._child.reap()
 
     def take(self, *member):
         for i, known in enumerate(self.members):
@@ -948,46 +957,29 @@ class Batch:
                 break
         else:
             raise ValueError("not a member of this batch")
-        if self._child is not None and self._child.alive:
-            self._receive(i)
-        elif self._trajectories is None:
+        while len(self._trajectories) <= i:
             try:
-                self._trajectories = self._run()
-            except StepFailure:
-                self._trajectories = [None] * len(self.members)
+                packed = self._child.load()
+            except ChildProcessError as exc:
+                raise RuntimeError(f"the batch's {exc} before sending its "
+                                   "runs") from exc
+            self._trajectories.append(_unpack(*packed))
+        if len(self._trajectories) == len(self.members):
+            self._child.reap(kill=False)
         traj, self._trajectories[i] = self._trajectories[i], None
-        return run(*member) if traj is None else traj
+        if traj is None:
+            raise ValueError("this member's trajectory was taken before")
+        return traj
 
     def _send(self, pipe):
-        """Step the members; send the outcome, then each trajectory."""
+        """Step the members and send each trajectory; after a failed
+        joint step, each member's own run."""
         try:
             trajectories = self._run()
         except StepFailure:
-            trajectories = None
-        pickle.dump(trajectories is not None, pipe, pickle.HIGHEST_PROTOCOL)
-        for traj in trajectories or ():
+            trajectories = (run(*m) for m in self.members)
+        for traj in trajectories:
             pickle.dump(_pack(traj), pipe, pickle.HIGHEST_PROTOCOL)
-
-    def _receive(self, i):
-        """Read from the child until member i's trajectory is in; reap
-        the child once it has sent everything."""
-        if self._trajectories is None:
-            if not self._load():  # a joint step failed
-                self._trajectories = [None] * len(self.members)
-                self._child.reap(kill=False)
-                return
-            self._trajectories = []
-        while len(self._trajectories) <= i:
-            self._trajectories.append(_unpack(*self._load()))
-        if len(self._trajectories) == len(self.members):
-            self._child.reap(kill=False)
-
-    def _load(self):
-        try:
-            return self._child.load()
-        except ChildProcessError as exc:
-            raise RuntimeError(f"the batch's {exc} before sending its "
-                               "runs") from exc
 
     def _run(self):
         systems, _, configs, boundaries = zip(*self.members)
@@ -1028,53 +1020,62 @@ class _Child:
     into the caller's stack or flushes the caller's buffers; it exits 0
     once work has returned or its exception has gone into the pipe, for
     load to raise.  reap(), or the finalizer of a child dropped unreaped
-    or left at exit, kills and reaps a child still running.
+    or left at exit, kills and reaps a child still running.  Without
+    os.fork, or when it fails, start returns a stand-in: its first load
+    runs work here into a buffer, read as the pipe is; its reap gives 0.
     """
 
-    def __init__(self, pid, pipe):
-        self._pipe = pipe
+    def __init__(self, pid, pipe, work=None):
+        self._pipe, self._work = pipe, work  # a stand-in runs work at load
         self._finalizer = weakref.finalize(self, _Child._stop, pid, pipe)
 
     @staticmethod
     def start(work):
-        """The child running work, or None without os.fork or if it
-        fails, for the caller to do the work in process."""
+        """The child running work, or a stand-in that will run it."""
         read, write = os.pipe()
         try:
             pid = os.fork()
         except (AttributeError, OSError):  # no fork here, or out of processes
             os.close(read)
             os.close(write)
-            return None
+            return _Child(None, io.BytesIO(), work)
         if pid == 0:
             status = 1
             try:
                 os.close(read)
                 with open(write, "wb") as pipe:
-                    try:
-                        work(pipe)
-                    except Exception as exc:
-                        try:
-                            message = pickle.dumps(exc)
-                        except Exception:  # then say what it was
-                            message = pickle.dumps(RuntimeError(
-                                f"{type(exc).__name__}: {exc}"))
-                        pipe.write(message)
+                    _Child._do(work, pipe)
                 status = 0
             finally:
                 os._exit(status)
         os.close(write)
         return _Child(pid, open(read, "rb"))
 
-    @property
-    def alive(self):  # not reaped yet
-        return self._finalizer.alive
+    @staticmethod
+    def _do(work, pipe):
+        """work(pipe), with an exception of work pickled into the pipe."""
+        try:
+            work(pipe)
+        except Exception as exc:
+            try:
+                message = pickle.dumps(exc)
+            except Exception:  # then say what it was
+                message = pickle.dumps(RuntimeError(
+                    f"{type(exc).__name__}: {exc}"))
+            pipe.write(message)
 
     def load(self):
         """The next object the child sent, or None once it has ended
         after sending all; an exception it sent is raised.  The child is
         reaped when it has nothing more to send, and a ChildProcessError
-        says how it ended if it died first."""
+        says how it ended if it died first.  A load after reap is a
+        ValueError."""
+        if not self._finalizer.alive:
+            raise ValueError("nothing more to load: the child is reaped")
+        if self._work is not None:
+            work, self._work = self._work, None
+            _Child._do(work, self._pipe)
+            self._pipe.seek(0)
         try:
             item = pickle.load(self._pipe)
         except (EOFError, pickle.UnpicklingError) as exc:
@@ -1099,6 +1100,8 @@ class _Child:
     @staticmethod
     def _stop(pid, pipe, kill=True):
         pipe.close()
+        if pid is None:  # a stand-in
+            return 0
         if kill:
             import signal  # 1 ms that a run without a child need not pay
 
@@ -1117,15 +1120,13 @@ def _pack(traj):
 
 def _unpack(times, rho, w, reports, stage_dissipation, stage_flux, iterations,
             factorizations, junction_h, warnings):
-    """The trajectory _pack took apart; its states are views of the
-    stacks' rows, as in studies._subsample."""
-    return Trajectory(
-        times=times, states=[NetworkState(*s) for s in zip(times, rho, w)],
-        reports=[EnergyReport(tau, *r)
-                 for tau, r in zip(times, reports.tolist())],
+    """The trajectory _pack took apart."""
+    return Trajectory.from_stacks(
+        times, rho, w, reports=[EnergyReport(tau, *r)
+                                for tau, r in zip(times, reports.tolist())],
         stage_dissipation=stage_dissipation, stage_flux=stage_flux,
         iterations=iterations, factorizations=factorizations,
-        junction_h=list(junction_h), warnings=warnings, stacks=(rho, w))
+        junction_h=list(junction_h), warnings=warnings)
 
 
 # values per row of a report block, whose (K, n) temporaries thus stay

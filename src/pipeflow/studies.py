@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import NetworkState
 from .energy import (
     gronwall_monitor,
     lipschitz_estimates,
@@ -100,14 +99,12 @@ class StudyResult:
 
 
 def _subsample(trajectory, stride):
-    """Every stride-th snapshot, stacked once; the states are views of
-    the stacks' rows."""
-    times, kept = trajectory.times[::stride], trajectory.states[::stride]
-    rho, w = np.array([s.rho for s in kept]), np.array([s.w for s in kept])
-    return Trajectory(times=times,
-                      states=[NetworkState(*s) for s in zip(times, rho, w)],
-                      reports=trajectory.reports[::stride],
-                      warnings=list(trajectory.warnings), stacks=(rho, w))
+    """Every stride-th snapshot, stacked once."""
+    kept = trajectory.states[::stride]
+    return Trajectory.from_stacks(
+        trajectory.times[::stride], np.array([s.rho for s in kept]),
+        np.array([s.w for s in kept]), reports=trajectory.reports[::stride],
+        warnings=list(trajectory.warnings))
 
 
 def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):

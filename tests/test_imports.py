@@ -1,4 +1,5 @@
-"""Every module-level import of a pipeflow module is used in it."""
+"""Every module-level import of a pipeflow module is used in it, and only
+solver._Child starts a second process."""
 
 import ast
 import os
@@ -36,3 +37,44 @@ def test_finds_an_unused_import():
 def test_module_imports_are_used(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def _fork_uses(source):
+    """(line, enclosing top-level class or None) of each use of os.fork or
+    os.pipe."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                named = (node.attr in ("fork", "pipe")
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == "os")
+            else:
+                named = (isinstance(node, ast.ImportFrom)
+                         and node.module == "os"
+                         and any(a.name in ("fork", "pipe")
+                                 for a in node.names))
+            if named:
+                uses.append((node.lineno, owner))
+    return uses
+
+
+def test_finds_fork_uses():
+    assert _fork_uses("import os\nclass A:\n    def f(self):\n"
+                      "        os.fork()\nfrom os import pipe\n"
+                      "os.forkpty()\n") == [(4, "A"), (5, None)]
+
+
+def test_only_the_child_helper_forks():
+    # so what happens without a fork is decided in one place
+    stray, owned = [], 0
+    for module in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, module)) as fh:
+            for line, owner in _fork_uses(fh.read()):
+                if (module, owner) == ("solver.py", "_Child"):
+                    owned += 1
+                else:
+                    stray.append(f"{module}:{line}")
+    assert stray == []
+    assert owned == 2  # the guard sees _Child's own os.pipe and os.fork

@@ -1177,7 +1177,8 @@ def test_study_step_failure_names_the_member(tmp_path, capsys):
     assert line.startswith("error: step failure in the gamma_offset=0.4 run, "
                            "step 0 from tau=0 with dt=0.001, residual ")
     assert "Newton did not converge in 1 iterations" in line
-    # the joint step failed in the batch's child; the member reran here
+    # the joint step failed in the batch's child, and so did the member's
+    # own run there
     assert_no_child_processes()
 
 

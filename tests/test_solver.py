@@ -1070,6 +1070,8 @@ def test_batch_members_must_share_grid_and_config():
     batch = solver_mod.Batch([a, other])
     with pytest.raises(ValueError, match="one SolverConfig"):
         run(*a, batch=batch)
+    with pytest.raises(ValueError, match="nothing more to load"):
+        run(*other, batch=batch)
     with pytest.raises(ValueError, match="not a member"):
         run(*b, batch=batch)
     # the config check failed in the batch's child and was raised here
@@ -1128,8 +1130,55 @@ def test_batch_without_fork_steps_in_process(monkeypatch, fork):
     else:
         monkeypatch.setattr(os, "fork", _no_processes)
     batch = solver_mod.Batch(members)
-    assert batch._child is None
+    assert_no_child_processes()  # the members wait for the first take
     _assert_same_runs([run(*m, batch=batch) for m in members], forked)
+    assert_no_child_processes()
+
+
+@pytest.mark.parametrize("fork", ["present", "missing", "failing"])
+def test_batch_step_failure_comes_from_the_members_own_runs(monkeypatch,
+                                                            fork):
+    # a boundary study from rest whose members may take 2 Newton
+    # iterations: amplitude 0.1 runs through alone, 0.2 fails alone at
+    # step 29, so their joint run fails and the child reruns them
+    from pipeflow import studies
+
+    scen = load_scenario(os.path.join(SCEN, "pipe_perturbation.scn"))
+    scen = replace(scen, initial=replace(scen.initial, rho="1"),
+                   solver=replace(scen.solver, max_iter=2, t_final=0.1))
+    taken = []
+
+    def run_and_keep(*args, batch=None):
+        traj = run(*args, batch=batch)
+        taken.append((args, traj))
+        return traj
+
+    monkeypatch.setattr(studies, "run", run_and_keep)
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    elif fork == "failing":
+        monkeypatch.setattr(os, "fork", _no_processes)
+    with pytest.raises(StepFailure) as failure:
+        studies.boundary_perturbation_study(scen, [0.1, 0.2, 0.4],
+                                            certify=False)
+    assert failure.value.run_label == "amplitude=0.2"
+    assert failure.value.step == 29
+    assert len(failure.value.partial.states) == 30
+    _, (member_args, received) = taken  # the reference, then amplitude 0.1
+    _assert_same_runs([received], [run(*member_args)])
+    assert_no_child_processes()
+
+
+def test_batch_hands_each_trajectory_out_once():
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    members = _members(scen, [0.2, 0.1], 4)
+    with solver_mod.Batch(members) as batch:
+        run(*members[0], batch=batch)
+        with pytest.raises(ValueError, match="taken before"):
+            run(*members[0], batch=batch)  # member 1 is not received yet
+        run(*members[1], batch=batch)
+        with pytest.raises(ValueError, match="taken before"):
+            run(*members[1], batch=batch)  # the child is reaped
     assert_no_child_processes()
 
 
