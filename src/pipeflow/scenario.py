@@ -587,11 +587,8 @@ def parse_scenario(text, path="<string>"):
         solver = SolverConfig(
             dt=_get(sol, "dt", float, default=1e-3, path=path),
             t_final=_get(sol, "t_final", float, default=1.0, path=path),
-            scheme=_get(sol, "scheme", str, default="midpoint", path=path),
-            newton_tol=_get(sol, "newton_tol", float, default=1e-11, path=path),
-            max_iter=_get(sol, "max_iter", int, default=30, path=path),
-            parabolic=_get(sol, "parabolic", bool, default=False, path=path),
-        )
+            **_given(sol, (("scheme", str), ("newton_tol", float),
+                           ("max_iter", int), ("parabolic", bool)), path))
 
     bounds = None
     if "bounds" in sections:
@@ -602,14 +599,9 @@ def parse_scenario(text, path="<string>"):
                 rho_max=_get(bsec, "rho_max", float, path=path, required=True),
                 w_max=_get(bsec, "w_max", float, path=path, required=True),
                 eps_max=_get(bsec, "eps_max", float, path=path, required=True),
-                area_min=_get(bsec, "area_min", float, default=1.0, path=path),
-                area_max=_get(bsec, "area_max", float, default=1.0, path=path),
-                friction_min=_get(bsec, "friction_min", float, default=1.0,
-                                  path=path),
-                friction_max=_get(bsec, "friction_max", float, default=1.0,
-                                  path=path),
-                gz_max=_get(bsec, "gz_max", float, default=0.0, path=path),
-            )
+                **_given(bsec, [(key, float) for key in (
+                    "area_min", "area_max", "friction_min", "friction_max",
+                    "gz_max")], path))
             bounds.subsonic_margin(law)  # the law must cover [rho_min, rho_max]
 
     out = take("output")

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import io
 import math
 import os
 import pickle
 import sys
+import tempfile
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -130,6 +130,19 @@ class StepFailure(RuntimeError):
         self.run_label = None  # which run of a study failed
 
 
+_SCHEMES = {"implicit-midpoint": "midpoint", "midpoint": "midpoint",
+            "backward-euler": "backward-euler", "be": "backward-euler"}
+
+
+def _scheme(scheme):
+    """The time scheme a name or alias stands for, case and surrounding
+    blanks ignored; a ValueError for any other name."""
+    key = str(scheme).strip().lower()
+    if key not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[key]
+
+
 @dataclass
 class SolverConfig:
     dt: float
@@ -152,12 +165,7 @@ class SolverConfig:
                              f"got {self.newton_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        aliases = {"implicit-midpoint": "midpoint", "midpoint": "midpoint",
-                   "backward-euler": "backward-euler", "be": "backward-euler"}
-        key = str(self.scheme).strip().lower()
-        if key not in aliases:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        self.scheme = aliases[key]
+        self.scheme = _scheme(self.scheme)
 
 
 @dataclass
@@ -363,17 +371,17 @@ class _NewtonStepper:
         block(n_c + faces[self._rw_right], frc[self._rw_right])
         block(n_c + faces[self._rw_left], flc[self._rw_left])
 
-        # momentum rows: kinetic coupling d(Gh)/dw
+        # momentum rows: kinetic coupling d(Gh)/dw, one block through each
+        # face's right cell (sign +1), then one through its left cell
+        # (-1), each entry with that cell's left and right face
         if self.kinetic:
-            # per face: its right cell (sign +1), then its left cell (-1),
-            # each with that cell's left and right face
-            cells = np.stack((frc, flc), axis=1).ravel()
-            has = cells >= 0
-            c = cells[has]
-            self._ww_sign = np.repeat(np.tile([1.0, -1.0], n_f)[has], 2)
-            self._ww_fp = np.stack((sys.cell_left_face[c],
-                                    sys.cell_right_face[c]), axis=1).ravel()
-            block(np.repeat(n_c + faces, 2)[has].repeat(2), n_c + self._ww_fp)
+            self._ww_fp = []
+            for has, cells in ((self._rw_right, frc), (self._rw_left, flc)):
+                c = cells[has]
+                fp = np.stack((sys.cell_left_face[c], sys.cell_right_face[c]),
+                              axis=1).ravel()
+                self._ww_fp.append(fp)
+                block(n_c + faces[has].repeat(2), n_c + fp)
 
         # momentum rows: time derivative + friction diagonal
         block(n_c + faces, n_c + faces)
@@ -395,32 +403,25 @@ class _NewtonStepper:
 
     def _build_template(self):
         """The CSC pattern coo_matrix((data, (rows, cols))).tocsc() builds
-        from the entries: sorted by column, then row, with equal (row,
-        col) pairs kept in entry order (a stable sort) and their values
-        added left to right.  _csc_first holds each CSC entry's first
-        value's position in the data; _csc_more, per further rank j,
-        the entries with a j-th value and that value's position."""
+        from the entries, sorted by column, then row, and each entry's
+        position in its data (_csc_positions).  bincount over those
+        positions adds the values of one position in entry order, as the
+        conversion does, but from +0.0: where all of them are -0.0 the
+        sum is +0.0, not -0.0."""
         rows, cols = self._entries()
         n = self.system.n_z
         self._shape = (n, n)
-        order = np.lexsort((rows, cols)).astype(np.intc)
-        r, c = rows[order], cols[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(first)
-        count = np.diff(np.append(starts, order.size))
-        self._csc_first = order[starts]
-        self._csc_more = [(np.flatnonzero(count > j).astype(np.intc),
-                           order[starts[count > j] + j])
-                          for j in range(1, count.max())]
-        self._csc_indices = r[starts].astype(np.intc)
-        self._csc_indptr = np.searchsorted(c[starts],
+        pattern, self._csc_positions = np.unique(cols * n + rows,
+                                                 return_inverse=True)
+        self._csc_indices = (pattern % n).astype(np.intc)
+        self._csc_indptr = np.searchsorted(pattern // n,
                                            np.arange(n + 1)).astype(np.intc)
         if self.members is not None:
             # the member pattern tiled along the diagonal: member i's
             # unknowns and CSC values follow those of members 0..i-1
-            m, nnz = len(self.members), self._csc_indices.size
+            m, nnz = len(self.members), pattern.size
             i = np.arange(m)[:, None]
+            self._csc_positions = (self._csc_positions + i * nnz).ravel()
             self._csc_indices = (self._csc_indices
                                  + i * n).ravel().astype(np.intc)
             self._csc_indptr = np.append(
@@ -646,11 +647,9 @@ class _NewtonStepper:
     def _jacobian(self, dt, cache):
         """The Jacobian at a residual's cache, in canonical CSC form."""
         values = self._jacobian_data(dt, cache)
-        data = values.take(self._csc_first, axis=-1)
-        for entries, positions in self._csc_more:
-            data[..., entries] += values.take(positions, axis=-1)
-        return CSC(data.ravel(), self._csc_indices, self._csc_indptr,
-                   self._shape)
+        data = np.bincount(self._csc_positions, values.ravel(),
+                           minlength=self._csc_indices.size)
+        return CSC(data, self._csc_indices, self._csc_indptr, self._shape)
 
     def _jacobian_data(self, dt, cache):
         """The Jacobian's values in template entry order, each block
@@ -679,8 +678,9 @@ class _NewtonStepper:
         mul(-dth, gather(d2p, sys.face_left_cell[self._rw_left]),
             out=v[next(at)])
         if self.kinetic:
-            mul(dth * self._ww_sign * 0.5 * self.eps**2,
-                gather(w_s, self._ww_fp), out=v[next(at)])
+            k = dth * 0.5 * self.eps**2
+            for signed, fp in zip((k, -k), self._ww_fp):
+                mul(signed, gather(w_s, fp), out=v[next(at)])
         abs_w = np.abs(w_s)
         if not self.kinetic:
             np.maximum(abs_w, self._w_floor, out=abs_w)
@@ -728,7 +728,7 @@ class HyperbolicStepper(_NewtonStepper):
 
     def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
                  forcing=None):
-        theta = 0.5 if scheme == "midpoint" else 1.0
+        theta = 0.5 if _scheme(scheme) == "midpoint" else 1.0
         super().__init__(system, theta, newton_tol, max_iter)
         if np.any(self.eps == 0.0):
             raise ValueError("epsilon = 0 has no hyperbolic dynamics; "
@@ -1022,7 +1022,9 @@ class _Child:
     load to raise.  reap(), or the finalizer of a child dropped unreaped
     or left at exit, kills and reaps a child still running.  Without
     os.fork, or when it fails, start returns a stand-in: its first load
-    runs work here into a buffer, read as the pipe is; its reap gives 0.
+    runs work here into a temporary file, read as the pipe is (a file
+    rather than memory, which would hold the runs twice while they are
+    loaded); its reap gives 0.
     """
 
     def __init__(self, pid, pipe, work=None):
@@ -1038,7 +1040,7 @@ class _Child:
         except (AttributeError, OSError):  # no fork here, or out of processes
             os.close(read)
             os.close(write)
-            return _Child(None, io.BytesIO(), work)
+            return _Child(None, tempfile.TemporaryFile(), work)
         if pid == 0:
             status = 1
             try:

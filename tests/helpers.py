@@ -45,6 +45,27 @@ def csr_operators(system):
     return SimpleNamespace(k=k, d=d, g=g, s=s, j=j)
 
 
+def assert_csc_is_the_coo_sum(stepper, jac, values):
+    """The stepper's CSC Jacobian jac against coo_matrix((values, (rows,
+    cols))).tocsc() over the stepper's entries: the same pattern, and
+    the same data bit for bit, except that an entry whose values are all
+    zero may be +0.0 where the conversion keeps -0.0.  Returns the
+    number of such entries."""
+    rows, cols = stepper._entries()
+    ref = sp.coo_matrix((values, (rows, cols)), shape=jac.shape).tocsc()
+    assert ref.has_canonical_format
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(jac, name), getattr(ref, name)), name
+    assert np.array_equal(jac.data, ref.data)
+    differ = jac.data.view(np.int64) != ref.data.view(np.int64)
+    nonzero = sp.coo_matrix(((values != 0.0).astype(float), (rows, cols)),
+                            shape=jac.shape).tocsc().data
+    assert not nonzero[differ].any()
+    assert np.signbit(ref.data[differ]).all()
+    assert not np.signbit(jac.data[differ]).any()
+    return np.count_nonzero(differ)
+
+
 # ---------------------------------------------------------------------------
 # instantaneous dynamics
 

@@ -614,7 +614,9 @@ def test_subsonic_margin_computed_once_per_bounds(monkeypatch):
 
 def _template_loops(system):
     """The per-face loops that built the reconstruction pairs and the
-    stepper's kinetic block, kept as the reference for their order."""
+    stepper's two kinetic blocks, through each face's right cell (sign
+    +1), then through its left cell (-1), kept as the reference for
+    their order."""
     n_c = system.n_cells
     flc, frc = system.face_left_cell, system.face_right_cell
     pair_face, pair_cell = [], []
@@ -623,21 +625,21 @@ def _template_loops(system):
             if c >= 0:
                 pair_face.append(f)
                 pair_cell.append(c)
-    ww_rows, ww_cols, ww_sign, ww_fp = [], [], [], []
-    for f in range(system.n_faces):
-        for c, sign in ((frc[f], 1.0), (flc[f], -1.0)):
+    ww_rows, ww_cols, ww_fp = [], [], {"right": [], "left": []}
+    for half, cells in (("right", frc), ("left", flc)):
+        for f in range(system.n_faces):
+            c = cells[f]
             if c >= 0:
                 for fp in (system.cell_left_face[c], system.cell_right_face[c]):
                     ww_rows.append(n_c + f)
                     ww_cols.append(n_c + fp)
-                    ww_sign.append(sign)
-                    ww_fp.append(fp)
+                    ww_fp[half].append(fp)
     return {"pair_face": np.asarray(pair_face, dtype=int),
             "pair_cell": np.asarray(pair_cell, dtype=int),
             "ww_rows": np.asarray(ww_rows, dtype=int),
             "ww_cols": np.asarray(ww_cols, dtype=int),
-            "ww_sign": np.asarray(ww_sign),
-            "ww_fp": np.asarray(ww_fp, dtype=int)}
+            "ww_fp_right": np.asarray(ww_fp["right"], dtype=int),
+            "ww_fp_left": np.asarray(ww_fp["left"], dtype=int)}
 
 
 def _y_transient_systems():
@@ -654,15 +656,16 @@ def test_setup_arrays_match_per_face_loops(system):
 
     ref = _template_loops(system)
     stepper = HyperbolicStepper(system)
-    # the kinetic block comes right before the momentum diagonal and the
-    # three junction blocks
+    # the two kinetic blocks come right before the momentum diagonal and
+    # the three junction blocks
     rows, cols = stepper._entries()
     end = (rows.size - system.n_faces
            - 3 * system.junction_term_faces.size)
     ww = slice(end - ref["ww_rows"].size, end)
     arrays = {"pair_face": system.pair_face, "pair_cell": system.pair_cell,
               "ww_rows": rows[ww], "ww_cols": cols[ww],
-              "ww_sign": stepper._ww_sign, "ww_fp": stepper._ww_fp}
+              "ww_fp_right": stepper._ww_fp[0],
+              "ww_fp_left": stepper._ww_fp[1]}
     for name, value in arrays.items():
         assert value.dtype == ref[name].dtype, name
         assert np.array_equal(value, ref[name]), name

@@ -693,6 +693,26 @@ def test_scheme_alias_accepted(tmp_path):
     assert scen.solver.scheme == "midpoint"
 
 
+def test_omitted_optional_keys_take_the_dataclass_defaults():
+    from pipeflow.gas import AdmissibleBounds
+    from pipeflow.solver import SolverConfig
+
+    bounds = ("\n[bounds]\nrho_min = 0.5\nrho_max = 1.5\nw_max = 0.5\n"
+              "eps_max = 0.5\n")
+    scen = parse_scenario(MINIMAL + bounds)
+    assert scen.solver == SolverConfig(dt=0.01, t_final=0.1)
+    assert scen.bounds == AdmissibleBounds(rho_min=0.5, rho_max=1.5,
+                                           w_max=0.5, eps_max=0.5)
+    # the same scenario with the defaults written out
+    explicit = parse_scenario(
+        MINIMAL.replace("t_final = 0.1", "t_final = 0.1\nscheme = midpoint\n"
+                        "newton_tol = 1e-11\nmax_iter = 30\nparabolic = no")
+        + bounds + "area_min = 1.0\narea_max = 1.0\nfriction_min = 1.0\n"
+        "friction_max = 1.0\ngz_max = 0.0\n")
+    assert (explicit.solver, explicit.bounds) == (scen.solver, scen.bounds)
+    assert explicit.manifest() == scen.manifest()
+
+
 def test_tabulated_law_scenario(tmp_path):
     import numpy as np
 

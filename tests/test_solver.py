@@ -26,7 +26,8 @@ from pipeflow.solver import (
     velocity_recovery,
 )
 
-from helpers import assert_no_child_processes, constant_state, total_mass
+from helpers import (assert_csc_is_the_coo_sum, assert_no_child_processes,
+                     constant_state, total_mass)
 
 LAW = IsothermalLaw(1.0)
 SCEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -866,7 +867,7 @@ NETWORKS = {"y": y_network, "loop": lambda: loop_network(n_edges=3),
 
 
 def _concatenated_jacobian_data(st, dt, cache):
-    """The Jacobian's values as twelve parts joined by concatenate: the
+    """The Jacobian's values as parts joined by concatenate: the
     reference for the one-buffer form."""
     sys = st.system
     dth = dt * st.theta
@@ -883,8 +884,11 @@ def _concatenated_jacobian_data(st, dt, cache):
         -dth * d2p[sys.face_left_cell[rw_l]],
     ]
     if st.eps:
-        parts.append(dth * st._ww_sign * 0.5 * st.eps**2 * w_s[st._ww_fp])
-    friction = dth * 2.0 * sys.omega_faces * sys.gamma_faces * np.abs(w_s)
+        # through each face's right cell, then through its left cell
+        parts += [sign * dth * 0.5 * st.eps**2 * w_s[fp]
+                  for sign, fp in zip((1.0, -1.0), st._ww_fp)]
+    abs_w = np.abs(w_s) if st.eps else np.maximum(np.abs(w_s), st._w_floor)
+    friction = dth * 2.0 * sys.omega_faces * sys.gamma_faces * abs_w
     jf, signs = sys.junction_term_faces, sys.junction_term_signs
     parts += [
         st._c_w + friction if st.eps else friction,
@@ -895,9 +899,31 @@ def _concatenated_jacobian_data(st, dt, cache):
     return np.concatenate(parts)
 
 
+@pytest.mark.parametrize("scheme, name", [
+    ("midpoint", "midpoint"), ("implicit-midpoint", "midpoint"),
+    ("Midpoint", "midpoint"), (" Implicit-Midpoint ", "midpoint"),
+    ("backward-euler", "backward-euler"), ("be", "backward-euler"),
+    ("BE", "backward-euler")])
+def test_scheme_aliases_name_one_scheme(scheme, name):
+    # the config and the stepper read a name alike
+    assert SolverConfig(dt=0.1, t_final=1.0, scheme=scheme).scheme == name
+    system = build_system(y_network(), cells_per_edge=3, law=LAW, epsilon=0.3)
+    theta = HyperbolicStepper(system, scheme=scheme).theta
+    assert theta == {"midpoint": 0.5, "backward-euler": 1.0}[name]
+
+
+def test_unknown_scheme_is_an_error():
+    with pytest.raises(ValueError, match="unknown scheme 'trapezoid'"):
+        SolverConfig(dt=0.1, t_final=1.0, scheme="trapezoid")
+    system = build_system(y_network(), cells_per_edge=3, law=LAW, epsilon=0.3)
+    with pytest.raises(ValueError, match="unknown scheme 'trapezoid'"):
+        HyperbolicStepper(system, scheme="trapezoid")
+
+
+@pytest.mark.parametrize("moving", [True, False])
 @pytest.mark.parametrize("stepper", ["midpoint", "backward-euler", "parabolic"])
 @pytest.mark.parametrize("network", sorted(NETWORKS))
-def test_csc_jacobian_equals_coo_conversion(network, stepper):
+def test_csc_jacobian_equals_coo_conversion(network, stepper, moving):
     system = build_system(NETWORKS[network](), cells_per_edge=5, law=LAW,
                           epsilon=0.3)
     if stepper == "parabolic":
@@ -906,22 +932,23 @@ def test_csc_jacobian_equals_coo_conversion(network, stepper):
         st = HyperbolicStepper(system, scheme=stepper)
     rng = np.random.default_rng(len(network))
     state = NetworkState(0.0, 1.0 + 0.2 * rng.random(system.n_cells),
-                         0.3 * rng.standard_normal(system.n_faces))
+                         0.3 * rng.standard_normal(system.n_faces) * moving)
     x = np.concatenate((state.rho * (1.0 + 0.01 * rng.random(system.n_cells)),
-                        state.w + 0.01 * rng.standard_normal(system.n_faces),
+                        state.w + 0.01 * rng.standard_normal(system.n_faces)
+                        * moving,
                         rng.random(system.n_junctions)))
     values = {v: 1.0 + 0.1 * rng.random() for v in system.boundary_vertices}
     _, cache = st._residual(0.01, state, (None, system.boundary_load(values)), x)
     jac = st._jacobian(0.01, cache)
     data = st._jacobian_data(0.01, cache)
     assert data.tobytes() == _concatenated_jacobian_data(st, 0.01, cache).tobytes()
-    rows, cols = st._entries()
-    ref = sp.coo_matrix((data, (rows, cols)), shape=jac.shape).tocsc()
-    assert ref.has_canonical_format
-    for name in ("indptr", "indices"):
-        assert np.array_equal(getattr(jac, name), getattr(ref, name)), name
-    assert jac.data.tobytes() == ref.data.tobytes()
+    # moving, no entry sums zeros only, so the data are the conversion's
+    # byte for byte; at rest (w = 0) the advection entries of a cell's
+    # faces are +0.0 and -0.0, and sums of -0.0 only come out +0.0
+    zero_sums = assert_csc_is_the_coo_sum(st, jac, data)
+    assert (zero_sums == 0) == moving
     # some entries sum three values, where the order of the sum shows
+    rows, cols = st._entries()
     assert (np.bincount(np.ravel_multi_index((rows, cols), jac.shape)) == 3).any()
 
 
@@ -1133,6 +1160,29 @@ def test_batch_without_fork_steps_in_process(monkeypatch, fork):
     assert_no_child_processes()  # the members wait for the first take
     _assert_same_runs([run(*m, batch=batch) for m in members], forked)
     assert_no_child_processes()
+
+
+def test_batch_without_fork_holds_its_runs_once_more_at_most(monkeypatch):
+    # the stand-in runs the members into a temporary file, so the peak
+    # exceeds what the received runs hold by less than those runs; an
+    # in-memory buffer held them once more, pickled, while they were
+    # received, and the peak exceeded them by 1.31 times what they hold
+    import tracemalloc
+
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    members = _members(scen, [0.2, 0.1, 0.05, 0.025], 600)
+    monkeypatch.delattr(os, "fork")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with solver_mod.Batch(members) as batch:
+            received = [run(*m, batch=batch) for m in members]
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    arrays = sum(t.rho_array().nbytes + t.w_array().nbytes for t in received)
+    assert arrays < held
+    assert peak - held <= held, (peak - held) / held
 
 
 @pytest.mark.parametrize("fork", ["present", "missing", "failing"])
