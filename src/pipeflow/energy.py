@@ -120,8 +120,7 @@ class StabilityConstants:
     c0_lower/c0_upper  relative-energy norm equivalence
     c1, c2, c3         growth factors from the friction, profile-drift
                        and residual estimates; growth = c1 + c2 + c3
-    c_d                lower-bound constant of the relative dissipation
-    p1, p2, p3         weights of the residual perturbation functional
+    p2, p3             weights of the residual perturbation functional
     c_boundary         weight of the boundary perturbation functional
     """
 
@@ -130,8 +129,6 @@ class StabilityConstants:
     c1: float
     c2: float
     c3: float
-    c_d: float
-    p1: float
     p2: float
     p3: float
     c_boundary: float
@@ -149,21 +146,19 @@ def stability_constants(bounds, law, lip_drho=0.0, lip_eps_dw=0.0, n_boundary=2)
     profile-drift growth factor.
     """
     c0l, c0u = c0_constants(bounds, law)
-    d2_min, d2_max = law.d2potential_bounds(bounds.rho_min, bounds.rho_max)
+    _, d2_max = law.d2potential_bounds(bounds.rho_min, bounds.rho_max)
+    # the lower-bound constant of the relative dissipation
     c_d = bounds.friction_min * bounds.area_min * bounds.rho_min / 16.0
     c1 = 2.0 * bounds.friction_max * bounds.w_max**2 / (bounds.rho_min * c0l)
     c2 = (max(d2_max, bounds.area_max, math.sqrt(bounds.area_max))
           / (2.0 * c0l) * (lip_drho + lip_eps_dw))
-    p1 = (bounds.eps_max**2 * bounds.w_max**2 / 4.0
-          + d2_max**2 / (2.0 * bounds.area_min))
     p2 = bounds.area_max * bounds.w_max**2 / (4.0 * c0l)
     p3 = ((bounds.area_max * bounds.rho_max) ** 1.5
           * (2.0 / 3.0) / math.sqrt(3.0 * c_d))
     c_boundary = (2.0 * bounds.area_max * bounds.rho_max * bounds.w_max
                   * max(1.0, bounds.w_max**2 * math.sqrt(max(n_boundary, 1)) / 2.0))
     return StabilityConstants(c0_lower=c0l, c0_upper=c0u, c1=c1, c2=c2, c3=1.0,
-                              c_d=c_d, p1=p1, p2=p2, p3=p3,
-                              c_boundary=c_boundary)
+                              p2=p2, p3=p3, c_boundary=c_boundary)
 
 
 def lipschitz_estimates(system, trajectory):
@@ -194,7 +189,7 @@ def residual_fields(system, trajectory, eps_hat, gamma_hat=None):
     and no mass residual.  Time derivatives are centered difference
     quotients of the snapshots (one-sided at the ends); the kinetic
     slope uses the same face stencil as the discrete enthalpy.
-    Returns (e1, e2) with shapes (K, n_cells) and (K, n_faces).
+    Returns e2 with shape (K, n_faces).
     """
     times = np.asarray(trajectory.times)
     if times.size < 2:
@@ -219,15 +214,14 @@ def residual_fields(system, trajectory, eps_hat, gamma_hat=None):
     e2 += (w[succ] - w[prev]) / (times[succ] - times[prev])[:, None]
     e2 *= system.epsilon**2 - eps_hat**2
     e2 += (gamma - gamma_hat) * np.abs(w) * w
-    return np.zeros((times.size, system.n_cells)), e2
+    return e2
 
 
-def perturbation_functional(system, e1, e2, constants):
-    """p1 ||e1||_L2^2 + p2 ||e2||_L2^2 + p3 ||e2||_{L^{3/2}}^{3/2}."""
+def perturbation_functional(system, e2, constants):
+    """p2 ||e2||_L2^2 + p3 ||e2||_{L^{3/2}}^{3/2} of the momentum residual."""
     abs_e2 = np.abs(e2)
     l32 = weighted_sum(system.omega_faces, abs_e2 * np.sqrt(abs_e2))
-    return (constants.p1 * system.l2sq_cells(e1)
-            + constants.p2 * system.l2sq_faces(e2) + constants.p3 * l32)
+    return constants.p2 * system.l2sq_faces(e2) + constants.p3 * l32
 
 
 def boundary_perturbation(system, schedule, schedule_hat, taus, eps_hat,
@@ -268,7 +262,6 @@ class GronwallCertificate:
     cnorm_sq: np.ndarray = None
     p_residual: np.ndarray = None
     p_boundary: np.ndarray = None
-    constants: StabilityConstants = None
 
     def write_trace(self, path):
         """Tabular relative-energy trace with the bound sides and slack."""
@@ -321,8 +314,8 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
 
     # the residual first: its temporaries are freed before the stacks exist
     p_res = perturbation_functional(
-        system, *residual_fields(system, traj_hat, eps_hat,
-                                 gamma_hat=gamma_hat), constants)
+        system, residual_fields(system, traj_hat, eps_hat,
+                                gamma_hat=gamma_hat), constants)
     p_bnd = boundary_perturbation(system, schedule, schedule_hat, times,
                                   eps_hat, constants)
     u = NetworkState(times, traj_u.rho_array(), traj_u.w_array())
@@ -344,8 +337,7 @@ def gronwall_monitor(system, traj_u, traj_hat, constants, schedule,
                                times=times, lhs=lhs, rhs=rhs,
                                rel_energy=rel_en, rel_dissipation=rel_diss,
                                cnorm_sq=cnorm, p_residual=p_res,
-                               p_boundary=p_bnd,
-                               constants=constants)
+                               p_boundary=p_bnd)
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,6 @@ class AdmissibleBounds:
     area_max: float = 1.0
     friction_min: float = 1.0
     friction_max: float = 1.0
-    gz_max: float = 0.0
 
     def __post_init__(self):
         # nan fails every comparison below, and infinite bounds admit

@@ -600,8 +600,8 @@ def parse_scenario(text, path="<string>"):
                 w_max=_get(bsec, "w_max", float, path=path, required=True),
                 eps_max=_get(bsec, "eps_max", float, path=path, required=True),
                 **_given(bsec, [(key, float) for key in (
-                    "area_min", "area_max", "friction_min", "friction_max",
-                    "gz_max")], path))
+                    "area_min", "area_max", "friction_min",
+                    "friction_max")], path))
             bounds.subsonic_margin(law)  # the law must cover [rho_min, rho_max]
 
     out = take("output")

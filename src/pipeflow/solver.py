@@ -726,8 +726,9 @@ class HyperbolicStepper(_NewtonStepper):
     # fills less on tree networks; COLAMD fills less around a cycle
     ordering = "MMD_AT_PLUS_A"
 
-    def __init__(self, system, scheme="midpoint", newton_tol=1e-11, max_iter=30,
-                 forcing=None):
+    def __init__(self, system, scheme=SolverConfig.scheme,
+                 newton_tol=SolverConfig.newton_tol,
+                 max_iter=SolverConfig.max_iter, forcing=None):
         theta = 0.5 if _scheme(scheme) == "midpoint" else 1.0
         super().__init__(system, theta, newton_tol, max_iter)
         if np.any(self.eps == 0.0):
@@ -781,7 +782,8 @@ class ParabolicStepper(_NewtonStepper):
     # order pivots off the diagonal and fills in
     ordering = "COLAMD"
 
-    def __init__(self, system, newton_tol=1e-11, max_iter=40):
+    def __init__(self, system, newton_tol=SolverConfig.newton_tol,
+                 max_iter=SolverConfig.max_iter):
         super().__init__(system, 1.0, newton_tol, max_iter, limit=True)
         gamma = self._gamma
         self._w_floor = np.sqrt(np.divide(newton_tol, gamma, where=gamma > 0.0,

@@ -20,7 +20,7 @@ from .energy import (
     lipschitz_estimates,
     stability_constants,
 )
-from .solver import Batch, SolverConfig, StepFailure, Trajectory, run
+from .solver import Batch, StepFailure, Trajectory, run
 
 
 def fit_loglog_slope(x, y):
@@ -119,19 +119,28 @@ def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):
             float(np.trapezoid(system.l3_faces(d_w), traj_u.times)))
 
 
-def _reference_config(config, parabolic=False):
-    return SolverConfig(dt=config.dt / 4.0, t_final=config.t_final,
-                        scheme=config.scheme,
-                        newton_tol=config.newton_tol / 10.0,
-                        max_iter=config.max_iter + 20,
-                        parabolic=parabolic)
-
-
-def _require_bounds(scenario):
-    if scenario.bounds is None:
+def _check_box(scenario, topologies, epsilons):
+    """Raise unless each edge's area and friction in `topologies` and each
+    epsilon a run steps at lie in the scenario's [bounds], from which the
+    certificates take their constants.  Profiles are piecewise linear and
+    clamped, so a number or its breakpoints' values bound each one."""
+    bounds = scenario.bounds
+    if bounds is None:
         raise ValueError("studies need a [bounds] section in the scenario "
                          "for the stability constants")
-    return scenario.bounds
+    edges = [e for topology in topologies for e in topology.edges]
+    for quantity in ("area", "friction"):
+        profiles = [getattr(e.params, quantity) for e in edges]
+        values = [y for p in profiles
+                  for y in ([y for _, y in p] if isinstance(p, tuple) else [p])]
+        lo = getattr(bounds, f"{quantity}_min")
+        hi = getattr(bounds, f"{quantity}_max")
+        if min(values) < lo or max(values) > hi:
+            raise ValueError(f"{quantity} [{min(values)}, {max(values)}] "
+                             f"leaves the bounds [{lo}, {hi}]")
+    if max(epsilons) > bounds.eps_max:
+        raise ValueError(f"epsilon [{min(epsilons)}, {max(epsilons)}] "
+                         f"exceeds eps_max = {bounds.eps_max}")
 
 
 def _sweep_values(values, what):
@@ -156,11 +165,12 @@ def _named(label, fn, *args):
 
 
 def _sweep(name, parameter_name, parameters, member, scenario, system,
-           ref_config, certify):
+           certify, parabolic=False):
     """Measure one member per parameter against one reference run.
 
-    The reference runs on `system` with `ref_config` and is subsampled to
-    the members' snapshot times.  `member(p)` returns the arguments of
+    The reference runs on `system` with the finer settings of the module
+    docstring (the limit model if `parabolic`) and is subsampled to the
+    members' snapshot times.  `member(p)` returns the arguments of
     parameter p's run, (system, state0, config, boundary), and `pair(traj,
     ref)`, which gives (x, system, u, u_hat, monitor_kwargs): the abscissa
     of p and the trajectory pair it contributes, compared on that system
@@ -181,17 +191,22 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
             constants = stability_constants(
                 scenario.bounds, scenario.law, lip_drho=lip[0],
                 lip_eps_dw=lip[1],
-                n_boundary=max(len(pair_system.boundary_vertices), 1))
+                n_boundary=len(pair_system.boundary_vertices))
             cert = gronwall_monitor(pair_system, u, u_hat, constants,
                                     scenario.boundary, **monitor_kwargs)
         return x, sup_sq + l3, sup_sq, l3, cert
 
+    config = scenario.solver
+    ref_config = replace(config, dt=config.dt / 4.0,
+                         newton_tol=config.newton_tol / 10.0,
+                         max_iter=config.max_iter + 20, parabolic=parabolic)
     members = [member(p) for p in parameters]
     with Batch(args for args, _ in members) as batch:
         # only the subsample is kept, not the full-resolution run
         ref = _subsample(_named("reference", run, system,
                                 scenario.initial_state(system), ref_config,
-                                scenario.boundary), 4)
+                                scenario.boundary),
+                         round(config.dt / ref_config.dt))
         results = [_named(f"{parameter_name}={p:g}", measure, *m)
                    for p, m in zip(parameters, members)]
     x = [r[0] for r in results]
@@ -225,7 +240,7 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     if certify:
-        _require_bounds(scenario)
+        _check_box(scenario, [scenario.topology], eps_list)
 
     def member(eps):
         system = replace(scenario, epsilon=eps).build_system()
@@ -236,9 +251,7 @@ def epsilon_limit_study(scenario, eps_list, certify=True, threads=1):
                 scenario.boundary), pair
 
     return _sweep("high-friction limit study", "epsilon", eps_list, member,
-                  scenario, scenario.build_system(),
-                  _reference_config(scenario.solver, parabolic=True),
-                  certify)
+                  scenario, scenario.build_system(), certify, parabolic=True)
 
 
 def gamma_perturbation_study(scenario, offsets, certify=True):
@@ -248,19 +261,10 @@ def gamma_perturbation_study(scenario, offsets, certify=True):
         raise ValueError("offsets must be nonzero")
     if len({math.copysign(1, o) for o in offsets}) != 1:
         raise ValueError("offsets must share one sign")
-    bounds = scenario.bounds if not certify else _require_bounds(scenario)
-    if bounds is not None:
-        # the offset shifts every breakpoint of every edge
-        frictions = []
-        for edge in scenario.topology.edges:
-            fr = edge.params.friction
-            frictions += [y for _, y in fr] if isinstance(fr, tuple) else [fr]
-        for o in offsets:
-            lo, hi = min(frictions) + o, max(frictions) + o
-            if lo < bounds.friction_min or hi > bounds.friction_max:
-                raise ValueError(f"perturbed friction [{lo}, {hi}] leaves the "
-                                 f"bounds [{bounds.friction_min}, "
-                                 f"{bounds.friction_max}]")
+    if certify:  # an offset shifts every breakpoint of every edge
+        topology = scenario.topology
+        _check_box(scenario, [topology, *map(topology.with_friction_offset,
+                                             offsets)], [scenario.epsilon])
 
     system = scenario.build_system()
 
@@ -270,14 +274,12 @@ def gamma_perturbation_study(scenario, offsets, certify=True):
 
         def pair(traj_hat, ref):
             return abs(offset), system, ref, traj_hat, {
-                "eps_hat": system.epsilon,
                 "gamma_hat": system.gamma_faces + offset}
         return (pert_system, scenario.initial_state(pert_system), scen.solver,
                 scen.boundary), pair
 
     return _sweep("friction perturbation study", "gamma_offset", offsets,
-                  member, scenario, system, _reference_config(scenario.solver),
-                  certify)
+                  member, scenario, system, certify)
 
 
 def boundary_perturbation_study(scenario, amplitudes, certify=True):
@@ -287,7 +289,7 @@ def boundary_perturbation_study(scenario, amplitudes, certify=True):
     if any(a <= 0.0 for a in amplitudes):
         raise ValueError("amplitudes must be positive")
     if certify:
-        _require_bounds(scenario)
+        _check_box(scenario, [scenario.topology], [scenario.epsilon])
 
     system = scenario.build_system()
     if not system.boundary_vertices:
@@ -308,10 +310,9 @@ def boundary_perturbation_study(scenario, amplitudes, certify=True):
             times = np.asarray(ref.times)
             bump_integral = np.trapezoid([bump(t) for t in times], times)
             return amplitude * bump_integral, system, ref, traj_hat, {
-                "schedule_hat": pert, "eps_hat": system.epsilon}
+                "schedule_hat": pert}
         return (system, scenario.initial_state(system), scenario.solver,
                 pert), pair
 
     return _sweep("boundary perturbation study", "amplitude", amplitudes,
-                  member, scenario, system, _reference_config(scenario.solver),
-                  certify)
+                  member, scenario, system, certify)

@@ -278,14 +278,13 @@ class TestResidualFields:
     def test_unperturbed_is_zero(self):
         system = pipe_system(eps=0.3)
         traj = make_trajectory(system, np.linspace(0, 1, 5), lambda t: 1.0)
-        e1, e2 = residual_fields(system, traj, 0.3)
-        assert np.max(np.abs(e1)) == 0.0
+        e2 = residual_fields(system, traj, 0.3)
         assert np.max(np.abs(e2)) == 0.0
 
     def test_stationary_friction_offset(self):
         system = pipe_system(eps=0.3, friction=1.0)
         traj = make_trajectory(system, np.linspace(0, 1, 5), lambda t: 1.0)
-        e1, e2 = residual_fields(system, traj, 0.3, gamma_hat=0.9)
+        e2 = residual_fields(system, traj, 0.3, gamma_hat=0.9)
         assert np.allclose(e2, 0.1)
 
     def test_time_varying_uniform_velocity(self):
@@ -294,7 +293,7 @@ class TestResidualFields:
         w_fn = lambda t: 1.0 + 0.5 * t**2
         traj = make_trajectory(system, times, w_fn)
         eps, eps_hat, gamma_hat = 0.4, 0.1, 0.8
-        e1, e2 = residual_fields(system, traj, eps_hat, gamma_hat=gamma_hat)
+        e2 = residual_fields(system, traj, eps_hat, gamma_hat=gamma_hat)
         # spatially uniform: the kinetic slope vanishes and the formula
         # reduces to the scalar expression with the same time quotients
         k = 4
@@ -319,24 +318,22 @@ class TestPerturbationFunctional:
 
     def test_zero(self, setup):
         system, constants = setup
-        val = perturbation_functional(system, np.zeros(system.n_cells),
-                                      np.zeros(system.n_faces), constants)
+        val = perturbation_functional(system, np.zeros(system.n_faces),
+                                      constants)
         assert val == 0.0
 
     def test_unit_momentum_residual(self, setup):
         system, constants = setup
-        val = perturbation_functional(system, np.zeros(system.n_cells),
-                                      np.ones(system.n_faces), constants)
+        val = perturbation_functional(system, np.ones(system.n_faces),
+                                      constants)
         assert val == pytest.approx(constants.p2 + constants.p3, rel=1e-12)
 
     def test_scaling_between_powers(self, setup):
         system, constants = setup
         rng = np.random.default_rng(8)
         e2 = rng.standard_normal(system.n_faces)
-        base = perturbation_functional(system, np.zeros(system.n_cells), e2,
-                                       constants)
-        scaled = perturbation_functional(system, np.zeros(system.n_cells),
-                                         3.0 * e2, constants)
+        base = perturbation_functional(system, e2, constants)
+        scaled = perturbation_functional(system, 3.0 * e2, constants)
         assert 3.0**1.5 * base <= scaled <= 9.0 * base + 1e-12
 
 
@@ -531,7 +528,7 @@ def _residual_fields_loop(system, traj, eps, eps_hat, gamma_hat):
         dkin[end] = (0.5 * wk[end] ** 2 - kin_c[lc[end]]) / om[end]
         e2[k] = ((eps**2 - eps_hat**2) * (dtw[k] + dkin)
                  + (gamma - gamma_hat) * np.abs(wk) * wk)
-    return np.zeros((len(w), system.n_cells)), e2
+    return e2
 
 
 def _gronwall_loop(system, traj_u, traj_hat, constants, schedule,
@@ -540,8 +537,8 @@ def _gronwall_loop(system, traj_u, traj_hat, constants, schedule,
     from pipeflow.energy import _exp_trapz_accumulate
 
     times = np.asarray(traj_u.times)
-    e1, e2 = _residual_fields_loop(system, traj_hat, system.epsilon, eps_hat,
-                                   gamma_hat)
+    e2 = _residual_fields_loop(system, traj_hat, system.epsilon, eps_hat,
+                               gamma_hat)
     out = {key: [] for key in ("cnorm_sq", "rel_dissipation", "rel_energy",
                                "p_residual", "p_boundary")}
     for k, (u, uh) in enumerate(zip(traj_u.states, traj_hat.states)):
@@ -549,7 +546,7 @@ def _gronwall_loop(system, traj_u, traj_hat, constants, schedule,
         out["rel_dissipation"].append(relative_dissipation(system, u, uh))
         out["rel_energy"].append(relative_energy(system, u, uh))
         out["p_residual"].append(
-            perturbation_functional(system, e1[k], e2[k], constants))
+            perturbation_functional(system, e2[k], constants))
         out["p_boundary"].append(boundary_perturbation(
             system, schedule, schedule_hat, times[k], eps_hat, constants))
     out = {key: np.array(v) for key, v in out.items()}
@@ -602,16 +599,14 @@ class TestBatchedCertificate:
             np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)
         constants = stability_constants(BOUNDS, LAW, lip_drho=1.0,
                                         lip_eps_dw=1.0, n_boundary=3)
-        e1, e2 = residual_fields(system, traj_hat, kw["eps_hat"],
-                                 gamma_hat=kw["gamma_hat"])
-        ref_e1, ref_e2 = _residual_fields_loop(
+        e2 = residual_fields(system, traj_hat, kw["eps_hat"],
+                             gamma_hat=kw["gamma_hat"])
+        ref_e2 = _residual_fields_loop(
             system, traj_hat, 0.3, kw["eps_hat"],
             system.gamma_faces if kw["gamma_hat"] is None else kw["gamma_hat"])
-        assert np.array_equal(e1, ref_e1)
         np.testing.assert_allclose(e2, ref_e2, rtol=1e-13, atol=0)
-        batched = perturbation_functional(system, e1, e2, constants)
-        rows = [perturbation_functional(system, a, b, constants)
-                for a, b in zip(e1, e2)]
+        batched = perturbation_functional(system, e2, constants)
+        rows = [perturbation_functional(system, row, constants) for row in e2]
         np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=0)
         with pytest.raises(ValueError, match="grids"):
             relative_energy(system, u, traj_hat.states[0])
@@ -662,7 +657,7 @@ class TestPerturbedSubstitution:
             sched = {"inlet": 1.0, "outlet": 1.0}
             traj = run(pert, state0, SolverConfig(dt=dt, t_final=0.1), sched)
 
-            _, e2 = residual_fields(base, traj, eps, gamma_hat=gamma_hat)
+            e2 = residual_fields(base, traj, eps, gamma_hat=gamma_hat)
             times = np.asarray(traj.times)
             worst = 0.0
             for k in range(1, len(times) - 1):

@@ -279,7 +279,7 @@ def test_make_law_factory():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["rho_min", "rho_max", "w_max", "eps_max",
                                   "area_min", "area_max", "friction_min",
-                                  "friction_max", "gz_max"])
+                                  "friction_max"])
 def test_bounds_must_be_finite(name, value):
     # nan fails every comparison and an infinite bound admits every
     # state; either used to pass for some field

@@ -1,7 +1,10 @@
-"""Every module-level import of a pipeflow module is used in it, and only
+"""Every module-level import of a pipeflow module is used in it, every
+field of the configuration dataclasses is read somewhere, and only
 solver._Child starts a second process."""
 
 import ast
+import dataclasses
+import importlib
 import os
 
 import pytest
@@ -37,6 +40,44 @@ def test_finds_an_unused_import():
 def test_module_imports_are_used(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def _attributes_read(source):
+    """The attribute names a module reads, outside __post_init__ (which
+    checks a field but does not use it)."""
+    read = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+    visit(ast.parse(source))
+    return read
+
+
+def test_finds_the_attributes_read():
+    assert _attributes_read("class A:\n    def __post_init__(self):\n"
+                            "        self.a\n    def f(self):\n"
+                            "        self.b.c = self.d\n") == {"b", "d"}
+
+
+@pytest.mark.parametrize("module, name", [
+    ("solver", "SolverConfig"), ("gas", "AdmissibleBounds"),
+    ("gas", "PipeParameters"), ("scenario", "InitialSpec"),
+    ("scenario", "Scenario")])
+def test_config_fields_are_read(module, name):
+    # a field nothing reads is an option that buys nothing
+    read = set()
+    for source in sorted(os.listdir(PACKAGE)):
+        if source.endswith(".py"):
+            with open(os.path.join(PACKAGE, source)) as fh:
+                read |= _attributes_read(fh.read())
+    cls = getattr(importlib.import_module(f"pipeflow.{module}"), name)
+    assert [f.name for f in dataclasses.fields(cls)
+            if f.name not in read] == []
 
 
 def _fork_uses(source):

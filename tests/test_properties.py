@@ -18,9 +18,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from pipeflow.discretization import (  # noqa: E402
     EdgeGrid, NetworkState, NetworkSystem)
-from pipeflow.gas import IsothermalLaw, PipeParameters  # noqa: E402
+from pipeflow.energy import limit_energy, power_balance_residual  # noqa: E402
+from pipeflow.gas import IsothermalLaw, PipeParameters, PowerLaw  # noqa: E402
 from pipeflow.network import Edge, NetworkTopology  # noqa: E402
-from pipeflow.solver import HyperbolicStepper, ParabolicStepper  # noqa: E402
+from pipeflow.solver import (  # noqa: E402
+    Batch, HyperbolicStepper, ParabolicStepper, SolverConfig, run)
 
 from helpers import assert_csc_is_the_coo_sum  # noqa: E402
 
@@ -33,11 +35,13 @@ set_hypothesis_home_dir(_home.name)
 
 
 @st.composite
-def multigraph_systems(draw, epsilon=st.floats(0.0, 1.0)):
+def multigraph_systems(draw, epsilon=st.floats(0.0, 1.0),
+                       law=st.just(IsothermalLaw(1.0))):
     """A connected multigraph of 2-6 vertices: a spanning tree, one pipe
     parallel to a tree pipe (so there is a cycle) and up to three more
     pipes, each with its own direction, length, grid, slope and constant
-    or linear area; its epsilon drawn from ``epsilon``."""
+    or linear area; its epsilon drawn from ``epsilon``, its gas law from
+    ``law``."""
     n = draw(st.integers(2, 6))
     ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     ends.append(draw(st.sampled_from(ends)))
@@ -59,7 +63,7 @@ def multigraph_systems(draw, epsilon=st.floats(0.0, 1.0)):
                                 gravity=draw(st.floats(0.0, 2.0)))
         edges.append(Edge(f"e{k}", f"v{a}", f"v{b}", params))
         grids[f"e{k}"] = EdgeGrid(length, draw(st.integers(2, 6)))
-    return NetworkSystem(NetworkTopology(edges), grids, IsothermalLaw(1.0),
+    return NetworkSystem(NetworkTopology(edges), grids, draw(law),
                          epsilon=draw(epsilon))
 
 
@@ -100,3 +104,113 @@ def test_csc_jacobian_is_the_coo_sum_on_random_multigraphs(scheme, data):
                                  np.concatenate((rho, w, hv)))
     assert_csc_is_the_coo_sum(stepper, stepper._jacobian(dt, cache),
                               stepper._jacobian_data(dt, cache))
+
+
+# the steppers' properties: eps = 0 is the limit model's alone
+EPSILONS = [0.0, 0.1, 0.5, 1.0]
+LAWS = [IsothermalLaw(1.0), PowerLaw(1.0, 2.0)]
+MODELS = ["hyperbolic", "parabolic"]
+
+
+def _epsilons(model):
+    return st.sampled_from(EPSILONS if model == "parabolic" else EPSILONS[1:])
+
+
+def _model_system(data, model):
+    """A random multigraph with eps from EPSILONS and a law from LAWS."""
+    return data.draw(multigraph_systems(epsilon=_epsilons(model),
+                                        law=st.sampled_from(LAWS)))
+
+
+def _config(model, scheme="midpoint"):
+    return SolverConfig(dt=0.01, t_final=0.05, scheme=scheme,
+                        parabolic=model == "parabolic")
+
+
+def _rest(system):
+    """The rest state with density 2 at the mean elevation, and its
+    boundary enthalpies."""
+    h = float(system.law.dpotential(np.full(1, 2.0))[0]
+              + np.mean(system.gz_cells))
+    return system.rest_state(h), dict.fromkeys(system.boundary_vertices, h)
+
+
+def _driven(data, system):
+    """The rest state, with boundary enthalpies off rest by up to 0.05."""
+    state, boundary = _rest(system)
+    return state, {v: h + data.draw(st.floats(-0.05, 0.05))
+                   for v, h in boundary.items()}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_junction_mass_is_conserved_on_random_multigraphs(model, data):
+    system = _model_system(data, model)
+    state0, boundary = _driven(data, system)
+    traj = run(system, state0, _config(model), boundary)
+    # not the parabolic start: limit_flow balances its velocities only
+    # to the float resolution of a junction enthalpy, through sqrt
+    for state in traj.states[1:]:
+        assert np.max(np.abs(system.junction_mass_defect(state)),
+                      initial=0.0) < 1e-10
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_backward_euler_balance_on_random_multigraphs(model, data):
+    # backward Euler dissipates the Hamiltonian, or the limit model's
+    # convex energy, up to the steps' Newton tolerance (pipeflow verify)
+    system = _model_system(data, model)
+    state0, boundary = _driven(data, system)
+    config = _config(model, scheme="backward-euler")
+    traj = run(system, state0, config, boundary)
+    h0 = (limit_energy(system, state0.rho) if config.parabolic
+          else traj.reports[0].energy)
+    assert (np.max(power_balance_residual(traj))
+            <= config.newton_tol * max(1.0, abs(h0)))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_rest_is_well_balanced_on_random_multigraphs(model, data):
+    system = _model_system(data, model)
+    rest, boundary = _rest(system)
+    config = _config(model)
+    traj = run(system, rest, config, boundary)
+    # gamma w^2 = -s with a roundoff slope s, which Newton leaves below
+    # its tolerance
+    w_max = np.sqrt(config.newton_tol / system.gamma_faces)
+    for state in traj.states:
+        assert np.all(np.abs(state.rho - rest.rho) <= 1e-13 * rest.rho)
+        if config.parabolic:
+            assert np.all(np.abs(state.w) <= w_max)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(st.data())
+def test_a_batch_is_its_members_runs_on_random_multigraphs(model, data):
+    # members differ in eps and boundary data on one network
+    system = _model_system(data, model)
+    config = _config(model)
+    members = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        member = NetworkSystem(system.topology, system.grids, system.law,
+                               epsilon=data.draw(_epsilons(model)))
+        state0, boundary = _driven(data, member)
+        members.append((member, state0, config, boundary))
+    # the limit model sets w by gamma |w| w = -s, so near rest w holds
+    # only to sqrt(tol / gamma) and the slope is what the runs share
+    flow = ((lambda w: system.gamma_faces * np.abs(w) * w)
+            if config.parabolic else (lambda w: w))
+    with Batch(members) as batch:
+        for member in members:
+            traj, own = run(*member, batch=batch), run(*member)
+            np.testing.assert_allclose(traj.rho_array(), own.rho_array(),
+                                       rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(flow(traj.w_array()),
+                                       flow(own.w_array()), rtol=0.0,
+                                       atol=1e-9)

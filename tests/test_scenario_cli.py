@@ -638,6 +638,30 @@ def test_cli_study_writes_tables(tmp_path, capsys):
     assert "bound_lhs" in header and "slack" in header
 
 
+def test_study_outside_the_box_fails_before_any_run(tmp_path, monkeypatch,
+                                                  capsys):
+    # pipe_limit's box holds friction in [0.8, 1.6], area 1 and eps <= 0.25
+    from pipeflow import studies
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a study ran outside its box")
+    monkeypatch.setattr(studies, "run", no_run)
+    with open(os.path.join(SCEN, "pipe_limit.scn")) as fh:
+        text = fh.read()
+    for topology, eps, error in (
+            ("friction = 3.0\narea = 4.0", "0.2,0.1,0.05",
+             "area [4.0, 4.0] leaves the bounds [1.0, 1.0]"),
+            ("friction = 3.0", "0.2,0.1,0.05",
+             "friction [3.0, 3.0] leaves the bounds [0.8, 1.6]"),
+            ("friction = 1.0", "0.5,0.4,0.3",
+             "epsilon [0.3, 0.5] exceeds eps_max = 0.25")):
+        scn = tmp_path / "box.scn"
+        scn.write_text(text.replace("friction = 1.0", topology))
+        assert main(["study", "epsilon", "--scenario", str(scn),
+                     "--eps-list", eps]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_study_writes_one_trace_per_parameter(tmp_path, capsys):
     # 0.1000001 prints as 0.1 under %g
     with open(os.path.join(SCEN, "y_limit.scn")) as fh:
@@ -708,9 +732,19 @@ def test_omitted_optional_keys_take_the_dataclass_defaults():
         MINIMAL.replace("t_final = 0.1", "t_final = 0.1\nscheme = midpoint\n"
                         "newton_tol = 1e-11\nmax_iter = 30\nparabolic = no")
         + bounds + "area_min = 1.0\narea_max = 1.0\nfriction_min = 1.0\n"
-        "friction_max = 1.0\ngz_max = 0.0\n")
+        "friction_max = 1.0\n")
     assert (explicit.solver, explicit.bounds) == (scen.solver, scen.bounds)
     assert explicit.manifest() == scen.manifest()
+
+
+def test_gz_max_is_an_unknown_key():
+    # the gravity terms cancel in the relative energy, so no bound reads it
+    text = (MINIMAL + "\n[bounds]\nrho_min = 0.5\nrho_max = 1.5\n"
+            "w_max = 0.5\neps_max = 0.5\ngz_max = 0.0\n")
+    line = text.splitlines().index("gz_max = 0.0") + 1
+    with pytest.raises(ConfigError, match=rf"^<string>:{line}: unknown or "
+                       r"unused key 'gz_max' in \[bounds\]$"):
+        parse_scenario(text)
 
 
 def test_tabulated_law_scenario(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import signal
 import subprocess
@@ -910,6 +911,16 @@ def test_scheme_aliases_name_one_scheme(scheme, name):
     system = build_system(y_network(), cells_per_edge=3, law=LAW, epsilon=0.3)
     theta = HyperbolicStepper(system, scheme=scheme).theta
     assert theta == {"midpoint": 0.5, "backward-euler": 1.0}[name]
+
+
+@pytest.mark.parametrize("stepper, keys", [
+    (HyperbolicStepper, ("scheme", "newton_tol", "max_iter")),
+    (ParabolicStepper, ("newton_tol", "max_iter"))])
+def test_stepper_defaults_are_the_config_defaults(stepper, keys):
+    # a stepper made directly solves as a run with the default config
+    params = inspect.signature(stepper).parameters
+    assert {k: params[k].default for k in keys} == {
+        k: getattr(SolverConfig, k) for k in keys}
 
 
 def test_unknown_scheme_is_an_error():

@@ -193,6 +193,43 @@ def _recording(monkeypatch):
     return runs
 
 
+def _with_params(scenario, **params):
+    """The scenario with its edges' parameters replaced."""
+    edges = [replace(e, params=replace(e.params, **params))
+             for e in scenario.topology.edges]
+    return replace(scenario, topology=NetworkTopology(edges))
+
+
+# pipe_limit's box: area in [1, 1], friction in [0.8, 1.6], eps <= 0.25
+@pytest.mark.parametrize("study, values, change, error", [
+    (gamma_perturbation_study, [0.2, 0.1, 0.05],
+     dict(area=((0.0, 1.0), (1.0, 1.2))),
+     r"area \[1.0, 1.2\] leaves the bounds \[1.0, 1.0\]"),
+    (boundary_perturbation_study, [0.2, 0.1, 0.05], dict(friction=3.0),
+     r"friction \[3.0, 3.0\] leaves the bounds \[0.8, 1.6\]"),
+    (epsilon_limit_study, [0.5, 0.4, 0.3], {},
+     r"epsilon \[0.3, 0.5\] exceeds eps_max = 0.25"),
+    (boundary_perturbation_study, [0.2, 0.1, 0.05], dict(epsilon=0.3),
+     r"epsilon \[0.3, 0.3\] exceeds eps_max = 0.25"),
+], ids=["area", "friction", "swept-epsilon", "scenario-epsilon"])
+def test_certified_study_checks_its_box_before_any_run(monkeypatch, study,
+                                                       values, change, error):
+    scenario = load_scenario(os.path.join(SCEN, "pipe_limit.scn"))
+    scenario = replace(scenario, cells_per_edge=8, solver=replace(
+        scenario.solver, t_final=20 * scenario.solver.dt))
+    if "epsilon" in change:
+        scenario = replace(scenario, epsilon=change["epsilon"])
+    elif change:
+        scenario = _with_params(scenario, **change)
+    runs = _recording(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        study(scenario, values)
+    assert runs == []
+    # the box bounds the certificates' constants only
+    study(scenario, values, certify=False)
+    assert len(runs) == 1 + len(values)
+
+
 @pytest.mark.parametrize("study, name, values", [
     (epsilon_limit_study, "y_limit.scn", [0.2, 0.1, 0.05, 0.025]),
     (gamma_perturbation_study, "pipe_perturbation.scn", [0.4, 0.2, 0.1, 0.05]),
