@@ -48,7 +48,6 @@ from .energy import (
     gronwall_monitor,
     hamiltonian,
     perturbation_functional,
-    power_balance_residual,
     relative_dissipation,
     relative_energy,
     residual_fields,

@@ -34,6 +34,24 @@ def weighted_sum(weight, values):
     return float(out) if out.ndim == 0 else out
 
 
+def schedule_values(schedule, vertices, tau):
+    """The vertices' values at tau of a boundary schedule, which maps each
+    vertex to a number or to a callable of one time: floats at one tau,
+    (K,) arrays at a list or array of K times, whose k-th value is the
+    float at times[k] bit for bit.  A vertex without an entry is an
+    error."""
+    many, values = isinstance(tau, (list, tuple, np.ndarray)), {}
+    for v in vertices:
+        if v not in schedule:
+            raise ValueError(f"missing boundary schedule for vertex {v!r}")
+        entry = schedule[v]
+        if not callable(entry):
+            entry = (lambda t, x=float(entry): x)
+        values[v] = (np.array([float(entry(t)) for t in tau]) if many
+                     else float(entry(tau)))
+    return values
+
+
 class EdgeGrid:
     """Uniform staggered grid on a single pipe.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import NetworkState, weighted_sum
+from .discretization import NetworkState, schedule_values, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +84,6 @@ def relative_dissipation(system, u, uhat):
     weight = system.omega_gamma * system.arho_faces(uhat.rho)
     return weighted_sum(weight, (np.abs(u.w) + np.abs(uhat.w))
                         * (u.w - uhat.w) ** 2) / 16.0
-
-
-def power_balance_residual(trajectory):
-    """Per-step residuals H^{n+1} - H^n + dt*(D - flux) at the stage; on
-    a parabolic run H is the limit energy and the residual is <= 0 up to
-    solver tolerance."""
-    return np.array([r.balance_residual for r in trajectory.reports[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +226,9 @@ def boundary_perturbation(system, schedule, schedule_hat, taus, eps_hat,
     multiple boundary vertices.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-
-    def values(entry):  # a schedule takes one time, as the steppers call it
-        return (np.array([float(entry(t)) for t in taus]) if callable(entry)
-                else float(entry))
-
-    sq = sum(((values(schedule[v]) - values(schedule_hat[v])) ** 2
+    values, values_hat = (schedule_values(s, system.boundary_vertices, taus)
+                          for s in (schedule, schedule_hat))
+    sq = sum(((values[v] - values_hat[v]) ** 2
               for v in system.boundary_vertices), np.zeros(taus.size))
     out = constants.c_boundary * (np.sqrt(sq)
                                   + abs(system.epsilon**2 - eps_hat**2))
@@ -250,7 +240,10 @@ def boundary_perturbation(system, schedule, schedule_hat, taus, eps_hat,
 
 @dataclass
 class GronwallCertificate:
-    """Certificate data: bound sides plus every ingredient per snapshot."""
+    """Certificate data: bound sides plus every ingredient per snapshot.
+    ``outside`` says which runs of the pair leave the admissible box the
+    constants assume; if any does, the certificate is not ``ok``,
+    whatever its bound says."""
 
     ok: bool
     min_slack: float
@@ -262,6 +255,7 @@ class GronwallCertificate:
     cnorm_sq: np.ndarray = None
     p_residual: np.ndarray = None
     p_boundary: np.ndarray = None
+    outside: tuple = ()
 
     def write_trace(self, path):
         """Tabular relative-energy trace with the bound sides and slack."""

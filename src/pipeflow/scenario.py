@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network as net
-from .discretization import NetworkState, build_system
+from .discretization import NetworkState, build_system, schedule_values
 from .gas import (LAW_KEYS, AdmissibleBounds, PipeParameters, law_kind,
                   make_law)
-from .solver import SolverConfig, _Child, _eval_boundary, limit_flow
+from .solver import SolverConfig, _Child, limit_flow
 
 
 class ConfigError(ValueError):
@@ -403,7 +403,7 @@ class Scenario:
                 w[faces] = eval_profile_expression(self.initial.w, xf,
                                                    e.params.length)
         if recover:
-            w, _ = limit_flow(system, rho, _eval_boundary(
+            w, _ = limit_flow(system, rho, schedule_values(
                 self.boundary, system.boundary_vertices, 0.0))
         return NetworkState(0.0, rho, w)
 

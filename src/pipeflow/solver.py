@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy as energy_mod
-from .discretization import NetworkState, weighted_sum
+from .discretization import NetworkState, schedule_values, weighted_sum
 from .gas import bisect
 
 
@@ -180,8 +180,9 @@ class EnergyReport:
 @dataclass
 class Trajectory:
     """Snapshots with their reports and the work of the steps between
-    them.  ``rho_array()`` and ``w_array()`` are (K, n) stacks of the
-    snapshots, built once."""
+    them, recorded by run (_Recorder) or kept as (K, n) stacks
+    (from_stacks).  ``rho_array()`` and ``w_array()`` are those stacks,
+    built once."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -202,14 +203,8 @@ class Trajectory:
                    states=[NetworkState(*s) for s in zip(times, rho, w)],
                    stacks=(rho, w), **fields)
 
-    def append(self, state, report):
-        self.times.append(state.tau)
-        self.states.append(state)
-        self.reports.append(report)
-        self.stacks = None
-
     def _stacked(self):
-        if self.stacks is None or len(self.stacks[0]) != len(self.states):
+        if self.stacks is None:
             self.stacks = (np.array([s.rho for s in self.states]),
                            np.array([s.w for s in self.states]))
         return self.stacks
@@ -219,16 +214,6 @@ class Trajectory:
 
     def w_array(self):
         return self._stacked()[1]
-
-
-def _eval_boundary(schedule, vertices, tau):
-    values = {}
-    for v in vertices:
-        if v not in schedule:
-            raise ValueError(f"missing boundary schedule for vertex {v!r}")
-        entry = schedule[v]
-        values[v] = float(entry(tau)) if callable(entry) else float(entry)
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +537,9 @@ class _NewtonStepper:
         a batch takes a list of schedules and gives a list and a stack."""
         sys = self.system
         if self.members is None:
-            values = _eval_boundary(boundary, sys.boundary_vertices, tau)
+            values = schedule_values(boundary, sys.boundary_vertices, tau)
             return values, sys.boundary_load(values)
-        values = [_eval_boundary(b, sys.boundary_vertices, tau)
+        values = [schedule_values(b, sys.boundary_vertices, tau)
                   for b in boundary]
         return values, sys.boundary_load(
             {v: [x[v] for x in values] for v in sys.boundary_vertices})
@@ -882,7 +867,8 @@ def _stepper(system, config, forcing=None):
 def _start(system, state0, config, boundary):
     """state0; on a parabolic run from rest velocities, with limit_flow's."""
     if config.parabolic and np.count_nonzero(state0.w) == 0 and system.n_faces:
-        values = _eval_boundary(boundary, system.boundary_vertices, state0.tau)
+        values = schedule_values(boundary, system.boundary_vertices,
+                                 state0.tau)
         w0, _ = limit_flow(system, state0.rho, values)
         state0 = NetworkState(state0.tau, state0.rho.copy(), w0)
     return state0
@@ -920,27 +906,27 @@ class Batch:
     """Runs that share topology, grid, gas law and SolverConfig, stepped
     as one block-diagonal system.  A member is the arguments (system,
     state0, config, boundary) of its run, and ``run(*member,
-    batch=batch)`` returns its trajectory, each handed out once.  Members
-    iterate to a joint residual norm, so they differ from their own runs
-    at tolerance level.
+    batch=batch)`` returns its trajectory, handed out in member order:
+    asking for any member but the next is a ValueError naming the one
+    expected.  Members iterate to a joint residual norm, so they differ
+    from their own runs at tolerance level.
 
     The members step in a child process (_Child) started when the batch
     is made, so the caller can do other work meanwhile; the first
     ``take`` waits for them.  The child inherits the members' systems and
     boundary schedules, which need not pickle, and sends back each
-    trajectory as a few arrays, received in member order as they are
-    taken.  After a failed joint step the child sends each member's own
-    run, up to the first StepFailure, which the take that reaches it
-    raises with the failing member's step and partial trajectory; any
-    other error of the joint run is raised by the first take.  Without
-    ``os.fork`` all of this runs in process at the first take.  Leaving
-    a ``with`` block, or ``close()``, kills and reaps a child still
-    running.
+    trajectory as a few arrays, received as it is taken.  After a failed
+    joint step the child sends each member's own run, up to the first
+    StepFailure, which the take that reaches it raises with the failing
+    member's step and partial trajectory; any other error of the joint
+    run is raised by the first take.  Without ``os.fork`` all of this
+    runs in process at the first take.  Leaving a ``with`` block, or
+    ``close()``, kills and reaps a child still running.
     """
 
     def __init__(self, members):
         self.members = [tuple(m) for m in members]
-        self._trajectories = []  # received so far, None once taken
+        self._taken = 0  # members handed out, or whose take raised
         self._child = _Child.start(self._send)
 
     def __enter__(self):
@@ -954,24 +940,21 @@ class Batch:
         self._child.reap()
 
     def take(self, *member):
-        for i, known in enumerate(self.members):
-            if all(a is b for a, b in zip(known, member)):
-                break
-        else:
-            raise ValueError("not a member of this batch")
-        while len(self._trajectories) <= i:
-            try:
-                packed = self._child.load()
-            except ChildProcessError as exc:
-                raise RuntimeError(f"the batch's {exc} before sending its "
-                                   "runs") from exc
-            self._trajectories.append(_unpack(*packed))
-        if len(self._trajectories) == len(self.members):
+        i, n = self._taken, len(self.members)
+        if i == n:
+            raise ValueError(f"all {n} members of this batch were taken")
+        if not all(a is b for a, b in zip(self.members[i], member)):
+            raise ValueError(f"batch members are taken in order: expected "
+                             f"member {i} of {n}")
+        self._taken += 1
+        try:
+            packed = self._child.load()
+        except ChildProcessError as exc:
+            raise RuntimeError(f"the batch's {exc} before sending its "
+                               "runs") from exc
+        if self._taken == n:
             self._child.reap(kill=False)
-        traj, self._trajectories[i] = self._trajectories[i], None
-        if traj is None:
-            raise ValueError("this member's trajectory was taken before")
-        return traj
+        return _unpack(*packed)
 
     def _send(self, pipe):
         """Step the members and send each trajectory; after a failed
@@ -1191,12 +1174,10 @@ class _Recorder:
         taus, states = traj.times[start:stop], traj.states[start:stop]
         block = NetworkState(taus, np.array([s.rho for s in states]),
                              np.array([s.w for s in states]))
-        values = [_eval_boundary(self.boundary, sys.boundary_vertices, tau)
-                  for tau in taus]
         energy = energy_mod.hamiltonian(sys, block)
         dissipation = energy_mod.dissipation(sys, block)
-        flux = energy_mod.boundary_flux(
-            sys, block, {v: [x[v] for x in values] for v in sys.boundary_vertices})
+        flux = energy_mod.boundary_flux(sys, block, schedule_values(
+            self.boundary, sys.boundary_vertices, taus))
         h = (energy_mod.limit_energy(sys, block.rho) if self.parabolic
              else energy)
         h_prev = np.concatenate(([self.h_last], h[:-1]))

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .discretization import NetworkState, schedule_values
 from .energy import (
     gronwall_monitor,
     lipschitz_estimates,
     stability_constants,
 )
-from .solver import Batch, StepFailure, Trajectory, run
+from .solver import _BLOCK_VALUES, Batch, StepFailure, Trajectory, run
 
 
 def fit_loglog_slope(x, y):
@@ -83,6 +84,10 @@ class StudyResult:
             ok = sum(c.ok for c in self.certificates)
             lines.append(f"  stability certificates: {ok}/"
                          f"{len(self.certificates)} hold")
+            # a reference outside the box voids every pair: say so once
+            lines += dict.fromkeys(f"  not certified: {why}"
+                                   for c in self.certificates
+                                   for why in c.outside)
         return "\n".join(lines)
 
     def write_table(self, path):
@@ -105,6 +110,27 @@ def _subsample(trajectory, stride):
         trajectory.times[::stride], np.array([s.rho for s in kept]),
         np.array([s.w for s in kept]), reports=trajectory.reports[::stride],
         warnings=list(trajectory.warnings))
+
+
+def _outside_box(label, system, trajectory, bounds):
+    """Where a run leaves the [bounds] box its certificate assumes: the
+    run, the kinds its snapshots violate and the first tau at which one
+    does; None if every snapshot lies inside.  The snapshots are checked
+    in (K, n) stacks near 64 kB, as the recorder reports them, so that
+    a run recorded state by state is not stacked whole."""
+    states, kinds, first = trajectory.states, set(), None
+    size = max(1, _BLOCK_VALUES // system.n_faces)
+    for block in (states[k:k + size] for k in range(0, len(states), size)):
+        found = system.check_state(NetworkState(
+            None, np.array([s.rho for s in block]),
+            np.array([s.w for s in block])), bounds)
+        if found and first is None:
+            first = next(s.tau for s in block if system.check_state(s, bounds))
+        kinds.update(found)
+    if first is None:
+        return None
+    return (f"the {label} run leaves the [bounds] box "
+            f"({', '.join(sorted(kinds))}) from tau={first:.6g}")
 
 
 def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):
@@ -177,11 +203,13 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     with the Lipschitz constants taken along u_hat.  The members run as
     one Batch, made first so that they step in its child process while
     the reference runs here; each is measured and dropped before the
-    next.
+    next.  A certificate holds only while both runs of its pair stay in
+    the [bounds] box: the reference is checked at full resolution, each
+    member on its own snapshots.
     """
-    def measure(args, pair):
-        x, pair_system, u, u_hat, monitor_kwargs = pair(
-            run(*args, batch=batch), ref)
+    def measure(label, args, pair):
+        traj = run(*args, batch=batch)
+        x, pair_system, u, u_hat, monitor_kwargs = pair(traj, ref)
         # the limit reference has no eps^2 kinetic norm contribution
         sup_sq, l3 = _pair_errors(pair_system, u, u_hat,
                                   include_kinetic=not ref_config.parabolic)
@@ -194,6 +222,9 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                 n_boundary=len(pair_system.boundary_vertices))
             cert = gronwall_monitor(pair_system, u, u_hat, constants,
                                     scenario.boundary, **monitor_kwargs)
+            cert.outside = tuple(o for o in (ref_outside, _outside_box(
+                label, args[0], traj, scenario.bounds)) if o)
+            cert.ok = cert.ok and not cert.outside
         return x, sup_sq + l3, sup_sq, l3, cert
 
     config = scenario.solver
@@ -202,13 +233,15 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                          max_iter=config.max_iter + 20, parabolic=parabolic)
     members = [member(p) for p in parameters]
     with Batch(args for args, _ in members) as batch:
+        ref = _named("reference", run, system, scenario.initial_state(system),
+                     ref_config, scenario.boundary)
+        ref_outside = (_outside_box("reference", system, ref, scenario.bounds)
+                       if certify else None)
         # only the subsample is kept, not the full-resolution run
-        ref = _subsample(_named("reference", run, system,
-                                scenario.initial_state(system), ref_config,
-                                scenario.boundary),
-                         round(config.dt / ref_config.dt))
-        results = [_named(f"{parameter_name}={p:g}", measure, *m)
-                   for p, m in zip(parameters, members)]
+        ref = _subsample(ref, round(config.dt / ref_config.dt))
+        labels = [f"{parameter_name}={p:g}" for p in parameters]
+        results = [_named(label, measure, label, *m)
+                   for label, m in zip(labels, members)]
     x = [r[0] for r in results]
     errors = [r[1] for r in results]
     slope, mask = fit_loglog_slope(x, errors)
@@ -301,10 +334,10 @@ def boundary_perturbation_study(scenario, amplitudes, certify=True):
         return math.sin(math.pi * min(max(tau / t_final, 0.0), 1.0)) ** 2
 
     def member(amplitude):
-        base = scenario.boundary[vertex]
         pert = {**scenario.boundary,
-                vertex: (lambda tau, b=base, a=amplitude:
-                         (b(tau) if callable(b) else b) + a * bump(tau))}
+                vertex: (lambda tau, a=amplitude: schedule_values(
+                    scenario.boundary, (vertex,), tau)[vertex]
+                    + a * bump(tau))}
 
         def pair(traj_hat, ref):
             times = np.asarray(ref.times)

@@ -128,6 +128,12 @@ def total_mass(system, state):
     return float(np.dot(system.c_rho, state.rho))
 
 
+def balance_residuals(trajectory):
+    """The balance residual of every step, H^{n+1} - H^n + dt*(D -
+    flux), from the reports after the first snapshot."""
+    return np.array([r.balance_residual for r in trajectory.reports[1:]])
+
+
 # ---------------------------------------------------------------------------
 # co-state defect
 

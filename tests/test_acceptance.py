@@ -16,7 +16,6 @@ import scipy.sparse as sp
 from pipeflow.discretization import NetworkState, build_system
 from pipeflow.energy import (
     c0_constants,
-    power_balance_residual,
     random_admissible_state,
     relative_dissipation,
     relative_energy,
@@ -37,7 +36,7 @@ from pipeflow.studies import (
     gamma_perturbation_study,
 )
 
-from helpers import constant_state
+from helpers import balance_residuals, constant_state
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCEN = os.path.join(REPO, "scenarios")
@@ -131,13 +130,13 @@ def test_criterion_02_power_balance():
             state = NetworkState(0.0, rho0.copy(), np.zeros(system.n_faces))
             traj = run(system, state, SolverConfig(dt=dt, t_final=0.2),
                        boundary)
-            maxres.append(np.max(np.abs(power_balance_residual(traj))))
+            maxres.append(np.max(np.abs(balance_residuals(traj))))
         slope = np.polyfit(np.log(dts), np.log(maxres), 1)[0]
         state = NetworkState(0.0, rho0.copy(), np.zeros(system.n_faces))
         be = run(system, state,
                  SolverConfig(dt=5e-3, t_final=0.2, scheme="backward-euler"),
                  boundary)
-        be_max = float(np.max(power_balance_residual(be)))
+        be_max = float(np.max(balance_residuals(be)))
     ok = slope >= 1.8 and be_max <= 1e-10
     _report(2, ok, 30.0, clock,
             f"midpoint residual order {slope:.2f} (>= 1.8), backward-Euler "

@@ -9,6 +9,7 @@ from pipeflow.discretization import (
     NetworkState,
     NetworkSystem,
     build_system,
+    schedule_values,
 )
 from pipeflow.energy import random_admissible_state
 from pipeflow.gas import (
@@ -483,6 +484,33 @@ def test_boundary_load_per_snapshot():
     rows = [system.boundary_load({v: float(x[k]) for v, x in values.items()})
             for k in range(3)]
     assert np.array_equal(system.boundary_load(values), np.array(rows))
+
+
+def test_schedule_values_of_many_times_are_those_of_each():
+    # one evaluation per entry and time, in the order of the times, and
+    # row k is the float at times[k] bit for bit
+    calls = []
+
+    def swell(tau):
+        calls.append(tau)
+        return np.float64(1.0) + np.sin(3.0 * tau) / 7.0
+
+    schedule = {"inlet": swell, "outlet_a": 1, "outlet_b": np.float32(0.9)}
+    vertices = ("inlet", "outlet_a", "outlet_b")
+    times = [0.0, 0.1, 1 / 3, 0.7]
+    many = schedule_values(schedule, vertices, times)
+    assert calls == times
+    for k, tau in enumerate(times):
+        one = schedule_values(schedule, vertices, tau)
+        assert all(type(x) is float for x in one.values())
+        for v in vertices:
+            assert many[v].shape == (4,)
+            assert many[v][k].tobytes() == np.float64(one[v]).tobytes()
+    assert schedule_values(schedule, ("outlet_a",), np.array(times))[
+        "outlet_a"].tolist() == [1.0] * 4
+    with pytest.raises(ValueError,
+                       match="missing boundary schedule for vertex 'outlet_c'"):
+        schedule_values(schedule, ("outlet_c",), 0.0)
 
 
 def test_boundary_load_on_y_network():

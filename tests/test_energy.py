@@ -15,7 +15,6 @@ from pipeflow.energy import (
     limit_energy,
     lipschitz_estimates,
     perturbation_functional,
-    power_balance_residual,
     random_admissible_state,
     relative_dissipation,
     relative_energy,
@@ -28,6 +27,7 @@ from pipeflow.scenario import load_scenario
 from pipeflow.solver import HyperbolicStepper, SolverConfig, Trajectory, run
 
 from helpers import (
+    balance_residuals,
     constant_state,
     costate_defect_closed,
     costate_defect_direct,
@@ -266,12 +266,9 @@ class TestC0Constants:
 
 
 def make_trajectory(system, times, w_fn, rho=1.0):
-    traj = Trajectory()
-    for t in times:
-        state = NetworkState(t, np.full(system.n_cells, rho),
-                             np.full(system.n_faces, w_fn(t)))
-        traj.append(state, None)
-    return traj
+    return Trajectory.from_stacks(
+        list(times), np.full((len(times), system.n_cells), rho),
+        np.array([np.full(system.n_faces, w_fn(t)) for t in times]))
 
 
 class TestResidualFields:
@@ -375,7 +372,7 @@ def test_limit_energy_balance_on_committed_scenarios(name):
     system = scenario.build_system()
     traj = run(system, scenario.initial_state(system), scenario.solver,
                scenario.boundary)
-    res = power_balance_residual(traj)
+    res = balance_residuals(traj)
     assert res.size == len(traj.states) - 1 >= 600
     assert np.max(res) <= 1e-10
 
@@ -386,7 +383,7 @@ class TestPowerBalance:
         state = system.rest_state(1.0)
         traj = run(system, state, SolverConfig(dt=0.02, t_final=0.2),
                    {"inlet": 1.0, "outlet": 1.0})
-        assert np.max(np.abs(power_balance_residual(traj))) < 1e-12
+        assert np.max(np.abs(balance_residuals(traj))) < 1e-12
 
     def test_friction_loop_residual_second_order(self):
         system = build_system(loop_network(), cells_per_edge=8,
@@ -397,7 +394,7 @@ class TestPowerBalance:
             state = NetworkState(0.0, rho0.copy(),
                                  np.full(system.n_faces, 0.5))
             traj = run(system, state, SolverConfig(dt=dt, t_final=0.2), {})
-            maxres.append(np.max(np.abs(power_balance_residual(traj))))
+            maxres.append(np.max(np.abs(balance_residuals(traj))))
         orders = np.log2(np.array(maxres[:-1]) / np.array(maxres[1:]))
         assert np.all(orders > 1.8), orders
 
@@ -421,7 +418,7 @@ class TestPowerBalance:
         traj = run(system, state,
                    SolverConfig(dt=5e-3, t_final=0.1, scheme="backward-euler"),
                    {"inlet": 1.0, "outlet": 1.0})
-        assert np.max(power_balance_residual(traj)) <= 1e-10
+        assert np.max(balance_residuals(traj)) <= 1e-10
 
     def test_committed_transient(self):
         # every report's dissipation is the pow formula's to roundoff, and
@@ -437,7 +434,7 @@ class TestPowerBalance:
                 assert report.dissipation == pytest.approx(
                     _cube_power(system, state.rho, state.w), rel=1e-15,
                     abs=0.0)
-            worst.append(np.max(np.abs(power_balance_residual(traj))))
+            worst.append(np.max(np.abs(balance_residuals(traj))))
         assert worst[1] <= 0.35 * worst[0]
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -451,7 +448,7 @@ class TestPowerBalance:
         dt = 5e-3
         traj = run(system, system.rest_state(1.0),
                    SolverConfig(dt=dt, t_final=0.2, parabolic=True), sched)
-        res = power_balance_residual(traj)
+        res = balance_residuals(traj)
         energy = np.array([limit_energy(system, s.rho) for s in traj.states])
         expected = (np.diff(energy) + dt * np.array(traj.stage_dissipation)
                     - dt * np.array(traj.stage_flux))
@@ -495,12 +492,9 @@ class TestGronwallMonitor:
     def test_corrupted_trajectory_fails(self):
         system, traj, sched = self.make_pair()
         constants = stability_constants(BOUNDS, LAW, n_boundary=2)
-        bad = Trajectory()
-        for k, s in enumerate(traj.states):
-            s2 = s.copy()
-            if k == len(traj.states) // 2:
-                s2.rho = s2.rho + 0.5
-            bad.append(s2, traj.reports[k])
+        rho = traj.rho_array().copy()
+        rho[len(rho) // 2] += 0.5
+        bad = Trajectory.from_stacks(traj.times, rho, traj.w_array())
         cert = gronwall_monitor(system, bad, traj, constants, sched)
         assert not cert.ok
 
@@ -631,11 +625,10 @@ class TestBatchedCertificate:
 
 def test_lipschitz_estimates_linear_motion():
     system = pipe_system(eps=0.5)
-    times = np.linspace(0, 1, 6)
-    traj = Trajectory()
-    for t in times:
-        traj.append(NetworkState(t, np.full(system.n_cells, 1.0 + 0.3 * t),
-                                 np.full(system.n_faces, 2.0 * t)), None)
+    times = np.linspace(0, 1, 6)[:, None]
+    traj = Trajectory.from_stacks(
+        list(times[:, 0]), np.repeat(1.0 + 0.3 * times, system.n_cells, 1),
+        np.repeat(2.0 * times, system.n_faces, 1))
     drho, depsw = lipschitz_estimates(system, traj)
     assert drho == pytest.approx(0.3, rel=1e-12)
     assert depsw == pytest.approx(0.5 * 2.0, rel=1e-12)
@@ -708,7 +701,7 @@ def test_backward_euler_dissipative_on_network():
                sched)
     # junction coupling transmits no energy, so the signed per-step
     # balance stays nonpositive on networks too
-    assert np.max(power_balance_residual(traj)) <= 1e-10
+    assert np.max(balance_residuals(traj)) <= 1e-10
 
 
 def _tabulated_law():

@@ -1,6 +1,7 @@
 """Every module-level import of a pipeflow module is used in it, every
-field of the configuration dataclasses is read somewhere, and only
-solver._Child starts a second process."""
+field of the configuration dataclasses is read somewhere, only
+solver._Child starts a second process, and only
+discretization.schedule_values reads boundary schedules."""
 
 import ast
 import dataclasses
@@ -119,3 +120,37 @@ def test_only_the_child_helper_forks():
                     stray.append(f"{module}:{line}")
     assert stray == []
     assert owned == 2  # the guard sees _Child's own os.pipe and os.fork
+
+
+def _callable_calls(source):
+    """(line, enclosing top-level function or class, or None) of each
+    call of callable()."""
+    calls = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "callable"):
+                calls.append((node.lineno, owner))
+    return calls
+
+
+def test_finds_callable_calls():
+    assert _callable_calls("def f(x):\n    return callable(x)\nclass A:\n"
+                           "    g = callable\ncallable(1)\n") == [(2, "f"),
+                                                                  (5, None)]
+
+
+def test_only_the_schedule_reader_decodes_schedules():
+    # a schedule entry is a number or a callable of one time, and
+    # discretization.schedule_values alone tells them apart
+    stray, owned = [], 0
+    for module in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, module)) as fh:
+            for line, owner in _callable_calls(fh.read()):
+                if (module, owner) == ("discretization.py", "schedule_values"):
+                    owned += 1
+                else:
+                    stray.append(f"{module}:{line}")
+    assert stray == []
+    assert owned == 1

@@ -18,13 +18,14 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from pipeflow.discretization import (  # noqa: E402
     EdgeGrid, NetworkState, NetworkSystem)
-from pipeflow.energy import limit_energy, power_balance_residual  # noqa: E402
+from pipeflow.energy import limit_energy  # noqa: E402
 from pipeflow.gas import IsothermalLaw, PipeParameters, PowerLaw  # noqa: E402
 from pipeflow.network import Edge, NetworkTopology  # noqa: E402
 from pipeflow.solver import (  # noqa: E402
     Batch, HyperbolicStepper, ParabolicStepper, SolverConfig, run)
 
-from helpers import assert_csc_is_the_coo_sum  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_csc_is_the_coo_sum, balance_residuals)
 
 
 # hypothesis caches the constants of the loaded modules under its home
@@ -168,7 +169,7 @@ def test_backward_euler_balance_on_random_multigraphs(model, data):
     traj = run(system, state0, config, boundary)
     h0 = (limit_energy(system, state0.rho) if config.parabolic
           else traj.reports[0].energy)
-    assert (np.max(power_balance_residual(traj))
+    assert (np.max(balance_residuals(traj))
             <= config.newton_tol * max(1.0, abs(h0)))
 
 

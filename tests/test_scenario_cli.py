@@ -368,6 +368,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "junction-conservation" in out
         assert "ok   limit-energy-balance" in out
+        assert "ok   limit-junction-conservation" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("name", sorted(
@@ -415,6 +416,27 @@ class TestCli:
         assert code == 1
         assert "FAIL limit-energy-balance" in out
         assert "ok   power-balance" in out
+
+    def test_verify_catches_a_parabolic_junction_defect(self, monkeypatch,
+                                                        capsys):
+        # parabolic steps whose first junction face carries 1e-6 more
+        # velocity than the balance allows
+        step = ParabolicStepper.step
+
+        def leaking(self, *args, **kwargs):
+            state, info = step(self, *args, **kwargs)
+            w = state.w.copy()
+            w[self.system.junction_term_faces[0]] += 1e-6
+            return NetworkState(state.tau, state.rho, w), info
+
+        monkeypatch.setattr(ParabolicStepper, "step", leaking)
+        code = main(["verify", "--scenario",
+                     os.path.join(SCEN, "y_transient.scn"),
+                     "--samples", "5", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL limit-junction-conservation" in out
+        assert out.count("FAIL") == 1
 
     def test_verify_catches_a_j_that_is_not_skew(self, monkeypatch, capsys):
         # a junction row of S^T off by a relative 1e-6: the steppers still
@@ -679,6 +701,31 @@ def test_study_writes_one_trace_per_parameter(tmp_path, capsys):
         "stability_epsilon_0.1000001.csv", "stability_epsilon_0.2.csv"]
 
 
+def test_study_whose_runs_leave_the_box_is_not_certified(tmp_path, capsys):
+    # y_limit's densities start in [1, 1.08] and leave [1, 1.09]; the
+    # bound of every pair still holds
+    with open(os.path.join(SCEN, "y_limit.scn")) as fh:
+        text = fh.read().replace("rho_min = 0.7", "rho_min = 1.0").replace(
+            "rho_max = 1.4", "rho_max = 1.09")
+    (tmp_path / "y_limit.scn").write_text(text)
+    (tmp_path / "y_network.topo").write_text(
+        open(os.path.join(SCEN, "y_network.topo")).read())
+    args = ["study", "epsilon", "--scenario", str(tmp_path / "y_limit.scn"),
+            "--eps-list", "0.2,0.1,0.05"]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert "stability certificates: 0/3 hold" in out
+    box = "leaves the [bounds] box"
+    assert (f"  not certified: the reference run {box} (density_low) from "
+            "tau=0.00125\n") in out
+    assert (f"  not certified: the epsilon=0.2 run {box} (density_high, "
+            "density_low) from tau=0.001\n") in out
+    assert out.count(box) == 4  # the reference once, each member once
+    assert err == "stability certificate failed\n"
+    assert main(args + ["--no-certify"]) == 0
+    assert box not in capsys.readouterr().out
+
+
 def test_initial_state_from_file(tmp_path):
     import numpy as np
 
@@ -854,11 +901,12 @@ def _star_system(names):
 
 def _random_trajectory(system, times):
     rng = np.random.default_rng(3)
-    traj = Trajectory()
-    for tau in times:
-        traj.append(NetworkState(tau, 1 + 0.1 * rng.random(system.n_cells),
-                                 rng.standard_normal(system.n_faces)), None)
-    return traj
+    rho = np.empty((len(times), system.n_cells))
+    w = np.empty((len(times), system.n_faces))
+    for k in range(len(times)):
+        rho[k] = 1 + 0.1 * rng.random(system.n_cells)
+        w[k] = rng.standard_normal(system.n_faces)
+    return Trajectory.from_stacks(list(times), rho, w)
 
 
 def test_csv_tables_match_reference_with_format_characters_in_names(tmp_path):
@@ -937,9 +985,8 @@ def test_csv_tables_match_reference_on_exponent_and_sign_forms(tmp_path):
     system = replace(scen, cells_per_edge=4).build_system()
     w = np.array([-0.0, 1e-300, 123456789012345.6, -2.5e-7, 0.1 + 0.2])
     rho = np.array([1e-300, 1.0, 123456789012345.6, 1e16])
-    traj = Trajectory()
-    traj.append(NetworkState(-0.0, rho, w), None)
-    traj.append(NetworkState(1e-5, rho[::-1].copy(), -w), None)
+    traj = Trajectory.from_stacks([-0.0, 1e-5], np.array([rho, rho[::-1]]),
+                                  np.array([w, -w]))
     faces = _assert_tables_match_reference(tmp_path, system, traj)
     assert b",-0,-0\n" in faces and b"e-300," in faces
 
@@ -976,8 +1023,8 @@ def test_csv_tables_match_reference_without_fork(tmp_path, monkeypatch,
 def test_unknown_trajectory_format_is_rejected(tmp_path):
     scen = parse_scenario(MINIMAL)
     system = replace(scen, cells_per_edge=4).build_system()
-    traj = Trajectory()
-    traj.append(scen.initial_state(system), None)
+    state = scen.initial_state(system)
+    traj = Trajectory.from_stacks([state.tau], state.rho[None], state.w[None])
     with pytest.raises(ValueError, match="'parquet'"):
         write_trajectory(tmp_path / "out", system, traj, fmt="parquet")
     assert not (tmp_path / "out").exists()

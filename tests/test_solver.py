@@ -13,7 +13,7 @@ from scipy.sparse import linalg as sp_linalg
 
 from pipeflow import energy as energy_mod
 from pipeflow import solver as solver_mod
-from pipeflow.discretization import NetworkState, build_system
+from pipeflow.discretization import NetworkState, build_system, schedule_values
 from pipeflow.gas import AdmissibleBounds, IsothermalLaw, PowerLaw
 from pipeflow.network import loop_network, single_pipe, y_network
 from pipeflow.scenario import load_scenario
@@ -583,8 +583,8 @@ class TestParabolic:
         dt = 0.02
         for _ in range(2):  # the second step starts from held junction values
             new, info = stepper.step(state, dt, boundary)
-            values = {v: b(new.tau) if callable(b) else b
-                      for v, b in boundary.items()}
+            values = schedule_values(boundary, system.boundary_vertices,
+                                     new.tau)
             w_rec = velocity_recovery(system, new.rho, values,
                                       junction_h=info["junction_h"])
             # friction form: the square root amplifies rounding near w = 0
@@ -767,8 +767,8 @@ def _per_state_reports(system, config, boundary, traj, bounds):
     block-wise bookkeeping."""
     reports, warnings, h_prev = [], [], np.nan
     for k, state in enumerate(traj.states):
-        values = {v: float(boundary[v](state.tau)) if callable(boundary[v])
-                  else float(boundary[v]) for v in system.boundary_vertices}
+        values = schedule_values(boundary, system.boundary_vertices,
+                                 state.tau)
         energy = energy_mod.hamiltonian(system, state)
         h = (energy_mod.limit_energy(system, state.rho) if config.parabolic
              else energy)
@@ -1110,7 +1110,7 @@ def test_batch_members_must_share_grid_and_config():
         run(*a, batch=batch)
     with pytest.raises(ValueError, match="nothing more to load"):
         run(*other, batch=batch)
-    with pytest.raises(ValueError, match="not a member"):
+    with pytest.raises(ValueError, match="all 2 members of this batch"):
         run(*b, batch=batch)
     # the config check failed in the batch's child and was raised here
     assert_no_child_processes()
@@ -1230,15 +1230,20 @@ def test_batch_step_failure_comes_from_the_members_own_runs(monkeypatch,
     assert_no_child_processes()
 
 
-def test_batch_hands_each_trajectory_out_once():
+def test_batch_hands_trajectories_out_in_member_order():
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     members = _members(scen, [0.2, 0.1], 4)
     with solver_mod.Batch(members) as batch:
+        with pytest.raises(ValueError, match="expected member 0 of 2"):
+            run(*members[1], batch=batch)
         run(*members[0], batch=batch)
-        with pytest.raises(ValueError, match="taken before"):
-            run(*members[0], batch=batch)  # member 1 is not received yet
+        with pytest.raises(ValueError, match="expected member 1 of 2"):
+            run(*members[0], batch=batch)  # taken before
+        other = _members(scen, [0.1], 4)[0]  # equal, but not the member
+        with pytest.raises(ValueError, match="expected member 1 of 2"):
+            run(*other, batch=batch)
         run(*members[1], batch=batch)
-        with pytest.raises(ValueError, match="taken before"):
+        with pytest.raises(ValueError, match="all 2 members"):
             run(*members[1], batch=batch)  # the child is reaped
     assert_no_child_processes()
 
@@ -1255,7 +1260,7 @@ def test_batch_child_that_dies_is_an_error(monkeypatch, death, message):
     with solver_mod.Batch(members) as batch:
         with pytest.raises(RuntimeError,
                            match=f"{message} before sending its runs"):
-            run(*members[1], batch=batch)
+            run(*members[0], batch=batch)
     assert_no_child_processes()
 
 

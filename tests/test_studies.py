@@ -155,8 +155,7 @@ class TestStudiesEndToEnd:
 
 def test_trajectories_are_stacked_once():
     # a trajectory stacks its states once; the study's subsample stacks
-    # the states it keeps, and its states are views of those stacks;
-    # appending rebuilds them
+    # the states it keeps, and its states are views of those stacks
     from pipeflow.solver import run
     from pipeflow.studies import _subsample
 
@@ -175,9 +174,6 @@ def test_trajectories_are_stacked_once():
     assert np.array_equal(sub.w_array(), w[::4])
     assert not np.shares_memory(sub.rho_array(), rho)
     assert all(np.shares_memory(s.rho, sub.rho_array()) for s in sub.states)
-    sub.append(traj.states[-1], traj.reports[-1])
-    assert sub.rho_array().shape == (12, system.n_cells)
-    assert np.array_equal(sub.rho_array()[-1], rho[-1])
 
 
 def _recording(monkeypatch):
@@ -228,6 +224,38 @@ def test_certified_study_checks_its_box_before_any_run(monkeypatch, study,
     # the box bounds the certificates' constants only
     study(scenario, values, certify=False)
     assert len(runs) == 1 + len(values)
+
+
+@pytest.mark.parametrize("run_out", ["reference", "epsilon=0.1"])
+def test_certificate_holds_only_while_its_runs_stay_in_the_box(monkeypatch,
+                                                               run_out):
+    # one density of one snapshot of one run pushed above rho_max; the
+    # reference's snapshot 7 falls between the members' times (stride 4)
+    scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    dt = scenario.solver.dt
+    scenario = replace(scenario, solver=replace(scenario.solver,
+                                                t_final=20 * dt))
+    real = studies.run
+
+    def pushed(system, state0, config, boundary, **kwargs):
+        traj = real(system, state0, config, boundary, **kwargs)
+        label = ("reference" if config.dt < dt
+                 else f"epsilon={system.epsilon:g}")
+        if label == run_out:
+            traj.states[7].rho[0] = 2.0  # a member's states view its stacks
+        return traj
+    monkeypatch.setattr(studies, "run", pushed)
+    result = epsilon_limit_study(scenario, [0.2, 0.1, 0.05])
+    tau = 7 * dt / 4 if run_out == "reference" else 7 * dt
+    why = (f"the {run_out} run leaves the [bounds] box (density_high) from "
+           f"tau={tau:.6g}")
+    voided = [run_out == "reference" or p == 0.1 for p in result.parameters]
+    assert [c.outside for c in result.certificates] == [
+        (why,) if v else () for v in voided]
+    assert [c.ok for c in result.certificates] == [not v for v in voided]
+    assert result.format().count(why) == 1
+    assert epsilon_limit_study(scenario, [0.2, 0.1, 0.05],
+                               certify=False).certificates == []
 
 
 @pytest.mark.parametrize("study, name, values", [
