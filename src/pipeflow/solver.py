@@ -177,6 +177,14 @@ class EnergyReport:
     balance_residual: float
 
 
+class AdmissibilityLost(namedtuple("AdmissibilityLost", "step tau kinds")):
+    """A snapshot outside its run's bounds: index, time, check_state's kinds."""
+
+    def __str__(self):
+        return (f"step {self.step} (tau={self.tau:.6g}): admissibility lost "
+                f"({', '.join(self.kinds)})")
+
+
 @dataclass
 class Trajectory:
     """Snapshots with their reports and the work of the steps between
@@ -192,7 +200,7 @@ class Trajectory:
     iterations: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     junction_h: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)  # of AdmissibilityLost
     stacks: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -848,8 +856,8 @@ def limit_flow(system, rho, boundary_values):
 # driver
 
 def _steps(config):
-    n_steps = int(round(config.t_final / config.dt)) if config.t_final > 0 else 0
-    if n_steps and abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
+    n_steps = int(round(config.t_final / config.dt))
+    if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
         raise ValueError("t_final must be an integer multiple of dt")
     return n_steps
 
@@ -874,17 +882,18 @@ def _start(system, state0, config, boundary):
     return state0
 
 
-def run(system, state0, config, boundary, forcing=None, bounds=None,
+def run(system, state0, config, boundary, bounds=None, forcing=None,
         batch=None):
     """Advance from state0 to t_final, recording every step.
 
-    Returns a Trajectory.  On a step failure the exception carries the
+    Returns a Trajectory, whose warnings are the snapshots outside
+    ``bounds`` if given.  On a step failure the exception carries the
     partial trajectory, reported up to its last accepted state, in its
     ``partial`` attribute.  With ``batch``, returns the trajectory of the
     Batch's member with these arguments.
     """
     if batch is not None:
-        return batch.take(system, state0, config, boundary)
+        return batch.take(system, state0, config, boundary, bounds)
     n_steps = _steps(config)
     stepper = _stepper(system, config, forcing)
     state = state0 = _start(system, state0, config, boundary)
@@ -905,23 +914,24 @@ def run(system, state0, config, boundary, forcing=None, bounds=None,
 class Batch:
     """Runs that share topology, grid, gas law and SolverConfig, stepped
     as one block-diagonal system.  A member is the arguments (system,
-    state0, config, boundary) of its run, and ``run(*member,
+    state0, config, boundary, bounds) of its run, and ``run(*member,
     batch=batch)`` returns its trajectory, handed out in member order:
     asking for any member but the next is a ValueError naming the one
     expected.  Members iterate to a joint residual norm, so they differ
     from their own runs at tolerance level.
 
-    The members step in a child process (_Child) started when the batch
-    is made, so the caller can do other work meanwhile; the first
-    ``take`` waits for them.  The child inherits the members' systems and
-    boundary schedules, which need not pickle, and sends back each
-    trajectory as a few arrays, received as it is taken.  After a failed
-    joint step the child sends each member's own run, up to the first
-    StepFailure, which the take that reaches it raises with the failing
-    member's step and partial trajectory; any other error of the joint
-    run is raised by the first take.  Without ``os.fork`` all of this
-    runs in process at the first take.  Leaving a ``with`` block, or
-    ``close()``, kills and reaps a child still running.
+    The members step, and are checked against their bounds, in a child
+    process (_Child) started when the batch is made, so the caller can
+    do other work meanwhile; the first ``take`` waits for them.  The
+    child inherits the members' systems and boundary schedules, which
+    need not pickle, and sends back each trajectory as a few arrays,
+    received as it is taken.  After a failed joint step the child sends
+    each member's own run, up to the first StepFailure, which the take
+    that reaches it raises with the failing member's step and partial
+    trajectory; any other error of the joint run is raised by the first
+    take.  Without ``os.fork`` all of this runs in process at the first
+    take.  Leaving a ``with`` block, or ``close()``, kills and reaps a
+    child still running.
     """
 
     def __init__(self, members):
@@ -967,15 +977,16 @@ class Batch:
             pickle.dump(_pack(traj), pipe, pickle.HIGHEST_PROTOCOL)
 
     def _run(self):
-        systems, _, configs, boundaries = zip(*self.members)
+        systems, _, configs, boundaries, bounds = zip(*self.members)
         config = configs[0]
         if any(c != config for c in configs):
             raise ValueError("batched runs must share one SolverConfig")
         n_steps = _steps(config)
         stepper = _stepper(systems, config)
-        states = [_start(*m) for m in self.members]
-        recorders = [_Recorder(system, config, boundary, None, n_steps + 1)
-                     for system, boundary in zip(systems, boundaries)]
+        states = [_start(*m[:4]) for m in self.members]
+        recorders = [_Recorder(system, config, boundary, b, n_steps + 1)
+                     for system, boundary, b in zip(systems, boundaries,
+                                                    bounds)]
         for recorder, state in zip(recorders, states):
             recorder.add(state)
         tau0 = states[0].tau
@@ -1132,7 +1143,9 @@ class _Recorder:
     + dt (D - F) with the stage power of the step that produced snapshot
     k.  H is the Hamiltonian, or on a parabolic run the limit energy,
     which backward Euler on that convex energy keeps <= 0 to solver
-    tolerance.  Admissibility is flagged per snapshot as it is added.
+    tolerance.  With bounds, the same stack is checked against them, and
+    only a block outside them is checked snapshot by snapshot for the
+    warnings.  This is the one admissibility check of a run's snapshots.
 
     Each state is its own copy.  With (K, n) stacks preallocated for the
     whole run, about half of the runs of y_transient at 1024 cells per
@@ -1160,8 +1173,6 @@ class _Recorder:
             traj.iterations.append(info["iterations"])
             traj.factorizations.append(info["factorizations"])
             traj.junction_h.append(info["junction_h"])
-        if self.bounds is not None:
-            _flag(self.system, traj.states[k], self.bounds, traj, k)
         if k + 1 - len(traj.reports) == self.block:
             self.flush()
 
@@ -1188,11 +1199,8 @@ class _Recorder:
         traj.reports += map(EnergyReport, taus, energy.tolist(),
                             dissipation.tolist(), flux.tolist(),
                             residual.tolist())
+        if self.bounds is not None and sys.check_state(block, self.bounds):
+            traj.warnings += [AdmissibilityLost(k, s.tau, tuple(kinds))
+                              for k, s in enumerate(states, start)
+                              if (kinds := sys.check_state(s, self.bounds))]
         return traj
-
-
-def _flag(system, state, bounds, traj, step):
-    kinds = system.check_state(state, bounds)
-    if kinds:
-        traj.warnings.append(
-            f"step {step} (tau={state.tau:.6g}): admissibility lost ({', '.join(kinds)})")

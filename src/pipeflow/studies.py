@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretization import NetworkState, schedule_values
+from .discretization import schedule_values
 from .energy import (
     gronwall_monitor,
     lipschitz_estimates,
     stability_constants,
 )
-from .solver import _BLOCK_VALUES, Batch, StepFailure, Trajectory, run
+from .solver import Batch, StepFailure, Trajectory, run
 
 
 def fit_loglog_slope(x, y):
@@ -108,29 +108,18 @@ def _subsample(trajectory, stride):
     kept = trajectory.states[::stride]
     return Trajectory.from_stacks(
         trajectory.times[::stride], np.array([s.rho for s in kept]),
-        np.array([s.w for s in kept]), reports=trajectory.reports[::stride],
-        warnings=list(trajectory.warnings))
+        np.array([s.w for s in kept]), reports=trajectory.reports[::stride])
 
 
-def _outside_box(label, system, trajectory, bounds):
-    """Where a run leaves the [bounds] box its certificate assumes: the
-    run, the kinds its snapshots violate and the first tau at which one
-    does; None if every snapshot lies inside.  The snapshots are checked
-    in (K, n) stacks near 64 kB, as the recorder reports them, so that
-    a run recorded state by state is not stacked whole."""
-    states, kinds, first = trajectory.states, set(), None
-    size = max(1, _BLOCK_VALUES // system.n_faces)
-    for block in (states[k:k + size] for k in range(0, len(states), size)):
-        found = system.check_state(NetworkState(
-            None, np.array([s.rho for s in block]),
-            np.array([s.w for s in block])), bounds)
-        if found and first is None:
-            first = next(s.tau for s in block if system.check_state(s, bounds))
-        kinds.update(found)
-    if first is None:
-        return None
-    return (f"the {label} run leaves the [bounds] box "
-            f"({', '.join(sorted(kinds))}) from tau={first:.6g}")
+def _box_exit(label, lost):
+    """Where a run leaves the [bounds] box its certificate assumes, from
+    its warnings `lost`: a line naming the run, the kinds its snapshots
+    violate and the first tau at which one does; () if it stays inside."""
+    if not lost:
+        return ()
+    kinds = sorted({kind for w in lost for kind in w.kinds})
+    return (f"the {label} run leaves the [bounds] box ({', '.join(kinds)}) "
+            f"from tau={lost[0].tau:.6g}",)
 
 
 def _pair_errors(system, traj_u, traj_hat, include_kinetic=True):
@@ -181,10 +170,10 @@ def _sweep_values(values, what):
     return values
 
 
-def _named(label, fn, *args):
-    """fn(*args), a StepFailure from it naming the study run."""
+def _named(label, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a StepFailure from it naming the study run."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except StepFailure as failure:
         failure.run_label = label
         raise
@@ -197,18 +186,19 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     The reference runs on `system` with the finer settings of the module
     docstring (the limit model if `parabolic`) and is subsampled to the
     members' snapshot times.  `member(p)` returns the arguments of
-    parameter p's run, (system, state0, config, boundary), and `pair(traj,
-    ref)`, which gives (x, system, u, u_hat, monitor_kwargs): the abscissa
-    of p and the trajectory pair it contributes, compared on that system
-    with the Lipschitz constants taken along u_hat.  The members run as
-    one Batch, made first so that they step in its child process while
-    the reference runs here; each is measured and dropped before the
-    next.  A certificate holds only while both runs of its pair stay in
-    the [bounds] box: the reference is checked at full resolution, each
-    member on its own snapshots.
+    parameter p's run but its bounds, (system, state0, config, boundary),
+    and `pair(traj, ref)`, which gives (x, system, u, u_hat,
+    monitor_kwargs): the abscissa of p and the trajectory pair it
+    contributes, compared on that system with the Lipschitz constants
+    taken along u_hat.  The members run as one Batch, made first so that
+    they step in its child process while the reference runs here; each
+    is measured and dropped before the next.  A certificate holds only
+    while both runs of its pair stay in the [bounds] box: a certifying
+    study gives every run the bounds, and a run's warnings say where it
+    leaves them, the reference's at full resolution.
     """
     def measure(label, args, pair):
-        traj = run(*args, batch=batch)
+        traj = run(*args, bounds=bounds, batch=batch)
         x, pair_system, u, u_hat, monitor_kwargs = pair(traj, ref)
         # the limit reference has no eps^2 kinetic norm contribution
         sup_sq, l3 = _pair_errors(pair_system, u, u_hat,
@@ -222,8 +212,7 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
                 n_boundary=len(pair_system.boundary_vertices))
             cert = gronwall_monitor(pair_system, u, u_hat, constants,
                                     scenario.boundary, **monitor_kwargs)
-            cert.outside = tuple(o for o in (ref_outside, _outside_box(
-                label, args[0], traj, scenario.bounds)) if o)
+            cert.outside = ref_outside + _box_exit(label, traj.warnings)
             cert.ok = cert.ok and not cert.outside
         return x, sup_sq + l3, sup_sq, l3, cert
 
@@ -231,12 +220,12 @@ def _sweep(name, parameter_name, parameters, member, scenario, system,
     ref_config = replace(config, dt=config.dt / 4.0,
                          newton_tol=config.newton_tol / 10.0,
                          max_iter=config.max_iter + 20, parabolic=parabolic)
+    bounds = scenario.bounds if certify else None
     members = [member(p) for p in parameters]
-    with Batch(args for args, _ in members) as batch:
+    with Batch((*args, bounds) for args, _ in members) as batch:
         ref = _named("reference", run, system, scenario.initial_state(system),
-                     ref_config, scenario.boundary)
-        ref_outside = (_outside_box("reference", system, ref, scenario.bounds)
-                       if certify else None)
+                     ref_config, scenario.boundary, bounds=bounds)
+        ref_outside = _box_exit("reference", ref.warnings)
         # only the subsample is kept, not the full-resolution run
         ref = _subsample(ref, round(config.dt / ref_config.dt))
         labels = [f"{parameter_name}={p:g}" for p in parameters]

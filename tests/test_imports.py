@@ -1,7 +1,8 @@
 """Every module-level import of a pipeflow module is used in it, every
 field of the configuration dataclasses is read somewhere, only
-solver._Child starts a second process, and only
-discretization.schedule_values reads boundary schedules."""
+solver._Child starts a second process, only
+discretization.schedule_values reads boundary schedules, and only the
+run's recorder checks snapshots against their bounds."""
 
 import ast
 import dataclasses
@@ -154,3 +155,46 @@ def test_only_the_schedule_reader_decodes_schedules():
                     stray.append(f"{module}:{line}")
     assert stray == []
     assert owned == 1
+
+
+def _check_state_calls(source):
+    """(line, enclosing top-level function or Class.method, or None) of
+    each call of check_state, as a name or an attribute."""
+    calls = []
+    for top in ast.parse(source).body:
+        in_class = isinstance(top, ast.ClassDef)
+        for part in top.body if in_class else [top]:
+            owner = getattr(part, "name", None)
+            if in_class:
+                owner = f"{top.name}.{owner}" if owner else top.name
+            for node in ast.walk(part):
+                if isinstance(node, ast.Call) and "check_state" in (
+                        getattr(node.func, "attr", None),
+                        getattr(node.func, "id", None)):
+                    calls.append((node.lineno, owner))
+    return calls
+
+
+def test_finds_check_state_calls():
+    assert _check_state_calls(
+        "def f(s):\n    s.check_state(1, 2)\nclass A:\n    def g(self):\n"
+        "        check_state(3)\n    x = check_state(4)\n"
+        "check_state(5)\nclass B:\n    check_state = 1\n") == [
+            (2, "f"), (5, "A.g"), (6, "A"), (7, None)]
+
+
+def test_only_the_recorder_checks_a_runs_snapshots():
+    # a run's snapshots are checked against its bounds in one place, a
+    # block at a time; the scenario checks the initial state it builds
+    stray, owners = [], set()
+    for module in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, module)) as fh:
+            for line, owner in _check_state_calls(fh.read()):
+                if (module, owner) in (("solver.py", "_Recorder.flush"),
+                                       ("scenario.py",
+                                        "Scenario.initial_state")):
+                    owners.add(owner)
+                else:
+                    stray.append(f"{module}:{line}")
+    assert stray == []
+    assert owners == {"_Recorder.flush", "Scenario.initial_state"}

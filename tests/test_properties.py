@@ -202,7 +202,7 @@ def test_a_batch_is_its_members_runs_on_random_multigraphs(model, data):
         member = NetworkSystem(system.topology, system.grids, system.law,
                                epsilon=data.draw(_epsilons(model)))
         state0, boundary = _driven(data, member)
-        members.append((member, state0, config, boundary))
+        members.append((member, state0, config, boundary, None))
     # the limit model sets w by gamma |w| w = -s, so near rest w holds
     # only to sqrt(tol / gamma) and the slope is what the runs share
     flow = ((lambda w: system.gamma_faces * np.abs(w) * w)

@@ -1227,6 +1227,20 @@ def test_density_leaving_the_table_is_a_step_failure(tmp_path, capsys):
     assert f"failure = {err.split('step failure in ')[1]}" in manifest
 
 
+@pytest.mark.parametrize("t_final", ["0.004", "0.006"])
+def test_simulate_horizon_off_the_step_grid_fails(tmp_path, t_final, capsys):
+    # 0.004 is less than half a step, which used to simulate 0 steps
+    scn = tmp_path / "s.scn"
+    scn.write_text(MINIMAL.replace("t_final = 0.1", f"t_final = {t_final}"))
+    assert main(["simulate", "--scenario", str(scn)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: t_final must be an integer multiple of dt\n"
+    scn.write_text(MINIMAL.replace("t_final = 0.1", "t_final = 0"))
+    assert main(["simulate", "--scenario", str(scn)]) == 0
+    assert "simulated 0 steps to tau=0\n" in capsys.readouterr().out
+
+
 def test_tight_bounds_warning_lines(tmp_path, capsys):
     """The warnings of a y_transient run that leaves a tight box: the
     kinds each step violates, in sorted order."""

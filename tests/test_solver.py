@@ -608,6 +608,16 @@ class TestRun:
                    {"inlet": 1.0, "outlet": 1.0})
         assert len(traj.states) == 1
 
+    @pytest.mark.parametrize("t_final", [0.4, 0.6, 1.4])
+    def test_horizon_off_the_step_grid_is_an_error(self, t_final):
+        # 0.4 rounds to zero steps, which used to run none without a word
+        system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
+        config = SolverConfig(dt=1.0, t_final=t_final)
+        with pytest.raises(ValueError,
+                           match="t_final must be an integer multiple of dt"):
+            run(system, system.rest_state(1.0), config,
+                {"inlet": 1.0, "outlet": 1.0})
+
     def test_rest_state_over_time(self):
         system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
         config = SolverConfig(dt=0.05, t_final=1.0)
@@ -781,8 +791,7 @@ def _per_state_reports(system, config, boundary, traj, bounds):
                         energy_mod.boundary_flux(system, state, values),
                         residual))
         if bounds is not None and (kinds := system.check_state(state, bounds)):
-            warnings.append(f"step {k} (tau={state.tau:.6g}): admissibility "
-                            f"lost ({', '.join(kinds)})")
+            warnings.append((k, state.tau, tuple(kinds)))
     return reports, warnings
 
 
@@ -796,6 +805,9 @@ def _assert_reports_match_per_state(system, config, boundary, traj, bounds):
     assert np.array_equal(np.array(got), np.array(reports), equal_nan=True)
     assert np.isnan(got[0][4]) and not np.isnan([r[4] for r in got[1:]]).any()
     assert traj.warnings == warnings
+    assert [str(w) for w in traj.warnings] == [
+        f"step {k} (tau={tau:.6g}): admissibility lost ({', '.join(kinds)})"
+        for k, tau, kinds in warnings]
 
 
 @pytest.mark.parametrize("parabolic", [False, True],
@@ -1025,14 +1037,14 @@ def test_run_memory_stays_near_the_trajectory():
     assert peak - held <= 2**20, (peak - held) / 2**20
 
 
-def _members(scen, epsilons, n_steps):
+def _members(scen, epsilons, n_steps, bounds=None):
     """Run arguments of members differing in eps."""
     config = replace(scen.solver, t_final=n_steps * scen.solver.dt)
     members = []
     for eps in epsilons:
         system = replace(scen, epsilon=eps).build_system()
         members.append((system, scen.initial_state(system), config,
-                        scen.boundary))
+                        scen.boundary, bounds))
     return members
 
 
@@ -1104,7 +1116,7 @@ def test_batch_members_must_share_grid_and_config():
     coarse = replace(scen, cells_per_edge=4).build_system()
     with pytest.raises(ValueError, match="share topology"):
         HyperbolicStepper([a[0], coarse])
-    other = (b[0], b[1], replace(b[2], dt=b[2].dt / 2), b[3])
+    other = (b[0], b[1], replace(b[2], dt=b[2].dt / 2), b[3], b[4])
     batch = solver_mod.Batch([a, other])
     with pytest.raises(ValueError, match="one SolverConfig"):
         run(*a, batch=batch)
@@ -1130,6 +1142,26 @@ def _assert_same_runs(received, expected):
         assert len(got.junction_h) == len(want.junction_h)
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(got.junction_h, want.junction_h))
+
+
+def test_batch_checks_each_member_against_its_own_bounds():
+    # y_limit's densities start in [1, 1.08] and leave [1, 1.09]; the
+    # last member runs without bounds.  The checks run in the child.
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    tight = replace(scen.bounds, rho_min=1.0, rho_max=1.09)
+    members = (_members(scen, [0.2, 0.1], 20, bounds=tight)
+               + _members(scen, [0.05], 20))
+    with solver_mod.Batch(members) as batch:
+        received = [run(*m, batch=batch) for m in members]
+    serial = [run(*m) for m in members]
+    assert [t.warnings for t in received] == [t.warnings for t in serial]
+    assert received[0].warnings and received[1].warnings
+    assert received[2].warnings == []
+    # a batch of one is its member's run bit for bit, warnings included
+    for member, own in zip(members, serial):
+        with solver_mod.Batch([member]) as batch:
+            _assert_same_runs([run(*member, batch=batch)], [own])
+    assert_no_child_processes()
 
 
 @pytest.mark.parametrize("parabolic", [False, True])
@@ -1209,8 +1241,8 @@ def test_batch_step_failure_comes_from_the_members_own_runs(monkeypatch,
                    solver=replace(scen.solver, max_iter=2, t_final=0.1))
     taken = []
 
-    def run_and_keep(*args, batch=None):
-        traj = run(*args, batch=batch)
+    def run_and_keep(*args, **kwargs):
+        traj = run(*args, **kwargs)
         taken.append((args, traj))
         return traj
 

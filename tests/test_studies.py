@@ -229,22 +229,25 @@ def test_certified_study_checks_its_box_before_any_run(monkeypatch, study,
 @pytest.mark.parametrize("run_out", ["reference", "epsilon=0.1"])
 def test_certificate_holds_only_while_its_runs_stay_in_the_box(monkeypatch,
                                                                run_out):
-    # one density of one snapshot of one run pushed above rho_max; the
-    # reference's snapshot 7 falls between the members' times (stride 4)
+    # one density of one recorded snapshot of one run pushed above
+    # rho_max, in a copy, so that the run steps on as before; the
+    # reference's snapshot 7 falls between the members' times (stride 4).
+    # The members' recorders run in the batch's child, which inherits
+    # the patch.
     scenario = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     dt = scenario.solver.dt
     scenario = replace(scenario, solver=replace(scenario.solver,
                                                 t_final=20 * dt))
-    real = studies.run
+    real = solver._Recorder.add
 
-    def pushed(system, state0, config, boundary, **kwargs):
-        traj = real(system, state0, config, boundary, **kwargs)
-        label = ("reference" if config.dt < dt
-                 else f"epsilon={system.epsilon:g}")
-        if label == run_out:
-            traj.states[7].rho[0] = 2.0  # a member's states view its stacks
-        return traj
-    monkeypatch.setattr(studies, "run", pushed)
+    def pushed(recorder, state, info=None):
+        label = ("reference" if recorder.dt < dt
+                 else f"epsilon={recorder.system.epsilon:g}")
+        if label == run_out and len(recorder.traj.states) == 7:
+            state = state.copy()
+            state.rho[0] = 2.0
+        real(recorder, state, info)
+    monkeypatch.setattr(solver._Recorder, "add", pushed)
     result = epsilon_limit_study(scenario, [0.2, 0.1, 0.05])
     tau = 7 * dt / 4 if run_out == "reference" else 7 * dt
     why = (f"the {run_out} run leaves the [bounds] box (density_high) from "
