@@ -241,6 +241,10 @@ class NetworkSystem:
         self._st_signs = np.zeros(shape)
         self._st_faces[rank, slots] = self.junction_term_faces[order]
         self._st_signs[rank, slots] = self.junction_term_signs[order]
+        # K's gather at S^T's faces, for the junction flux alone
+        st = self._st_faces
+        self._st_k = (self._k_left[st], self._k_right[st],
+                      self._kappa_left[st], self._kappa_right[st])
 
         self.omega_gamma = self.omega_faces * self.gamma_faces
         self.c_rho = self.a_cells * self.dx_cells
@@ -299,6 +303,16 @@ class NetworkSystem:
         terms = self._st_signs * m.take(self._st_faces, axis=-1)
         return np.add.reduce(terms, axis=-2)[..., :self.n_junctions]
 
+    def junction_flux(self, rho, w):
+        """S^T (K rho * w), with K rho and w gathered at the junction
+        terminal faces alone: apply_st(arho_faces(rho) * w) bit for bit."""
+        k_left, k_right, kappa_left, kappa_right = self._st_k
+        m = ((kappa_left * rho.take(k_left, axis=-1)
+              + kappa_right * rho.take(k_right, axis=-1))
+             * w.take(self._st_faces, axis=-1))
+        return np.add.reduce(self._st_signs * m,
+                             axis=-2)[..., :self.n_junctions]
+
     def apply_j(self, z):
         """J z for an extended co-state z = (h, m, h_v): the blocks
         (D m, G h + S h_v, -S^T m), laid out as z is."""
@@ -337,8 +351,7 @@ class NetworkSystem:
 
     def junction_mass_defect(self, state):
         """Signed mass-flow sums at interior junctions; zero when coupled."""
-        _, m = self.costate(state)
-        return self.apply_st(m)
+        return self.junction_flux(state.rho, state.w)
 
     # -- norms and quadrature ----------------------------------------------
 

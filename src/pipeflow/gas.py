@@ -405,7 +405,7 @@ class AdmissibleBounds:
 
     def subsonic_margin(self, law):
         """min over [rho_min, rho_max] of rho*P''(rho) - 4*eps_max^2*w_max^2."""
+        # linspace holds both ends exactly
         grid = np.linspace(self.rho_min, self.rho_max, 1024)
-        grid = np.union1d(grid, [self.rho_min, self.rho_max])
         return float(np.min(grid * law.d2potential(grid))
                      - 4.0 * self.eps_max**2 * self.w_max**2)

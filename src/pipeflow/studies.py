@@ -35,7 +35,9 @@ def fit_loglog_slope(x, y):
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise ValueError("need at least three sweep points for a slope")
-    if np.unique(x).size != x.size:
+    # sorted, as np.unique imports numpy.ma; nan fails the comparison
+    x_sorted = np.sort(x)
+    if not (x_sorted[1:] > x_sorted[:-1]).all():
         raise ValueError("sweep values must be distinct; no slope otherwise")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("slope fit needs positive values")

@@ -419,6 +419,10 @@ def _assert_gather_forms_match_csr(system, seed):
         st = system.apply_st(m)
         assert st.shape == (n_j,)
         assert np.array_equal(st, ref.s.T @ m)
+        # the junction faces' flux alone is the whole grid's, bit for bit
+        flux = system.junction_flux(h, m)
+        assert flux.tobytes() == system.apply_st(
+            system.arho_faces(h) * m).tobytes()
         z = np.concatenate((h, m, hv))
         jz = system.apply_j(z)
         assert jz.shape == (system.n_z,)
@@ -708,9 +712,11 @@ def test_gather_forms_and_norms_on_stacks(system):
     rng = np.random.default_rng(system.n_faces)
     rho = 1.0 + 0.3 * rng.random((7, system.n_cells))
     w = rng.standard_normal((7, system.n_faces))
-    for name, stack in (("arho_faces", rho), ("kinetic_cells", w)):
+    for name, stack in (("arho_faces", (rho,)), ("kinetic_cells", (w,)),
+                        ("junction_flux", (rho, w))):
         fn = getattr(system, name)
-        assert np.array_equal(fn(stack), np.array([fn(row) for row in stack]))
+        assert np.array_equal(fn(*stack),
+                              np.array([fn(*row) for row in zip(*stack)]))
     d_rho, d_w = rho - 1.0, w - w[::-1]
     for name, args in (("l2sq_cells", (d_rho,)), ("l2sq_faces", (d_w,)),
                        ("l3_faces", (d_w,)), ("c_norm_sq", (d_rho, d_w))):

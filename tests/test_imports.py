@@ -1,8 +1,9 @@
 """Every module-level import of a pipeflow module is used in it, every
 field of the configuration dataclasses is read somewhere, only
 solver._Child starts a second process, only
-discretization.schedule_values reads boundary schedules, and only the
-run's recorder checks snapshots against their bounds."""
+discretization.schedule_values reads boundary schedules, only the
+run's recorder checks snapshots against their bounds, and every test's
+name is ASCII."""
 
 import ast
 import dataclasses
@@ -198,3 +199,22 @@ def test_only_the_recorder_checks_a_runs_snapshots():
                     stray.append(f"{module}:{line}")
     assert stray == []
     assert owners == {"_Recorder.flush", "Scenario.initial_state"}
+
+
+def _test_names(source):
+    """(line, name) of each function whose name starts with test_."""
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("test_")]
+
+
+def test_test_names_are_ascii():
+    # pytest -k and a search for the name find a test only by its letters
+    tests = os.path.dirname(os.path.abspath(__file__))
+    stray = []
+    for module in sorted(f for f in os.listdir(tests) if f.endswith(".py")):
+        with open(os.path.join(tests, module), encoding="utf-8") as fh:
+            stray += [f"{module}:{line} {name}"
+                      for line, name in _test_names(fh.read())
+                      if not name.isascii()]
+    assert stray == []

@@ -107,6 +107,35 @@ def test_csc_jacobian_is_the_coo_sum_on_random_multigraphs(scheme, data):
                               stepper._jacobian_data(dt, cache))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_midpoint_junction_rows_are_the_whole_grid_flux(data):
+    # the residual gathers the end-of-step flux at the junction faces
+    # alone; its rows equal S^T over every face's flux bit for bit, for
+    # one state and for a batch's (2, n) stack
+    system = data.draw(multigraph_systems(epsilon=st.floats(0.01, 1.0)))
+    n_c, n_f, n_j = system.n_cells, system.n_faces, system.n_junctions
+
+    def unknowns():
+        return np.concatenate((
+            data.draw(arrays(np.float64, n_c, elements=st.floats(0.5, 2.0))),
+            data.draw(arrays(np.float64, n_f, elements=st.floats(-1.0, 1.0))),
+            data.draw(arrays(np.float64, n_j, elements=st.floats(0.0, 2.0)))))
+
+    x0 = np.array([unknowns(), unknowns()])
+    x = np.array([unknowns(), unknowns()])
+    load = system.boundary_load({v: 1.0 for v in system.boundary_vertices})
+    for stepper, start, end, dt_load in (
+            (HyperbolicStepper(system), x0[0], x[0], load),
+            (HyperbolicStepper([system, system]), x0, x,
+             np.array([load, load]))):
+        state = NetworkState(0.0, start[..., :n_c], start[..., n_c:n_c + n_f])
+        res, _ = stepper._residual(0.01, state, (None, dt_load), end)
+        flux = system.apply_st(system.arho_faces(end[..., :n_c])
+                               * end[..., n_c:n_c + n_f])
+        assert res[..., n_c + n_f:].tobytes() == flux.tobytes()
+
+
 # the steppers' properties: eps = 0 is the limit model's alone
 EPSILONS = [0.0, 0.1, 0.5, 1.0]
 LAWS = [IsothermalLaw(1.0), PowerLaw(1.0, 2.0)]

@@ -574,6 +574,31 @@ class TestCli:
                         "[m for m in sys.modules if m.startswith('scipy')]"],
                        env=env, check=True)
 
+    def test_runs_do_not_load_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 13 ms of a cold start; np.unique and
+        # np.union1d import it
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import os, sys\n"
+            "from dataclasses import replace\n"
+            "from pipeflow.scenario import load_scenario, write_trajectory\n"
+            "from pipeflow.solver import run\n"
+            "from pipeflow.studies import epsilon_limit_study\n"
+            f"scen = load_scenario(os.path.join({SCEN!r}, 'y_limit.scn'))\n"
+            "system = scen.build_system()\n"
+            "config = replace(scen.solver, t_final=3 * scen.solver.dt)\n"
+            "traj = run(system, scen.initial_state(system), config,\n"
+            "           scen.boundary, bounds=scen.bounds)\n"
+            f"write_trajectory({str(tmp_path)!r}, system, traj)\n"
+            "study = epsilon_limit_study(\n"
+            "    replace(scen, cells_per_edge=4,\n"
+            "            solver=replace(config, t_final=10 * config.dt)),\n"
+            "    [0.2, 0.1, 0.05])\n"
+            "assert len(study.errors) == 3\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
     def test_runs_do_not_load_scipy_optimize(self):
         # rest and recovered initial states, and both steppers
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

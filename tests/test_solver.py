@@ -638,7 +638,7 @@ class TestRun:
         assert len(info.value.partial.states) >= 1
         assert info.value.dt == 0.5
 
-    def test_admissibility_flагging(self):
+    def test_admissibility_flagging(self):
         bounds = AdmissibleBounds(rho_min=0.999, rho_max=1.001, w_max=0.5,
                                   eps_max=0.5)
         system = build_system(single_pipe(), cells_per_edge=8, law=LAW, epsilon=0.5)
@@ -884,7 +884,7 @@ def _concatenated_jacobian_data(st, dt, cache):
     reference for the one-buffer form."""
     sys = st.system
     dth = dt * st.theta
-    rho_s, w_s, arho_s, _, _, arho_end, w_end = cache
+    rho_s, w_s, arho_s, _, _, rho_end, w_end = cache
     d2p = sys.law._d2potential(rho_s)
     rr_l, rr_r, rw_l, rw_r = st._rr_left, st._rr_right, st._rw_left, st._rw_right
     parts = [
@@ -907,7 +907,7 @@ def _concatenated_jacobian_data(st, dt, cache):
         st._c_w + friction if st.eps else friction,
         dt * signs,
         signs * w_end[jf] * st._j_kappa,
-        signs * arho_end[jf],
+        signs * sys.arho_faces(rho_end)[jf],
     ]
     return np.concatenate(parts)
 

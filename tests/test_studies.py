@@ -40,9 +40,10 @@ class TestSlopeFit:
         assert not mask[0]
         assert slope == pytest.approx(2.0, abs=1e-10)
 
-    def test_identical_values_rejected(self):
+    @pytest.mark.parametrize("x", [[0.1, 0.1, 0.2], [0.1, math.nan, 0.2]])
+    def test_identical_values_rejected(self, x):
         with pytest.raises(ValueError, match="slope"):
-            fit_loglog_slope([0.1, 0.1, 0.2], [1.0, 1.0, 2.0])
+            fit_loglog_slope(x, [1.0, 1.0, 2.0])
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
