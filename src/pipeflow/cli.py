@@ -11,9 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import energy as energy_mod
-from . import studies as studies_mod
 from .discretization import NetworkState
-from .mms import manufactured_solution_test
 from .scenario import (
     ConfigError,
     load_scenario,
@@ -198,6 +196,8 @@ def _label(p):
 
 
 def cmd_study(args):
+    from . import studies as studies_mod
+
     scenario = _load(args)
     certify = not args.no_certify
     if scenario.output_dir:
@@ -340,6 +340,8 @@ def cmd_verify(args):
 
 
 def cmd_mms(args):
+    from .mms import manufactured_solution_test
+
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     table = manufactured_solution_test(cells_list=tuple(args.cells_list),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
-from .gas import bisect
+from .gas import bisect, profile_values
 
 
 def weighted_sum(weight, values):
@@ -166,9 +166,10 @@ class NetworkSystem:
             self.x_faces[faces] = g.faces
             self.dx_cells[cells] = g.dx
             self.omega_faces[faces] = g.face_volumes
-            self.a_cells[cells] = e.params.area_at(g.cell_centers)
-            self.gz_cells[cells] = e.params.gravity * e.params.elevation_at(g.cell_centers)
-            self.gamma_faces[faces] = e.params.friction_at(g.faces)
+            self.a_cells[cells] = profile_values(e.params.area, g.cell_centers)
+            self.gz_cells[cells] = e.params.gravity * profile_values(
+                e.params.elevation, g.cell_centers)
+            self.gamma_faces[faces] = profile_values(e.params.friction, g.faces)
             cell_left_face[cells] = f0 + np.arange(n)
             cell_right_face[cells] = f0 + np.arange(1, n + 1)
             face_left_cell[f0 + 1:f0 + n + 1] = c0 + np.arange(n)

@@ -359,15 +359,6 @@ class PipeParameters:
         if np.any(profile_values(self.friction, probe) < 0.0):
             raise ValueError("friction profile must be nonnegative")
 
-    def area_at(self, x):
-        return profile_values(self.area, x)
-
-    def friction_at(self, x):
-        return profile_values(self.friction, x)
-
-    def elevation_at(self, x):
-        return profile_values(self.elevation, x)
-
 
 @dataclass(frozen=True)
 class AdmissibleBounds:

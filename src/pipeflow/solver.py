@@ -190,7 +190,8 @@ class Trajectory:
     """Snapshots with their reports and the work of the steps between
     them, recorded by run (_Recorder) or kept as (K, n) stacks
     (from_stacks).  ``rho_array()`` and ``w_array()`` are those stacks,
-    built once."""
+    built once.  Each per-step list holds the step records' entry of its
+    name.  It pickles as arrays, and unpickles as from_stacks builds it."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -211,6 +212,17 @@ class Trajectory:
                    states=[NetworkState(*s) for s in zip(times, rho, w)],
                    stacks=(rho, w), **fields)
 
+    def __reduce__(self):
+        # arrays pickle compactly: the stacks, the reports' numbers and
+        # each per-step list of arrays as one array
+        lists = {name: np.array(v) if v and isinstance(v[0], np.ndarray)
+                 else v for name, v in vars(self).items()
+                 if name not in ("times", "states", "reports", "stacks")}
+        reports = np.array([(r.energy, r.dissipation, r.boundary_flux,
+                             r.balance_residual) for r in self.reports])
+        return _unpickle_trajectory, (self.times, *self._stacked(), reports,
+                                      lists)
+
     def _stacked(self):
         if self.stacks is None:
             self.stacks = (np.array([s.rho for s in self.states]),
@@ -222,6 +234,15 @@ class Trajectory:
 
     def w_array(self):
         return self._stacked()[1]
+
+
+def _unpickle_trajectory(times, rho, w, reports, lists):
+    """The trajectory Trajectory.__reduce__ took apart."""
+    return Trajectory.from_stacks(
+        times, rho, w, reports=[EnergyReport(tau, *r)
+                                for tau, r in zip(times, reports.tolist())],
+        **{name: list(v) if isinstance(v, np.ndarray) else v
+           for name, v in lists.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +292,10 @@ class _NewtonStepper:
     factorization covers the members' Jacobians tiled along the
     diagonal.  The scaled residual norm, the Newton decisions and the
     extrapolation's restarts are joint (the order is each member's own),
-    so each member iterates until all have converged.
+    so each member iterates until all have converged.  A list of one
+    system steps that system alone, on numpy's 1-D paths.  ``stack``
+    puts the members' start states and schedules together for ``step``,
+    and ``split`` takes each accepted step apart again.
 
     The stepper holds the LU factorization of the last Jacobian it built,
     the dt it was built for and the number of steps taken since.  Each
@@ -293,7 +317,9 @@ class _NewtonStepper:
 
     def __init__(self, system, theta, newton_tol, max_iter, limit=False):
         members = None
-        if isinstance(system, (list, tuple)):
+        if isinstance(system, (list, tuple)) and len(system) == 1:
+            system, = system
+        elif isinstance(system, (list, tuple)):
             members, system = tuple(system), system[0]
             keys = ("c_rho", "gz_cells", "pair_kappa", "_gs_left", "_gs_right",
                     "boundary_term_faces")
@@ -386,8 +412,8 @@ class _NewtonStepper:
 
         # junction constraint rows (end-of-step state)
         jf, adj = sys.junction_term_faces, sys.junction_term_cells
-        self._j_kappa = (sys.a_cells[adj] * sys.dx_cells[adj]
-                         / (2.0 * sys.omega_faces[jf]))
+        # K's weight at a terminal face: that of its one reconstruction pair
+        self._j_kappa = sys.pair_kappa[np.searchsorted(sys.pair_face, jf)]
         block(n_c + n_f + sys.junction_term_slots, adj)
         block(n_c + n_f + sys.junction_term_slots, n_c + jf)
 
@@ -539,6 +565,26 @@ class _NewtonStepper:
         }
         self._returned = NetworkState(tau_new, rho, w)
         return self._returned, info
+
+    def stack(self, states, schedules):
+        """The members' start states and boundary schedules as step takes
+        them: a lone system's own, or (M, n) stacks and the list."""
+        if self.members is None:
+            return states[0], schedules[0]
+        return NetworkState(states[0].tau, [s.rho for s in states],
+                            [s.w for s in states]), schedules
+
+    def split(self, state, record):
+        """Each member's (state, record) of an accepted step: arrays of
+        the record by row, a (M,) array's rows as Python floats, and the
+        joint counts shared."""
+        if self.members is None:
+            return [(state, record)]
+        rows = {name: v.tolist() if v.ndim == 1 else list(v)
+                for name, v in record.items() if isinstance(v, np.ndarray)}
+        return [(NetworkState(state.tau, rho, w),
+                 dict(record, **{name: v[i] for name, v in rows.items()}))
+                for i, (rho, w) in enumerate(zip(state.rho, state.w))]
 
     def _solve(self, rhs):
         """The held LU's solution for a residual or a stack of them."""
@@ -872,23 +918,6 @@ def limit_flow(system, rho, boundary_values):
 # ---------------------------------------------------------------------------
 # driver
 
-def _steps(config):
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
-        raise ValueError("t_final must be an integer multiple of dt")
-    return n_steps
-
-
-def _stepper(system, config, forcing=None):
-    """The config's stepper for a system or a list of member systems."""
-    if config.parabolic:
-        return ParabolicStepper(system, newton_tol=config.newton_tol,
-                                max_iter=config.max_iter)
-    return HyperbolicStepper(system, scheme=config.scheme,
-                             newton_tol=config.newton_tol,
-                             max_iter=config.max_iter, forcing=forcing)
-
-
 def _start(system, state0, config, boundary):
     """state0; on a parabolic run from rest velocities, with limit_flow's."""
     if config.parabolic and np.count_nonzero(state0.w) == 0 and system.n_faces:
@@ -911,21 +940,46 @@ def run(system, state0, config, boundary, bounds=None, forcing=None,
     """
     if batch is not None:
         return batch.take(system, state0, config, boundary, bounds)
-    n_steps = _steps(config)
-    stepper = _stepper(system, config, forcing)
-    state = state0 = _start(system, state0, config, boundary)
-    recorder = _Recorder(system, config, boundary, bounds, n_steps + 1)
-    recorder.add(state0)
+    return _run_members([(system, state0, config, boundary, bounds)],
+                        forcing)[0]
+
+
+def _run_members(members, forcing=None):
+    """The trajectories of runs (system, state0, config, boundary,
+    bounds) that share one SolverConfig, stepped from state0 to t_final
+    together: a lone member on the single-system stepper, several as one
+    joint system.  A StepFailure carries its step and, for a lone
+    member, the partial trajectory."""
+    systems, _, configs, boundaries, bounds = zip(*members)
+    config = configs[0]
+    if any(c != config for c in configs):
+        raise ValueError("batched runs must share one SolverConfig")
+    n_steps = int(round(config.t_final / config.dt))
+    if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
+        raise ValueError("t_final must be an integer multiple of dt")
+    newton = dict(newton_tol=config.newton_tol, max_iter=config.max_iter)
+    stepper = (ParabolicStepper(systems, **newton) if config.parabolic else
+               HyperbolicStepper(systems, config.scheme, forcing=forcing,
+                                 **newton))
+    states = [_start(*m[:4]) for m in members]
+    recorders = [_Recorder(system, config, boundary, b, n_steps + 1)
+                 for system, boundary, b in zip(systems, boundaries, bounds)]
+    for recorder, state in zip(recorders, states):
+        recorder.add(state)
+    state, boundary = stepper.stack(states, boundaries)
+    tau0 = state.tau
     for k in range(n_steps):
-        tau_new = state0.tau + (k + 1) * config.dt
         try:
-            state, info = stepper.step(state, config.dt, boundary, tau_new=tau_new)
+            state, record = stepper.step(state, config.dt, boundary,
+                                         tau_new=tau0 + (k + 1) * config.dt)
         except StepFailure as failure:
             failure.step = k
-            failure.partial = recorder.flush()
+            if len(recorders) == 1:
+                failure.partial = recorders[0].flush()
             raise
-        recorder.add(state, info)
-    return recorder.flush()
+        for recorder, stepped in zip(recorders, stepper.split(state, record)):
+            recorder.add(*stepped)
+    return [recorder.flush() for recorder in recorders]
 
 
 class Batch:
@@ -941,14 +995,14 @@ class Batch:
     process (_Child) started when the batch is made, so the caller can
     do other work meanwhile; the first ``take`` waits for them.  The
     child inherits the members' systems and boundary schedules, which
-    need not pickle, and sends back each trajectory as a few arrays,
-    received as it is taken.  After a failed joint step the child sends
-    each member's own run, up to the first StepFailure, which the take
-    that reaches it raises with the failing member's step and partial
-    trajectory; any other error of the joint run is raised by the first
-    take.  Without ``os.fork`` all of this runs in process at the first
-    take.  Leaving a ``with`` block, or ``close()``, kills and reaps a
-    child still running.
+    need not pickle, and sends back each trajectory, received as it is
+    taken.  After a failed joint step the child sends each member's own
+    run, up to the first StepFailure, which the take that reaches it
+    raises with the failing member's step and partial trajectory; any
+    other error of the joint run is raised by the first take.  Without
+    ``os.fork`` all of this runs in process at the first take.  Leaving
+    a ``with`` block, or ``close()``, kills and reaps a child still
+    running.
     """
 
     def __init__(self, members):
@@ -975,53 +1029,23 @@ class Batch:
                              f"member {i} of {n}")
         self._taken += 1
         try:
-            packed = self._child.load()
+            traj = self._child.load()
         except ChildProcessError as exc:
             raise RuntimeError(f"the batch's {exc} before sending its "
                                "runs") from exc
         if self._taken == n:
             self._child.reap(kill=False)
-        return _unpack(*packed)
+        return traj
 
     def _send(self, pipe):
         """Step the members and send each trajectory; after a failed
         joint step, each member's own run."""
         try:
-            trajectories = self._run()
+            trajectories = _run_members(self.members)
         except StepFailure:
             trajectories = (run(*m) for m in self.members)
         for traj in trajectories:
-            pickle.dump(_pack(traj), pipe, pickle.HIGHEST_PROTOCOL)
-
-    def _run(self):
-        systems, _, configs, boundaries, bounds = zip(*self.members)
-        config = configs[0]
-        if any(c != config for c in configs):
-            raise ValueError("batched runs must share one SolverConfig")
-        n_steps = _steps(config)
-        stepper = _stepper(systems, config)
-        states = [_start(*m[:4]) for m in self.members]
-        recorders = [_Recorder(system, config, boundary, b, n_steps + 1)
-                     for system, boundary, b in zip(systems, boundaries,
-                                                    bounds)]
-        for recorder, state in zip(recorders, states):
-            recorder.add(state)
-        tau0 = states[0].tau
-        state = NetworkState(tau0, [s.rho for s in states],
-                             [s.w for s in states])
-        for k in range(n_steps):
-            state, info = stepper.step(state, config.dt, boundaries,
-                                       tau_new=tau0 + (k + 1) * config.dt)
-            split = zip(state.rho, state.w, info["junction_h"],
-                        info["stage_dissipation"].tolist(),
-                        info["stage_flux"].tolist())
-            for recorder, (rho, w, hv, dissipation, flux) in zip(recorders,
-                                                                 split):
-                recorder.add(NetworkState(state.tau, rho, w),
-                             dict(info, junction_h=hv,
-                                  stage_dissipation=dissipation,
-                                  stage_flux=flux))
-        return [recorder.flush() for recorder in recorders]
+            pickle.dump(traj, pipe, pickle.HIGHEST_PROTOCOL)
 
 
 class _Child:
@@ -1124,26 +1148,6 @@ class _Child:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _pack(traj):
-    """A trajectory as its lists and a few arrays, which pickle compactly."""
-    reports = np.array([(r.energy, r.dissipation, r.boundary_flux,
-                         r.balance_residual) for r in traj.reports])
-    return (traj.times, traj.rho_array(), traj.w_array(), reports,
-            traj.stage_dissipation, traj.stage_flux, traj.iterations,
-            traj.factorizations, np.array(traj.junction_h), traj.warnings)
-
-
-def _unpack(times, rho, w, reports, stage_dissipation, stage_flux, iterations,
-            factorizations, junction_h, warnings):
-    """The trajectory _pack took apart."""
-    return Trajectory.from_stacks(
-        times, rho, w, reports=[EnergyReport(tau, *r)
-                                for tau, r in zip(times, reports.tolist())],
-        stage_dissipation=stage_dissipation, stage_flux=stage_flux,
-        iterations=iterations, factorizations=factorizations,
-        junction_h=list(junction_h), warnings=warnings)
-
-
 # values per row of a report block, whose (K, n) temporaries thus stay
 # near 64 kB on any grid
 _BLOCK_VALUES = 8192
@@ -1179,17 +1183,16 @@ class _Recorder:
         self.block = max(1, _BLOCK_VALUES // max(system.n_faces, 1))
         self.traj = Trajectory()
 
-    def add(self, state, info=None):
+    def add(self, state, record=None):
+        """Add a snapshot and the record of the step that produced it,
+        each entry to the trajectory's list of the same name."""
         traj, k = self.traj, len(self.traj.states)
         traj.times.append(state.tau)
         traj.states.append(state.copy())
-        if info is not None:
-            self.power[:, k] = info["stage_dissipation"], info["stage_flux"]
-            traj.stage_dissipation.append(info["stage_dissipation"])
-            traj.stage_flux.append(info["stage_flux"])
-            traj.iterations.append(info["iterations"])
-            traj.factorizations.append(info["factorizations"])
-            traj.junction_h.append(info["junction_h"])
+        if record is not None:
+            self.power[:, k] = record["stage_dissipation"], record["stage_flux"]
+            for name, value in record.items():
+                getattr(traj, name).append(value)
         if k + 1 - len(traj.reports) == self.block:
             self.flush()
 

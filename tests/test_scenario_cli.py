@@ -519,11 +519,12 @@ class TestCli:
     def test_unusable_out_fails_before_the_run(self, tmp_path, command,
                                                monkeypatch, capsys):
         import pipeflow.cli as cli
+        import pipeflow.studies
 
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
         monkeypatch.setattr(cli, "run", no_run)
-        monkeypatch.setattr(cli.studies_mod, "epsilon_limit_study", no_run)
+        monkeypatch.setattr(pipeflow.studies, "epsilon_limit_study", no_run)
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")
         assert main(command + ["--out", str(taken)]) == 1
@@ -573,6 +574,21 @@ class TestCli:
                         f"assert {SCIPY_MODULES!r} == "
                         "[m for m in sys.modules if m.startswith('scipy')]"],
                        env=env, check=True)
+
+    def test_simulate_loads_neither_studies_nor_mms(self):
+        # each is imported by its own command, not by every CLI start
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")])}
+        scn = os.path.join(SCEN, "single_pipe.scn")
+        script = (
+            "import sys\n"
+            "import pipeflow.cli\n"
+            f"assert pipeflow.cli.main(['simulate', '--scenario', {scn!r},\n"
+            "                          '--cells', '8']) == 0\n"
+            "assert 'pipeflow.studies' not in sys.modules\n"
+            "assert 'pipeflow.mms' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
 
     def test_runs_do_not_load_numpy_ma(self, tmp_path):
         # numpy.ma costs about 13 ms of a cold start; np.unique and

@@ -1,5 +1,6 @@
 import inspect
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -1110,6 +1111,40 @@ def test_tiled_jacobian_equals_block_diag(stepper):
         assert getattr(jac, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
+def test_stepper_of_one_system_steps_it_alone():
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    system = scen.build_system()
+    for stepper in (HyperbolicStepper([system]), ParabolicStepper((system,))):
+        assert stepper.members is None and stepper.system is system
+
+
+def test_recorded_trajectory_pickles_as_its_stacks():
+    # y_limit's densities leave [1, 1.09], so the warnings are not empty
+    scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
+    tight = replace(scen.bounds, rho_min=1.0, rho_max=1.09)
+    member, = _members(scen, [0.1], 20, bounds=tight)
+    traj = run(*member)
+    assert traj.warnings and traj.stacks is None
+    back = pickle.loads(pickle.dumps(traj, pickle.HIGHEST_PROTOCOL))
+    rho, w = back.stacks  # kept, so that nothing is stacked again
+    assert back.rho_array() is rho and back.w_array() is w
+    for k, (state, own) in enumerate(zip(back.states, traj.states,
+                                         strict=True)):
+        assert state.tau == own.tau
+        assert np.shares_memory(state.rho, rho[k])
+        assert np.shares_memory(state.w, w[k])
+        assert state.rho.tobytes() == own.rho.tobytes()
+        assert state.w.tobytes() == own.w.tobytes()
+    assert list(map(repr, back.reports)) == list(map(repr, traj.reports))
+    for name in ("times", "stage_dissipation", "stage_flux", "iterations",
+                 "factorizations", "warnings"):
+        assert getattr(back, name) == getattr(traj, name), name
+    assert all(type(x) is float
+               for x in back.stage_dissipation + back.stage_flux)
+    assert [a.tobytes() for a in back.junction_h] == [
+        a.tobytes() for a in traj.junction_h]
+
+
 def test_batch_members_must_share_grid_and_config():
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     a, b = _members(scen, [0.2, 0.1], 4)
@@ -1171,9 +1206,14 @@ def test_batch_child_sends_the_runs_bit_for_bit(parabolic):
     members = _members(scen, [0.2, 0.1, 0.05], 30)
     with solver_mod.Batch(members) as batch:
         assert batch._child is not None
-        expected = batch._run()  # in this process, while the child steps
+        # in this process, while the child steps
+        expected = solver_mod._run_members(members)
         received = [run(*m, batch=batch) for m in members]
     _assert_same_runs(received, expected)
+    for traj in expected + received:
+        # the split gives each member its row as a Python float
+        assert all(type(x) is float
+                   for x in traj.stage_dissipation + traj.stage_flux)
     for traj in received:
         # the states are rows of the received stacks, so the certificates
         # stack nothing a second time
@@ -1288,7 +1328,7 @@ def test_batch_child_that_dies_is_an_error(monkeypatch, death, message):
     scen = load_scenario(os.path.join(SCEN, "y_limit.scn"))
     members = _members(scen, [0.2, 0.1], 4)
     # runs only in the forked child, which thus ends without sending
-    monkeypatch.setattr(solver_mod.Batch, "_run", lambda self: death())
+    monkeypatch.setattr(solver_mod, "_run_members", lambda members: death())
     with solver_mod.Batch(members) as batch:
         with pytest.raises(RuntimeError,
                            match=f"{message} before sending its runs"):
